@@ -8,7 +8,7 @@ and 7.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Mapping, Sequence
 
 import numpy as np
 
@@ -19,6 +19,12 @@ __all__ = ["NoProtection"]
 
 class NoProtection(ProtectionScheme):
     """Identity write/read path with zero storage overhead."""
+
+    def __init__(self, word_width: int) -> None:
+        super().__init__(word_width)
+        self._single_fault_energy = tuple(
+            float(energy) for energy in self._energy_by_position
+        )
 
     @property
     def name(self) -> str:
@@ -59,3 +65,11 @@ class NoProtection(ProtectionScheme):
         """Every fault remains at its physical position."""
         self._check_fault_columns(fault_columns)
         return sorted(set(fault_columns))
+
+    def residual_error_energy(
+        self, row_columns: Mapping[int, Sequence[int]]
+    ) -> float:
+        """Table-driven Eq. 6 energy: every fault keeps its full weight."""
+        return self._tabulated_energy(
+            row_columns, self._single_fault_energy, self._columns_energy
+        )

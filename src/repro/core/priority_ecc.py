@@ -13,7 +13,8 @@ Stored-pattern layout (LSB first): the unprotected LSB half occupies columns
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from bisect import bisect_left
+from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -55,6 +56,11 @@ class PriorityEccScheme(ProtectionScheme):
         self._unprotected_bits = word_width - protected_bits
         self._code = secded_code_for_data_bits(self._protected_bits)
         self._low_mask = bit_mask(self._unprotected_bits)
+        # A lone protected fault is corrected; a lone raw one keeps its weight.
+        self._single_fault_energy = tuple(
+            float(energy) if column < self._unprotected_bits else 0.0
+            for column, energy in enumerate(self._energy_by_position)
+        )
 
     @property
     def code(self) -> SecdedCode:
@@ -139,3 +145,18 @@ class PriorityEccScheme(ProtectionScheme):
         if len(high_faults) <= 1:
             high_faults = []
         return sorted(low_faults + high_faults)
+
+    def residual_error_energy(
+        self, row_columns: Mapping[int, Sequence[int]]
+    ) -> float:
+        """Table-driven Eq. 6 energy of the raw LSBs and any uncorrectable MSB faults."""
+        return self._tabulated_energy(
+            row_columns, self._single_fault_energy, self._multi_fault_energy
+        )
+
+    def _multi_fault_energy(self, columns: Sequence[int]) -> int:
+        """Exact energy of a row with several (sorted) faults."""
+        split = bisect_left(columns, self._unprotected_bits)
+        if len(columns) - split <= 1:
+            return self._columns_energy(columns[:split])
+        return self._columns_energy(columns)

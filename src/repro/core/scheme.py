@@ -77,6 +77,22 @@ class BitShuffleScheme(ProtectionScheme):
         self._lut: Optional[FaultMapLut] = None
         if rows is not None:
             self.attach_rows(rows)
+        # Column -> LUT entry of the segment holding it, and the rotation
+        # that entry programs: the most-significant policy for any row.
+        self._entry_by_column = tuple(
+            segment_index(column, word_width, n_fm) for column in range(word_width)
+        )
+        rotations = [
+            rotation_amount(entry, word_width, n_fm) for entry in range(1 << n_fm)
+        ]
+        self._rotation_by_column = tuple(
+            rotations[entry] for entry in self._entry_by_column
+        )
+        # A lone fault at column c lands on logical bit c mod S (Eq. 2).
+        self._single_fault_energy = tuple(
+            float(self._energy_by_position[column % self._segment_size])
+            for column in range(word_width)
+        )
 
     # ------------------------------------------------------------------ #
     # Static properties
@@ -137,7 +153,7 @@ class BitShuffleScheme(ProtectionScheme):
         if not fault_columns:
             return 0
         if self._policy == "most-significant" or len(set(fault_columns)) == 1:
-            return segment_index(max(fault_columns), self.word_width, self._n_fm)
+            return self._entry_by_column[max(fault_columns)]
         best_entry = 0
         best_cost = None
         for candidate in range(1 << self._n_fm):
@@ -233,3 +249,25 @@ class BitShuffleScheme(ProtectionScheme):
         return sorted(
             {(column + rotation) % self.word_width for column in fault_columns}
         )
+
+    def residual_error_energy(
+        self, row_columns: Mapping[int, Sequence[int]]
+    ) -> float:
+        """Table-driven Eq. 6 energy of the rotated residual positions.
+
+        A lone fault at column ``c`` always lands on logical bit ``c mod S``,
+        so single-fault rows are one table lookup under either policy.
+        """
+        return self._tabulated_energy(
+            row_columns, self._single_fault_energy, self._multi_fault_energy
+        )
+
+    def _multi_fault_energy(self, columns: Sequence[int]) -> int:
+        """Exact energy of a row with several (sorted, distinct) faults."""
+        width = self.word_width
+        if self._policy == "most-significant":
+            rotation = self._rotation_by_column[columns[-1]]
+        else:
+            rotation = rotation_amount(self._select_entry(columns), width, self._n_fm)
+        energy = self._energy_by_position
+        return sum(energy[(column + rotation) % width] for column in columns)

@@ -9,7 +9,7 @@ of Fig. 6.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Mapping, Sequence
 
 import numpy as np
 
@@ -25,6 +25,7 @@ class SecdedScheme(ProtectionScheme):
     def __init__(self, word_width: int = 32) -> None:
         super().__init__(word_width)
         self._code = secded_code_for_data_bits(word_width)
+        self._single_fault_energy = (0.0,) * word_width
 
     @property
     def code(self) -> SecdedCode:
@@ -87,3 +88,11 @@ class SecdedScheme(ProtectionScheme):
         if len(unique) <= 1:
             return []
         return unique
+
+    def residual_error_energy(
+        self, row_columns: Mapping[int, Sequence[int]]
+    ) -> float:
+        """Table-driven Eq. 6 energy: lone faults vanish, multi-fault rows stay whole."""
+        return self._tabulated_energy(
+            row_columns, self._single_fault_energy, self._columns_energy
+        )

@@ -35,7 +35,7 @@ def max_lut_bits(word_width: int) -> int:
     """Largest meaningful ``nFM`` for a word of ``word_width`` bits: ceil(log2 W)."""
     if word_width <= 0:
         raise ValueError(f"word_width must be positive, got {word_width}")
-    return int(np.ceil(np.log2(word_width)))
+    return (word_width - 1).bit_length()
 
 
 def _check_nfm(n_fm: int, word_width: int) -> None:

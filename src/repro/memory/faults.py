@@ -24,6 +24,7 @@ Two fault behaviours are modelled:
 from __future__ import annotations
 
 import json
+from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -125,12 +126,17 @@ class FaultMap:
         return sorted({r for (r, _c) in self._faults})
 
     def faulty_columns_by_row(self) -> Dict[int, List[int]]:
-        """Mapping row -> sorted faulty bit positions, for rows with faults only."""
+        """Mapping row -> sorted faulty bit positions, for rows with faults only.
+
+        Rows appear in the order their first fault was added to the map; that
+        order is the summation order of the Eq. 6 MSE.
+        """
         result: Dict[int, List[int]] = {}
-        for (row, column) in self._faults:
-            result.setdefault(row, []).append(column)
-        for columns in result.values():
-            columns.sort()
+        for row, column in self._faults:
+            if row in result:
+                insort(result[row], column)
+            else:
+                result[row] = [column]
         return result
 
     def max_faults_per_row(self) -> int:
@@ -143,8 +149,9 @@ class FaultMap:
     def bit_positions(self) -> np.ndarray:
         """Bit positions (column indices) of all faults, one entry per fault.
 
-        This is the only information the analytical MSE/yield model (Eq. 6)
-        needs about a die.
+        Enough for the analytical MSE (Eq. 6) only while every faulty row holds
+        a single fault: ECC and multi-fault bit-shuffle rows depend on which
+        faults share a row, so the MSE reads :meth:`faulty_columns_by_row`.
         """
         return np.array(sorted(f.column for f in self._faults.values()), dtype=np.int64)
 

@@ -9,6 +9,16 @@ where ``b_i`` is the (logical) bit position corrupted by the i-th failure and
 ``R`` the number of rows.  With a protection scheme in place the positions
 ``b_i`` are the *residual* positions after mitigation, which is exactly what
 :meth:`repro.core.base.ProtectionScheme.residual_error_positions` reports.
+
+Energy contract (what keeps every MSE bit-identical, whichever path computes
+it): each faulty row's energy is the exact integer ``sum(4**b)`` over its
+residual positions, rounded to float once; the row energies are added one at
+a time, left to right, in the fault map's row order
+(:meth:`FaultMap.faulty_columns_by_row`); the total is divided by ``R`` last.
+:func:`mse_from_error_positions` applies it to explicit per-row positions
+(the test oracle), and :func:`mse_of_fault_map` to one die through the
+scheme's table-driven
+:meth:`~repro.core.base.ProtectionScheme.residual_error_energy`.
 """
 
 from __future__ import annotations
@@ -51,16 +61,17 @@ def mse_from_error_positions(
 def mse_of_fault_map(fault_map: FaultMap, scheme: ProtectionScheme) -> float:
     """MSE of one die operated behind ``scheme`` (Eq. 6 with mitigation applied).
 
-    For every faulty row the scheme reports which logical bits remain
+    For every faulty row the scheme charges the logical bits that remain
     vulnerable; the worst case (every residual bit actually wrong) defines the
     contribution of that row.  This matches the paper's analytical evaluation,
-    which charges each failure its full error magnitude.
+    which charges each failure its full error magnitude.  The result equals
+    :func:`mse_from_error_positions` over the rows'
+    ``residual_error_positions`` bit for bit (see the module docstring).
     """
-    if fault_map.organization.word_width != scheme.word_width:
+    organization = fault_map.organization
+    if organization.word_width != scheme.word_width:
         raise ValueError(
             "fault map word width does not match the protection scheme"
         )
-    per_row_positions = []
-    for row, columns in fault_map.faulty_columns_by_row().items():
-        per_row_positions.append(scheme.residual_error_positions(row, columns))
-    return mse_from_error_positions(per_row_positions, fault_map.organization.rows)
+    energy = scheme.residual_error_energy(fault_map.faulty_columns_by_row())
+    return energy / organization.rows

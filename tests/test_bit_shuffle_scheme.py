@@ -7,7 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.scheme import BitShuffleScheme
-from repro.core.segments import segment_size, worst_case_error_magnitude
+from repro.core.segments import (
+    segment_index,
+    segment_size,
+    worst_case_error_magnitude,
+)
 from repro.memory.words import from_twos_complement
 
 
@@ -53,6 +57,26 @@ class TestProgramming:
         scheme.program({4: [1]})
         assert scheme.lut.entry(2) == 0
         assert scheme.lut.entry(4) == 1
+
+    @given(
+        n_fm=st.integers(min_value=1, max_value=5),
+        rows=st.dictionaries(
+            st.integers(min_value=0, max_value=7),
+            st.lists(
+                st.integers(min_value=0, max_value=31), min_size=1, max_size=4,
+                unique=True,
+            ),
+            max_size=8,
+        ),
+    )
+    def test_most_significant_entries_match_segment_index(self, n_fm, rows):
+        scheme = BitShuffleScheme(32, n_fm, rows=8)
+        scheme.program(rows)
+        expected = [
+            segment_index(max(rows[row]), 32, n_fm) if row in rows else 0
+            for row in range(8)
+        ]
+        assert scheme.lut.entries().tolist() == expected
 
 
 class TestOperationalPath:

@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+from typing import List, Sequence
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.base import ProtectionScheme
 from repro.core.no_protection import NoProtection
 from repro.core.priority_ecc import PriorityEccScheme
 from repro.core.scheme import BitShuffleScheme
 from repro.core.secded_scheme import SecdedScheme
+from repro.core.segments import max_lut_bits
 from repro.memory.faults import FaultMap
+from repro.memory.organization import MemoryOrganization
 from repro.quality.mse import (
     mse_from_error_positions,
     mse_of_fault_map,
@@ -103,3 +108,122 @@ class TestMseOfFaultMap:
             for n_fm in range(1, 6)
         ]
         assert values == sorted(values, reverse=True)
+
+
+class PositionsOnlyScheme(ProtectionScheme):
+    """Implements only the scalar analytical contract, so the MSE takes the
+    base-class ``residual_error_energy`` fallback.  Its residual positions
+    depend on the row index, which pins that the fallback passes real rows."""
+
+    @property
+    def name(self) -> str:
+        return "positions-only"
+
+    @property
+    def extra_columns(self) -> int:
+        return 0
+
+    def encode_word(self, row: int, data: int) -> int:
+        return data
+
+    def decode_word(self, row: int, stored: int) -> int:
+        return stored
+
+    def residual_error_positions(
+        self, row: int, fault_columns: Sequence[int]
+    ) -> List[int]:
+        self._check_fault_columns(fault_columns)
+        return [c for c in fault_columns if (row + c) % 3]
+
+
+def _schemes_for(word_width: int) -> List[ProtectionScheme]:
+    """Every scheme of the differential test for one word width."""
+    schemes: List[ProtectionScheme] = [
+        NoProtection(word_width),
+        PriorityEccScheme(word_width),
+        PositionsOnlyScheme(word_width),
+    ]
+    if word_width < 64:
+        # H(72,64) codewords overflow the code's uint64 check masks.
+        schemes.append(SecdedScheme(word_width))
+    if word_width > 8:
+        schemes.append(PriorityEccScheme(word_width, protected_bits=8))
+    for n_fm in range(1, max_lut_bits(word_width) + 1):
+        for policy in ("most-significant", "minimax"):
+            schemes.append(
+                BitShuffleScheme(word_width, n_fm, multi_fault_policy=policy)
+            )
+    return schemes
+
+
+DIFFERENTIAL_WIDTHS = (8, 16, 32, 64)
+DIFFERENTIAL_ROWS = 6
+SCHEMES_BY_WIDTH = {w: _schemes_for(w) for w in DIFFERENTIAL_WIDTHS}
+
+
+@st.composite
+def fault_cells(draw):
+    """A word width and unique fault cells in arbitrary insertion order.
+
+    Few rows make multi-fault rows common; an empty list is an empty map.
+    """
+    word_width = draw(st.sampled_from(DIFFERENTIAL_WIDTHS))
+    cells = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=DIFFERENTIAL_ROWS - 1),
+                st.integers(min_value=0, max_value=word_width - 1),
+            ),
+            unique=True,
+            max_size=3 * DIFFERENTIAL_ROWS,
+        )
+    )
+    return word_width, cells
+
+
+def _positions_oracle(cells, scheme: ProtectionScheme, rows: int) -> float:
+    """Eq. 6 through the scalar contract, rows in first-insertion order."""
+    row_order = list(dict.fromkeys(row for row, _column in cells))
+    positions = [
+        scheme.residual_error_positions(
+            row, sorted(c for r, c in cells if r == row)
+        )
+        for row in row_order
+    ]
+    return mse_from_error_positions(positions, rows)
+
+
+class TestResidualErrorEnergy:
+    @settings(max_examples=200, deadline=None)
+    @given(fault_cells())
+    def test_matches_positions_oracle_bit_for_bit(self, drawn):
+        word_width, cells = drawn
+        org = MemoryOrganization(rows=DIFFERENTIAL_ROWS, word_width=word_width)
+        fault_map = FaultMap.from_cells(org, cells)
+        for scheme in SCHEMES_BY_WIDTH[word_width]:
+            expected = _positions_oracle(cells, scheme, org.rows)
+            assert mse_of_fault_map(fault_map, scheme).hex() == expected.hex(), (
+                scheme.name
+            )
+
+    def test_summation_follows_fault_map_row_order(self):
+        # One 2**54 row and three rows of energy 1: added big-first, every 1
+        # falls below half an ulp and is lost; added small-first, the 3 rounds
+        # the total up to 2**54 + 4.  The float result pins the row order.
+        org = MemoryOrganization(rows=4, word_width=32)
+        small = [(1, 0), (2, 0), (3, 0)]
+        big = [(0, 27)]
+        scheme = NoProtection(32)
+        big_first = mse_of_fault_map(FaultMap.from_cells(org, big + small), scheme)
+        small_first = mse_of_fault_map(FaultMap.from_cells(org, small + big), scheme)
+        assert big_first == 2.0 ** 54 / 4
+        assert small_first == (2.0 ** 54 + 4) / 4
+        for cells, value in ((big + small, big_first), (small + big, small_first)):
+            assert value.hex() == _positions_oracle(cells, scheme, 4).hex()
+
+    def test_rejects_out_of_range_columns(self):
+        for scheme in SCHEMES_BY_WIDTH[32]:
+            with pytest.raises(ValueError):
+                scheme.residual_error_energy({0: [32]})
+            with pytest.raises(ValueError):
+                scheme.residual_error_energy({0: [-1, 4]})

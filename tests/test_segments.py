@@ -33,6 +33,10 @@ class TestSegmentSize:
         assert max_lut_bits(16) == 4
         assert max_lut_bits(8) == 3
 
+    def test_max_lut_bits_matches_ceil_log2(self):
+        for word_width in range(1, 257):
+            assert max_lut_bits(word_width) == int(np.ceil(np.log2(word_width)))
+
     def test_rejects_out_of_range_nfm(self):
         with pytest.raises(ValueError):
             segment_size(32, 0)
