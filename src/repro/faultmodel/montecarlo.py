@@ -18,8 +18,7 @@ the log domain (``lgamma``) so they stay finite for the paper's
 from __future__ import annotations
 
 import math
-import warnings
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
@@ -306,54 +305,3 @@ class FaultMapSampler:
         return FaultMap.random_with_pcell(
             self._organization, p_cell, self._rng, kind=self._fault_kind
         )
-
-    def iter_stratified(
-        self,
-        p_cell: float,
-        total_runs: int,
-        max_failures: Optional[int] = None,
-    ) -> Iterator[tuple[int, float, List[FaultMap]]]:
-        """Yield ``(failure_count, probability, fault_maps)`` per stratum.
-
-        The probability is ``Pr(N = n)`` from Eq. 4 and should be used to
-        weight the stratum's results when assembling distributions.  Each
-        stratum's maps are drawn through :meth:`sample_batch`, so a sampler
-        constructed with ``scenario=`` runs every stratum through the full
-        scenario pipeline (source -> transforms -> repair); the stratum is
-        then labelled by the *pre-repair* failure count, and a repair stage
-        may leave individual maps with fewer surviving faults.
-
-        .. deprecated::
-            This generator predates the sweep engine and duplicates its
-            stratified planning; new sweeps should go through
-            :class:`~repro.sim.engine.SweepEngine` (whose
-            :class:`~repro.sim.engine.ExperimentConfig` owns the failure-count
-            grid, the ``Pr(N = n)`` weighting, and -- via a
-            :class:`~repro.scenarios.base.ScenarioSpec` -- the sampling
-            pipeline).  It is kept as the minimal paper-faithful reference of
-            the Fig. 5 budget-allocation rule, and now emits a
-            :class:`DeprecationWarning` (once per call, before the first
-            stratum is drawn).
-        """
-        # A plain function that returns an inner generator: the warning must
-        # fire exactly once at *call* time (with the caller on the stack),
-        # not lazily on the first next().
-        warnings.warn(
-            "FaultMapSampler.iter_stratified is deprecated; run stratified "
-            "sweeps through repro.sim.engine.SweepEngine (ExperimentConfig "
-            "owns the failure-count grid, weighting, and scenario pipeline)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        allocation = samples_per_failure_count(
-            self._organization.total_cells, p_cell, total_runs, max_failures
-        )
-
-        def _strata() -> Iterator[tuple[int, float, List[FaultMap]]]:
-            for n, batch_size in allocation.items():
-                probability = failure_count_pmf(
-                    self._organization.total_cells, p_cell, n
-                )
-                yield n, probability, self.sample_batch(n, batch_size)
-
-        return _strata()

@@ -5,13 +5,13 @@ apply, corruption masks, 2's-complement codecs, the rejection sampler's
 validity check) runs through whichever :class:`~repro.kernels.api.KernelBackend`
 this module selects at first use:
 
-* ``REPRO_KERNEL_BACKEND={numpy,c,numba}`` forces a backend.  If the forced
-  backend cannot be built (no compiler, numba missing, failed self-test) a
-  single :class:`RuntimeWarning` is emitted and the ``numpy`` reference is
-  used instead — the run still completes, just slower.
-* Unset, the probe tries ``c`` then ``numba`` and falls back to ``numpy``
-  **silently**: machines without a toolchain behave exactly as before this
-  registry existed.
+* ``REPRO_KERNEL_BACKEND={numpy,c}`` forces a backend.  If the forced
+  backend cannot be built (no compiler, failed self-test) or the name is
+  unknown, a single :class:`RuntimeWarning` is emitted and the ``numpy``
+  reference is used instead — the run still completes, just slower.
+* Unset, the probe tries ``c`` and falls back to ``numpy`` **silently**:
+  machines without a toolchain behave exactly as before this registry
+  existed.
 
 Every candidate is self-tested against the NumPy reference on deterministic
 inputs before it can be selected, so a miscompiled kernel can never leak
@@ -54,20 +54,13 @@ def _make_c_backend() -> KernelBackend:
     return CKernelBackend()
 
 
-def _make_numba_backend() -> KernelBackend:
-    from repro.kernels.numba_backend import NumbaKernelBackend
-
-    return NumbaKernelBackend()
-
-
 _FACTORIES: Dict[str, Callable[[], KernelBackend]] = {
     "numpy": lambda: _REFERENCE,
     "c": _make_c_backend,
-    "numba": _make_numba_backend,
 }
 
 #: Auto-probe preference: fastest first, reference last (always succeeds).
-_AUTO_ORDER = ("c", "numba", "numpy")
+_AUTO_ORDER = ("c", "numpy")
 
 
 def _self_test(candidate: KernelBackend) -> None:

@@ -16,7 +16,7 @@ This module provides that arrangement:
 * :class:`SweepEngine` -- shards the ``(failure_count x sample)`` grid into
   independent work units, evaluates them inline (``workers=1``) or across a
   :class:`concurrent.futures.ProcessPoolExecutor`, and merges the per-shard
-  results into :class:`QualityDistribution` objects.
+  results into one distribution per scheme.
 * shard-level checkpointing -- a JSON results cache keyed by a hash of the
   full configuration, written after every completed shard, so interrupted
   sweeps resume without re-evaluating finished dies.
@@ -24,10 +24,14 @@ This module provides that arrangement:
 The engine supports two die evaluations over the same sharded grid:
 :meth:`SweepEngine.run` trains a benchmark on the corrupted features of every
 die (the Fig. 7 application study), while :meth:`SweepEngine.run_mse` scores
-each die by its local MSE (Eq. 6, the Fig. 5 study).  Both share the plan,
-the seeding scheme, the process fan-out, and the checkpoint cache; they are
-the two grid-point evaluators behind the :mod:`repro.dse` design-space
-exploration layer.
+each die by its local MSE (Eq. 6, the Fig. 5 study).  They are two entry
+points into one private core, ``SweepEngine._sweep``.  Each entry point
+supplies only its worker context, its config-hash arguments, the score of
+the fault-free point mass and its result codec (distribution constructor
+plus store payload encode/decode); the core owns validation, the result
+store, checkpoint keying, fixed or adaptive execution, the per-scheme ECDF
+merge and :class:`SweepRunStats`.  The two entry points are the grid-point
+evaluators behind the :mod:`repro.dse` design-space exploration layer.
 
 Deterministic seeding scheme
 ----------------------------
@@ -100,7 +104,7 @@ import os
 import re
 import tempfile
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -114,6 +118,7 @@ from repro.faultmodel.montecarlo import (
     failure_count_pmf_array,
     max_failures_for_coverage,
 )
+from repro.faultmodel.yieldmodel import MseDistribution
 from repro.memory.faults import FaultMap
 from repro.memory.organization import MemoryOrganization
 from repro.quality.cdf import WeightedEcdf
@@ -131,8 +136,16 @@ from repro.stats import (
     FixedGridEcdfSketch,
     StratumVarianceTracker,
     StreamingMoments,
+    WeightedSampleBuffer,
     largest_remainder_allocation,
     normal_critical_value,
+)
+from repro.store.schema import (
+    adaptive_report_from_payload,
+    mse_results_from_payload,
+    mse_results_to_payload,
+    quality_results_from_payload,
+    quality_results_to_payload,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store imports sim)
@@ -538,6 +551,9 @@ class QualityDistribution:
 class SweepRunStats:
     """Bookkeeping of the most recent :meth:`SweepEngine.run`/``run_mse`` call.
 
+    Both entry points run through the one sweep core, which alone builds
+    these stats, so a quality and an MSE sweep report them identically.
+
     Attributes
     ----------
     evaluation:
@@ -825,17 +841,9 @@ class ExperimentConfig:
 # because tests monkeypatch ``engine._evaluate_shard``/``_summarize_shard``
 # to steer the inline path, and ``_inline_run_shard`` dispatches through
 # *this module's* globals so those patches keep working.
-_DieEntry = _shardeval.DieEntry
-_AdaptiveEntry = _shardeval.AdaptiveEntry
-_ShardSummary = _shardeval.ShardSummary
-_REJECTION_MAX_ATTEMPTS = _shardeval.REJECTION_MAX_ATTEMPTS
 _SharedBenchmark = _shardeval._SharedBenchmark
 _share_context = _shardeval.share_context
 _materialize_context = _shardeval.materialize_context
-_init_worker = _shardeval.init_worker
-_sample_die_map = _shardeval._sample_die_map
-_die_transient_seed = _shardeval._die_transient_seed
-_evaluate_die = _shardeval._evaluate_die
 _evaluate_shard = _shardeval.evaluate_shard
 _summarize_shard = _shardeval.summarize_shard
 
@@ -928,17 +936,12 @@ def _load_checkpoint(path: str, config_hash: str) -> Dict[int, List[float]]:
     return {int(k): [float(v) for v in vs] for k, vs in data["dies"].items()}
 
 
-def _save_checkpoint(
-    path: str, config_hash: str, dies: Mapping[int, Sequence[float]]
-) -> None:
-    """Atomically write the per-die results cache."""
+def _save_checkpoint(path: str, config_hash: str, **state: object) -> None:
+    """Atomically write a checkpoint: the versioned, hash-keyed envelope
+    around a fixed sweep's ``dies`` or an adaptive sweep's round state."""
     _write_checkpoint_payload(
         path,
-        {
-            "version": _CHECKPOINT_VERSION,
-            "config_hash": config_hash,
-            "dies": {str(k): list(v) for k, v in sorted(dies.items())},
-        },
+        {"version": _CHECKPOINT_VERSION, "config_hash": config_hash, **state},
     )
 
 
@@ -965,7 +968,7 @@ def _ShardDispatcher(
     return make_executor(context, workers, spec=spec, runner=_inline_run_shard)
 
 
-def _summary_payload_scalars(summary: _ShardSummary) -> int:
+def _summary_payload_scalars(summary: _shardeval.ShardSummary) -> int:
     """Scalar count of one shard's summary payload (the O(bins) witness)."""
     total = 0
     for _key, _moments, sketch in summary:
@@ -973,14 +976,20 @@ def _summary_payload_scalars(summary: _ShardSummary) -> int:
     return total
 
 
-@dataclass
-class _AdaptiveOutcome:
-    """Merged state of one finished adaptive sweep (pre-assembly)."""
+@dataclass(frozen=True)
+class _ResultCodec:
+    """What one evaluation contributes to :meth:`SweepEngine._sweep`: its
+    store record kind (also :attr:`SweepRunStats.evaluation`), the benchmark
+    named in store record metadata (``None`` for MSE sweeps), its
+    distribution constructor ``wrap(context, scheme_name=, p_cell=, ecdf=,
+    samples=)``, and the store payload ``encode(results, report)`` /
+    ``decode(payload)`` pair."""
 
-    trackers: List[StratumVarianceTracker]
-    sketches: Dict[Tuple[int, int], FixedGridEcdfSketch]
-    samples_done: Dict[int, int]
-    report: AdaptiveBudgetReport
+    kind: str
+    benchmark: Optional[str]
+    wrap: Callable[..., object]
+    encode: Callable[..., Dict[str, object]]
+    decode: Callable[[Mapping[str, object]], Dict[str, object]]
 
 
 # --------------------------------------------------------------------------- #
@@ -1051,7 +1060,8 @@ class SweepEngine:
     @property
     def last_run_stats(self) -> Optional[SweepRunStats]:
         """Evaluation bookkeeping of the most recent :meth:`run`/:meth:`run_mse`
-        call (``None`` before any run).  ``evaluated_dies == 0`` with
+        call (``None`` before any run), set by their shared sweep core on both
+        the store-hit and the computed path.  ``evaluated_dies == 0`` with
         ``store_hit=True`` is the store's zero-re-simulation guarantee."""
         return self._last_run_stats
 
@@ -1227,158 +1237,49 @@ class SweepEngine:
             fixed_point = FixedPointFormat(
                 total_bits=config.word_width, frac_bits=config.frac_bits
             )
-        executor_spec = ExecutorSpec.coerce(executor)
-        self._last_executor = "inline"
-        self._last_redispatched = 0
-        store_key: Optional[str] = None
-        if store is not None:
-            store_key = self.config_hash(benchmark, fault_maps, fixed_point)
-            record = store.get_record(store_key, kind="quality")
-            if record is not None:
-                return self._serve_stored_quality(record, store_key)
-        clean_quality = benchmark.clean_quality()
-        if clean_quality == 0.0:
-            raise ValueError(
-                "the benchmark's fault-free quality is zero; cannot normalise"
-            )
-        features = np.asarray(benchmark.train_features, dtype=np.float64)
-        raw_features = fixed_point.quantize_array(features)
-
-        context: Dict[str, object] = {
-            "evaluation": "quality",
-            "organization": config.organization,
-            "schemes": self._schemes,
-            "fixed_point": fixed_point,
-            "raw_features": raw_features,
-            "benchmark": benchmark,
-            "clean_quality": clean_quality,
-            "discard_multi_fault_words": config.discard_multi_fault_words,
-            "master_seed": config.master_seed,
-            "scenario": self._scenario,
-            "transient": self._scenario.transient,
-            "access_trace": config.access_trace,
-        }
-        if adaptive_cap_resumable and config.adaptive is None:
-            raise ValueError(
-                "adaptive_cap_resumable requires an adaptive budget"
-            )
-        if config.adaptive is not None:
-            self._check_adaptive_call(fault_maps, shard_size, shard_order)
-            config_hash = ""
-            if checkpoint is not None:
-                config_hash = self.config_hash(
-                    benchmark,
-                    None,
-                    fixed_point,
-                    adaptive_cap_resumable=adaptive_cap_resumable,
+        def build_context() -> Dict[str, object]:
+            clean_quality = benchmark.clean_quality()
+            if clean_quality == 0.0:
+                raise ValueError(
+                    "the benchmark's fault-free quality is zero; cannot normalise"
                 )
-            outcome = self._run_adaptive(
-                context,
-                zero_mass_value=1.0,
-                include_zero_mass=True,
-                workers=workers,
-                checkpoint=checkpoint,
-                config_hash=config_hash,
-                executor=executor_spec,
+            features = np.asarray(benchmark.train_features, dtype=np.float64)
+            return {
+                "fixed_point": fixed_point,
+                "raw_features": fixed_point.quantize_array(features),
+                "benchmark": benchmark,
+                "clean_quality": clean_quality,
+                "transient": self._scenario.transient,
+                "access_trace": config.access_trace,
+            }
+
+        def wrap(context, **common) -> QualityDistribution:
+            return QualityDistribution(
+                benchmark=benchmark.name,
+                metric_name=benchmark.metric_name,
+                clean_quality=context["clean_quality"],
+                **common,
             )
-            results = self._merge_quality_adaptive(
-                benchmark, clean_quality, outcome
-            )
-            total_dies = outcome.report.total_dies
-        else:
-            config_hash = ""
-            if checkpoint is not None:
-                config_hash = self.config_hash(
-                    benchmark, fault_maps, fixed_point
-                )
-            die_results = self._execute(
-                context,
-                workers=workers,
-                checkpoint=checkpoint,
-                config_hash=config_hash,
-                shard_size=shard_size,
-                shard_order=shard_order,
-                fault_maps=fault_maps,
-                executor=executor_spec,
-            )
-            results = self._merge_quality(benchmark, clean_quality, die_results)
-            total_dies = len(die_results)
-        self._last_run_stats = SweepRunStats(
-            evaluation="quality",
-            store_key=store_key,
-            store_hit=False,
-            evaluated_dies=self._dies_evaluated,
-            total_dies=total_dies,
-            executor=self._last_executor,
-            redispatched_shards=self._last_redispatched,
-        )
-        if store is not None and store_key is not None:
-            self._record_results(store, store_key, "quality", results)
-        return results
 
-    def _serve_stored_quality(
-        self, record: Mapping[str, object], store_key: str
-    ) -> Dict[str, QualityDistribution]:
-        """Decode a stored quality record -- the zero-evaluation hit path."""
-        from repro.store.schema import (
-            adaptive_report_from_payload,
-            quality_results_from_payload,
-        )
-
-        payload = record["payload"]
-        results = quality_results_from_payload(payload)
-        report = adaptive_report_from_payload(payload.get("adaptive_report"))
-        if report is not None:
-            self._last_adaptive_report = report
-        meta = record.get("meta", {})
-        self._last_run_stats = SweepRunStats(
-            evaluation="quality",
-            store_key=store_key,
-            store_hit=True,
-            evaluated_dies=0,
-            total_dies=int(meta.get("total_dies", 0)),
-            executor="store",
-        )
-        return results
-
-    def _record_results(
-        self,
-        store: "ResultStore",
-        store_key: str,
-        kind: str,
-        results: Mapping[str, object],
-    ) -> None:
-        """Append a finished sweep's results to the store."""
-        from repro.store.schema import (
-            mse_results_to_payload,
-            quality_results_to_payload,
-        )
-
-        stats = self._last_run_stats
-        assert stats is not None
-        report = (
-            self._last_adaptive_report
-            if self._config.adaptive is not None
-            else None
-        )
-        if kind == "quality":
-            payload = quality_results_to_payload(results, report)
-            benchmark_name = next(iter(results.values())).benchmark
-        else:
-            payload = mse_results_to_payload(results, report)
-            benchmark_name = None
-        store.put_record(
-            store_key,
-            kind,
-            payload,
-            meta={
-                "benchmark": benchmark_name,
-                "evaluation": kind,
-                "schemes": [scheme.name for scheme in self._schemes],
-                "p_cell": self._config.p_cell,
-                "evaluated_dies": stats.evaluated_dies,
-                "total_dies": stats.total_dies,
-            },
+        return self._sweep(
+            _ResultCodec(
+                "quality",
+                benchmark.name,
+                wrap,
+                quality_results_to_payload,
+                quality_results_from_payload,
+            ),
+            build_context,
+            {"benchmark": benchmark, "fixed_point": fixed_point},
+            zero_mass=1.0,
+            workers=workers,
+            checkpoint=checkpoint,
+            shard_size=shard_size,
+            shard_order=shard_order,
+            fault_maps=fault_maps,
+            store=store,
+            executor=executor,
+            adaptive_cap_resumable=adaptive_cap_resumable,
         )
 
     def run_mse(
@@ -1409,76 +1310,148 @@ class SweepEngine:
         ``adaptive_cap_resumable`` (checkpoint round-state shared across
         adaptive die caps).
         """
-        config = self._config
-        if adaptive_cap_resumable and config.adaptive is None:
-            raise ValueError(
-                "adaptive_cap_resumable requires an adaptive budget"
-            )
         if self._scenario.transient is not None:
             raise ValueError(
                 "the analytical MSE evaluation cannot model per-read "
                 "transient faults; run transient scenarios through the "
                 "quality sweep (SweepEngine.run / fig7) instead"
             )
+        config = self._config
+
+        def wrap(context, **common) -> MseDistribution:
+            return MseDistribution(
+                zero_fault_probability=config.zero_fault_probability,
+                max_failures=config.max_failures,
+                **common,
+            )
+
+        return self._sweep(
+            _ResultCodec(
+                "mse", None, wrap, mse_results_to_payload, mse_results_from_payload
+            ),
+            dict,
+            {
+                "extra": {
+                    "evaluation": "mse",
+                    "include_fault_free": include_fault_free,
+                }
+            },
+            zero_mass=0.0 if include_fault_free else None,
+            workers=workers,
+            checkpoint=checkpoint,
+            shard_size=shard_size,
+            shard_order=shard_order,
+            fault_maps=fault_maps,
+            store=store,
+            executor=executor,
+            adaptive_cap_resumable=adaptive_cap_resumable,
+        )
+
+    def _sweep(
+        self,
+        codec: "_ResultCodec",
+        build_context: Callable[[], Dict[str, object]],
+        hash_args: Mapping[str, object],
+        *,
+        zero_mass: Optional[float],
+        workers: int,
+        checkpoint: Optional[str],
+        shard_size: Optional[int],
+        shard_order: Optional[Sequence[int]],
+        fault_maps: Optional[Mapping[Tuple[int, int], FaultMap]],
+        store: Optional["ResultStore"],
+        executor: Optional[object],
+        adaptive_cap_resumable: bool,
+    ) -> Dict[str, object]:
+        """The one sweep core behind :meth:`run` and :meth:`run_mse`.
+
+        ``build_context`` returns the evaluation's own worker-context entries
+        and runs only on a store miss (a quality context trains the
+        benchmark).  ``hash_args`` are the :meth:`config_hash` arguments
+        besides ``fault_maps``; ``zero_mass`` scores the ``Pr(N = 0)`` point
+        mass (``None`` leaves it out).
+        """
+        config = self._config
+        adaptive = config.adaptive is not None
+        if adaptive_cap_resumable and not adaptive:
+            raise ValueError(
+                "adaptive_cap_resumable requires an adaptive budget"
+            )
+        if workers < 1:
+            raise ValueError("workers must be at least 1")
+        if adaptive and fault_maps is not None:
+            raise ValueError(
+                "adaptive budgets draw each die from its own seed-sequence "
+                "child; pre-drawn fault_maps require the fixed budget"
+            )
+        if adaptive and (shard_size is not None or shard_order is not None):
+            raise ValueError(
+                "shard_size/shard_order do not apply to adaptive sweeps "
+                "(the controller shards each round at a fixed width)"
+            )
+        if fault_maps is None and config.master_seed is None:
+            raise ValueError(
+                "a master_seed is required unless pre-drawn fault_maps are "
+                "supplied"
+            )
         executor_spec = ExecutorSpec.coerce(executor)
         self._last_executor = "inline"
         self._last_redispatched = 0
         store_key: Optional[str] = None
         if store is not None:
-            store_key = self.config_hash(
-                None,
-                fault_maps,
-                extra={
-                    "evaluation": "mse",
-                    "include_fault_free": include_fault_free,
-                },
-            )
-            record = store.get_record(store_key, kind="mse")
+            store_key = self.config_hash(fault_maps=fault_maps, **hash_args)
+            record = store.get_record(store_key, kind=codec.kind)
             if record is not None:
-                return self._serve_stored_mse(record, store_key)
+                # The zero-evaluation hit path: decode, no training.
+                payload = record["payload"]
+                results = codec.decode(payload)
+                report = adaptive_report_from_payload(
+                    payload.get("adaptive_report")
+                )
+                if report is not None:
+                    self._last_adaptive_report = report
+                self._last_run_stats = SweepRunStats(
+                    evaluation=codec.kind,
+                    store_key=store_key,
+                    store_hit=True,
+                    evaluated_dies=0,
+                    total_dies=int(record.get("meta", {}).get("total_dies", 0)),
+                    executor="store",
+                )
+                return results
         context: Dict[str, object] = {
-            "evaluation": "mse",
+            "evaluation": codec.kind,
             "organization": config.organization,
             "schemes": self._schemes,
             "discard_multi_fault_words": config.discard_multi_fault_words,
             "master_seed": config.master_seed,
             "scenario": self._scenario,
+            **build_context(),
         }
-        if config.adaptive is not None:
-            self._check_adaptive_call(fault_maps, shard_size, shard_order)
-            config_hash = ""
-            if checkpoint is not None:
-                config_hash = self.config_hash(
-                    None,
-                    None,
-                    extra={
-                        "evaluation": "mse",
-                        "include_fault_free": include_fault_free,
-                    },
-                    adaptive_cap_resumable=adaptive_cap_resumable,
-                )
-            outcome = self._run_adaptive(
+        config_hash = ""
+        if checkpoint is not None:
+            config_hash = self.config_hash(
+                fault_maps=fault_maps,
+                adaptive_cap_resumable=adaptive_cap_resumable,
+                **hash_args,
+            )
+        scheme_indices = range(len(self._schemes))
+        report = None
+        if adaptive:
+            sketches, report = self._run_adaptive(
                 context,
-                zero_mass_value=0.0,
-                include_zero_mass=include_fault_free,
+                zero_mass=zero_mass,
                 workers=workers,
                 checkpoint=checkpoint,
                 config_hash=config_hash,
                 executor=executor_spec,
             )
-            results = self._merge_mse_adaptive(outcome, include_fault_free)
-            total_dies = outcome.report.total_dies
+            ecdfs = [
+                self._adaptive_scheme_ecdf(sketches, si, zero_mass)
+                for si in scheme_indices
+            ]
+            samples = total_dies = report.total_dies
         else:
-            config_hash = ""
-            if checkpoint is not None:
-                config_hash = self.config_hash(
-                    None,
-                    fault_maps,
-                    extra={
-                        "evaluation": "mse",
-                        "include_fault_free": include_fault_free,
-                    },
-                )
             die_results = self._execute(
                 context,
                 workers=workers,
@@ -1489,10 +1462,26 @@ class SweepEngine:
                 fault_maps=fault_maps,
                 executor=executor_spec,
             )
-            results = self._merge_mse(die_results, include_fault_free)
+            ecdfs = [
+                WeightedEcdf.from_groups(
+                    self._scheme_groups(die_results, si, zero_mass)
+                )
+                for si in scheme_indices
+            ]
+            samples = len(config.evaluated_counts()) * config.samples_per_count
             total_dies = len(die_results)
+        results = {
+            scheme.name: codec.wrap(
+                context,
+                scheme_name=scheme.name,
+                p_cell=config.p_cell,
+                ecdf=ecdf,
+                samples=samples,
+            )
+            for scheme, ecdf in zip(self._schemes, ecdfs)
+        }
         self._last_run_stats = SweepRunStats(
-            evaluation="mse",
+            evaluation=codec.kind,
             store_key=store_key,
             store_hit=False,
             evaluated_dies=self._dies_evaluated,
@@ -1500,33 +1489,20 @@ class SweepEngine:
             executor=self._last_executor,
             redispatched_shards=self._last_redispatched,
         )
-        if store is not None and store_key is not None:
-            self._record_results(store, store_key, "mse", results)
-        return results
-
-    def _serve_stored_mse(
-        self, record: Mapping[str, object], store_key: str
-    ) -> Dict[str, "MseDistribution"]:
-        """Decode a stored MSE record -- the zero-evaluation hit path."""
-        from repro.store.schema import (
-            adaptive_report_from_payload,
-            mse_results_from_payload,
-        )
-
-        payload = record["payload"]
-        results = mse_results_from_payload(payload)
-        report = adaptive_report_from_payload(payload.get("adaptive_report"))
-        if report is not None:
-            self._last_adaptive_report = report
-        meta = record.get("meta", {})
-        self._last_run_stats = SweepRunStats(
-            evaluation="mse",
-            store_key=store_key,
-            store_hit=True,
-            evaluated_dies=0,
-            total_dies=int(meta.get("total_dies", 0)),
-            executor="store",
-        )
+        if store_key is not None:
+            store.put_record(
+                store_key,
+                codec.kind,
+                codec.encode(results, report),
+                meta={
+                    "benchmark": codec.benchmark,
+                    "evaluation": codec.kind,
+                    "schemes": [scheme.name for scheme in self._schemes],
+                    "p_cell": config.p_cell,
+                    "evaluated_dies": self._dies_evaluated,
+                    "total_dies": total_dies,
+                },
+            )
         return results
 
     def _note_executor(self, dispatcher: ShardExecutor) -> None:
@@ -1547,15 +1523,8 @@ class SweepEngine:
         fault_maps: Optional[Mapping[Tuple[int, int], FaultMap]],
         executor: Optional[ExecutorSpec] = None,
     ) -> Dict[int, List[float]]:
-        """Evaluate every pending die of the plan (the shared execution core)."""
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
-        if fault_maps is None and self._config.master_seed is None:
-            raise ValueError(
-                "a master_seed is required unless pre-drawn fault_maps are "
-                "supplied"
-            )
-        entries: List[_DieEntry] = []
+        """Evaluate every pending die of the plan (the fixed-budget core)."""
+        entries: List[_shardeval.DieEntry] = []
         for die_index, count_index, sample_index, count in self.plan():
             explicit = None
             if fault_maps is not None:
@@ -1587,7 +1556,13 @@ class SweepEngine:
             for die_index, values in shard_results:
                 die_results[die_index] = values
             if checkpoint is not None:
-                _save_checkpoint(checkpoint, config_hash, die_results)
+                _save_checkpoint(
+                    checkpoint,
+                    config_hash,
+                    dies={
+                        str(k): list(v) for k, v in sorted(die_results.items())
+                    },
+                )
 
         # TCP executors keep their configured fan-out: remote workers decide
         # their own parallelism, and a single-shard sweep still has to bind
@@ -1606,31 +1581,16 @@ class SweepEngine:
     # ------------------------------------------------------------------ #
     # Adaptive budget controller
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _check_adaptive_call(fault_maps, shard_size, shard_order) -> None:
-        """Reject fixed-mode-only arguments on adaptive sweeps, loudly."""
-        if fault_maps is not None:
-            raise ValueError(
-                "adaptive budgets draw each die from its own seed-sequence "
-                "child; pre-drawn fault_maps require the fixed budget"
-            )
-        if shard_size is not None or shard_order is not None:
-            raise ValueError(
-                "shard_size/shard_order do not apply to adaptive sweeps "
-                "(the controller shards each round at a fixed width)"
-            )
-
     def _run_adaptive(
         self,
         context: Dict[str, object],
         *,
-        zero_mass_value: float,
-        include_zero_mass: bool,
+        zero_mass: Optional[float],
         workers: int,
         checkpoint: Optional[str],
         config_hash: str,
         executor: Optional[ExecutorSpec] = None,
-    ) -> "_AdaptiveOutcome":
+    ) -> Tuple[Dict[Tuple[int, int], FixedGridEcdfSketch], AdaptiveBudgetReport]:
         """Round-based confidence-driven sweep (the adaptive execution core).
 
         Each round fans a batch of dies out as fixed-width shards whose
@@ -1638,14 +1598,11 @@ class SweepEngine:
         shard order, re-estimates every scheme's yield-at-threshold CI, and
         either stops or Neyman-allocates the next round by the observed
         per-stratum standard deviations.  State is checkpointed after every
-        round when a cache path is given.
+        round when a cache path is given.  Returns the merged per-(scheme,
+        stratum) sketches and the run's report.
         """
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
         config = self._config
         adaptive = config.adaptive
-        if config.master_seed is None:
-            raise ValueError("adaptive sweeps require a master_seed")
         evaluation = str(context["evaluation"])
         threshold = adaptive.resolved_threshold(evaluation)
         direction = "ge" if evaluation == "quality" else "le"
@@ -1663,11 +1620,11 @@ class SweepEngine:
         initial = min(
             adaptive.initial_samples_per_count, max_total // len(counts)
         )
-        if include_zero_mass:
+        if zero_mass is not None:
             zero_ok = (
-                zero_mass_value >= threshold
+                zero_mass >= threshold
                 if direction == "ge"
-                else zero_mass_value <= threshold
+                else zero_mass <= threshold
             )
             baseline = config.zero_fault_probability if zero_ok else 0.0
         else:
@@ -1741,7 +1698,7 @@ class SweepEngine:
                     )
                 else:
                     allocation = {ci: initial for ci in weights}
-                entries: List[_AdaptiveEntry] = [
+                entries: List[_shardeval.AdaptiveEntry] = [
                     (ci, samples_done[ci] + j, counts[ci])
                     for ci in sorted(allocation)
                     for j in range(allocation[ci])
@@ -1768,27 +1725,22 @@ class SweepEngine:
                     samples_done[ci] += batch
                 rounds_done += 1
                 if checkpoint is not None:
-                    _write_checkpoint_payload(
+                    _save_checkpoint(
                         checkpoint,
-                        {
-                            "version": _CHECKPOINT_VERSION,
-                            "config_hash": config_hash,
-                            "mode": "adaptive",
-                            "rounds": rounds_done,
-                            "samples_per_count_index": {
-                                str(ci): samples_done[ci]
-                                for ci in sorted(samples_done)
-                            },
-                            "trackers": [
-                                tracker.to_dict() for tracker in trackers
-                            ],
-                            "sketches": {
-                                f"{si}:{ci}": sketches[(si, ci)].to_dict()
-                                for si, ci in sorted(sketches)
-                                if sketches[(si, ci)].count
-                            },
-                            "max_shard_payload_scalars": max_payload,
+                        config_hash,
+                        mode="adaptive",
+                        rounds=rounds_done,
+                        samples_per_count_index={
+                            str(ci): samples_done[ci]
+                            for ci in sorted(samples_done)
                         },
+                        trackers=[tracker.to_dict() for tracker in trackers],
+                        sketches={
+                            f"{si}:{ci}": sketches[(si, ci)].to_dict()
+                            for si, ci in sorted(sketches)
+                            if sketches[(si, ci)].count
+                        },
+                        max_shard_payload_scalars=max_payload,
                     )
         finally:
             if dispatcher is not None:
@@ -1826,18 +1778,13 @@ class SweepEngine:
             max_shard_payload_scalars=max_payload,
         )
         self._last_adaptive_report = report
-        return _AdaptiveOutcome(
-            trackers=trackers,
-            sketches=sketches,
-            samples_done=samples_done,
-            report=report,
-        )
+        return sketches, report
 
     def _adaptive_scheme_ecdf(
         self,
-        outcome: "_AdaptiveOutcome",
+        sketches: Mapping[Tuple[int, int], FixedGridEcdfSketch],
         scheme_index: int,
-        zero_mass: Optional[Tuple[float, float]],
+        zero_mass: Optional[float],
     ) -> WeightedEcdf:
         """One scheme's CDF from its merged per-stratum sketches (O(bins)).
 
@@ -1845,16 +1792,14 @@ class SweepEngine:
         first, then strata in count order, each stratum's bin masses scaled
         to its ``Pr(N = n)`` weight.
         """
-        from repro.stats import WeightedSampleBuffer
-
         config = self._config
         counts = config.evaluated_counts()
         probabilities = config.count_probabilities()
         buffer = WeightedSampleBuffer()
         if zero_mass is not None:
-            buffer.update_batch([zero_mass[0]], [zero_mass[1]])
+            buffer.update_batch([zero_mass], [config.zero_fault_probability])
         for ci, count in enumerate(counts):
-            sketch = outcome.sketches[(scheme_index, ci)]
+            sketch = sketches[(scheme_index, ci)]
             support, mass = sketch.finalize()
             if support.size == 0:
                 continue
@@ -1863,63 +1808,15 @@ class SweepEngine:
             )
         return WeightedEcdf(*buffer.finalize())
 
-    def _merge_quality_adaptive(
-        self,
-        benchmark: BenchmarkDefinition,
-        clean_quality: float,
-        outcome: "_AdaptiveOutcome",
-    ) -> Dict[str, QualityDistribution]:
-        """Assemble adaptive quality distributions (sketch-backed ECDFs)."""
-        config = self._config
-        total_dies = sum(outcome.samples_done.values())
-        zero_mass = (1.0, config.zero_fault_probability)
-        results: Dict[str, QualityDistribution] = {}
-        for scheme_index, scheme in enumerate(self._schemes):
-            results[scheme.name] = QualityDistribution(
-                benchmark=benchmark.name,
-                metric_name=benchmark.metric_name,
-                scheme_name=scheme.name,
-                p_cell=config.p_cell,
-                clean_quality=clean_quality,
-                ecdf=self._adaptive_scheme_ecdf(
-                    outcome, scheme_index, zero_mass
-                ),
-                samples=total_dies,
-            )
-        return results
-
-    def _merge_mse_adaptive(
-        self, outcome: "_AdaptiveOutcome", include_fault_free: bool
-    ) -> Dict[str, "MseDistribution"]:
-        """Assemble adaptive MSE distributions (sketch-backed ECDFs)."""
-        from repro.faultmodel.yieldmodel import MseDistribution
-
-        config = self._config
-        total_dies = sum(outcome.samples_done.values())
-        zero_mass = (
-            (0.0, config.zero_fault_probability) if include_fault_free else None
-        )
-        results: Dict[str, MseDistribution] = {}
-        for scheme_index, scheme in enumerate(self._schemes):
-            results[scheme.name] = MseDistribution(
-                scheme_name=scheme.name,
-                p_cell=config.p_cell,
-                ecdf=self._adaptive_scheme_ecdf(
-                    outcome, scheme_index, zero_mass
-                ),
-                zero_fault_probability=config.zero_fault_probability,
-                max_failures=config.max_failures,
-                samples=total_dies,
-            )
-        return results
-
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
     @staticmethod
     def _make_shards(
-        entries: List[_DieEntry], workers: int, shard_size: Optional[int]
-    ) -> List[List[_DieEntry]]:
+        entries: List[_shardeval.DieEntry],
+        workers: int,
+        shard_size: Optional[int],
+    ) -> List[List[_shardeval.DieEntry]]:
         """Chunk the pending dies into contiguous work units."""
         if not entries:
             return []
@@ -1939,7 +1836,7 @@ class SweepEngine:
         self,
         die_results: Mapping[int, Sequence[float]],
         scheme_index: int,
-        zero_mass: Optional[Tuple[np.ndarray, float]],
+        zero_mass: Optional[float],
     ) -> List[Tuple[np.ndarray, float]]:
         """Weighted value groups of one scheme, in the canonical die order.
 
@@ -1964,7 +1861,7 @@ class SweepEngine:
         probabilities = config.count_probabilities()
         groups: List[Tuple[np.ndarray, float]] = []
         if zero_mass is not None:
-            groups.append(zero_mass)
+            groups.append((np.array([zero_mass]), config.zero_fault_probability))
         for count_index, count in enumerate(counts):
             values = np.array(
                 [
@@ -1976,55 +1873,3 @@ class SweepEngine:
             )
             groups.append((values, probabilities[count]))
         return groups
-
-    def _merge_quality(
-        self,
-        benchmark: BenchmarkDefinition,
-        clean_quality: float,
-        die_results: Mapping[int, Sequence[float]],
-    ) -> Dict[str, QualityDistribution]:
-        """Assemble one normalised-quality distribution per scheme (Fig. 7)."""
-        config = self._config
-        samples = len(config.evaluated_counts()) * config.samples_per_count
-        zero_mass = (np.array([1.0]), config.zero_fault_probability)
-        results: Dict[str, QualityDistribution] = {}
-        for scheme_index, scheme in enumerate(self._schemes):
-            groups = self._scheme_groups(die_results, scheme_index, zero_mass)
-            results[scheme.name] = QualityDistribution(
-                benchmark=benchmark.name,
-                metric_name=benchmark.metric_name,
-                scheme_name=scheme.name,
-                p_cell=config.p_cell,
-                clean_quality=clean_quality,
-                ecdf=WeightedEcdf.from_groups(groups),
-                samples=samples,
-            )
-        return results
-
-    def _merge_mse(
-        self,
-        die_results: Mapping[int, Sequence[float]],
-        include_fault_free: bool,
-    ) -> Dict[str, "MseDistribution"]:
-        """Assemble one MSE distribution per scheme (Fig. 5)."""
-        from repro.faultmodel.yieldmodel import MseDistribution
-
-        config = self._config
-        samples = len(config.evaluated_counts()) * config.samples_per_count
-        zero_mass = (
-            (np.array([0.0]), config.zero_fault_probability)
-            if include_fault_free
-            else None
-        )
-        results: Dict[str, MseDistribution] = {}
-        for scheme_index, scheme in enumerate(self._schemes):
-            groups = self._scheme_groups(die_results, scheme_index, zero_mass)
-            results[scheme.name] = MseDistribution(
-                scheme_name=scheme.name,
-                p_cell=config.p_cell,
-                ecdf=WeightedEcdf.from_groups(groups),
-                zero_fault_probability=config.zero_fault_probability,
-                max_failures=config.max_failures,
-                samples=samples,
-            )
-        return results

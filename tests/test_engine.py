@@ -9,6 +9,7 @@ plus the golden equivalence of the legacy runner front end.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import stat
@@ -25,14 +26,16 @@ from repro.memory.organization import MemoryOrganization
 from repro.sim import engine as engine_module
 from repro.sim.engine import (
     DEFAULT_SCHEME_SPECS,
+    AdaptiveBudget,
     ExperimentConfig,
     SweepEngine,
     build_scheme,
     evaluated_failure_counts,
     reassign_count_probabilities,
 )
-from repro.sim.experiment import knn_benchmark, pca_benchmark
+from repro.sim.experiment import BenchmarkDefinition, knn_benchmark, pca_benchmark
 from repro.sim.runner import QualityExperimentRunner
+from repro.store import ResultStore
 
 from test_runner import GOLDEN_CLEAN_QUALITY, GOLDEN_CURVES, GOLDEN_SAMPLES
 
@@ -450,6 +453,106 @@ class TestCheckpoint:
         # The runner re-draws the same dies from the same generator seed, so
         # the checkpoint hash matches and the cached results replay.
         assert _curves(run()) == _curves(first)
+
+
+# --------------------------------------------------------------------------- #
+# Pinned store keys and checkpoint hashes
+# --------------------------------------------------------------------------- #
+# Literal hashes of small sweeps.  Every existing result store and checkpoint
+# is keyed by these digests, so a change here orphans them all: a refactor of
+# the sweep core must reproduce each literal exactly.
+_QUALITY_HASH = "fb32556f99bf6b8ca7a890d07084733fcf7b82e9fa994e05c01b7205153b1e93"
+_MSE_HASHES = {
+    True: "3b381069cce1b6fbc29a165972c7346904680a55b3cd0b7f66bb95cc5d2b523d",
+    False: "e775e8f756b280793fd12bc1fec630bba8880859852e76ad1dbc3f48cd061c1c",
+}
+_CAP_RESUMABLE_HASH = (
+    "5263192df04f2e54bcc6548657e8d656e24892200ae1e31df9ab4260137a6f78"
+)
+_ADAPTIVE_QUALITY_STORE_KEY = (
+    "3754ce0f8aecf238ee5827fc184caf7b478bae457476a8e337f7db5669f6f576"
+)
+
+
+def _checkpoint_hash(path):
+    return json.loads(path.read_text())["config_hash"]
+
+
+class TestPinnedHashes:
+    def test_quality_store_key_and_checkpoint_hash(
+        self, smoke_config, smoke_benchmark, tmp_path
+    ):
+        engine = SweepEngine(smoke_config)
+        checkpoint = tmp_path / "quality.json"
+        with ResultStore(str(tmp_path / "store")) as store:
+            engine.run(smoke_benchmark, store=store, checkpoint=str(checkpoint))
+        assert engine.last_run_stats.store_key == _QUALITY_HASH
+        assert _checkpoint_hash(checkpoint) == _QUALITY_HASH
+
+    @pytest.mark.parametrize("include_fault_free", [True, False])
+    def test_mse_store_key_and_checkpoint_hash(
+        self, smoke_config, tmp_path, include_fault_free
+    ):
+        engine = SweepEngine(smoke_config)
+        checkpoint = tmp_path / "mse.json"
+        with ResultStore(str(tmp_path / "store")) as store:
+            engine.run_mse(
+                store=store,
+                checkpoint=str(checkpoint),
+                include_fault_free=include_fault_free,
+            )
+        expected = _MSE_HASHES[include_fault_free]
+        assert engine.last_run_stats.store_key == expected
+        assert _checkpoint_hash(checkpoint) == expected
+
+    def test_cap_resumable_adaptive_hash(
+        self, smoke_config, smoke_benchmark, tmp_path
+    ):
+        config = dataclasses.replace(smoke_config, adaptive=AdaptiveBudget())
+        engine = SweepEngine(config)
+        assert (
+            engine.config_hash(smoke_benchmark, adaptive_cap_resumable=True)
+            == _CAP_RESUMABLE_HASH
+        )
+        # A cap-resumable sweep keys its checkpoint by that hash, while its
+        # store record keeps the cap-exact key.
+        checkpoint = tmp_path / "adaptive.json"
+        with ResultStore(str(tmp_path / "store")) as store:
+            engine.run(
+                smoke_benchmark,
+                store=store,
+                checkpoint=str(checkpoint),
+                adaptive_cap_resumable=True,
+            )
+        assert _checkpoint_hash(checkpoint) == _CAP_RESUMABLE_HASH
+        assert engine.last_run_stats.store_key == _ADAPTIVE_QUALITY_STORE_KEY
+
+
+class TestCapResumableValidation:
+    @pytest.mark.parametrize("evaluation", ["quality", "mse"])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_rejected_on_fixed_budget_before_store_or_training(
+        self, smoke_config, smoke_benchmark, tmp_path, monkeypatch, evaluation, warm
+    ):
+        engine = SweepEngine(smoke_config)
+
+        def sweep(**kwargs):
+            if evaluation == "quality":
+                return engine.run(smoke_benchmark, **kwargs)
+            return engine.run_mse(**kwargs)
+
+        def _must_not_run(*args, **kwargs):
+            raise AssertionError("the flag must be rejected first")
+
+        with ResultStore(str(tmp_path / "store")) as store:
+            if warm:
+                sweep(store=store)
+            monkeypatch.setattr(store, "get_record", _must_not_run)
+            monkeypatch.setattr(
+                BenchmarkDefinition, "clean_quality", _must_not_run
+            )
+            with pytest.raises(ValueError, match="adaptive_cap_resumable"):
+                sweep(store=store, adaptive_cap_resumable=True)
 
 
 # --------------------------------------------------------------------------- #

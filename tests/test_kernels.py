@@ -329,15 +329,6 @@ class TestBackendSelection:
         with pytest.raises(KernelUnavailableError, match="unknown kernel backend"):
             kernels._build("fortran")
 
-    def test_numba_backend_gated_when_missing(self):
-        try:
-            import numba  # noqa: F401
-        except ImportError:
-            from repro.kernels.numba_backend import NumbaKernelBackend
-
-            with pytest.raises(KernelUnavailableError, match="numba is not installed"):
-                NumbaKernelBackend()
-
     def test_available_backends_always_includes_reference(self):
         assert "numpy" in available_backends()
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -131,60 +130,6 @@ class TestFaultMapSampler:
     def test_sample_batch_negative_rejected(self, small_org, rng):
         with pytest.raises(ValueError):
             FaultMapSampler(small_org, rng).sample_batch(1, -1)
-
-    def test_stratified_iteration_weights(self, rng):
-        org = MemoryOrganization(rows=128, word_width=32)
-        sampler = FaultMapSampler(org, rng)
-        with pytest.warns(DeprecationWarning):
-            strata = list(
-                sampler.iter_stratified(1e-4, total_runs=50, max_failures=3)
-            )
-        assert [n for n, _, _ in strata] == [1, 2, 3]
-        for n, probability, maps in strata:
-            assert probability == pytest.approx(
-                failure_count_pmf(org.total_cells, 1e-4, n)
-            )
-            assert all(m.fault_count == n for m in maps)
-
-    def test_iter_stratified_warns_and_runs_scenario_pipeline(self, rng):
-        # The deprecation warning must also fire on the scenario= path, and
-        # the strata must flow through the configured pipeline: a repaired
-        # scenario's spare rows can leave maps with fewer surviving faults
-        # than the stratum's pre-repair label.
-        from repro.scenarios import build_scenario
-
-        org = MemoryOrganization(rows=64, word_width=32)
-        sampler = FaultMapSampler(
-            org, rng, scenario=build_scenario("repaired", spare_rows=4)
-        )
-        with pytest.warns(DeprecationWarning, match="iter_stratified"):
-            strata = list(
-                sampler.iter_stratified(1e-3, total_runs=20, max_failures=3)
-            )
-        assert [n for n, _, _ in strata] == [1, 2, 3]
-        for n, _, maps in strata:
-            assert all(m.fault_count <= n for m in maps)
-
-    def test_iter_stratified_warns_deprecation_once_per_call(self, rng):
-        # PR 4 deprecated the generator in documentation only; it now warns
-        # for real -- exactly once at call time, not once per stratum, and
-        # before any die is drawn (consuming the strata adds no warnings).
-        org = MemoryOrganization(rows=64, word_width=32)
-        sampler = FaultMapSampler(org, rng)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            strata = sampler.iter_stratified(1e-4, total_runs=9, max_failures=3)
-            deprecations = [
-                w for w in caught if issubclass(w.category, DeprecationWarning)
-            ]
-            assert len(deprecations) == 1
-            assert "iter_stratified" in str(deprecations[0].message)
-            # Fully consuming the strata must not warn again.
-            assert len(list(strata)) == 3
-            deprecations = [
-                w for w in caught if issubclass(w.category, DeprecationWarning)
-            ]
-            assert len(deprecations) == 1
 
 
 class TestPmfArray:
