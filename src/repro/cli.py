@@ -988,9 +988,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pd_opt = dse_sub.add_parser(
         "optimize",
-        help="budgeted frontier recovery: surrogate-ordered successive "
-        "halving with CI-band pruning (same frontier as 'dse pareto' for a "
-        "fraction of the dies)",
+        help="budgeted frontier recovery: successive halving with CI-band "
+        "pruning (same frontier as 'dse pareto' for a fraction of the dies)",
     )
     pd_opt.add_argument(
         "--spec",
@@ -1055,7 +1054,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="persistent result store: finished rungs are recorded as "
         "dse-rung records and replayed on re-runs with zero die "
-        "evaluations; warm rows also seed the rung-0 surrogate ordering",
+        "evaluations",
     )
     pd_opt.add_argument(
         "--executor",

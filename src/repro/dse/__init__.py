@@ -17,8 +17,7 @@ own.  This package joins them behind one declarative surface:
   energy and overhead, and extracts the energy/quality Pareto frontier;
 * :mod:`repro.dse.optimize` -- :class:`ParetoOptimizer`, the budgeted
   successive-halving alternative that recovers the same frontier for a
-  fraction of the exhaustive die bill (with :mod:`repro.dse.surrogate`
-  ordering its rung-0 probes).
+  fraction of the exhaustive die bill.
 
 CLI: ``repro-faulty-mem dse run|pareto|report|optimize --spec grid.json``.
 """
@@ -53,7 +52,6 @@ from repro.dse.spec import (
     OptimizerSpec,
     SchemeGridSpec,
 )
-from repro.dse.surrogate import QualitySurrogate
 
 __all__ = [
     "BenchmarkGridSpec",
@@ -69,7 +67,6 @@ __all__ = [
     "OptimizerSpec",
     "ParetoOptimizer",
     "PruneEvent",
-    "QualitySurrogate",
     "REGISTRY",
     "SchemeGridSpec",
     "build_benchmark",

@@ -1,4 +1,4 @@
-"""Budgeted Pareto optimizer: surrogate-ordered successive halving.
+"""Budgeted Pareto optimizer: successive halving over the DSE grid.
 
 The exhaustive explorer (:class:`~repro.dse.explore.DesignSpaceExplorer`)
 spends the same fixed Monte-Carlo budget on every grid cell, including the
@@ -23,18 +23,14 @@ Pareto frontier for a fraction of that die bill by racing the cells through
   ``eta`` (the engine's cap-resumable checkpoints make the larger-cap run a
   pure continuation -- no die is ever simulated twice).
 
-A cheap deterministic surrogate (:mod:`repro.dse.surrogate`) fitted on warm
-store rows orders the rung-0 probes so predicted-frontier cells are measured
-first; it only ranks, never prunes, so a cold or misfit surrogate costs
-ordering, not correctness.
-
 Determinism contract: for a fixed master seed the rung results, the pruning
 decisions, and the final frontier are bit-identical for every worker count
 and executor backend.  Probes fold in canonical shard order inside the
-engine, rung outcomes are folded in canonical grid order (benchmark-major,
-then operating point, then scheme), and each pruning pass tests rows against
-a snapshot of the pass's surviving set -- dominance is transitive, so the
-outcome is independent of the order rows are examined in.
+engine, every rung probes and folds its cells in canonical grid order
+(benchmark-major, then operating point, then scheme), and each pruning pass
+tests rows against a snapshot of the pass's surviving set -- dominance is
+transitive, so the outcome is independent of the order rows are examined
+in.
 
 With a :class:`~repro.store.ResultStore`, every finished rung is recorded as
 a ``dse-rung`` record -- the partial per-scheme distributions *plus* the
@@ -62,11 +58,6 @@ from repro.dse.explore import (
 )
 from repro.dse.registry import build_benchmark
 from repro.dse.spec import ExperimentSpec, OptimizerSpec
-from repro.dse.surrogate import (
-    QualitySurrogate,
-    rank_cells,
-    warm_rows_from_store,
-)
 from repro.sim.engine import (
     AdaptiveBudgetReport,
     ExperimentConfig,
@@ -206,9 +197,8 @@ class OptimizeResult:
     :data:`OPTIMIZE_AUDIT_COLUMNS`: each row carries its quality confidence
     band, the dies its cell spent, the last rung it was probed at, and -- if
     it was pruned -- which row eliminated it.  ``prune_log`` is the ordered
-    list of :class:`PruneEvent` decisions, ``surrogate_order`` the rung-0
-    probe order the surrogate chose, and ``adaptive_reports`` the final
-    per-cell :class:`~repro.sim.engine.AdaptiveBudgetReport` audit.
+    list of :class:`PruneEvent` decisions, and ``adaptive_reports`` the
+    final per-cell :class:`~repro.sim.engine.AdaptiveBudgetReport` audit.
 
     ``total_dies`` counts the dies behind the final distributions,
     ``evaluated_dies`` the dies actually simulated by *this* run (lower when
@@ -225,7 +215,6 @@ class OptimizeResult:
         adaptive_reports: Optional[
             Dict[Tuple[str, float, float], AdaptiveBudgetReport]
         ] = None,
-        surrogate_order: Optional[List[Tuple[str, float, float]]] = None,
         cell_statuses: Optional[List[Dict[str, object]]] = None,
         total_dies: int = 0,
         evaluated_dies: int = 0,
@@ -236,7 +225,6 @@ class OptimizeResult:
         self.rows = rows
         self.prune_log = list(prune_log)
         self.adaptive_reports = dict(adaptive_reports or {})
-        self.surrogate_order = [tuple(k) for k in (surrogate_order or [])]
         self.cell_statuses = list(cell_statuses or [])
         self.total_dies = int(total_dies)
         self.evaluated_dies = int(evaluated_dies)
@@ -310,7 +298,6 @@ class OptimizeResult:
             "rows": self.rows,
             "prune_log": [event.to_dict() for event in self.prune_log],
             "adaptive_reports": _reports_to_payload(self.adaptive_reports),
-            "surrogate_order": [list(key) for key in self.surrogate_order],
             "cell_statuses": self.cell_statuses,
             "total_dies": self.total_dies,
             "evaluated_dies": self.evaluated_dies,
@@ -326,7 +313,8 @@ class OptimizeResult:
 
     @classmethod
     def load(cls, path: str) -> "OptimizeResult":
-        """Load a result previously written by :meth:`save`."""
+        """Load a result previously written by :meth:`save` (keys that older
+        files carry and this version no longer writes are ignored)."""
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
         if data.get("version") != _OPTIMIZE_RESULT_VERSION:
@@ -341,10 +329,6 @@ class OptimizeResult:
             adaptive_reports=_reports_from_payload(
                 data.get("adaptive_reports")
             ),
-            surrogate_order=[
-                (str(b), float(v), float(p))
-                for b, v, p in data.get("surrogate_order", [])
-            ],
             cell_statuses=data.get("cell_statuses", []),
             total_dies=data.get("total_dies", 0),
             evaluated_dies=data.get("evaluated_dies", 0),
@@ -382,10 +366,7 @@ class ParetoOptimizer:
     store:
         Optional :class:`~repro.store.ResultStore`.  Finished rungs are
         recorded as ``dse-rung`` records and replayed on re-runs with zero
-        die evaluations; warm quality rows also feed the rung-0 surrogate.
-    warm_result:
-        Optional prior :class:`DseResult` whose rows feed the surrogate (in
-        addition to store rows).
+        die evaluations.
     """
 
     def __init__(
@@ -396,7 +377,6 @@ class ParetoOptimizer:
         checkpoint_dir: Optional[str] = None,
         store: Optional["ResultStore"] = None,
         executor: Optional[object] = None,
-        warm_result: Optional[DseResult] = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
@@ -421,7 +401,6 @@ class ParetoOptimizer:
         self._checkpoint_dir = checkpoint_dir
         self._store = store
         self._executor = executor
-        self._warm_result = warm_result
 
     @property
     def spec(self) -> ExperimentSpec:
@@ -504,52 +483,6 @@ class ParetoOptimizer:
             "benchmark_defs": benchmark_defs,
         }
         return cells, join
-
-    def _rung0_order(self, cells: List[_CellState]) -> List[int]:
-        """Surrogate-ranked rung-0 probe order (cell indices).
-
-        Warm rows come from the store (when ``warm_start``) and from an
-        explicit ``warm_result``; with neither, the surrogate's analytic
-        prior (each cell's fault-free point mass) supplies the ordering.
-        The order never changes any result -- rung outcomes fold in
-        canonical cell order regardless -- it decides which cells have
-        audit state first if the run is killed mid-rung.
-        """
-        opt = self._optimizer
-        warm: List[Dict[str, object]] = []
-        if self._store is not None and opt.warm_start:
-            warm.extend(
-                warm_rows_from_store(
-                    self._store, self._spec.quality_yield_target
-                )
-            )
-        if self._warm_result is not None:
-            warm.extend(
-                {
-                    "scheme": row["scheme"],
-                    "p_cell": row["p_cell"],
-                    "quality_at_yield": row["quality_at_yield"],
-                }
-                for row in self._warm_result.rows
-            )
-        model = QualitySurrogate().fit(warm)
-        cell_rows = [
-            [
-                {
-                    "energy": cell.rows[name].energy,
-                    "quality": model.predict(
-                        name,
-                        cell.point.p_cell,
-                        zero_fault_probability=(
-                            cell.config.zero_fault_probability
-                        ),
-                    ),
-                }
-                for name in cell.scheme_names
-            ]
-            for cell in cells
-        ]
-        return rank_cells(cell_rows)
 
     # ------------------------------------------------------------------ #
     # Rung execution
@@ -743,13 +676,9 @@ class ParetoOptimizer:
             checkpoint_dir = self._checkpoint_dir or scratch
             os.makedirs(checkpoint_dir, exist_ok=True)
             cells, join = self._build_cells(checkpoint_dir)
-            order = self._rung0_order(cells)
             prune_log: List[PruneEvent] = []
             for rung in range(opt.rungs):
-                probe_cells = (
-                    [cells[index] for index in order] if rung == 0 else cells
-                )
-                for cell in probe_cells:
+                for cell in cells:
                     if cell.status != "active":
                         continue
                     self._run_rung(
@@ -762,12 +691,11 @@ class ParetoOptimizer:
                 self._update_status(cells, rung)
                 if all(cell.status != "active" for cell in cells):
                     break
-        return self._assemble(cells, order, prune_log, join)
+        return self._assemble(cells, prune_log, join)
 
     def _assemble(
         self,
         cells: List[_CellState],
-        order: List[int],
         prune_log: List[PruneEvent],
         join: Mapping[str, object],
     ) -> OptimizeResult:
@@ -822,7 +750,6 @@ class ParetoOptimizer:
             rows,
             prune_log,
             adaptive_reports=reports,
-            surrogate_order=[cells[index].key for index in order],
             cell_statuses=statuses,
             total_dies=sum(cell.dies for cell in cells),
             evaluated_dies=sum(cell.evaluated_dies for cell in cells),

@@ -268,7 +268,6 @@ class OptimizerSpec:
     initial_samples_per_count: int = 2
     round_dies: int = 32
     sketch_bins: int = 512
-    warm_start: bool = True
 
     def __post_init__(self) -> None:
         if self.rungs < 1:
@@ -277,7 +276,7 @@ class OptimizerSpec:
             raise ValueError("eta must be greater than 1")
         if self.rung0_dies is not None and self.rung0_dies < 2:
             raise ValueError("rung0_dies must be at least 2")
-        if self.frontier_slack < 0.0:
+        if not self.frontier_slack >= 0.0:
             raise ValueError("frontier_slack must be non-negative")
         # Delegate the adaptive-knob validation to AdaptiveBudget (with a
         # placeholder cap) so optimizer specs can never carry parameters the
@@ -522,8 +521,11 @@ class ExperimentSpec:
         if "access_trace" in data:
             kwargs["access_trace"] = data["access_trace"]
         if "optimizer" in data and data["optimizer"] is not None:
+            # Older files carry a no-op flag of the removed rung-0 ordering.
+            optimizer = dict(data["optimizer"])
+            optimizer.pop("warm_start", None)
             kwargs["optimizer"] = _from_checked_dict(
-                OptimizerSpec, data["optimizer"], "optimizer"
+                OptimizerSpec, optimizer, "optimizer"
             )
         if "scenario" in data:
             scenario = ScenarioSpec.from_dict(data["scenario"])

@@ -596,7 +596,7 @@ class TcpExecutor(ShardExecutor):
         self._batch = 0
         self._started = False
         self._closing = False
-        self._workers: Dict[str, wire.Connection] = {}
+        self._workers: Set[str] = set()
         self._next_worker = 0
         self._last_worker_event = time.monotonic()
         self._handler_threads: List[threading.Thread] = []
@@ -660,15 +660,19 @@ class TcpExecutor(ShardExecutor):
                 )
             )
             with self._lock:
-                if self._closing:
-                    return
-                worker_id = f"worker-{self._next_worker}({conn.peer})"
-                self._next_worker += 1
-                self._workers[worker_id] = conn
-                self._last_worker_event = time.monotonic()
-                self.stats.workers_joined += 1
-                self._lock.notify_all()
-            self._worker_loop(worker_id, conn)
+                if not self._closing:
+                    worker_id = f"worker-{self._next_worker}({conn.peer})"
+                    self._next_worker += 1
+                    self._workers.add(worker_id)
+                    self._last_worker_event = time.monotonic()
+                    self.stats.workers_joined += 1
+                    self._lock.notify_all()
+            if worker_id is not None:
+                self._worker_loop(worker_id, conn)
+            # Only a closing coordinator gets here.  This thread owns the
+            # connection, so it says goodbye itself: a frame sent from
+            # close() would race the ``finally`` below closing the socket.
+            conn.send(("shutdown",))
         except Exception:
             # Connection-level failure (EOF, heartbeat timeout, bad frame):
             # the worker is lost, not the sweep -- its shards re-dispatch.
@@ -676,10 +680,8 @@ class TcpExecutor(ShardExecutor):
         finally:
             scheduler: Optional[WorkStealingScheduler] = None
             with self._lock:
-                if (
-                    worker_id is not None
-                    and self._workers.pop(worker_id, None) is not None
-                ):
+                if worker_id is not None:
+                    self._workers.discard(worker_id)
                     if not self._closing:
                         self.stats.workers_lost += 1
                     self._last_worker_event = time.monotonic()
@@ -836,23 +838,20 @@ class TcpExecutor(ShardExecutor):
             self.stats.merge(scheduler.stats)
 
     def close(self) -> None:
-        """Send every worker a shutdown frame and tear the coordinator down."""
+        """Have every handler send its worker a shutdown frame, then tear the
+        coordinator down."""
         with self._lock:
             if self._closing:
                 return
             self._closing = True
-            workers = list(self._workers.values())
             self._lock.notify_all()
-        for conn in workers:
-            try:
-                conn.send(("shutdown",))
-            except OSError:
-                pass
-            conn.close()
         try:
-            self._listener.close()
-        except OSError:  # pragma: no cover - defensive
+            # Closing a listening socket does not wake a thread blocked in
+            # accept() on Linux; shutting it down does.
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:  # pragma: no cover - platform-dependent
             pass
+        self._listener.close()
         self._accept_thread.join(timeout=5.0)
         with self._lock:
             handlers = list(self._handler_threads)

@@ -286,7 +286,7 @@ class TestExecutorBitIdentity:
             kind="tcp", host="127.0.0.1", port=port, min_workers=2
         )
         workers = spawn_local_workers(
-            ("127.0.0.1", port), 2, retry=8, stderr=subprocess.DEVNULL
+            ("127.0.0.1", port), 2, retry=3, stderr=subprocess.DEVNULL
         )
         try:
             engine = SweepEngine(config)
@@ -329,7 +329,7 @@ class TestExecutorBitIdentity:
             kind="tcp", host="127.0.0.1", port=port, min_workers=1
         )
         workers = spawn_local_workers(
-            ("127.0.0.1", port), 1, retry=8, stderr=subprocess.DEVNULL
+            ("127.0.0.1", port), 1, retry=3, stderr=subprocess.DEVNULL
         )
         try:
             engine = SweepEngine(config)
@@ -357,7 +357,7 @@ class TestExecutorBitIdentity:
             kind="tcp", host="127.0.0.1", port=port, min_workers=1
         )
         workers = spawn_local_workers(
-            ("127.0.0.1", port), 2, retry=8, stderr=subprocess.DEVNULL
+            ("127.0.0.1", port), 2, retry=3, stderr=subprocess.DEVNULL
         )
         try:
             distributed = SweepEngine(config).run_mse(
@@ -403,7 +403,7 @@ class TestWorkerDeathRecovery:
         workers = spawn_local_workers(
             ("127.0.0.1", port),
             2,
-            retry=8,
+            retry=3,
             env={shardeval.KILL_SWITCH_ENV: str(marker)},
             stderr=subprocess.DEVNULL,
         )
@@ -435,7 +435,7 @@ class TestWorkerDeathRecovery:
             kind="tcp", host="127.0.0.1", port=port, min_workers=1
         )
         workers = spawn_local_workers(
-            ("127.0.0.1", port), 1, retry=8, stderr=subprocess.DEVNULL
+            ("127.0.0.1", port), 1, retry=3, stderr=subprocess.DEVNULL
         )
         executor = TcpExecutor(context, spec)
         try:
@@ -465,6 +465,55 @@ class TestWorkerDeathRecovery:
                 executor.summarize_ordered([[(0, 0, 1)]])
         finally:
             executor.close()
+
+
+class TestTcpClose:
+    def test_close_without_workers_is_prompt(self):
+        spec = ExecutorSpec(
+            kind="tcp", host="127.0.0.1", port=_free_port(), min_workers=1
+        )
+        executor = TcpExecutor({"evaluation": "mse"}, spec)
+        time.sleep(0.2)  # let the accept thread block in accept()
+        start = time.monotonic()
+        executor.close()
+        assert time.monotonic() - start < 1.0
+        assert not executor._accept_thread.is_alive()
+
+    def test_every_registered_worker_receives_the_shutdown_frame(self):
+        from repro.sim.worker import serve_connection
+
+        for _attempt in range(10):
+            spec = ExecutorSpec(
+                kind="tcp", host="127.0.0.1", port=_free_port(), min_workers=2
+            )
+            executor = TcpExecutor({"evaluation": "mse"}, spec)
+            outcomes = []
+
+            def _serve():
+                conn = wire.Connection(
+                    socket.create_connection(executor.address, timeout=5.0)
+                )
+                try:
+                    outcomes.append(serve_connection(conn, None))
+                except Exception as error:
+                    outcomes.append(error)
+                finally:
+                    conn.close()
+
+            threads = [threading.Thread(target=_serve) for _ in range(2)]
+            try:
+                for thread in threads:
+                    thread.start()
+                deadline = time.monotonic() + 10.0
+                while executor.stats.workers_joined < 2:
+                    assert time.monotonic() < deadline, "workers never joined"
+                    time.sleep(0.01)
+            finally:
+                executor.close()
+                for thread in threads:
+                    thread.join(timeout=10.0)
+            # serve_connection returns (0 shards) only on a shutdown frame.
+            assert outcomes == [0, 0]
 
 
 class TestWorkerHandshake:

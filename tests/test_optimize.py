@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -162,15 +163,21 @@ def test_warm_store_replay_is_free_and_bit_identical(tmp_path):
         assert cold.store_hits == 0
         rungs = store.query(kind="dse-rung")
         assert rungs, "cold run recorded no dse-rung records"
+        before = len(store.session_events)
         warm = ParetoOptimizer(
             spec, optimizer=_MULTIRUNG_OPT, store=store
         ).run()
+        warm_events = store.session_events[before:]
     finally:
         store.close()
     # Every rung replays from the store: no dies are re-evaluated, and the
     # result is bit-identical to the cold run.
     assert warm.evaluated_dies == 0
     assert warm.store_hits == len(rungs)
+    # The store logs every read as a hit and the CLI prints one "served"
+    # line per hit, so the warm run must read only the records it replays.
+    hits = sum(event["type"] == "hit" for event in warm_events)
+    assert hits == warm.store_hits
     assert _result_fingerprint(warm) == _result_fingerprint(cold)
     # Rung records carry the audit meta CI greps for.
     for record in rungs:
@@ -240,6 +247,13 @@ def test_optimizer_spec_json_round_trip():
     )
     assert rebuilt == spec
     assert rebuilt.optimizer == opt
+    # Older files carry a no-op warm_start flag: either value loads as the
+    # same spec, and it is not written back.
+    assert "warm_start" not in spec.to_dict()["optimizer"]
+    for flag in (True, False):
+        legacy = spec.to_dict()
+        legacy["optimizer"]["warm_start"] = flag
+        assert ExperimentSpec.from_dict(legacy) == spec
     # A spec without the optimizer section round-trips to None.
     bare = _smoke_spec()
     assert "optimizer" not in bare.to_dict()
@@ -253,8 +267,9 @@ def test_optimizer_spec_validation():
         OptimizerSpec(eta=1.0)
     with pytest.raises(ValueError, match="rung0_dies"):
         OptimizerSpec(rung0_dies=1)
-    with pytest.raises(ValueError, match="frontier_slack"):
-        OptimizerSpec(frontier_slack=-0.1)
+    for slack in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match="frontier_slack"):
+            OptimizerSpec(frontier_slack=slack)
     # Adaptive knobs are validated by the engine's own budget constructor.
     with pytest.raises(ValueError):
         OptimizerSpec(target_ci=0.0)
@@ -281,7 +296,6 @@ def test_optimize_result_save_load_round_trip(tmp_path):
     assert loaded.spec == spec
     assert _result_fingerprint(loaded) == _result_fingerprint(result)
     assert loaded.cell_statuses == result.cell_statuses
-    assert loaded.surrogate_order == result.surrogate_order
     assert loaded.evaluated_dies == result.evaluated_dies
     assert loaded.exhaustive_dies == result.exhaustive_dies
     assert loaded.store_hits == result.store_hits
@@ -294,6 +308,29 @@ def test_optimize_result_save_load_round_trip(tmp_path):
     assert sorted(
         (row["benchmark"], row["scheme"], row["vdd"]) for row in as_dse.rows
     ) == loaded.frontier_keys()
+
+
+_LEGACY_RESULT = os.path.join(
+    os.path.dirname(__file__), "golden", "optimize_result_legacy.json"
+)
+
+
+def test_optimize_result_loads_file_with_rung0_order_and_warm_start():
+    # Written before every rung probed in canonical grid order: the file
+    # carries the old rung-0 probe order and the optimizer section's
+    # warm_start flag.  Both are ignored, and a fresh run of the same spec
+    # reproduces the saved result exactly.
+    with open(_LEGACY_RESULT, "r", encoding="utf-8") as handle:
+        data = json.load(handle)
+    assert "surrogate_order" in data
+    assert "warm_start" in data["spec"]["optimizer"]
+    loaded = OptimizeResult.load(_LEGACY_RESULT)
+    assert "warm_start" not in loaded.spec.to_dict()["optimizer"]
+    assert "surrogate_order" not in loaded.to_dict()
+    fresh = ParetoOptimizer(loaded.spec).run()
+    assert _result_fingerprint(loaded) == _result_fingerprint(fresh)
+    assert loaded.cell_statuses == fresh.cell_statuses
+    assert loaded.to_dict() == fresh.to_dict()
 
 
 def test_optimize_result_rejects_unknown_version(tmp_path):
