@@ -48,6 +48,21 @@ _ARCH_FLAGS = ("-march=native",)
 _U64P = ctypes.POINTER(ctypes.c_uint64)
 _I64P = ctypes.POINTER(ctypes.c_int64)
 _U8P = ctypes.POINTER(ctypes.c_uint8)
+_I64 = ctypes.c_int64
+
+#: Argument types of every exported kernel (all return ``int``), in the
+#: order of the C prototypes in ``_kernels.c``.
+_SIGNATURES = {
+    "rk_secded_encode": (_U64P, _U64P, _I64, _I64, _I64, _I64P, _I64P, _U64P),
+    "rk_secded_syndrome": (_U64P, _U64P, _U64P, _I64, _I64, _U64P),
+    "rk_secded_decode": (_U64P, _U64P, _I64, _I64, _I64, _I64, _I64P, _U64P),
+    "rk_fmlut_encode": (_U64P, _I64P, _U64P, _I64, _I64P, _I64P, _I64),
+    "rk_fmlut_decode": (_U64P, _I64P, _U64P, _I64, _I64P, _I64),
+    "rk_apply_masks": (_U64P, _I64P, _U64P, _I64, _U64P, _U64P, _U64P),
+    "rk_to_twos": (_I64P, _U64P, _I64, _I64),
+    "rk_from_twos": (_U64P, _I64P, _I64, _I64),
+    "rk_invalid_map_mask": (_I64P, _I64, _I64, _I64, _I64, _U8P, _I64P),
+}
 
 
 def _find_compiler() -> str:
@@ -150,20 +165,12 @@ class CKernelBackend(KernelBackend):
             lib = ctypes.CDLL(str(library_path))
         except OSError as exc:
             raise KernelUnavailableError(f"cannot load {library_path}: {exc}")
-        for symbol in (
-            "rk_secded_encode",
-            "rk_secded_syndrome",
-            "rk_secded_decode",
-            "rk_fmlut_encode",
-            "rk_fmlut_decode",
-            "rk_apply_masks",
-            "rk_to_twos",
-            "rk_from_twos",
-            "rk_invalid_map_mask",
-        ):
+        for symbol, argtypes in _SIGNATURES.items():
             if not hasattr(lib, symbol):
                 raise KernelUnavailableError(f"{library_path} lacks symbol {symbol}")
-            getattr(lib, symbol).restype = ctypes.c_int
+            function = getattr(lib, symbol)
+            function.argtypes = argtypes
+            function.restype = ctypes.c_int
         self._lib = lib
         self.library_path = library_path
 
@@ -296,15 +303,19 @@ class CKernelBackend(KernelBackend):
     ) -> np.ndarray:
         patterns = _as_u64(patterns)
         rows = _as_i64(rows)
+        # Bound to locals so each buffer outlives the native call.
+        and_masks = _as_u64(and_masks)
+        or_masks = _as_u64(or_masks)
+        xor_masks = _as_u64(xor_masks)
         out = np.empty_like(patterns)
         self._lib.rk_apply_masks(
             _ptr_u64(patterns),
             _ptr_i64(rows),
             _ptr_u64(out),
             ctypes.c_int64(patterns.size),
-            _ptr_u64(_as_u64(and_masks)),
-            _ptr_u64(_as_u64(or_masks)),
-            _ptr_u64(_as_u64(xor_masks)),
+            _ptr_u64(and_masks),
+            _ptr_u64(or_masks),
+            _ptr_u64(xor_masks),
         )
         return out
 

@@ -108,6 +108,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Seque
 
 import numpy as np
 
+from repro import jsonio
 from repro.core.base import ProtectionScheme
 from repro.core.no_protection import NoProtection
 from repro.core.priority_ecc import PriorityEccScheme
@@ -917,7 +918,7 @@ def _write_checkpoint_payload(path: str, payload: Mapping[str, object]) -> None:
     fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
+            jsonio.dump(payload, handle)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temp_path, path)

@@ -16,6 +16,7 @@ import os
 import tempfile
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro import jsonio
 from repro.store.schema import SCHEMA_VERSION, StoreSchemaError
 from repro.store.segments import list_segments, scan_segment
 
@@ -125,7 +126,7 @@ class StoreIndex:
         fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
+                jsonio.dump(payload, handle)
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(temp_path, path)
