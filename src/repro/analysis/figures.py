@@ -5,11 +5,14 @@ data.  None of them plot; they return dictionaries of numpy arrays / result
 objects that the benchmarks print as tables and that a notebook could plot
 directly.
 
-The Monte-Carlo figures are thin views over the design-space exploration
-layer: ``figure5_mse_cdf`` and ``figure7_quality`` each evaluate one grid
-point through :mod:`repro.dse.evaluate` (sharing the sweep engine's
-parallelism, seeding, and checkpointing), and ``figure6_overhead`` is the
-overhead join input.  The general grid lives behind ``repro-faulty-mem dse``.
+The Monte-Carlo figures are one :class:`~repro.sim.engine.SweepEngine` call
+each: ``figure5_mse_cdf`` scores every die by local MSE (``run_mse``) and
+``figure7_quality`` retrains the benchmark on the corrupted features
+(``run``), sharing the engine's parallelism, seeding, and checkpointing.
+Legacy sampling pre-draws the die population with
+:func:`~repro.sim.runner.legacy_fault_maps`.  ``figure6_overhead`` is the
+:class:`~repro.hardware.overhead.OverheadModel` comparison.  The general grid
+lives behind ``repro-faulty-mem dse``.
 """
 
 from __future__ import annotations
@@ -27,23 +30,22 @@ from repro.core.segments import (
     max_lut_bits,
     unprotected_error_magnitude_profile,
 )
-from repro.dse.evaluate import (
-    evaluate_mse_point,
-    evaluate_overhead_point,
-    evaluate_quality_point,
-)
 from repro.faultmodel.pcell import PcellModel, classical_yield
 from repro.faultmodel.yieldmodel import MseDistribution
-from repro.hardware.overhead import OverheadReport
+from repro.hardware.overhead import OverheadModel, OverheadReport
 from repro.hardware.technology import Technology
 from repro.memory.organization import MemoryOrganization
 from repro.scenarios.base import ScenarioSpec
-from repro.sim.engine import AdaptiveBudget, AdaptiveBudgetReport, ExperimentConfig
+from repro.sim.engine import (
+    AdaptiveBudget,
+    AdaptiveBudgetReport,
+    ExperimentConfig,
+    SweepEngine,
+)
 from repro.sim.experiment import BenchmarkDefinition
-from repro.sim.runner import QualityDistribution
+from repro.sim.runner import QualityDistribution, legacy_fault_maps
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from repro.sim.engine import SweepRunStats
     from repro.store.store import ResultStore
 
 __all__ = [
@@ -110,7 +112,6 @@ def figure5_mse_cdf(
     adaptive: Optional[AdaptiveBudget] = None,
     report_out: Optional[List[AdaptiveBudgetReport]] = None,
     store: Optional["ResultStore"] = None,
-    stats_out: Optional[List["SweepRunStats"]] = None,
     access_trace: int = 1,
     executor: Optional[object] = None,
 ) -> Dict[str, MseDistribution]:
@@ -119,8 +120,7 @@ def figure5_mse_cdf(
     Evaluates the unprotected memory, the H(22,16) P-ECC baseline, and the
     bit-shuffling scheme for every requested ``nFM`` against the *same*
     Monte-Carlo population of faulty dies, at the paper's operating point
-    (16 kB memory, Pcell = 5e-6) -- one MSE grid point of the design space
-    (:func:`repro.dse.evaluate.evaluate_mse_point`).
+    (16 kB memory, Pcell = 5e-6) -- one :meth:`SweepEngine.run_mse` call.
 
     ``workers`` fans the per-die analysis out over processes; results are
     bit-identical for any count.  ``sampling="legacy"`` (default) draws the
@@ -139,12 +139,15 @@ def figure5_mse_cdf(
     makes the figure a store-backed view: an exact configuration-hash hit
     is served from the :class:`~repro.store.ResultStore` bit-identically
     with zero new die evaluations, and a computed sweep is recorded into
-    it; ``stats_out`` collects the run's
-    :class:`~repro.sim.engine.SweepRunStats` (which path ran, die counts).
+    it.
     ``executor`` selects the shard executor tier (``None``/``"local"``,
     ``"inline"``, or an :class:`~repro.sim.executor.ExecutorSpec` for
     distributed TCP sweeps); results are bit-identical across tiers.
     """
+    if sampling not in ("seeded", "legacy"):
+        raise ValueError(
+            f"unknown sampling mode {sampling!r}; expected one of seeded, legacy"
+        )
     organization = (
         organization if organization is not None else MemoryOrganization.paper_16kb()
     )
@@ -174,17 +177,19 @@ def figure5_mse_cdf(
         adaptive=adaptive,
         access_trace=access_trace,
     )
-    return evaluate_mse_point(
-        config,
-        sampling=sampling,
-        rng=rng,
+    engine = SweepEngine(config)
+    results = engine.run_mse(
         workers=workers,
         checkpoint=checkpoint,
-        report_out=report_out,
+        fault_maps=(
+            legacy_fault_maps(config, rng) if sampling == "legacy" else None
+        ),
         store=store,
-        stats_out=stats_out,
         executor=executor,
     )
+    if report_out is not None and engine.last_adaptive_report is not None:
+        report_out.append(engine.last_adaptive_report)
+    return results
 
 
 def figure6_overhead(
@@ -196,8 +201,8 @@ def figure6_overhead(
     organization = (
         organization if organization is not None else MemoryOrganization.paper_16kb()
     )
-    return evaluate_overhead_point(
-        organization, technology, lut_realisation=lut_realisation
+    return OverheadModel(organization, technology).compare(
+        lut_realisation=lut_realisation
     )
 
 
@@ -226,7 +231,6 @@ def figure7_quality(
     adaptive: Optional[AdaptiveBudget] = None,
     report_out: Optional[List[AdaptiveBudgetReport]] = None,
     store: Optional["ResultStore"] = None,
-    stats_out: Optional[List["SweepRunStats"]] = None,
     access_trace: int = 1,
     executor: Optional[object] = None,
 ) -> Dict[str, QualityDistribution]:
@@ -243,12 +247,12 @@ def figure7_quality(
     sweep runs on the :class:`~repro.sim.engine.SweepEngine` seeded sampling
     path (one seed-sequence child per die) instead of the legacy shared
     generator ``rng``; ``checkpoint`` names an optional JSON results cache for
-    resumable sweeps.  Either way the figure is one quality grid point of the
-    design space (:func:`repro.dse.evaluate.evaluate_quality_point`).
+    resumable sweeps.  Either way the figure is one :meth:`SweepEngine.run`
+    call.
     ``adaptive`` switches the sweep to the engine's confidence-driven budget
     (requires ``master_seed``; ``samples_per_count`` then caps the spend
     instead of fixing it), with the outcome report appended to
-    ``report_out`` when given.  ``store`` / ``stats_out`` behave as in
+    ``report_out`` when given.  ``store`` behaves as in
     :func:`figure5_mse_cdf` (store-backed view with bit-identical hits).
     ``access_trace`` sets the read passes replayed per load for scenarios
     with a transient tier (which require ``master_seed`` -- the per-read
@@ -279,29 +283,19 @@ def figure7_quality(
         adaptive=adaptive,
         access_trace=access_trace,
     )
-    if master_seed is not None:
-        return evaluate_quality_point(
-            config,
-            benchmark,
-            schemes=list(schemes),
-            workers=workers,
-            checkpoint=checkpoint,
-            report_out=report_out,
-            store=store,
-            stats_out=stats_out,
-            executor=executor,
-        )
-    rng = rng if rng is not None else np.random.default_rng(52)
-    return evaluate_quality_point(
-        config,
+    engine = SweepEngine(config, schemes=schemes)
+    fault_maps = None
+    if master_seed is None:
+        rng = rng if rng is not None else np.random.default_rng(52)
+        fault_maps = legacy_fault_maps(config, rng)
+    results = engine.run(
         benchmark,
-        schemes=list(schemes),
-        sampling="legacy",
-        rng=rng,
         workers=workers,
         checkpoint=checkpoint,
-        report_out=report_out,
+        fault_maps=fault_maps,
         store=store,
-        stats_out=stats_out,
         executor=executor,
     )
+    if report_out is not None and engine.last_adaptive_report is not None:
+        report_out.append(engine.last_adaptive_report)
+    return results

@@ -10,8 +10,6 @@ own.  This package joins them behind one declarative surface:
   Monte-Carlo budget / benchmarks);
 * :mod:`repro.dse.registry` -- the unified name registry for schemes,
   benchmarks, and Pcell models that makes specs buildable from JSON;
-* :mod:`repro.dse.evaluate` -- the grid-point evaluators every figure is a
-  thin view of (quality, MSE, overhead);
 * :mod:`repro.dse.explore` -- :class:`DesignSpaceExplorer`, which sweeps the
   grid through the parallel :class:`~repro.sim.engine.SweepEngine`, joins
   energy and overhead, and extracts the energy/quality Pareto frontier;
@@ -19,15 +17,13 @@ own.  This package joins them behind one declarative surface:
   successive-halving alternative that recovers the same frontier for a
   fraction of the exhaustive die bill.
 
+The explorer and the optimizer build a
+:class:`~repro.sim.engine.SweepEngine` per grid point and call it directly,
+as the single-figure views in :mod:`repro.analysis.figures` do.
+
 CLI: ``repro-faulty-mem dse run|pareto|report|optimize --spec grid.json``.
 """
 
-from repro.dse.evaluate import (
-    evaluate_mse_point,
-    evaluate_overhead_point,
-    evaluate_quality_point,
-    legacy_fault_maps,
-)
 from repro.dse.explore import (
     DSE_COLUMNS,
     DesignSpaceExplorer,
@@ -73,9 +69,5 @@ __all__ = [
     "build_dse_row",
     "build_pcell_model",
     "build_scheme",
-    "evaluate_mse_point",
-    "evaluate_overhead_point",
-    "evaluate_quality_point",
-    "legacy_fault_maps",
     "pareto_frontier",
 ]

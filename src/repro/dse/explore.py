@@ -20,10 +20,9 @@ import os
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.base import ProtectionScheme
-from repro.dse.evaluate import evaluate_overhead_point
 from repro.dse.registry import build_benchmark, build_scheme
 from repro.dse.spec import ExperimentSpec
-from repro.hardware.overhead import ReadPathOverhead
+from repro.hardware.overhead import OverheadModel, ReadPathOverhead
 from repro.sim.engine import (
     AdaptiveBudgetReport,
     QualityDistribution,
@@ -403,8 +402,8 @@ class DesignSpaceExplorer:
         spec = self._spec
         organization = spec.organization
         schemes = self._build_schemes()
-        report = evaluate_overhead_point(
-            organization, lut_realisation=spec.scheme_grid.lut_realisation
+        report = OverheadModel(organization).compare(
+            lut_realisation=spec.scheme_grid.lut_realisation
         )
         overheads: Dict[str, ReadPathOverhead] = {}
         for scheme in schemes:

@@ -277,23 +277,22 @@ class YieldAnalyzer:
     ) -> Dict[str, MseDistribution]:
         """Evaluate several schemes against the *same* Monte-Carlo dies (Fig. 5).
 
-        A thin view over the design-space MSE grid-point evaluator
-        (:func:`repro.dse.evaluate.evaluate_mse_point`): the shared die
-        population is drawn serially from this analyzer's generator (the
-        historical stream the pinned Fig. 5 realisations rely on), then the
-        per-die evaluation -- deterministic given the die -- runs on the
-        sharded :class:`~repro.sim.engine.SweepEngine`.  ``workers`` fans the
-        dies out over that many processes; results are bit-identical for
-        every worker count.
+        The shared die population is drawn serially from this analyzer's
+        generator by :func:`repro.sim.runner.legacy_fault_maps` (the same
+        maps as :meth:`shared_fault_maps`, the historical stream the pinned
+        Fig. 5 realisations rely on), then the per-die evaluation --
+        deterministic given the die -- runs on the sharded
+        :class:`~repro.sim.engine.SweepEngine`.  ``workers`` fans the dies
+        out over that many processes; results are bit-identical for every
+        worker count.
         """
         if workers < 1:
             raise ValueError("workers must be at least 1")
         if not schemes:
             return {}
-        shared = self.shared_fault_maps(samples_per_count)
-        # Imported here: the DSE layer sits above this module.
-        from repro.dse.evaluate import evaluate_mse_point
-        from repro.sim.engine import ExperimentConfig
+        # Imported here: the sweep engine sits above this module.
+        from repro.sim.engine import ExperimentConfig, SweepEngine
+        from repro.sim.runner import legacy_fault_maps
 
         config = ExperimentConfig(
             rows=self._organization.rows,
@@ -305,10 +304,8 @@ class YieldAnalyzer:
             discard_multi_fault_words=False,
             scenario=self._scenario_spec,
         )
-        return evaluate_mse_point(
-            config,
-            schemes=list(schemes),
-            fault_maps_by_count=shared,
-            include_fault_free=include_fault_free,
+        return SweepEngine(config, schemes=schemes).run_mse(
             workers=workers,
+            fault_maps=legacy_fault_maps(config, self._rng),
+            include_fault_free=include_fault_free,
         )

@@ -136,7 +136,6 @@ from repro.sim.experiment import BenchmarkDefinition
 from repro.stats import (
     FixedGridEcdfSketch,
     StratumVarianceTracker,
-    StreamingMoments,
     WeightedSampleBuffer,
     largest_remainder_allocation,
     normal_critical_value,
@@ -842,9 +841,6 @@ class ExperimentConfig:
 # because tests monkeypatch ``engine._evaluate_shard``/``_summarize_shard``
 # to steer the inline path, and ``_inline_run_shard`` dispatches through
 # *this module's* globals so those patches keep working.
-_SharedBenchmark = _shardeval._SharedBenchmark
-_share_context = _shardeval.share_context
-_materialize_context = _shardeval.materialize_context
 _evaluate_shard = _shardeval.evaluate_shard
 _summarize_shard = _shardeval.summarize_shard
 
@@ -944,29 +940,6 @@ def _save_checkpoint(path: str, config_hash: str, **state: object) -> None:
         path,
         {"version": _CHECKPOINT_VERSION, "config_hash": config_hash, **state},
     )
-
-
-# --------------------------------------------------------------------------- #
-# Shard dispatch (shared by the fixed and adaptive paths)
-# --------------------------------------------------------------------------- #
-def _ShardDispatcher(
-    context: Dict[str, object],
-    workers: int,
-    spec: Optional[ExecutorSpec] = None,
-) -> ShardExecutor:
-    """Build the shard executor of one sweep (back-compat factory).
-
-    Historically this was a class owning the optional process pool and
-    shared-memory blocks; the behaviour now lives in the pluggable
-    :mod:`repro.sim.executor` tier, and this factory keeps the engine's
-    (and the tests') construction site unchanged: ``workers == 1`` -- or an
-    explicit ``inline`` spec -- evaluates in-process, ``workers > 1``
-    builds the shared-memory process pool, and a ``tcp`` spec builds the
-    coordinator that serves shards to remote workers.  The returned
-    executor is a context manager; the engine drives it with ``with`` so
-    pools, sockets, and shared blocks are released on every exit path.
-    """
-    return make_executor(context, workers, spec=spec, runner=_inline_run_shard)
 
 
 def _summary_payload_scalars(summary: _shardeval.ShardSummary) -> int:
@@ -1574,7 +1547,9 @@ class SweepEngine:
             effective_workers = (
                 1 if len(shards) <= 1 else min(workers, len(shards))
             )
-        with _ShardDispatcher(context, effective_workers, executor) as dispatcher:
+        with make_executor(
+            context, effective_workers, spec=executor, runner=_inline_run_shard
+        ) as dispatcher:
             dispatcher.evaluate_unordered(shards, _absorb)
             self._note_executor(dispatcher)
         return die_results
@@ -1711,7 +1686,9 @@ class SweepEngine:
                     for start in range(0, len(entries), _ADAPTIVE_SHARD_DIES)
                 ]
                 if dispatcher is None:
-                    dispatcher = _ShardDispatcher(context, workers, executor)
+                    dispatcher = make_executor(
+                        context, workers, spec=executor, runner=_inline_run_shard
+                    )
                 self._dies_evaluated += len(entries)
                 # Canonical fold: shard-index order, then sorted cell keys
                 # inside each shard -- never completion order.

@@ -24,27 +24,85 @@ exactly what an adaptive (confidence-driven) budget cannot do.  Sweeps that
 want :class:`~repro.sim.engine.AdaptiveBudget` early stopping go through the
 engine's seeded sampling path (``figure5_mse_cdf`` / ``figure7_quality``
 ``adaptive=...``, or ``McBudgetSpec(mode="adaptive")`` in a DSE spec).
+
+:func:`legacy_fault_maps` is the one place a legacy population is pre-drawn;
+the legacy paths of ``figure5_mse_cdf``, ``figure7_quality`` and
+``YieldAnalyzer.compare_schemes`` hand its maps to the engine too.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.base import ProtectionScheme
-from repro.faultmodel.montecarlo import max_failures_for_coverage
+from repro.faultmodel.montecarlo import FaultMapSampler, max_failures_for_coverage
+from repro.memory.faults import FaultMap
 from repro.memory.organization import MemoryOrganization
 from repro.quantize.fixedpoint import FixedPointFormat
 from repro.sim.engine import (
     ExperimentConfig,
     QualityDistribution,
+    SweepEngine,
     evaluated_failure_counts,
-    reassign_count_probabilities,
 )
 from repro.sim.experiment import BenchmarkDefinition
 
-__all__ = ["QualityDistribution", "QualityExperimentRunner"]
+__all__ = ["QualityDistribution", "QualityExperimentRunner", "legacy_fault_maps"]
+
+
+def legacy_fault_maps(
+    config: ExperimentConfig,
+    rng: np.random.Generator,
+    max_attempts: int = 1000,
+) -> Dict[Tuple[int, int], FaultMap]:
+    """Pre-draw every die of ``config`` from a shared legacy generator stream.
+
+    Dies are drawn one at a time in the canonical count-major order, each with
+    the per-map rejection stream of the original serial implementations --
+    exactly the sequence the pinned Fig. 5 and Fig. 7 golden curves were
+    produced with.  The result plugs into ``SweepEngine.run(...,
+    fault_maps=...)``.
+
+    A non-default ``config.scenario`` routes every draw through the same
+    fault-scenario pipeline the seeded engine sampling uses (the shared
+    generator then feeds the pipeline serially); the default i.i.d. scenario
+    keeps the exact historical stream.
+    """
+    sampler = FaultMapSampler(
+        config.organization,
+        rng,
+        scenario=None if config.scenario is None else config.build_scenario(),
+    )
+    max_per_word = 1 if config.discard_multi_fault_words else None
+    fault_maps: Dict[Tuple[int, int], FaultMap] = {}
+    for count_index, count in enumerate(config.evaluated_counts()):
+        if config.scenario is None:
+            # The pinned golden curves depend on this exact per-map scalar
+            # stream: one draw per die, in count-major order.
+            batch = [
+                sampler.sample_batch(
+                    count,
+                    1,
+                    max_faults_per_word=max_per_word,
+                    vectorized=False,
+                    max_attempts=max_attempts,
+                )[0]
+                for _ in range(config.samples_per_count)
+            ]
+        else:
+            # Scenario pipelines have no legacy stream to preserve, so the
+            # whole stratum is drawn as one vectorized batch.
+            batch = sampler.sample_batch(
+                count,
+                config.samples_per_count,
+                max_faults_per_word=max_per_word,
+                max_attempts=max_attempts,
+            )
+        for sample_index, fault_map in enumerate(batch):
+            fault_maps[(count_index, sample_index)] = fault_map
+    return fault_maps
 
 
 class QualityExperimentRunner:
@@ -115,15 +173,6 @@ class QualityExperimentRunner:
         """
         return evaluated_failure_counts(self._max_failures, n_points)
 
-    def _count_probabilities(self, evaluated_counts: Sequence[int]) -> Dict[int, float]:
-        """Assign each failure count's probability to the nearest evaluated count."""
-        return reassign_count_probabilities(
-            self._organization.total_cells,
-            self._p_cell,
-            self._max_failures,
-            evaluated_counts,
-        )
-
     def run(
         self,
         benchmark: BenchmarkDefinition,
@@ -162,19 +211,10 @@ class QualityExperimentRunner:
             discard_multi_fault_words=discard_multi_fault_words,
             benchmark=benchmark.name,
         )
-        # The DSE quality evaluator pre-draws every die in the exact
-        # count-major order (and from the exact shared-generator stream) of
-        # the original serial runner, then delegates to the engine.  Imported
-        # here: the DSE layer sits above this module.
-        from repro.dse.evaluate import evaluate_quality_point
-
-        return evaluate_quality_point(
-            config,
+        return SweepEngine(config, schemes=schemes).run(
             benchmark,
-            schemes=list(schemes),
-            sampling="legacy",
-            rng=self._rng,
             workers=workers,
             checkpoint=checkpoint,
+            fault_maps=legacy_fault_maps(config, self._rng),
             fixed_point=self._fixed_point,
         )

@@ -14,7 +14,9 @@ import json
 import numpy as np
 import pytest
 
-from repro.dse.evaluate import evaluate_mse_point, evaluate_quality_point
+from repro.analysis.figures import figure5_mse_cdf, figure7_quality
+from repro.core.no_protection import NoProtection
+from repro.core.scheme import BitShuffleScheme
 from repro.dse.spec import (
     BenchmarkGridSpec,
     ExperimentSpec,
@@ -23,6 +25,7 @@ from repro.dse.spec import (
     OperatingGridSpec,
     SchemeGridSpec,
 )
+from repro.memory.organization import MemoryOrganization
 from repro.sim import engine as engine_module
 from repro.sim.engine import (
     AdaptiveBudget,
@@ -30,6 +33,7 @@ from repro.sim.engine import (
     SweepEngine,
 )
 from repro.sim.experiment import knn_benchmark
+from repro.sim.shardeval import _SharedBenchmark, materialize_context, share_context
 from repro.sim.sharedmem import SharedNdarray
 
 SCHEMES = ("no-protection", "bit-shuffle-nfm2")
@@ -119,10 +123,11 @@ class TestAdaptiveBudgetValidation:
             SweepEngine(config).run_mse()
 
     def test_legacy_sampling_rejected(self):
-        config = _config(adaptive=AdaptiveBudget())
         with pytest.raises(ValueError, match="adaptive"):
-            evaluate_mse_point(
-                config, sampling="legacy", rng=np.random.default_rng(0)
+            figure5_mse_cdf(
+                adaptive=AdaptiveBudget(),
+                sampling="legacy",
+                rng=np.random.default_rng(0),
             )
 
 
@@ -427,13 +432,11 @@ class TestSharedMemoryContext:
             "benchmark": smoke_benchmark,
             "clean_quality": 1.0,
         }
-        shared, blocks = engine_module._share_context(context)
+        shared, blocks = share_context(context)
         try:
             assert isinstance(shared["raw_features"], SharedNdarray)
-            assert isinstance(
-                shared["benchmark"], engine_module._SharedBenchmark
-            )
-            materialized = engine_module._materialize_context(shared)
+            assert isinstance(shared["benchmark"], _SharedBenchmark)
+            materialized = materialize_context(shared)
             assert np.array_equal(materialized["raw_features"], raw)
             bench = materialized["benchmark"]
             assert bench.name == smoke_benchmark.name
@@ -446,21 +449,31 @@ class TestSharedMemoryContext:
                 block.unlink()
 
     def test_mse_context_needs_no_shared_blocks(self):
-        shared, blocks = engine_module._share_context(
-            {"evaluation": "mse", "master_seed": 1}
-        )
+        shared, blocks = share_context({"evaluation": "mse", "master_seed": 1})
         assert blocks == []
         assert shared == {"evaluation": "mse", "master_seed": 1}
 
 
+def _figure7(benchmark, samples_per_count, adaptive, reports):
+    """``figure7_quality`` at the geometry and operating point of ``_config``."""
+    return figure7_quality(
+        benchmark,
+        organization=MemoryOrganization(rows=128, word_width=32),
+        p_cell=4e-3,
+        samples_per_count=samples_per_count,
+        n_count_points=3,
+        schemes=[NoProtection(32), BitShuffleScheme(32, 2)],
+        master_seed=2026,
+        adaptive=adaptive,
+        report_out=reports,
+    )
+
+
 class TestAdaptiveEvaluators:
     def test_quality_evaluator_reports(self, smoke_benchmark):
-        config = _config(
-            samples_per_count=20, adaptive=AdaptiveBudget(target_ci=0.05)
-        )
         reports = []
-        results = evaluate_quality_point(
-            config, smoke_benchmark, report_out=reports
+        results = _figure7(
+            smoke_benchmark, 20, AdaptiveBudget(target_ci=0.05), reports
         )
         assert len(reports) == 1
         assert reports[0].evaluation == "quality"
@@ -468,7 +481,5 @@ class TestAdaptiveEvaluators:
 
     def test_fixed_evaluator_leaves_reports_empty(self, smoke_benchmark):
         reports = []
-        evaluate_quality_point(
-            _config(samples_per_count=2), smoke_benchmark, report_out=reports
-        )
+        _figure7(smoke_benchmark, 2, None, reports)
         assert reports == []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -16,6 +17,9 @@ from repro.dse import (
     OperatingGridSpec,
     SchemeGridSpec,
 )
+
+
+GOLDEN_CLI_DIR = os.path.join(os.path.dirname(__file__), "golden", "cli")
 
 
 class TestParser:
@@ -96,6 +100,36 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Figure 7" in out
         assert "no-protection" in out
+
+
+class TestStdoutGoldens:
+    """Pinned stdout of the default Fig. 5 / Fig. 7 runs, byte for byte.
+
+    The files under ``tests/golden/cli/`` are the captured stdout of these
+    exact commands; a refactor that changes a single printed byte fails
+    here.
+    """
+
+    FIG5 = ["fig5", "--samples", "3", "--p-cell", "1e-4"]
+    FIG7 = [
+        "fig7", "--benchmark", "knn", "--samples", "1",
+        "--count-points", "2", "--scale", "0.2",
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (FIG5, "fig5_legacy.txt"),
+            (FIG5 + ["--sampling", "seeded"], "fig5_seeded.txt"),
+            (FIG7, "fig7_knn_legacy.txt"),
+            (FIG7 + ["--sampling", "seeded"], "fig7_knn_seeded.txt"),
+        ],
+        ids=["fig5-legacy", "fig5-seeded", "fig7-knn-legacy", "fig7-knn-seeded"],
+    )
+    def test_stdout_matches_golden(self, capsys, argv, golden):
+        assert main(argv) == 0
+        with open(os.path.join(GOLDEN_CLI_DIR, golden), encoding="utf-8") as handle:
+            assert capsys.readouterr().out == handle.read()
 
 
 class TestParallelFlags:

@@ -36,6 +36,7 @@ from repro.dse import (
 from repro.faultmodel.pcell import PcellModel
 from repro.faultmodel.yieldmodel import YieldAnalyzer
 from repro.memory.organization import MemoryOrganization
+from repro.scenarios import ScenarioSpec
 from repro.sim import engine as engine_module
 from repro.sim.experiment import knn_benchmark, standard_benchmarks
 from repro.sim.runner import QualityExperimentRunner
@@ -273,18 +274,23 @@ class TestFigureGoldenEquivalence:
                 == golden[name]["zero_fault_probability"]
             )
 
-    def test_fig5_compare_schemes_view_matches_analyzer(self):
-        """YieldAnalyzer.compare_schemes (now a DSE view) equals the paired
-        per-scheme mse_distribution analysis on the same shared dies."""
+    @pytest.mark.parametrize("scenario", [None, "aged", "clustered"])
+    def test_fig5_compare_schemes_view_matches_analyzer(self, scenario):
+        """YieldAnalyzer.compare_schemes (an engine sweep over the dies of
+        legacy_fault_maps) equals the paired per-scheme mse_distribution
+        analysis on the dies of shared_fault_maps, for every scenario."""
         org = MemoryOrganization(rows=128, word_width=32)
         schemes = [NoProtection(32), BitShuffleScheme(32, 2)]
+        spec = None if scenario is None else ScenarioSpec(scenario)
 
         via_compare = YieldAnalyzer(
-            org, 5e-4, rng=np.random.default_rng(3), coverage=0.95
+            org, 5e-4, rng=np.random.default_rng(3), coverage=0.95,
+            scenario=spec,
         ).compare_schemes(schemes, samples_per_count=3)
 
         reference_analyzer = YieldAnalyzer(
-            org, 5e-4, rng=np.random.default_rng(3), coverage=0.95
+            org, 5e-4, rng=np.random.default_rng(3), coverage=0.95,
+            scenario=spec,
         )
         shared = reference_analyzer.shared_fault_maps(samples_per_count=3)
         for scheme in schemes:
@@ -349,7 +355,11 @@ class TestSeededMseSweep:
         )
 
     def test_unknown_sampling_mode_rejected(self):
-        with pytest.raises(ValueError, match="sampling"):
+        with pytest.raises(
+            ValueError,
+            match="unknown sampling mode 'quasi-random'; expected one of "
+            "seeded, legacy",
+        ):
             _fig5_golden(sampling="quasi-random")
 
     def test_checkpoint_round_trip_replays_without_evaluation(
@@ -373,7 +383,6 @@ class TestSeededMseSweep:
     def test_checkpoint_distinguishes_mse_from_quality_mode(self, tmp_path):
         """An MSE checkpoint must not be replayable by a quality sweep of the
         same configuration (the evaluation mode keys the hash)."""
-        from repro.dse.evaluate import evaluate_mse_point
         from repro.sim.engine import ExperimentConfig, SweepEngine
 
         config = ExperimentConfig(
@@ -386,7 +395,7 @@ class TestSeededMseSweep:
             scheme_specs=("no-protection",),
         )
         path = str(tmp_path / "mode.json")
-        evaluate_mse_point(config, checkpoint=path)
+        SweepEngine(config).run_mse(checkpoint=path)
         bench = knn_benchmark(n_samples=60, seed=1)
         with pytest.raises(ValueError, match="different experiment"):
             SweepEngine(config).run(bench, checkpoint=path)

@@ -11,6 +11,7 @@ from repro.core.scheme import BitShuffleScheme
 from repro.core.secded_scheme import SecdedScheme
 from repro.faultmodel.montecarlo import failure_count_pmf
 from repro.memory.organization import MemoryOrganization
+from repro.sim.engine import reassign_count_probabilities
 from repro.sim.experiment import knn_benchmark, pca_benchmark
 from repro.sim.runner import QualityExperimentRunner
 
@@ -26,6 +27,13 @@ def runner(rng):
     # exercising the full stratified flow.
     org = MemoryOrganization(rows=256, word_width=32)
     return QualityExperimentRunner(org, p_cell=2e-3, rng=rng, coverage=0.9)
+
+
+def _count_probabilities(runner, counts):
+    """``Pr(N = n)`` of the runner's sweep, reassigned onto ``counts``."""
+    return reassign_count_probabilities(
+        runner.organization.total_cells, runner.p_cell, runner.max_failures, counts
+    )
 
 
 class TestConfiguration:
@@ -50,7 +58,7 @@ class TestConfiguration:
 
     def test_count_probabilities_sum_to_fault_mass(self, runner):
         counts = runner.failure_counts(n_points=5)
-        probabilities = runner._count_probabilities(counts)
+        probabilities = _count_probabilities(runner, counts)
         total = sum(probabilities.values())
 
         expected = sum(
@@ -66,7 +74,7 @@ class TestFailureCountSubsampling:
     @pytest.mark.parametrize("n_points", [1, 2, 4, 7])
     def test_skipped_mass_reassigned_to_nearest_count(self, runner, n_points):
         counts = runner.failure_counts(n_points=n_points)
-        probabilities = runner._count_probabilities(counts)
+        probabilities = _count_probabilities(runner, counts)
         assert set(probabilities) == set(counts)
 
         # Independently reassign each skipped count's mass to the nearest
@@ -86,8 +94,8 @@ class TestFailureCountSubsampling:
         # probabilities must reproduce the full sweep's coverage of the die
         # population: at least `coverage`, at most exactly 1 (the tail beyond
         # Nmax is the only mass allowed to be missing).
-        probabilities = runner._count_probabilities(
-            runner.failure_counts(n_points=n_points)
+        probabilities = _count_probabilities(
+            runner, runner.failure_counts(n_points=n_points)
         )
         zero_mass = failure_count_pmf(
             runner.organization.total_cells, runner.p_cell, 0
@@ -96,7 +104,7 @@ class TestFailureCountSubsampling:
         assert total <= 1.0 + 1e-12
         assert total >= 0.9  # the runner fixture's coverage
         # Subsampling must not change the total at all relative to the full sweep.
-        full = runner._count_probabilities(runner.failure_counts())
+        full = _count_probabilities(runner, runner.failure_counts())
         assert total == pytest.approx(zero_mass + sum(full.values()), abs=1e-15)
 
 

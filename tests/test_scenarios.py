@@ -484,11 +484,11 @@ class TestEngineIntegration:
             SweepEngine(aged).run_mse(workers=1, checkpoint=path)
 
     def test_legacy_sampling_supports_scenarios(self):
-        from repro.dse.evaluate import evaluate_mse_point
+        from repro.sim.runner import legacy_fault_maps
 
         config = self._config(ScenarioSpec("repaired", (("spare_rows", 2),)))
-        legacy = evaluate_mse_point(
-            config, sampling="legacy", rng=np.random.default_rng(21)
+        legacy = SweepEngine(config).run_mse(
+            fault_maps=legacy_fault_maps(config, np.random.default_rng(21))
         )
         assert set(legacy) == {"no-protection", "bit-shuffle-nfm2"}
 

@@ -2,8 +2,8 @@
 
 A POSIX shared-memory block is kernel state -- leaking one consumes
 ``/dev/shm`` until reboot.  These tests pin the release paths: the
-module-level owner registry, partial-failure cleanup in ``_share_context``,
-the dispatcher's context-manager exit, and a parallel sweep whose shard
+module-level owner registry, partial-failure cleanup in ``share_context``,
+the executor's context-manager exit, and a parallel sweep whose shard
 evaluation fails mid-flight.
 """
 
@@ -12,9 +12,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.sim import engine as engine_module
 from repro.sim import executor as executor_module
-from repro.sim.engine import ExperimentConfig, SweepEngine, _ShardDispatcher
+from repro.sim.engine import ExperimentConfig, SweepEngine
+from repro.sim.executor import make_executor
+from repro.sim.shardeval import share_context
 from repro.sim.experiment import BenchmarkDefinition
 from repro.sim.sharedmem import SharedNdarray, live_owned_blocks
 
@@ -92,7 +93,7 @@ class TestShareContextCleanup:
             "benchmark": _tiny_benchmark(_failing_evaluate),
         }
         with pytest.raises(OSError, match="injected"):
-            engine_module._share_context(context)
+            share_context(context)
         assert calls["n"] == 3  # two blocks were created, then released
         assert live_owned_blocks() == ()
 
@@ -101,7 +102,7 @@ class TestDispatcherLifecycle:
     def test_context_manager_releases_on_exception(self):
         context = {"raw_features": np.zeros((16, 8))}
         with pytest.raises(RuntimeError, match="mid-sweep"):
-            with _ShardDispatcher(context, workers=2):
+            with make_executor(context, workers=2):
                 assert live_owned_blocks() != ()
                 raise RuntimeError("mid-sweep failure")
         assert live_owned_blocks() == ()
@@ -115,12 +116,12 @@ class TestDispatcherLifecycle:
         )
         context = {"raw_features": np.zeros((16, 8))}
         with pytest.raises(OSError, match="injected"):
-            _ShardDispatcher(context, workers=2)
+            make_executor(context, workers=2)
         assert live_owned_blocks() == ()
 
     def test_serial_dispatcher_shares_nothing(self):
         context = {"raw_features": np.zeros((16, 8))}
-        with _ShardDispatcher(context, workers=1):
+        with make_executor(context, workers=1):
             assert live_owned_blocks() == ()
 
 
