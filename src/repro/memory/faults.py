@@ -271,36 +271,47 @@ class FaultMap:
         columns: np.ndarray,
         kind: FaultKind = FaultKind.BIT_FLIP,
     ) -> "FaultMap":
-        """Build a map from parallel row/column index arrays (vectorised).
+        """Build a map from parallel row/column index arrays.
 
-        Bounds and duplicate checks run as whole-array NumPy operations, so
-        Monte-Carlo samplers can construct maps without a per-cell Python
-        validation loop.  The result is identical to :meth:`from_cells` over
-        ``zip(rows, columns)``.
+        The arrays are converted to Python lists once, and the bounds and
+        duplicate checks run over those lists: for the handful of cells a
+        Monte-Carlo map holds, that is cheaper than per-array NumPy
+        reductions.  The result is identical to :meth:`from_cells` over
+        ``zip(rows, columns)``, in the same insertion order.
         """
         rows = np.asarray(rows, dtype=np.int64).ravel()
         columns = np.asarray(columns, dtype=np.int64).ravel()
         if rows.shape != columns.shape:
             raise ValueError("rows and columns must have equal shapes")
-        if rows.size:
-            if rows.min() < 0 or rows.max() >= organization.rows:
+        return cls._from_cell_lists(
+            organization, rows.tolist(), columns.tolist(), kind
+        )
+
+    @classmethod
+    def _from_cell_lists(
+        cls,
+        organization: MemoryOrganization,
+        rows: List[int],
+        columns: List[int],
+        kind: FaultKind,
+    ) -> "FaultMap":
+        """:meth:`from_cell_arrays` over equal-length lists of Python ints."""
+        if rows:
+            if min(rows) < 0 or max(rows) >= organization.rows:
                 raise IndexError(
                     f"row out of range [0, {organization.rows})"
                 )
-            if columns.min() < 0 or columns.max() >= organization.word_width:
+            if min(columns) < 0 or max(columns) >= organization.word_width:
                 raise IndexError(
                     f"column out of range [0, {organization.word_width})"
                 )
-            flat = rows * organization.word_width + columns
-            if np.unique(flat).size != flat.size:
-                raise ValueError("duplicate fault cell in rows/columns arrays")
+        faults = {(r, c): FaultSite(r, c, kind) for r, c in zip(rows, columns)}
+        if len(faults) != len(rows):
+            raise ValueError("duplicate fault cell in rows/columns arrays")
         # Establish every instance invariant through the canonical
         # constructor, then install the already-validated faults directly.
         fault_map = cls(organization, ())
-        fault_map._faults = {
-            (int(r), int(c)): FaultSite(int(r), int(c), kind)
-            for r, c in zip(rows, columns)
-        }
+        fault_map._faults = faults
         return fault_map
 
     @classmethod
@@ -323,9 +334,14 @@ class FaultMap:
             raise ValueError(
                 f"cannot place {fault_count} faults in a memory of {total} cells"
             )
-        flat = np.asarray(rng.choice(total, size=fault_count, replace=False))
+        flat = rng.choice(total, size=fault_count, replace=False).tolist()
         width = organization.word_width
-        return cls.from_cell_arrays(organization, flat // width, flat % width, kind)
+        return cls._from_cell_lists(
+            organization,
+            [cell // width for cell in flat],
+            [cell % width for cell in flat],
+            kind,
+        )
 
     @classmethod
     def random_batch_with_count(
@@ -422,10 +438,13 @@ class FaultMap:
                 f"fault_count"
             )
         return [
-            cls.from_cell_arrays(
-                organization, accepted[i] // width, accepted[i] % width, kind
+            cls._from_cell_lists(
+                organization,
+                [cell // width for cell in flat],
+                [cell % width for cell in flat],
+                kind,
             )
-            for i in range(batch_size)
+            for flat in accepted.tolist()
         ]
 
     @classmethod

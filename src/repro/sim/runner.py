@@ -78,28 +78,18 @@ def legacy_fault_maps(
     max_per_word = 1 if config.discard_multi_fault_words else None
     fault_maps: Dict[Tuple[int, int], FaultMap] = {}
     for count_index, count in enumerate(config.evaluated_counts()):
-        if config.scenario is None:
-            # The pinned golden curves depend on this exact per-map scalar
-            # stream: one draw per die, in count-major order.
-            batch = [
-                sampler.sample_batch(
-                    count,
-                    1,
-                    max_faults_per_word=max_per_word,
-                    vectorized=False,
-                    max_attempts=max_attempts,
-                )[0]
-                for _ in range(config.samples_per_count)
-            ]
-        else:
-            # Scenario pipelines have no legacy stream to preserve, so the
-            # whole stratum is drawn as one vectorized batch.
-            batch = sampler.sample_batch(
-                count,
-                config.samples_per_count,
-                max_faults_per_word=max_per_word,
-                max_attempts=max_attempts,
-            )
+        # One call per stratum.  Without a scenario, vectorized=False draws
+        # the dies one after another, each with its own rejection loop: the
+        # exact per-map stream the pinned golden curves depend on.  Scenario
+        # pipelines have no legacy stream to preserve, so their stratum is
+        # drawn as one vectorized batch.
+        batch = sampler.sample_batch(
+            count,
+            config.samples_per_count,
+            max_faults_per_word=max_per_word,
+            vectorized=config.scenario is not None,
+            max_attempts=max_attempts,
+        )
         for sample_index, fault_map in enumerate(batch):
             fault_maps[(count_index, sample_index)] = fault_map
     return fault_maps

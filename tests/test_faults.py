@@ -50,6 +50,78 @@ class TestFaultMapConstruction:
             FaultMap.from_cells(small_org, [(0, small_org.word_width)])
 
 
+class TestFromCellArrays:
+    CELLS = [(5, 3), (0, 31), (63, 0), (5, 1), (17, 17)]
+
+    def test_matches_from_cells_in_insertion_order(self, small_org):
+        rows, columns = zip(*self.CELLS)
+        built = FaultMap.from_cell_arrays(
+            small_org, np.array(rows), np.array(columns), FaultKind.STUCK_AT_ONE
+        )
+        reference = FaultMap.from_cells(
+            small_org, self.CELLS, kind=FaultKind.STUCK_AT_ONE
+        )
+        assert list(built._faults.items()) == list(reference._faults.items())
+
+    @pytest.mark.parametrize(
+        "convert",
+        [
+            lambda values: np.array(values, dtype=np.int32),
+            lambda values: np.array(values, dtype=np.int64),
+            list,
+        ],
+        ids=["int32", "int64", "list"],
+    )
+    def test_keys_are_python_ints(self, small_org, convert):
+        rows, columns = zip(*self.CELLS)
+        fault_map = FaultMap.from_cell_arrays(
+            small_org, convert(rows), convert(columns)
+        )
+        assert list(fault_map._faults) == self.CELLS
+        for (row, column), site in fault_map._faults.items():
+            assert type(row) is int and type(column) is int
+            assert type(site.row) is int and type(site.column) is int
+
+    @pytest.mark.parametrize(
+        "rows, columns, error, message",
+        [
+            ([1, -1], [0, 0], IndexError, r"^row out of range \[0, 64\)$"),
+            ([1, 64], [0, 0], IndexError, r"^row out of range \[0, 64\)$"),
+            ([1, 2], [0, -1], IndexError, r"^column out of range \[0, 32\)$"),
+            ([1, 2], [0, 32], IndexError, r"^column out of range \[0, 32\)$"),
+            (
+                [1, 4, 1],
+                [7, 0, 7],
+                ValueError,
+                r"^duplicate fault cell in rows/columns arrays$",
+            ),
+            (
+                [1, 2],
+                [0],
+                ValueError,
+                r"^rows and columns must have equal shapes$",
+            ),
+        ],
+        ids=[
+            "negative-row",
+            "row-too-large",
+            "negative-column",
+            "column-too-large",
+            "duplicate",
+            "shape-mismatch",
+        ],
+    )
+    def test_invalid_cells_rejected(self, small_org, rows, columns, error, message):
+        with pytest.raises(error, match=message):
+            FaultMap.from_cell_arrays(small_org, np.array(rows), np.array(columns))
+
+    def test_empty_arrays_give_empty_map(self, small_org):
+        empty = np.array([], dtype=np.int64)
+        fault_map = FaultMap.from_cell_arrays(small_org, empty, empty)
+        assert fault_map.fault_count == 0
+        assert fault_map._faults == {}
+
+
 class TestFaultMapQueries:
     def test_faults_in_row_sorted(self, small_org):
         fault_map = FaultMap.from_cells(small_org, [(2, 7), (2, 3), (4, 0)])
@@ -154,6 +226,22 @@ class TestRandomGeneration:
     def test_pcell_out_of_range(self, small_org, rng):
         with pytest.raises(ValueError):
             FaultMap.random_with_pcell(small_org, 1.5, rng)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("count", [0, 1, 5, 40])
+    def test_legacy_stream_pinned(self, small_org, seed, count):
+        # Pinned goldens depend on this stream: one choice() without
+        # replacement, cells split row-major, kept in draw order.
+        fault_map = FaultMap.random_with_count(
+            small_org, count, np.random.default_rng(seed)
+        )
+        flat = np.random.default_rng(seed).choice(
+            small_org.total_cells, count, replace=False
+        )
+        width = small_org.word_width
+        assert list(fault_map._faults) == [
+            (int(cell) // width, int(cell) % width) for cell in flat
+        ]
 
     def test_reproducible_with_seed(self, small_org):
         a = FaultMap.random_with_count(small_org, 5, np.random.default_rng(1))

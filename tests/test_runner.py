@@ -9,11 +9,12 @@ from repro.core.no_protection import NoProtection
 from repro.core.priority_ecc import PriorityEccScheme
 from repro.core.scheme import BitShuffleScheme
 from repro.core.secded_scheme import SecdedScheme
-from repro.faultmodel.montecarlo import failure_count_pmf
+from repro.faultmodel.montecarlo import FaultMapSampler, failure_count_pmf
+from repro.memory.faults import FaultMap
 from repro.memory.organization import MemoryOrganization
-from repro.sim.engine import reassign_count_probabilities
+from repro.sim.engine import ExperimentConfig, reassign_count_probabilities
 from repro.sim.experiment import knn_benchmark, pca_benchmark
-from repro.sim.runner import QualityExperimentRunner
+from repro.sim.runner import QualityExperimentRunner, legacy_fault_maps
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +35,42 @@ def _count_probabilities(runner, counts):
     return reassign_count_probabilities(
         runner.organization.total_cells, runner.p_cell, runner.max_failures, counts
     )
+
+
+class TestLegacyFaultMaps:
+    def test_matches_per_die_loop_with_rejection(self, monkeypatch):
+        # 128 cells at Pcell = 5 % put up to 13 faults in 16 words, so most
+        # candidate maps hold a word with two faults and are redrawn.
+        config = ExperimentConfig(
+            rows=16, word_width=8, p_cell=0.05, samples_per_count=4
+        )
+        assert config.discard_multi_fault_words
+        draws = []
+        random_with_count = FaultMap.random_with_count.__func__
+
+        def counted(cls, *args, **kwargs):
+            draws.append(1)
+            return random_with_count(cls, *args, **kwargs)
+
+        monkeypatch.setattr(FaultMap, "random_with_count", classmethod(counted))
+        fault_maps = legacy_fault_maps(config, np.random.default_rng(7))
+        dies = len(config.evaluated_counts()) * config.samples_per_count
+        assert len(fault_maps) == dies
+        assert len(draws) > dies
+
+        # The per-die loop the stream was first pinned with.
+        sampler = FaultMapSampler(config.organization, np.random.default_rng(7))
+        expected = {}
+        for count_index, count in enumerate(config.evaluated_counts()):
+            for sample_index in range(config.samples_per_count):
+                expected[(count_index, sample_index)] = sampler.sample_batch(
+                    count, 1, max_faults_per_word=1, vectorized=False
+                )[0]
+        assert list(fault_maps) == list(expected)
+        for key, fault_map in fault_maps.items():
+            assert list(fault_map._faults.items()) == list(
+                expected[key]._faults.items()
+            )
 
 
 class TestConfiguration:
