@@ -1044,9 +1044,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint",
         default=None,
         metavar="DIR",
-        help="directory of per-cell engine round-state checkpoints "
-        "(default: a run-private temporary directory; a --store covers "
-        "resumption across runs)",
+        help="directory of engine round-state checkpoints, one file per "
+        "cell and rung; a killed run resumes mid-rung and a re-run "
+        "reproduces the cold run (default: a run-private temporary "
+        "directory; a --store covers resumption across runs)",
     )
     pd_opt.add_argument(
         "--store",
@@ -1135,10 +1136,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ps_export.add_argument(
         "--format",
-        choices=["jsonl", "csv", "parquet"],
+        choices=["jsonl", "csv"],
         default="jsonl",
-        help="jsonl = full records (lossless); csv/parquet = flat summary "
-        "table (parquet requires pyarrow)",
+        help="jsonl = full records (lossless); csv = flat summary table",
     )
     ps_export.set_defaults(func=_cmd_store_export)
 

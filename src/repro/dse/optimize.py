@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import tempfile
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
@@ -173,7 +174,7 @@ class _CellState:
     scheme_names: List[str]
     caps: List[int]
     resumable_hash: str
-    checkpoint: str
+    checkpoint_stem: str
     rows: Dict[str, _RowState]
     status: str = "active"
     last_rung: int = -1
@@ -187,6 +188,10 @@ class _CellState:
     @property
     def key(self) -> Tuple[str, float, float]:
         return (self.benchmark_name, self.point.vdd, self.point.p_cell)
+
+    def checkpoint(self, rung: int) -> str:
+        """Round-state file of ``rung``, named after its ``dse-rung`` key."""
+        return f"{self.checkpoint_stem}-rung{rung}-cap{self.caps[rung]}.json"
 
 
 class OptimizeResult:
@@ -360,8 +365,11 @@ class ParetoOptimizer:
         (bit-identical results for every combination -- the engine's
         determinism contract, which the optimizer inherits wholesale).
     checkpoint_dir:
-        Directory of per-cell engine round-state checkpoints.  ``None`` uses
-        a run-private temporary directory: rungs still resume *within* the
+        Directory of engine round-state checkpoints, one file per cell and
+        rung (``optimize-<benchmark>-<hash>-rung<r>-cap<c>.json``).  A
+        killed run resumes mid-rung, and a re-run on the same directory
+        reproduces the cold run with zero dies evaluated.  ``None`` uses a
+        run-private temporary directory: rungs still resume *within* the
         run, and a store (below) covers resumption across runs.
     store:
         Optional :class:`~repro.store.ResultStore`.  Finished rungs are
@@ -466,10 +474,9 @@ class ParetoOptimizer:
                         scheme_names=[s.name for s in engine.schemes],
                         caps=caps,
                         resumable_hash=resumable_hash,
-                        checkpoint=os.path.join(
+                        checkpoint_stem=os.path.join(
                             checkpoint_dir,
-                            f"optimize-{benchmark_name}-"
-                            f"{resumable_hash[:16]}.json",
+                            f"optimize-{benchmark_name}-{resumable_hash[:16]}",
                         ),
                         rows=rows,
                         exhaustive_dies=len(counts)
@@ -487,21 +494,22 @@ class ParetoOptimizer:
     # ------------------------------------------------------------------ #
     # Rung execution
     # ------------------------------------------------------------------ #
-    def _run_rung(
-        self,
-        cell: _CellState,
-        rung: int,
-        cap: int,
-        benchmark_def,
-    ) -> None:
-        """Advance one cell to ``cap`` cumulative dies (resume or replay).
+    def _run_rung(self, cell: _CellState, rung: int, benchmark_def) -> None:
+        """Advance one cell to its rung cap of cumulative dies (resume or
+        replay).
 
-        Store replay restores the engine's round-state checkpoint recorded
-        with the rung, so the *next* rung continues from exactly the state
-        the original run left -- the sequential rung schedule is the one
+        Each rung keeps its own round-state file.  A computed rung starts
+        from a copy of the previous rung's file (unless its own file already
+        exists, from a killed or finished earlier run), so re-running on the
+        same checkpoint directory resumes every rung where it stopped.
+        Store replay writes the round state recorded with the rung to the
+        rung's file, so the *next* rung continues from exactly the state the
+        original run left -- the sequential rung schedule is the one
         canonical path, whether rungs were computed or replayed.
         """
         opt = self._optimizer
+        cap = cell.caps[rung]
+        checkpoint = cell.checkpoint(rung)
         rung_key = f"{cell.resumable_hash}-rung{rung}-cap{cap}"
         record = None
         if self._store is not None:
@@ -518,11 +526,16 @@ class ParetoOptimizer:
                     f"report; the store is corrupt"
                 )
             if payload.get("checkpoint") is not None:
-                _write_checkpoint_payload(
-                    cell.checkpoint, payload["checkpoint"]
-                )
+                _write_checkpoint_payload(checkpoint, payload["checkpoint"])
             cell.store_hits += 1
         else:
+            if rung > 0 and not os.path.exists(checkpoint):
+                previous = cell.checkpoint(rung - 1)
+                if os.path.exists(previous):
+                    # Copy then rename, so a kill mid-copy never leaves a
+                    # truncated file under the rung's name.
+                    shutil.copyfile(previous, checkpoint + ".tmp")
+                    os.replace(checkpoint + ".tmp", checkpoint)
             probe = replace(
                 cell.config, adaptive=opt.adaptive_budget(cap)
             )
@@ -530,7 +543,7 @@ class ParetoOptimizer:
             results = engine.run(
                 benchmark_def,
                 workers=self._workers,
-                checkpoint=cell.checkpoint,
+                checkpoint=checkpoint,
                 executor=self._executor,
                 adaptive_cap_resumable=True,
             )
@@ -541,7 +554,7 @@ class ParetoOptimizer:
                 stats.evaluated_dies if stats is not None else 0
             )
             if self._store is not None:
-                with open(cell.checkpoint, "r", encoding="utf-8") as handle:
+                with open(checkpoint, "r", encoding="utf-8") as handle:
                     checkpoint_payload = json.load(handle)
                 self._store.put_record(
                     rung_key,
@@ -682,10 +695,7 @@ class ParetoOptimizer:
                     if cell.status != "active":
                         continue
                     self._run_rung(
-                        cell,
-                        rung,
-                        cell.caps[rung],
-                        join["benchmark_defs"][cell.benchmark_name],
+                        cell, rung, join["benchmark_defs"][cell.benchmark_name]
                     )
                 prune_log.extend(self._prune_pass(cells, rung))
                 self._update_status(cells, rung)

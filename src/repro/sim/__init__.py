@@ -16,7 +16,7 @@ corrupted data, and the output quality is measured on clean test data.
   checkpoint/resume.
 * :mod:`repro.sim.executor` -- the shard executor tiers (inline, local
   process pool, distributed TCP coordinator) and the work-stealing
-  scheduler with heartbeat/deadline fault tolerance they share.
+  scheduler with heartbeat fault tolerance they share.
 * :mod:`repro.sim.shardeval` -- the worker-side shard evaluation shared by
   every executor (the pure function that makes re-dispatch bit-identical).
 * :mod:`repro.sim.worker` -- the remote worker entry point

@@ -577,10 +577,10 @@ class SweepRunStats:
         when the results were served from the result store without any
         execution.
     redispatched_shards:
-        Shards re-dispatched after a worker died or a shard deadline
-        expired.  Re-dispatch never changes results (die evaluation is a
-        pure function of the entry list, folded canonically), so a nonzero
-        count documents recovered faults, not divergence.
+        Shards re-dispatched after a worker died.  Re-dispatch never
+        changes results (die evaluation is a pure function of the entry
+        list, folded canonically), so a nonzero count documents recovered
+        faults, not divergence.
     """
 
     evaluation: str
@@ -942,6 +942,21 @@ def _save_checkpoint(path: str, config_hash: str, **state: object) -> None:
     )
 
 
+def _run_info(
+    evaluated_dies: int, dispatcher: Optional[ShardExecutor]
+) -> Dict[str, object]:
+    """The :class:`SweepRunStats` fields an execution core reports: dies it
+    evaluated, the executor tier that ran (``"inline"`` when none was
+    needed) and the shards that tier re-dispatched."""
+    if dispatcher is None:
+        return {"evaluated_dies": evaluated_dies}
+    return {
+        "evaluated_dies": evaluated_dies,
+        "executor": dispatcher.kind,
+        "redispatched_shards": dispatcher.stats.redispatched,
+    }
+
+
 def _summary_payload_scalars(summary: _shardeval.ShardSummary) -> int:
     """Scalar count of one shard's summary payload (the O(bins) witness)."""
     total = 0
@@ -991,9 +1006,6 @@ class SweepEngine:
         self._config = config
         self._last_adaptive_report: Optional[AdaptiveBudgetReport] = None
         self._last_run_stats: Optional[SweepRunStats] = None
-        self._dies_evaluated = 0
-        self._last_executor = "inline"
-        self._last_redispatched = 0
         # Built once: the same (picklable) pipeline object ships to every
         # worker, and building validates the scenario spec eagerly.
         self._scenario = config.build_scenario()
@@ -1136,8 +1148,6 @@ class SweepEngine:
         *,
         workers: int = 1,
         checkpoint: Optional[str] = None,
-        shard_size: Optional[int] = None,
-        shard_order: Optional[Sequence[int]] = None,
         fault_maps: Optional[Mapping[Tuple[int, int], FaultMap]] = None,
         fixed_point: Optional[FixedPointFormat] = None,
         store: Optional["ResultStore"] = None,
@@ -1160,15 +1170,8 @@ class SweepEngine:
             Optional path of a JSON results cache.  Completed dies are loaded
             from it, the file is rewritten after every finished shard, and a
             finished sweep leaves a cache that replays instantly.  Each save
-            serialises all results so far; with the default shard sizing (a
-            few shards per worker) that stays negligible, but combining
-            ``shard_size=1`` with very large sweeps trades checkpoint I/O for
-            resume granularity.
-        shard_size:
-            Dies per work unit (defaults to a balanced split across workers).
-        shard_order:
-            Optional permutation of shard indices -- execution order never
-            affects the result, and tests use this to prove it.
+            serialises all results so far; the shard sizing (a few shards
+            per worker) keeps that negligible.
         fault_maps:
             Pre-drawn dies keyed by ``(count_index, sample_index)``; replaces
             the seeded per-die sampling (legacy-runner bridge).
@@ -1248,8 +1251,6 @@ class SweepEngine:
             zero_mass=1.0,
             workers=workers,
             checkpoint=checkpoint,
-            shard_size=shard_size,
-            shard_order=shard_order,
             fault_maps=fault_maps,
             store=store,
             executor=executor,
@@ -1261,8 +1262,6 @@ class SweepEngine:
         *,
         workers: int = 1,
         checkpoint: Optional[str] = None,
-        shard_size: Optional[int] = None,
-        shard_order: Optional[Sequence[int]] = None,
         fault_maps: Optional[Mapping[Tuple[int, int], FaultMap]] = None,
         include_fault_free: bool = True,
         store: Optional["ResultStore"] = None,
@@ -1313,8 +1312,6 @@ class SweepEngine:
             zero_mass=0.0 if include_fault_free else None,
             workers=workers,
             checkpoint=checkpoint,
-            shard_size=shard_size,
-            shard_order=shard_order,
             fault_maps=fault_maps,
             store=store,
             executor=executor,
@@ -1330,8 +1327,6 @@ class SweepEngine:
         zero_mass: Optional[float],
         workers: int,
         checkpoint: Optional[str],
-        shard_size: Optional[int],
-        shard_order: Optional[Sequence[int]],
         fault_maps: Optional[Mapping[Tuple[int, int], FaultMap]],
         store: Optional["ResultStore"],
         executor: Optional[object],
@@ -1358,19 +1353,12 @@ class SweepEngine:
                 "adaptive budgets draw each die from its own seed-sequence "
                 "child; pre-drawn fault_maps require the fixed budget"
             )
-        if adaptive and (shard_size is not None or shard_order is not None):
-            raise ValueError(
-                "shard_size/shard_order do not apply to adaptive sweeps "
-                "(the controller shards each round at a fixed width)"
-            )
         if fault_maps is None and config.master_seed is None:
             raise ValueError(
                 "a master_seed is required unless pre-drawn fault_maps are "
                 "supplied"
             )
         executor_spec = ExecutorSpec.coerce(executor)
-        self._last_executor = "inline"
-        self._last_redispatched = 0
         store_key: Optional[str] = None
         if store is not None:
             store_key = self.config_hash(fault_maps=fault_maps, **hash_args)
@@ -1412,7 +1400,7 @@ class SweepEngine:
         scheme_indices = range(len(self._schemes))
         report = None
         if adaptive:
-            sketches, report = self._run_adaptive(
+            sketches, report, run_info = self._run_adaptive(
                 context,
                 zero_mass=zero_mass,
                 workers=workers,
@@ -1426,13 +1414,11 @@ class SweepEngine:
             ]
             samples = total_dies = report.total_dies
         else:
-            die_results = self._execute(
+            die_results, run_info = self._execute(
                 context,
                 workers=workers,
                 checkpoint=checkpoint,
                 config_hash=config_hash,
-                shard_size=shard_size,
-                shard_order=shard_order,
                 fault_maps=fault_maps,
                 executor=executor_spec,
             )
@@ -1458,10 +1444,8 @@ class SweepEngine:
             evaluation=codec.kind,
             store_key=store_key,
             store_hit=False,
-            evaluated_dies=self._dies_evaluated,
             total_dies=total_dies,
-            executor=self._last_executor,
-            redispatched_shards=self._last_redispatched,
+            **run_info,
         )
         if store_key is not None:
             store.put_record(
@@ -1473,17 +1457,11 @@ class SweepEngine:
                     "evaluation": codec.kind,
                     "schemes": [scheme.name for scheme in self._schemes],
                     "p_cell": config.p_cell,
-                    "evaluated_dies": self._dies_evaluated,
+                    "evaluated_dies": run_info["evaluated_dies"],
                     "total_dies": total_dies,
                 },
             )
         return results
-
-    def _note_executor(self, dispatcher: ShardExecutor) -> None:
-        """Record which executor tier ran and how many shards it re-dispatched
-        (surfaced through :class:`SweepRunStats` after the run)."""
-        self._last_executor = dispatcher.kind
-        self._last_redispatched += dispatcher.stats.redispatched
 
     def _execute(
         self,
@@ -1492,12 +1470,13 @@ class SweepEngine:
         workers: int,
         checkpoint: Optional[str],
         config_hash: str,
-        shard_size: Optional[int],
-        shard_order: Optional[Sequence[int]],
         fault_maps: Optional[Mapping[Tuple[int, int], FaultMap]],
         executor: Optional[ExecutorSpec] = None,
-    ) -> Dict[int, List[float]]:
-        """Evaluate every pending die of the plan (the fixed-budget core)."""
+    ) -> Tuple[Dict[int, List[float]], Dict[str, object]]:
+        """Evaluate every pending die of the plan (the fixed-budget core).
+
+        Returns the per-die results and the run's :func:`_run_info`.
+        """
         entries: List[_shardeval.DieEntry] = []
         for die_index, count_index, sample_index, count in self.plan():
             explicit = None
@@ -1515,18 +1494,11 @@ class SweepEngine:
         if checkpoint is not None:
             die_results.update(_load_checkpoint(checkpoint, config_hash))
         pending = [e for e in entries if e[0] not in die_results]
-        self._dies_evaluated = len(pending)
+        shards = self._make_shards(pending, workers)
 
-        shards = self._make_shards(pending, workers, shard_size)
-        if shard_order is not None:
-            order = list(shard_order)
-            if sorted(order) != list(range(len(shards))):
-                raise ValueError(
-                    f"shard_order must be a permutation of 0..{len(shards) - 1}"
-                )
-            shards = [shards[i] for i in order]
-
-        def _absorb(shard_results: List[Tuple[int, List[float]]]) -> None:
+        def _absorb(
+            _index: int, shard_results: List[Tuple[int, List[float]]]
+        ) -> None:
             for die_index, values in shard_results:
                 die_results[die_index] = values
             if checkpoint is not None:
@@ -1550,9 +1522,8 @@ class SweepEngine:
         with make_executor(
             context, effective_workers, spec=executor, runner=_inline_run_shard
         ) as dispatcher:
-            dispatcher.evaluate_unordered(shards, _absorb)
-            self._note_executor(dispatcher)
-        return die_results
+            dispatcher.run("evaluate", shards, _absorb)
+        return die_results, _run_info(len(pending), dispatcher)
 
     # ------------------------------------------------------------------ #
     # Adaptive budget controller
@@ -1566,7 +1537,11 @@ class SweepEngine:
         checkpoint: Optional[str],
         config_hash: str,
         executor: Optional[ExecutorSpec] = None,
-    ) -> Tuple[Dict[Tuple[int, int], FixedGridEcdfSketch], AdaptiveBudgetReport]:
+    ) -> Tuple[
+        Dict[Tuple[int, int], FixedGridEcdfSketch],
+        AdaptiveBudgetReport,
+        Dict[str, object],
+    ]:
         """Round-based confidence-driven sweep (the adaptive execution core).
 
         Each round fans a batch of dies out as fixed-width shards whose
@@ -1575,7 +1550,7 @@ class SweepEngine:
         either stops or Neyman-allocates the next round by the observed
         per-stratum standard deviations.  State is checkpointed after every
         round when a cache path is given.  Returns the merged per-(scheme,
-        stratum) sketches and the run's report.
+        stratum) sketches, the run's report and its :func:`_run_info`.
         """
         config = self._config
         adaptive = config.adaptive
@@ -1616,7 +1591,7 @@ class SweepEngine:
         samples_done = {ci: 0 for ci in range(len(counts))}
         rounds_done = 0
         max_payload = 0
-        self._dies_evaluated = 0
+        evaluated = 0
 
         if checkpoint is not None:
             saved = _read_checkpoint_payload(checkpoint, config_hash, "adaptive")
@@ -1638,6 +1613,14 @@ class SweepEngine:
                         FixedGridEcdfSketch.from_dict(data)
                     )
                 max_payload = int(saved.get("max_shard_payload_scalars", 0))
+                saved_dies = sum(samples_done.values())
+                if saved_dies > max_total:
+                    raise ValueError(
+                        f"checkpoint {checkpoint!r} holds {saved_dies} dies, "
+                        f"more than this sweep's adaptive die cap "
+                        f"({max_total}); resume it under a cap of at least "
+                        f"{saved_dies} or point the checkpoint elsewhere"
+                    )
 
         context = dict(context)
         context["adaptive"] = {
@@ -1689,10 +1672,13 @@ class SweepEngine:
                     dispatcher = make_executor(
                         context, workers, spec=executor, runner=_inline_run_shard
                     )
-                self._dies_evaluated += len(entries)
+                evaluated += len(entries)
+                summaries: Dict[int, _shardeval.ShardSummary] = {}
+                dispatcher.run("summarize", shards, summaries.__setitem__)
                 # Canonical fold: shard-index order, then sorted cell keys
                 # inside each shard -- never completion order.
-                for summary in dispatcher.summarize_ordered(shards):
+                for index in range(len(shards)):
+                    summary = summaries[index]
                     max_payload = max(
                         max_payload, _summary_payload_scalars(summary)
                     )
@@ -1722,7 +1708,6 @@ class SweepEngine:
                     )
         finally:
             if dispatcher is not None:
-                self._note_executor(dispatcher)
                 dispatcher.close()
 
         report = AdaptiveBudgetReport(
@@ -1756,7 +1741,7 @@ class SweepEngine:
             max_shard_payload_scalars=max_payload,
         )
         self._last_adaptive_report = report
-        return sketches, report
+        return sketches, report, _run_info(evaluated, dispatcher)
 
     def _adaptive_scheme_ecdf(
         self,
@@ -1791,20 +1776,14 @@ class SweepEngine:
     # ------------------------------------------------------------------ #
     @staticmethod
     def _make_shards(
-        entries: List[_shardeval.DieEntry],
-        workers: int,
-        shard_size: Optional[int],
+        entries: List[_shardeval.DieEntry], workers: int
     ) -> List[List[_shardeval.DieEntry]]:
         """Chunk the pending dies into contiguous work units."""
         if not entries:
             return []
-        if shard_size is None:
-            # A few shards per worker balances load without flooding the
-            # queue; inline runs keep several shards so checkpoints land
-            # regularly.
-            shard_size = max(1, math.ceil(len(entries) / max(4 * workers, 4)))
-        if shard_size < 1:
-            raise ValueError("shard_size must be at least 1")
+        # A few shards per worker balances load without flooding the queue;
+        # inline runs keep several shards so checkpoints land regularly.
+        shard_size = max(1, math.ceil(len(entries) / max(4 * workers, 4)))
         return [
             entries[start:start + shard_size]
             for start in range(0, len(entries), shard_size)

@@ -17,14 +17,14 @@ The sweep engine hands every Monte-Carlo batch to a :class:`ShardExecutor`:
 Every multi-worker executor drives the same :class:`WorkStealingScheduler`:
 shards sit in a deque ordered by a cost model (dies weighted by failure
 count), idle workers pull the costliest remaining shard from the tail
-(longest-processing-time order keeps the tail short), and a watchdog
-re-dispatches shards whose worker died or whose per-shard deadline expired
-(exponential backoff between attempts).  Re-dispatch -- and therefore any
-worker count, host count, shard order, join/leave history -- never changes
-results: a shard's evaluation is a pure function of its entry list
-(:mod:`repro.sim.shardeval`), duplicate evaluations are bit-identical, the
-first completion wins, and the caller folds results canonically (die-keyed
-for fixed sweeps, shard-index order for adaptive summaries).
+(longest-processing-time order keeps the tail short), and the shards of a
+worker that died (connection loss, missed heartbeats, or a broken pool) are
+re-dispatched.  Re-dispatch -- and therefore any worker count, host count,
+shard order, join/leave history -- never changes results: a shard's
+evaluation is a pure function of its entry list (:mod:`repro.sim.shardeval`),
+duplicate evaluations are bit-identical, the first completion wins, and the
+caller folds results canonically (die-keyed for fixed sweeps, shard-index
+order for adaptive summaries).
 """
 
 from __future__ import annotations
@@ -59,6 +59,16 @@ ShardRunner = Callable[[str, List[object], Mapping[str, object]], object]
 
 _EXECUTOR_KINDS = ("inline", "local", "tcp")
 
+#: Worker liveness cadence (seconds); a TCP worker silent for three
+#: intervals is declared lost and its shards are re-dispatched.  Sent to
+#: every worker in the context frame.
+HEARTBEAT_INTERVAL = 2.0
+#: In-flight shards per pool worker (bounds how many pickled shard payloads
+#: are alive at once).
+SUBMIT_WINDOW = 4
+#: Pool-death rebuilds tolerated per batch before giving up.
+MAX_REBUILDS = 5
+
 
 @dataclass(frozen=True)
 class ExecutorSpec:
@@ -66,9 +76,8 @@ class ExecutorSpec:
 
     ``kind`` selects the executor: ``"inline"`` (in-process), ``"local"``
     (process pool on this machine; the default), or ``"tcp"`` (coordinator
-    serving remote workers).  The remaining fields tune the distributed
-    tier; none of them can change results, only throughput and fault
-    tolerance:
+    serving remote workers).  The remaining fields are the TCP tier's
+    rendezvous settings; none of them can change results:
 
     * ``host``/``port`` -- the TCP rendezvous address (``port=0`` binds an
       ephemeral port, exposed as :attr:`TcpExecutor.address`);
@@ -78,16 +87,7 @@ class ExecutorSpec:
     * ``min_workers`` -- shards are not dispatched until this many workers
       are connected (avoids one early worker absorbing the whole queue);
     * ``connect_timeout`` -- seconds the coordinator tolerates having zero
-      connected workers while shards are outstanding before aborting;
-    * ``heartbeat_interval`` -- worker liveness cadence; a worker silent for
-      three intervals is declared lost and its shards re-dispatched;
-    * ``shard_deadline`` -- optional straggler watchdog: seconds after which
-      an unacknowledged shard is re-dispatched to another worker (each
-      attempt multiplies the deadline by ``deadline_backoff``); ``None``
-      disables deadline-based re-dispatch (worker death still re-dispatches);
-    * ``submit_window`` -- in-flight shards per pool worker (bounds how many
-      pickled shard payloads are alive at once);
-    * ``max_rebuilds`` -- pool-death rebuilds tolerated before giving up.
+      connected workers while shards are outstanding before aborting.
     """
 
     kind: str = "local"
@@ -96,11 +96,6 @@ class ExecutorSpec:
     token: Optional[str] = None
     min_workers: int = 1
     connect_timeout: float = 60.0
-    heartbeat_interval: float = 2.0
-    shard_deadline: Optional[float] = None
-    deadline_backoff: float = 2.0
-    submit_window: int = 4
-    max_rebuilds: int = 5
 
     def __post_init__(self) -> None:
         if self.kind not in _EXECUTOR_KINDS:
@@ -115,8 +110,6 @@ class ExecutorSpec:
             )
         if self.min_workers < 1:
             raise ValueError("min_workers must be at least 1")
-        if self.submit_window < 1:
-            raise ValueError("submit_window must be at least 1")
 
     @classmethod
     def coerce(cls, value: object) -> "ExecutorSpec":
@@ -137,8 +130,8 @@ class ExecutorSpec:
 class ExecutorStats:
     """Counters of one executor's lifetime (all batches it drove).
 
-    ``redispatched`` counts shard re-dispatches after worker loss or
-    deadline expiry -- re-dispatch never changes results, so a nonzero count
+    ``redispatched`` counts shard re-dispatches after worker loss --
+    re-dispatch never changes results, so a nonzero count
     with bit-identical output is the fault-tolerance contract working.
     """
 
@@ -164,8 +157,6 @@ class _ShardState:
         "kind",
         "entries",
         "cost",
-        "attempts",
-        "deadline",
         "owners",
         "queued",
         "done",
@@ -176,8 +167,6 @@ class _ShardState:
         self.kind = kind
         self.entries = entries
         self.cost = shardeval.shard_cost(kind, entries)
-        self.attempts = 0
-        self.deadline: Optional[float] = None
         self.owners: Set[object] = set()
         self.queued = True
         self.done = False
@@ -192,21 +181,11 @@ class WorkStealingScheduler:
     evaluated twice (after a re-dispatch) folds exactly once, and since
     evaluation is deterministic both copies are bit-identical anyway.
     :meth:`fail_owner` returns a dead worker's un-acknowledged shards to the
-    queue; :meth:`expire` re-dispatches shards past their deadline without
-    revoking the original owner (whoever answers first wins).
+    queue.
     """
 
-    def __init__(
-        self,
-        kind: str,
-        shards: List[List[object]],
-        *,
-        shard_deadline: Optional[float] = None,
-        deadline_backoff: float = 2.0,
-    ) -> None:
+    def __init__(self, kind: str, shards: List[List[object]]) -> None:
         self._cond = threading.Condition()
-        self._shard_deadline = shard_deadline
-        self._backoff = deadline_backoff
         states = [
             _ShardState(index, kind, entries)
             for index, entries in enumerate(shards)
@@ -254,12 +233,6 @@ class WorkStealingScheduler:
                     state = self._queue.pop()
                     state.queued = False
                     state.owners.add(owner)
-                    state.attempts += 1
-                    if self._shard_deadline is not None:
-                        state.deadline = time.monotonic() + (
-                            self._shard_deadline
-                            * self._backoff ** (state.attempts - 1)
-                        )
                     self.stats.dispatched += 1
                     return (state.index, state.kind, state.entries)
                 if deadline_at is None:
@@ -316,38 +289,6 @@ class WorkStealingScheduler:
                 self._cond.notify_all()
         return requeued
 
-    def expire(self, now: Optional[float] = None) -> int:
-        """Straggler watchdog: re-dispatch shards past their deadline.
-
-        The original owner keeps computing -- its (identical) result is
-        simply ignored if the duplicate lands first.  Each expiry pushes the
-        shard's next deadline out by ``deadline_backoff``, so one slow
-        machine is not re-dispatched every tick.
-        """
-        if self._shard_deadline is None:
-            return 0
-        if now is None:
-            now = time.monotonic()
-        expired = 0
-        with self._cond:
-            for state in self._states.values():
-                if (
-                    not state.done
-                    and not state.queued
-                    and state.owners
-                    and state.deadline is not None
-                    and now > state.deadline
-                ):
-                    self._requeue_locked(state)
-                    state.deadline = now + (
-                        self._shard_deadline * self._backoff ** state.attempts
-                    )
-                    expired += 1
-            if expired:
-                self.stats.redispatched += expired
-                self._cond.notify_all()
-        return expired
-
     def _requeue_locked(self, state: _ShardState) -> None:
         # Tail end: a re-dispatched shard is the most urgent work there is
         # (its loss is already stalling the batch), so the next idle worker
@@ -376,15 +317,11 @@ class WorkStealingScheduler:
 class ShardExecutor:
     """One sweep's shard execution backend (context manager).
 
-    Subclasses implement ``_drive(kind, shards, on_complete)`` delivering
-    every shard's payload exactly once on the calling thread; the two public
-    entry points share it:
-
-    * :meth:`evaluate_unordered` -- fixed sweeps; payloads are die-keyed so
-      arrival order is free;
-    * :meth:`summarize_ordered` -- adaptive sweeps; payloads are returned in
-      shard-index order, which keeps the caller's floating-point fold
-      canonical for any worker count or completion order.
+    Subclasses implement :meth:`run`, which delivers every shard's payload
+    exactly once, with its shard index, on the calling thread.  Arrival
+    order is free: fixed sweeps key payloads by die, and adaptive sweeps
+    fold them in shard-index order, so the result is canonical for any
+    worker count or completion order.
     """
 
     kind = "inline"
@@ -398,32 +335,16 @@ class ShardExecutor:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def _drive(
+    def run(
         self,
         kind: str,
         shards: List[List[object]],
         on_complete: Callable[[int, object], None],
     ) -> None:
+        """Evaluate every shard as ``kind`` (``"evaluate"`` or
+        ``"summarize"``) and call ``on_complete(index, payload)`` once per
+        shard, in completion order."""
         raise NotImplementedError
-
-    def evaluate_unordered(self, shards, absorb) -> None:
-        """Fixed path: feed each shard's per-die results to ``absorb`` as
-        they complete (result identity is die-keyed, so order is free)."""
-        self._drive(
-            "evaluate", list(shards), lambda _index, payload: absorb(payload)
-        )
-
-    def summarize_ordered(self, shards) -> List[object]:
-        """Adaptive path: one O(bins) summary per shard, *in shard order*.
-
-        Arrival order is discarded on purpose: the caller folds summaries in
-        shard-index order, which is what makes the floating-point merge
-        canonical for any worker count.
-        """
-        shards = list(shards)
-        results: Dict[int, object] = {}
-        self._drive("summarize", shards, results.__setitem__)
-        return [results[index] for index in range(len(shards))]
 
     def close(self) -> None:
         """Release every resource the executor holds (idempotent)."""
@@ -439,7 +360,7 @@ class InlineExecutor(ShardExecutor):
         self._context = context
         self._runner = runner
 
-    def _drive(self, kind, shards, on_complete) -> None:
+    def run(self, kind, shards, on_complete) -> None:
         for index, entries in enumerate(shards):
             self.stats.dispatched += 1
             on_complete(index, self._runner(kind, entries, self._context))
@@ -453,7 +374,7 @@ class LocalPoolExecutor(ShardExecutor):
     (:func:`repro.sim.shardeval.share_context`) and the pool is kept alive
     for the executor's lifetime -- the adaptive controller submits many
     rounds of shards to the same pool.  Submission is windowed
-    (``submit_window`` x workers in flight) so a 100k-shard sweep never
+    (:data:`SUBMIT_WINDOW` x workers in flight) so a 100k-shard sweep never
     holds 100k pickled payloads alive, and a pool whose worker process dies
     (:class:`BrokenProcessPool`) is rebuilt on the still-live shared blocks
     with the lost shards re-dispatched.
@@ -468,14 +389,8 @@ class LocalPoolExecutor(ShardExecutor):
 
     kind = "local"
 
-    def __init__(
-        self,
-        context: Dict[str, object],
-        workers: int,
-        spec: Optional[ExecutorSpec] = None,
-    ) -> None:
+    def __init__(self, context: Dict[str, object], workers: int) -> None:
         super().__init__()
-        self._spec = spec if spec is not None else ExecutorSpec(kind="local")
         self._workers = workers
         self._blocks: List[SharedNdarray] = []
         self._shared: Optional[Dict[str, object]] = None
@@ -496,14 +411,9 @@ class LocalPoolExecutor(ShardExecutor):
             initargs=(self._shared,),
         )
 
-    def _drive(self, kind, shards, on_complete) -> None:
-        scheduler = WorkStealingScheduler(
-            kind,
-            shards,
-            shard_deadline=self._spec.shard_deadline,
-            deadline_backoff=self._spec.deadline_backoff,
-        )
-        window = self._spec.submit_window * self._workers
+    def run(self, kind, shards, on_complete) -> None:
+        scheduler = WorkStealingScheduler(kind, shards)
+        window = SUBMIT_WINDOW * self._workers
         futures: Dict[Future, int] = {}
         rebuilds = 0
         try:
@@ -541,7 +451,7 @@ class LocalPoolExecutor(ShardExecutor):
                 if broken is not None:
                     rebuilds += 1
                     self.stats.workers_lost += 1
-                    if rebuilds > self._spec.max_rebuilds:
+                    if rebuilds > MAX_REBUILDS:
                         raise RuntimeError(
                             f"the worker pool died {rebuilds} times; giving "
                             f"up on rebuilding it"
@@ -552,7 +462,6 @@ class LocalPoolExecutor(ShardExecutor):
                     futures.clear()
                     scheduler.fail_owner("pool")
                     self._pool = self._new_pool()
-                scheduler.expire()
         finally:
             self.stats.merge(scheduler.stats)
 
@@ -656,7 +565,7 @@ class TcpExecutor(ShardExecutor):
                 (
                     "context",
                     self._context,
-                    {"heartbeat_interval": self._spec.heartbeat_interval},
+                    {"heartbeat_interval": HEARTBEAT_INTERVAL},
                 )
             )
             with self._lock:
@@ -730,7 +639,7 @@ class TcpExecutor(ShardExecutor):
         # Three missed heartbeats = lost worker.  The worker heartbeats from
         # a background thread even while evaluating, so a long shard never
         # trips this -- only a dead or wedged process does.
-        recv_timeout = self._spec.heartbeat_interval * 3
+        recv_timeout = HEARTBEAT_INTERVAL * 3
         while True:
             scheduler = self._wait_for_work()
             if scheduler is None:
@@ -770,13 +679,8 @@ class TcpExecutor(ShardExecutor):
     # ---------------------------------------------------------------- #
     # Coordinator-side driving
     # ---------------------------------------------------------------- #
-    def _drive(self, kind, shards, on_complete) -> None:
-        scheduler = WorkStealingScheduler(
-            kind,
-            shards,
-            shard_deadline=self._spec.shard_deadline,
-            deadline_backoff=self._spec.deadline_backoff,
-        )
+    def run(self, kind, shards, on_complete) -> None:
+        scheduler = WorkStealingScheduler(kind, shards)
         with self._lock:
             self._batch += 1
             self._scheduler = scheduler
@@ -791,7 +695,6 @@ class TcpExecutor(ShardExecutor):
                 if scheduler.finished():
                     break
                 scheduler.raise_if_error()
-                scheduler.expire()
                 now = time.monotonic()
                 with self._lock:
                     n_workers = len(self._workers)
@@ -879,4 +782,4 @@ def make_executor(
         return TcpExecutor(context, resolved)
     if resolved.kind == "inline" or workers <= 1:
         return InlineExecutor(context, runner)
-    return LocalPoolExecutor(context, workers, resolved)
+    return LocalPoolExecutor(context, workers)

@@ -45,8 +45,8 @@ _STORE_MARKER = "store.json"
 _INDEX_FILE = "index.json"
 _SEGMENTS_DIR = "segments"
 
-#: Export formats of :meth:`ResultStore.export`; parquet is gated on pyarrow.
-EXPORT_FORMATS = ("jsonl", "csv", "parquet")
+#: Export formats of :meth:`ResultStore.export`.
+EXPORT_FORMATS = ("jsonl", "csv")
 
 
 class ResultStore:
@@ -299,9 +299,8 @@ class ResultStore:
         """Export the live records; returns the number of rows written.
 
         ``jsonl`` dumps full records (payloads included, lossless -- a
-        re-import is a byte-exact replay).  ``csv`` and ``parquet`` write the
-        flat summary table; parquet requires :mod:`pyarrow` and fails with a
-        clear message when it is not installed.
+        re-import is a byte-exact replay).  ``csv`` writes the flat summary
+        table.
         """
         if format not in EXPORT_FORMATS:
             raise StoreError(
@@ -321,26 +320,14 @@ class ResultStore:
                     handle.write(json.dumps(record, sort_keys=True) + "\n")
             return len(live)
         rows = self._export_rows()
-        if format == "csv":
-            fields = [
-                "key", "kind", "seq", "benchmark", "schemes", "p_cell",
-                "total_dies", "evaluated_dies",
-            ]
-            with open(path, "w", encoding="utf-8", newline="") as handle:
-                writer = csv.DictWriter(handle, fieldnames=fields)
-                writer.writeheader()
-                writer.writerows(rows)
-            return len(rows)
-        try:
-            import pyarrow  # noqa: F401
-            import pyarrow.parquet as pq
-        except ImportError as error:
-            raise StoreError(
-                "parquet export requires pyarrow, which is not installed; "
-                "use --format jsonl or csv instead"
-            ) from error
-        table = pyarrow.Table.from_pylist(rows)
-        pq.write_table(table, path)
+        fields = [
+            "key", "kind", "seq", "benchmark", "schemes", "p_cell",
+            "total_dies", "evaluated_dies",
+        ]
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=fields)
+            writer.writeheader()
+            writer.writerows(rows)
         return len(rows)
 
     # ------------------------------------------------------------------ #

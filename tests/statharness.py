@@ -42,6 +42,7 @@ __all__ = [
     "assert_results_identical",
     "gof_seeds",
     "pooled_chi_square",
+    "split_shards",
 ]
 
 # Reject a goodness-of-fit test only below p = 1 - DEFAULT_GOF_LEVEL.  The
@@ -252,6 +253,26 @@ def assert_results_identical(
                     f"{label}: {key!r} diverges from {base_key!r} in series "
                     f"{name!r} at index {first}"
                 )
+
+
+def split_shards(monkeypatch, *, size: int = 1, seed: Optional[int] = None) -> None:
+    """Make every fixed-budget :class:`~repro.sim.engine.SweepEngine` sweep
+    cut its pending dies into ``size``-die shards, dispatched in an order
+    shuffled by ``seed`` (plan order when ``seed`` is ``None``).
+
+    The differential partner of the engine's default shard layout: a sweep
+    must give bit-identical results for any partition and dispatch order.
+    """
+    from repro.sim.engine import SweepEngine
+
+    def make_shards(entries, workers):
+        shards = [entries[i:i + size] for i in range(0, len(entries), size)]
+        if seed is not None:
+            order = np.random.default_rng(seed).permutation(len(shards))
+            shards = [shards[i] for i in order]
+        return shards
+
+    monkeypatch.setattr(SweepEngine, "_make_shards", staticmethod(make_shards))
 
 
 def gof_seeds(n_seeds: int = 3, *, start: int = 1000) -> Sequence[int]:

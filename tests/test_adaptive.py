@@ -107,10 +107,6 @@ class TestAdaptiveBudgetValidation:
         engine = SweepEngine(config)
         with pytest.raises(ValueError, match="fault_maps"):
             engine.run(smoke_benchmark, fault_maps={})
-        with pytest.raises(ValueError, match="shard"):
-            engine.run_mse(shard_size=4)
-        with pytest.raises(ValueError, match="shard"):
-            engine.run_mse(shard_order=[0])
 
     def test_master_seed_required(self):
         config = _config(adaptive=AdaptiveBudget(), master_seed=None)
@@ -338,6 +334,27 @@ class TestAdaptiveCheckpoint:
         resumed = resumed_engine.run_mse(checkpoint=path)
         assert _curves(resumed) == _curves(uninterrupted)
         assert resumed_engine.last_adaptive_report == reference_report
+
+    def test_round_state_over_the_cap_is_rejected(self, tmp_path):
+        # A cap-resumable checkpoint is shared by every die cap; state saved
+        # under a larger cap must fail loudly, never be returned as the
+        # result of a smaller-cap sweep.
+        path = str(tmp_path / "cap.json")
+        big = SweepEngine(
+            _config(adaptive=AdaptiveBudget(target_ci=1e-9, max_total_samples=24))
+        )
+        big.run_mse(checkpoint=path, adaptive_cap_resumable=True)
+        assert big.last_adaptive_report.total_dies == 24
+        small = SweepEngine(
+            _config(adaptive=AdaptiveBudget(target_ci=1e-9, max_total_samples=12))
+        )
+        with pytest.raises(ValueError) as excinfo:
+            small.run_mse(checkpoint=path, adaptive_cap_resumable=True)
+        assert str(excinfo.value) == (
+            f"checkpoint {path!r} holds 24 dies, more than this sweep's "
+            f"adaptive die cap (12); resume it under a cap of at least 24 or "
+            f"point the checkpoint elsewhere"
+        )
 
     def test_fixed_checkpoint_file_is_rejected(self, tmp_path):
         config = _config(adaptive=AdaptiveBudget(target_ci=0.04))

@@ -207,31 +207,6 @@ class TestWorkStealingScheduler:
         assert scheduler.fail_owner("w") == 0
         assert scheduler.stats.redispatched == 0
 
-    def test_expire_redispatches_and_backs_off(self):
-        scheduler = WorkStealingScheduler(
-            "summarize",
-            _summarize_shards([1]),
-            shard_deadline=10.0,
-            deadline_backoff=2.0,
-        )
-        index, _k, _e = scheduler.acquire("slow", timeout=0)
-        start = time.monotonic()
-        assert scheduler.expire(now=start + 5.0) == 0  # not yet due
-        assert scheduler.expire(now=start + 11.0) == 1
-        assert scheduler.stats.redispatched == 1
-        # The duplicate goes to another worker while the original owner
-        # keeps computing; either completion wins exactly once.
-        duplicate = scheduler.acquire("fast", timeout=0)
-        assert duplicate[0] == index
-        assert scheduler.complete(index, "fast-result", "fast") is True
-        assert scheduler.complete(index, "slow-result", "slow") is False
-        assert scheduler.drain(0) == [(index, "fast-result")]
-
-    def test_expire_disabled_without_deadline(self):
-        scheduler = WorkStealingScheduler("summarize", _summarize_shards([1]))
-        scheduler.acquire("w", timeout=0)
-        assert scheduler.expire(now=time.monotonic() + 1e9) == 0
-
     def test_record_error_aborts_acquire_and_raises(self):
         scheduler = WorkStealingScheduler(
             "summarize", _summarize_shards([1, 2])
@@ -440,7 +415,7 @@ class TestWorkerDeathRecovery:
         executor = TcpExecutor(context, spec)
         try:
             with pytest.raises(RuntimeError, match="failed on worker-"):
-                executor.summarize_ordered([[(0, 0, 1)]])
+                executor.run("summarize", [[(0, 0, 1)]], lambda *_: None)
         finally:
             executor.close()
             for proc in workers:
@@ -462,7 +437,7 @@ class TestWorkerDeathRecovery:
         executor = TcpExecutor({"evaluation": "mse"}, spec)
         try:
             with pytest.raises(RuntimeError, match="no TCP workers"):
-                executor.summarize_ordered([[(0, 0, 1)]])
+                executor.run("summarize", [[(0, 0, 1)]], lambda *_: None)
         finally:
             executor.close()
 

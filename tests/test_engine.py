@@ -37,6 +37,7 @@ from repro.sim.experiment import BenchmarkDefinition, knn_benchmark, pca_benchma
 from repro.sim.runner import QualityExperimentRunner
 from repro.store import ResultStore
 
+import statharness
 from test_runner import GOLDEN_CLEAN_QUALITY, GOLDEN_CURVES, GOLDEN_SAMPLES
 
 
@@ -187,21 +188,18 @@ class TestSeedDeterminism:
         assert _curves(results) == _curves(reference_results)
 
     def test_bit_identical_for_any_shard_size(
-        self, smoke_config, smoke_benchmark, reference_results
+        self, smoke_config, smoke_benchmark, reference_results, monkeypatch
     ):
-        results = SweepEngine(smoke_config).run(
-            smoke_benchmark, workers=2, shard_size=1
-        )
-        assert _curves(results) == _curves(reference_results)
+        for size in (1, 3):
+            statharness.split_shards(monkeypatch, size=size)
+            results = SweepEngine(smoke_config).run(smoke_benchmark, workers=2)
+            assert _curves(results) == _curves(reference_results)
 
     def test_bit_identical_for_shuffled_shard_order(
-        self, smoke_config, smoke_benchmark, reference_results
+        self, smoke_config, smoke_benchmark, reference_results, monkeypatch
     ):
-        n_dies = len(SweepEngine(smoke_config).plan())
-        order = np.random.default_rng(9).permutation(n_dies).tolist()
-        results = SweepEngine(smoke_config).run(
-            smoke_benchmark, shard_size=1, shard_order=order
-        )
+        statharness.split_shards(monkeypatch, size=1, seed=9)
+        results = SweepEngine(smoke_config).run(smoke_benchmark)
         assert _curves(results) == _curves(reference_results)
 
     def test_different_master_seed_changes_results(
@@ -232,12 +230,6 @@ class TestSeedDeterminism:
             )
             assert np.random.default_rng(child).integers(2**63) == \
                 np.random.default_rng(direct).integers(2**63)
-
-    def test_invalid_shard_order_rejected(self, smoke_config, smoke_benchmark):
-        with pytest.raises(ValueError):
-            SweepEngine(smoke_config).run(
-                smoke_benchmark, shard_size=1, shard_order=[0, 0, 1]
-            )
 
     def test_rejects_non_positive_workers(self, smoke_config, smoke_benchmark):
         with pytest.raises(ValueError):
@@ -330,18 +322,14 @@ class TestCheckpoint:
             engine_module, "_evaluate_shard", _dies_after_two_shards
         )
         with pytest.raises(RuntimeError, match="simulated kill"):
-            SweepEngine(smoke_config).run(
-                smoke_benchmark, checkpoint=path, shard_size=1
-            )
+            SweepEngine(smoke_config).run(smoke_benchmark, checkpoint=path)
         monkeypatch.setattr(engine_module, "_evaluate_shard", real_evaluate)
 
         partial = json.loads((tmp_path / "interrupted.json").read_text())
         total_dies = len(SweepEngine(smoke_config).plan())
         assert 0 < len(partial["dies"]) < total_dies
 
-        resumed = SweepEngine(smoke_config).run(
-            smoke_benchmark, checkpoint=path, shard_size=1
-        )
+        resumed = SweepEngine(smoke_config).run(smoke_benchmark, checkpoint=path)
         assert _curves(resumed) == _curves(reference_results)
         final = json.loads((tmp_path / "interrupted.json").read_text())
         assert len(final["dies"]) == total_dies

@@ -36,6 +36,7 @@ from repro.faultmodel.montecarlo import (
     failure_count_pmf,
     failure_count_pmf_array,
 )
+from repro.sim import engine as engine_module
 from repro.store.store import ResultStore
 
 
@@ -229,6 +230,66 @@ def test_kill_and_resume_from_store(tmp_path):
         assert resumed.store_hits == crash_after
         assert resumed.evaluated_dies < reference.evaluated_dies
         assert _result_fingerprint(resumed) == _result_fingerprint(reference)
+
+
+def test_rerun_on_same_checkpoint_dir_reproduces_cold_run(tmp_path):
+    # Each rung keeps its own round-state file, so a re-run on the same
+    # directory finds every rung finished at its own cap -- never a later
+    # rung's larger state -- and replays the cold run without a new die.
+    spec = _smoke_spec()
+    cold = ParetoOptimizer(spec, optimizer=_MULTIRUNG_OPT).run()
+    checkpoint_dir = str(tmp_path / "ckpt")
+    runs = [
+        ParetoOptimizer(
+            spec, optimizer=_MULTIRUNG_OPT, checkpoint_dir=checkpoint_dir
+        ).run()
+        for _ in range(2)
+    ]
+    assert runs[0].evaluated_dies == cold.evaluated_dies
+    assert runs[1].evaluated_dies == 0
+    for result in runs:
+        assert _result_fingerprint(result) == _result_fingerprint(cold)
+
+
+def test_killed_mid_rung_resumes_from_checkpoint_dir(tmp_path, monkeypatch):
+    spec = _smoke_spec(operating_grid=OperatingGridSpec(vdd_values=(0.60, 0.65)))
+    real_summarize = engine_module._summarize_shard
+    shard_dies = []
+
+    def counting(entries, context):
+        shard_dies.append(len(entries))
+        return real_summarize(entries, context)
+
+    monkeypatch.setattr(engine_module, "_summarize_shard", counting)
+    cold = ParetoOptimizer(spec, optimizer=_MULTIRUNG_OPT).run()
+    total_shards = len(shard_dies)
+    assert total_shards >= 4, "spec no longer kills inside a later rung"
+
+    for kill_after in (total_shards // 2, total_shards - 1):
+        done = []
+
+        def dies_after_n_shards(entries, context):
+            if len(done) >= kill_after:
+                raise RuntimeError("simulated kill mid-rung")
+            done.append(len(entries))
+            return real_summarize(entries, context)
+
+        checkpoint_dir = str(tmp_path / f"ckpt-{kill_after}")
+        monkeypatch.setattr(
+            engine_module, "_summarize_shard", dies_after_n_shards
+        )
+        with pytest.raises(RuntimeError, match="simulated kill"):
+            ParetoOptimizer(
+                spec, optimizer=_MULTIRUNG_OPT, checkpoint_dir=checkpoint_dir
+            ).run()
+        monkeypatch.setattr(engine_module, "_summarize_shard", real_summarize)
+        resumed = ParetoOptimizer(
+            spec, optimizer=_MULTIRUNG_OPT, checkpoint_dir=checkpoint_dir
+        ).run()
+        assert _result_fingerprint(resumed) == _result_fingerprint(cold)
+        # Every round here is a single shard, checkpointed once it folds, so
+        # the two runs together simulate each die exactly once.
+        assert sum(done) + resumed.evaluated_dies == cold.evaluated_dies
 
 
 def test_optimizer_spec_json_round_trip():

@@ -438,7 +438,7 @@ class TestEngineIntegration:
     def test_bit_identical_across_worker_counts(self, scenario):
         engine = SweepEngine(self._config(scenario))
         serial = engine.run_mse(workers=1)
-        parallel = engine.run_mse(workers=2, shard_size=2)
+        parallel = engine.run_mse(workers=2)
         for name in serial:
             xs, ys = serial[name].ecdf.curve()
             xp, yp = parallel[name].ecdf.curve()

@@ -455,25 +455,13 @@ class TestGcAndExport:
 
     def test_export_unknown_format_rejected(self, tmp_path):
         with ResultStore(str(tmp_path / "s")) as store:
-            with pytest.raises(StoreError, match="unknown export format"):
-                store.export(str(tmp_path / "x"), format="xml")
-
-    def test_export_parquet_gated_on_pyarrow(self, tmp_path):
-        try:
-            import pyarrow  # noqa: F401
-
-            have_pyarrow = True
-        except ImportError:
-            have_pyarrow = False
-        out = str(tmp_path / "out.parquet")
-        with ResultStore(str(tmp_path / "s")) as store:
-            store.put_record("ab" * 32, "mse", {"x": 1})
-            if have_pyarrow:
-                assert store.export(out, format="parquet") == 1
-                assert os.path.exists(out)
-            else:
-                with pytest.raises(StoreError, match="requires pyarrow"):
-                    store.export(out, format="parquet")
+            for format in ("xml", "parquet"):
+                with pytest.raises(
+                    StoreError,
+                    match=f"unknown export format '{format}'; expected one "
+                    "of jsonl, csv$",
+                ):
+                    store.export(str(tmp_path / "x"), format=format)
 
 
 # --------------------------------------------------------------------------- #

@@ -510,13 +510,10 @@ class TestSweepBitIdentity:
         )
 
     def test_identical_for_shuffled_shard_order(
-        self, smoke_benchmark, transient_reference
+        self, smoke_benchmark, transient_reference, monkeypatch
     ):
-        n_dies = len(SweepEngine(_transient_config()).plan())
-        order = np.random.default_rng(9).permutation(n_dies).tolist()
-        results = SweepEngine(_transient_config()).run(
-            smoke_benchmark, shard_size=1, shard_order=order
-        )
+        statharness.split_shards(monkeypatch, size=1, seed=9)
+        results = SweepEngine(_transient_config()).run(smoke_benchmark)
         statharness.assert_results_identical(
             {
                 "serial": _snapshot(transient_reference),
