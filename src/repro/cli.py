@@ -40,7 +40,7 @@ re-runs are served from disk bit-identically with zero new die evaluations;
 distributed coordinator: it binds the address and serves shards to workers
 started (on any trusted host) with ``python -m repro.sim.worker --connect
 HOST:PORT``.  Executor status lines go to stderr too, so stdout stays
-byte-identical across inline, process-pool, and TCP execution -- see the
+byte-identical across inline, forked local, and TCP execution -- see the
 README's "Distributed sweeps" section.
 """
 
@@ -237,8 +237,8 @@ def _add_sweep_options(
         "--executor",
         choices=["local", "tcp"],
         default="local",
-        help="shard executor tier: 'local' evaluates shards in a process "
-        "pool of --workers (in-process when --workers 1); 'tcp' binds the "
+        help="shard executor tier: 'local' evaluates shards in --workers "
+        "forked worker processes (in-process when --workers 1); 'tcp' binds the "
         "--connect address and serves shards to remote workers started "
         "with 'python -m repro.sim.worker --connect HOST:PORT'.  Results "
         "are bit-identical across executors and worker counts",

@@ -333,7 +333,7 @@ class DesignSpaceExplorer:
         code change dirtied (see :meth:`dirty_points`).
     executor:
         Optional shard-executor selection forwarded to every grid point's
-        sweep: ``None``/``"local"`` (process pool), ``"inline"``, or an
+        sweep: ``None``/``"local"`` (forked workers), ``"inline"``, or an
         :class:`~repro.sim.executor.ExecutorSpec` (e.g. a ``tcp``
         coordinator serving remote workers).
     """

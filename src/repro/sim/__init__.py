@@ -14,12 +14,13 @@ corrupted data, and the output quality is measured on clean test data.
 * :mod:`repro.sim.engine` -- the parallel sharded Monte-Carlo sweep engine:
   deterministic per-die seeding, pluggable shard executors, and shard-level
   checkpoint/resume.
-* :mod:`repro.sim.executor` -- the shard executor tiers (inline, local
-  process pool, distributed TCP coordinator) and the work-stealing
-  scheduler with heartbeat fault tolerance they share.
+* :mod:`repro.sim.executor` -- the shard executor tiers (inline, forked
+  local workers, distributed TCP coordinator) and the work-stealing
+  scheduler with heartbeat fault tolerance the two worker tiers share.
 * :mod:`repro.sim.shardeval` -- the worker-side shard evaluation shared by
   every executor (the pure function that makes re-dispatch bit-identical).
-* :mod:`repro.sim.worker` -- the remote worker entry point
+* :mod:`repro.sim.worker` -- the worker side of the wire protocol, served
+  by forked local workers and by remote ones
   (``python -m repro.sim.worker --connect HOST:PORT``).
 * :mod:`repro.sim.wire` -- the framed socket protocol between coordinator
   and workers.

@@ -14,9 +14,9 @@ This module provides that arrangement:
   (memory organization, operating point, Monte-Carlo budget, master seed,
   protection schemes by name).
 * :class:`SweepEngine` -- shards the ``(failure_count x sample)`` grid into
-  independent work units, evaluates them inline (``workers=1``) or across a
-  :class:`concurrent.futures.ProcessPoolExecutor`, and merges the per-shard
-  results into one distribution per scheme.
+  independent work units, evaluates them inline (``workers=1``) or across
+  forked local worker processes (:mod:`repro.sim.executor`), and merges the
+  per-shard results into one distribution per scheme.
 * shard-level checkpointing -- a JSON results cache keyed by a hash of the
   full configuration, written after every completed shard, so interrupted
   sweeps resume without re-evaluating finished dies.
@@ -88,11 +88,9 @@ Two Monte-Carlo budgets are supported over the same sharded machinery:
   under a hash that includes the adaptive parameters, so fixed and adaptive
   caches can never alias.
 
-When several workers are used, the benchmark's feature matrices and the
-pre-quantized training codes are placed in :mod:`multiprocessing.shared_memory`
-blocks (:class:`~repro.sim.sharedmem.SharedNdarray`) and attached once per
-worker process instead of being pickled into each worker, so fanning out a
-sweep does not multiply the training set's memory footprint.
+When several workers are used, each worker receives the evaluation context
+-- the benchmark's feature matrices and the pre-quantized training codes --
+once per sweep, in the wire protocol's context frame (:mod:`repro.sim.wire`).
 """
 
 from __future__ import annotations
@@ -573,7 +571,7 @@ class SweepRunStats:
         controller's final total).
     executor:
         Shard executor that ran the sweep: ``"inline"``, ``"local"``
-        (process pool), ``"tcp"`` (distributed coordinator), or ``"store"``
+        (forked workers), ``"tcp"`` (distributed coordinator), or ``"store"``
         when the results were served from the result store without any
         execution.
     redispatched_shards:
@@ -835,8 +833,8 @@ class ExperimentConfig:
 # --------------------------------------------------------------------------- #
 # Worker-side evaluation (lives in repro.sim.shardeval; re-exported here)
 # --------------------------------------------------------------------------- #
-# The evaluation functions are shared by every executor backend -- the
-# process pool and the TCP workers import them from repro.sim.shardeval
+# The evaluation functions are shared by every executor backend -- forked
+# local and remote TCP workers import them from repro.sim.shardeval
 # directly.  The engine re-exports them under their historical private names
 # because tests monkeypatch ``engine._evaluate_shard``/``_summarize_shard``
 # to steer the inline path, and ``_inline_run_shard`` dispatches through
@@ -1163,8 +1161,8 @@ class SweepEngine:
             faulty memory.
         workers:
             Process count.  ``workers=1`` evaluates inline in this process
-            (fully debuggable); higher counts fan shards out over a
-            :class:`ProcessPoolExecutor`.  Results are bit-identical for any
+            (fully debuggable); higher counts fan shards out over that many
+            forked worker processes.  Results are bit-identical for any
             value.
         checkpoint:
             Optional path of a JSON results cache.  Completed dies are loaded
@@ -1185,7 +1183,7 @@ class SweepEngine:
             computed sweep is recorded into it.  Results are unchanged either
             way; :attr:`last_run_stats` says which path ran.
         executor:
-            Shard execution backend: ``None`` (default -- process pool when
+            Shard execution backend: ``None`` (default -- forked workers when
             ``workers > 1``, inline otherwise), a kind string (``"inline"``,
             ``"local"``, ``"tcp"``), or a full
             :class:`~repro.sim.executor.ExecutorSpec`.  The ``tcp`` kind

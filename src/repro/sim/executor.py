@@ -1,51 +1,49 @@
-"""Pluggable shard executors: inline, local process pool, and TCP coordinator.
+"""Pluggable shard executors: inline, forked local workers, and TCP.
 
 The sweep engine hands every Monte-Carlo batch to a :class:`ShardExecutor`:
 
 * :class:`InlineExecutor` -- evaluates shards in the calling process, in
   shard order (``workers=1``; fully debuggable, zero copies);
-* :class:`LocalPoolExecutor` -- the single-host tier: a
-  :class:`~concurrent.futures.ProcessPoolExecutor` fed through shared-memory
-  context blocks (:mod:`repro.sim.sharedmem`), with a bounded submission
-  window and automatic pool rebuild when a worker process dies;
-* :class:`TcpExecutor` -- the multi-host tier: a stdlib-only coordinator
-  that listens on ``host:port`` and serves shards to remote worker processes
-  started with ``python -m repro.sim.worker --connect HOST:PORT`` (framed
-  pickle transport, :mod:`repro.sim.wire`).  Workers may join and die at any
-  point of the sweep.
+* :class:`LocalExecutor` -- the single-host tier: ``workers`` forked
+  processes, each serving the coordinator over a :func:`socket.socketpair`;
+* :class:`TcpExecutor` -- the multi-host tier: a coordinator that listens on
+  ``host:port`` and serves shards to remote worker processes started with
+  ``python -m repro.sim.worker --connect HOST:PORT``.  Workers may join and
+  die at any point of the sweep.
 
-Every multi-worker executor drives the same :class:`WorkStealingScheduler`:
-shards sit in a deque ordered by a cost model (dies weighted by failure
-count), idle workers pull the costliest remaining shard from the tail
-(longest-processing-time order keeps the tail short), and the shards of a
-worker that died (connection loss, missed heartbeats, or a broken pool) are
-re-dispatched.  Re-dispatch -- and therefore any worker count, host count,
-shard order, join/leave history -- never changes results: a shard's
-evaluation is a pure function of its entry list (:mod:`repro.sim.shardeval`),
-duplicate evaluations are bit-identical, the first completion wins, and the
-caller folds results canonically (die-keyed for fixed sweeps, shard-index
-order for adaptive summaries).
+Both multi-worker tiers are one coordinator speaking one stdlib-only wire
+protocol (framed pickle, :mod:`repro.sim.wire`) with one failure model:
+they differ only in how workers arrive.  Every coordinator drives a
+:class:`WorkStealingScheduler`: shards sit in a deque ordered by a cost
+model (dies weighted by failure count), idle workers pull the costliest
+remaining shard from the tail (longest-processing-time order keeps the tail
+short), and the shards of a worker that died (connection loss or missed
+heartbeats) are re-dispatched.  Re-dispatch -- and therefore any worker
+count, host count, shard order, join/leave history -- never changes
+results: a shard's evaluation is a pure function of its entry list
+(:mod:`repro.sim.shardeval`), duplicate evaluations are bit-identical, the
+first completion wins, and the caller folds results canonically (die-keyed
+for fixed sweeps, shard-index order for adaptive summaries).
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import socket
 import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.sim import shardeval, wire
-from repro.sim.sharedmem import SharedNdarray
+from repro.sim.worker import serve_connection
 
 __all__ = [
     "ExecutorSpec",
     "ExecutorStats",
     "InlineExecutor",
-    "LocalPoolExecutor",
+    "LocalExecutor",
     "ShardExecutor",
     "TcpExecutor",
     "WorkStealingScheduler",
@@ -59,15 +57,10 @@ ShardRunner = Callable[[str, List[object], Mapping[str, object]], object]
 
 _EXECUTOR_KINDS = ("inline", "local", "tcp")
 
-#: Worker liveness cadence (seconds); a TCP worker silent for three
-#: intervals is declared lost and its shards are re-dispatched.  Sent to
-#: every worker in the context frame.
+#: Worker liveness cadence (seconds); a worker silent for three intervals
+#: is declared lost and its shards are re-dispatched.  Sent to every worker
+#: in the context frame.
 HEARTBEAT_INTERVAL = 2.0
-#: In-flight shards per pool worker (bounds how many pickled shard payloads
-#: are alive at once).
-SUBMIT_WINDOW = 4
-#: Pool-death rebuilds tolerated per batch before giving up.
-MAX_REBUILDS = 5
 
 
 @dataclass(frozen=True)
@@ -75,9 +68,9 @@ class ExecutorSpec:
     """How a sweep's shards should be executed.
 
     ``kind`` selects the executor: ``"inline"`` (in-process), ``"local"``
-    (process pool on this machine; the default), or ``"tcp"`` (coordinator
-    serving remote workers).  The remaining fields are the TCP tier's
-    rendezvous settings; none of them can change results:
+    (forked workers on this machine; the default), or ``"tcp"``
+    (coordinator serving remote workers).  The remaining fields are the
+    coordinator's rendezvous settings; none of them can change results:
 
     * ``host``/``port`` -- the TCP rendezvous address (``port=0`` binds an
       ephemeral port, exposed as :attr:`TcpExecutor.address`);
@@ -367,134 +360,18 @@ class InlineExecutor(ShardExecutor):
             self.stats.completed += 1
 
 
-class LocalPoolExecutor(ShardExecutor):
-    """Process-pool execution with shared-memory context fan-out.
+class _Coordinator(ShardExecutor):
+    """The wire-protocol coordinator both multi-worker tiers share.
 
-    The context's large arrays move into shared memory once
-    (:func:`repro.sim.shardeval.share_context`) and the pool is kept alive
-    for the executor's lifetime -- the adaptive controller submits many
-    rounds of shards to the same pool.  Submission is windowed
-    (:data:`SUBMIT_WINDOW` x workers in flight) so a 100k-shard sweep never
-    holds 100k pickled payloads alive, and a pool whose worker process dies
-    (:class:`BrokenProcessPool`) is rebuilt on the still-live shared blocks
-    with the lost shards re-dispatched.
-
-    The executor is a context manager and the engine drives it with
-    ``with``, so the shared blocks are released on every exit path: a
-    construction failure (pool spawn error) releases the blocks before the
-    exception propagates, an exception mid-sweep releases them in
-    ``__exit__``, and a parent process that dies without unwinding is
-    covered by the :mod:`repro.sim.sharedmem` ``atexit`` guard.
-    """
-
-    kind = "local"
-
-    def __init__(self, context: Dict[str, object], workers: int) -> None:
-        super().__init__()
-        self._workers = workers
-        self._blocks: List[SharedNdarray] = []
-        self._shared: Optional[Dict[str, object]] = None
-        self._pool: Optional[ProcessPoolExecutor] = None
-        try:
-            self._shared, self._blocks = shardeval.share_context(context)
-            self._pool = self._new_pool()
-        except BaseException:
-            # A half-built executor never reaches the caller, so close here
-            # or the blocks leak until process exit.
-            self.close()
-            raise
-
-    def _new_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self._workers,
-            initializer=shardeval.init_worker,
-            initargs=(self._shared,),
-        )
-
-    def run(self, kind, shards, on_complete) -> None:
-        scheduler = WorkStealingScheduler(kind, shards)
-        window = SUBMIT_WINDOW * self._workers
-        futures: Dict[Future, int] = {}
-        rebuilds = 0
-        try:
-            while True:
-                for index, payload in scheduler.drain(0):
-                    on_complete(index, payload)
-                if scheduler.finished():
-                    break
-                scheduler.raise_if_error()
-                while len(futures) < window:
-                    item = scheduler.acquire("pool", timeout=0)
-                    if item is None:
-                        break
-                    index, shard_kind, entries = item
-                    future = self._pool.submit(
-                        shardeval.pool_run_shard, shard_kind, entries
-                    )
-                    futures[future] = index
-                if not futures:  # pragma: no cover - defensive
-                    raise RuntimeError(
-                        "shard scheduler stalled with no work in flight"
-                    )
-                done, _pending = wait(
-                    futures, timeout=0.5, return_when=FIRST_COMPLETED
-                )
-                broken: Optional[BaseException] = None
-                for future in done:
-                    index = futures.pop(future)
-                    try:
-                        payload = future.result()
-                    except BrokenProcessPool as error:
-                        broken = error
-                        continue
-                    scheduler.complete(index, payload, "pool")
-                if broken is not None:
-                    rebuilds += 1
-                    self.stats.workers_lost += 1
-                    if rebuilds > MAX_REBUILDS:
-                        raise RuntimeError(
-                            f"the worker pool died {rebuilds} times; giving "
-                            f"up on rebuilding it"
-                        ) from broken
-                    # Every in-flight future died with the pool: rebuild on
-                    # the still-live shared blocks and re-dispatch.
-                    self._pool.shutdown(cancel_futures=True)
-                    futures.clear()
-                    scheduler.fail_owner("pool")
-                    self._pool = self._new_pool()
-        finally:
-            self.stats.merge(scheduler.stats)
-
-    def close(self) -> None:
-        """Shut the pool down (cancelling queued shards) and unlink the
-        shared-memory blocks.  ``cancel_futures`` matters: a mid-sweep
-        exception must not block exit behind a queue of unstarted shards."""
-        if self._pool is not None:
-            self._pool.shutdown(cancel_futures=True)
-            self._pool = None
-        for block in self._blocks:
-            block.unlink()
-        self._blocks = []
-
-
-class TcpExecutor(ShardExecutor):
-    """Coordinator serving shards to remote workers over TCP.
-
-    Binds ``spec.host:spec.port`` at construction (``port=0`` picks an
-    ephemeral port; see :attr:`address`) and accepts workers for its whole
-    lifetime -- a worker may join mid-sweep and immediately starts stealing
-    shards.  Each connection gets a handler thread: handshake (wire-version
+    Each worker connection gets a handler thread: handshake (wire-version
     and token check), ship the evaluation context once, then a
     dispatch/acknowledge loop with a heartbeat deadline.  A worker silent
     for three heartbeat intervals -- or whose connection drops -- is
     declared lost, and its un-acknowledged shards return to the queue.
-
-    The context is pickled to every worker with its real arrays: shared
-    memory is a single-host capability, and the O(bins) adaptive summaries
-    were designed precisely so results stay cheap to ship back.
+    Subclasses decide how workers arrive (:class:`TcpExecutor` accepts
+    them, :class:`LocalExecutor` forks them) and when a batch left without
+    workers must abort (:meth:`_check_workers`).
     """
-
-    kind = "tcp"
 
     def __init__(self, context: Mapping[str, object], spec: ExecutorSpec) -> None:
         super().__init__()
@@ -507,37 +384,23 @@ class TcpExecutor(ShardExecutor):
         self._closing = False
         self._workers: Set[str] = set()
         self._next_worker = 0
+        #: Open worker connections, joined or still handshaking.
+        self._live = 0
         self._last_worker_event = time.monotonic()
         self._handler_threads: List[threading.Thread] = []
-        self._listener = socket.create_server(
-            (spec.host, spec.port), backlog=16
-        )
-        #: The bound ``(host, port)`` -- differs from the spec when
-        #: ``port=0`` requested an ephemeral port.
-        self.address: Tuple[str, int] = self._listener.getsockname()[:2]
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="tcp-coordinator-accept", daemon=True
-        )
-        self._accept_thread.start()
 
     # ---------------------------------------------------------------- #
     # Worker-facing threads
     # ---------------------------------------------------------------- #
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                sock, _addr = self._listener.accept()
-            except OSError:
-                return  # listener closed (executor shutdown)
-            if self._closing:
-                sock.close()
-                return
-            thread = threading.Thread(
-                target=self._serve_worker, args=(sock,), daemon=True
-            )
-            thread.start()
-            with self._lock:
-                self._handler_threads.append(thread)
+    def _serve(self, sock: socket.socket) -> None:
+        """Start a handler thread for one worker connection."""
+        thread = threading.Thread(
+            target=self._serve_worker, args=(sock,), daemon=True
+        )
+        with self._lock:
+            self._handler_threads.append(thread)
+            self._live += 1
+        thread.start()
 
     def _serve_worker(self, sock: socket.socket) -> None:
         conn = wire.Connection(sock)
@@ -589,12 +452,15 @@ class TcpExecutor(ShardExecutor):
         finally:
             scheduler: Optional[WorkStealingScheduler] = None
             with self._lock:
+                # Counted down before fail_owner wakes the driving thread,
+                # so it sees the loss when it checks for live workers.
+                self._live -= 1
                 if worker_id is not None:
                     self._workers.discard(worker_id)
                     if not self._closing:
                         self.stats.workers_lost += 1
                     self._last_worker_event = time.monotonic()
-                    self._lock.notify_all()
+                self._lock.notify_all()
                 scheduler = self._scheduler
             if worker_id is not None and scheduler is not None:
                 scheduler.fail_owner(worker_id)
@@ -614,6 +480,10 @@ class TcpExecutor(ShardExecutor):
         except OSError:  # pragma: no cover - worker already gone
             pass
 
+    def _quorum(self) -> int:
+        """Joined workers a batch waits for before dispatching."""
+        return self._spec.min_workers
+
     def _wait_for_work(self) -> Optional[WorkStealingScheduler]:
         """Block until a batch is active and its rendezvous is met (``None``
         once the executor is closing).
@@ -628,8 +498,7 @@ class TcpExecutor(ShardExecutor):
                 if self._closing:
                     return None
                 if self._scheduler is not None and (
-                    self._started
-                    or len(self._workers) >= self._spec.min_workers
+                    self._started or len(self._workers) >= self._quorum()
                 ):
                     self._started = True
                     return self._scheduler
@@ -686,7 +555,6 @@ class TcpExecutor(ShardExecutor):
             self._scheduler = scheduler
             self._started = False
             self._lock.notify_all()
-        idle_since = time.monotonic()
         try:
             while True:
                 progress = scheduler.drain(0.25)
@@ -695,59 +563,107 @@ class TcpExecutor(ShardExecutor):
                 if scheduler.finished():
                     break
                 scheduler.raise_if_error()
-                now = time.monotonic()
-                with self._lock:
-                    n_workers = len(self._workers)
-                    last_event = self._last_worker_event
-                    started = self._started
-                # The batch is healthy while results arrive, while enough
-                # workers are connected to start it, or -- once started --
-                # while *any* worker survives to finish it.  Otherwise the
-                # clock runs: a rendezvous that never fills (or a sweep
-                # whose last worker died) must abort, not hang.
-                if (
-                    progress
-                    or n_workers >= self._spec.min_workers
-                    or (started and n_workers > 0)
-                ):
-                    idle_since = now
-                elif (
-                    now - max(idle_since, last_event)
-                    > self._spec.connect_timeout
-                ):
-                    outstanding = scheduler.total - scheduler.completed_count
-                    if n_workers:
-                        detail = (
-                            f"only {n_workers} TCP worker(s) connected to "
-                            f"{self.address[0]}:{self.address[1]} for "
-                            f"{self._spec.connect_timeout:.0f}s "
-                            f"(min_workers={self._spec.min_workers})"
-                        )
-                    else:
-                        detail = (
-                            f"no TCP workers connected to "
-                            f"{self.address[0]}:{self.address[1]} for "
-                            f"{self._spec.connect_timeout:.0f}s"
-                        )
-                    raise RuntimeError(
-                        f"{detail} with {outstanding} shard(s) outstanding; "
-                        f"start workers with: python -m repro.sim.worker "
-                        f"--connect {self.address[0]}:{self.address[1]}"
-                    )
+                self._check_workers(scheduler, bool(progress))
         finally:
             with self._lock:
                 self._scheduler = None
                 self._lock.notify_all()
             self.stats.merge(scheduler.stats)
 
+    def _check_workers(
+        self, scheduler: WorkStealingScheduler, progress: bool
+    ) -> None:
+        """Raise when the batch can no longer finish for want of workers."""
+
     def close(self) -> None:
-        """Have every handler send its worker a shutdown frame, then tear the
-        coordinator down."""
+        """Have every handler send its worker a shutdown frame and finish."""
         with self._lock:
             if self._closing:
                 return
             self._closing = True
             self._lock.notify_all()
+            handlers = list(self._handler_threads)
+        for thread in handlers:
+            thread.join(timeout=5.0)
+
+
+class TcpExecutor(_Coordinator):
+    """Coordinator serving shards to remote workers over TCP.
+
+    Binds ``spec.host:spec.port`` at construction (``port=0`` picks an
+    ephemeral port; see :attr:`address`) and accepts workers for its whole
+    lifetime -- a worker may join mid-sweep and immediately starts stealing
+    shards.  A batch whose rendezvous stays unmet (or whose last worker
+    died) for ``spec.connect_timeout`` seconds aborts.
+    """
+
+    kind = "tcp"
+
+    def __init__(self, context: Mapping[str, object], spec: ExecutorSpec) -> None:
+        super().__init__(context, spec)
+        self._listener = socket.create_server(
+            (spec.host, spec.port), backlog=16
+        )
+        #: The bound ``(host, port)`` -- differs from the spec when
+        #: ``port=0`` requested an ephemeral port.
+        self.address: Tuple[str, int] = self._listener.getsockname()[:2]
+        self._accept_thread = threading.Thread(
+            target=self._accept_loop, name="tcp-coordinator-accept", daemon=True
+        )
+        self._accept_thread.start()
+
+    def _accept_loop(self) -> None:
+        while True:
+            try:
+                sock, _addr = self._listener.accept()
+            except OSError:
+                return  # listener closed (executor shutdown)
+            self._serve(sock)
+
+    def run(self, kind, shards, on_complete) -> None:
+        self._idle_since = time.monotonic()
+        super().run(kind, shards, on_complete)
+
+    def _check_workers(
+        self, scheduler: WorkStealingScheduler, progress: bool
+    ) -> None:
+        now = time.monotonic()
+        with self._lock:
+            n_workers = len(self._workers)
+            last_event = self._last_worker_event
+            started = self._started
+        # The batch is healthy while results arrive, while enough workers
+        # are connected to start it, or -- once started -- while *any*
+        # worker survives to finish it.  Otherwise the clock runs: a
+        # rendezvous that never fills (or a sweep whose last worker died)
+        # must abort, not hang.
+        if progress or n_workers >= self._spec.min_workers or (
+            started and n_workers > 0
+        ):
+            self._idle_since = now
+            return
+        if now - max(self._idle_since, last_event) <= self._spec.connect_timeout:
+            return
+        outstanding = scheduler.total - scheduler.completed_count
+        host, port = self.address
+        if n_workers:
+            detail = (
+                f"only {n_workers} TCP worker(s) connected to {host}:{port} "
+                f"for {self._spec.connect_timeout:.0f}s "
+                f"(min_workers={self._spec.min_workers})"
+            )
+        else:
+            detail = (
+                f"no TCP workers connected to {host}:{port} for "
+                f"{self._spec.connect_timeout:.0f}s"
+            )
+        raise RuntimeError(
+            f"{detail} with {outstanding} shard(s) outstanding; start workers "
+            f"with: python -m repro.sim.worker --connect {host}:{port}"
+        )
+
+    def close(self) -> None:
+        """Stop accepting workers, then shut the connected ones down."""
         try:
             # Closing a listening socket does not wake a thread blocked in
             # accept() on Linux; shutting it down does.
@@ -755,11 +671,93 @@ class TcpExecutor(ShardExecutor):
         except OSError:  # pragma: no cover - platform-dependent
             pass
         self._listener.close()
+        # Joined before the handlers: every accepted connection has its
+        # handler registered by the time the accept loop returns.
         self._accept_thread.join(timeout=5.0)
+        super().close()
+
+
+class LocalExecutor(_Coordinator):
+    """``workers`` forked processes serving the coordinator over
+    :func:`socket.socketpair` ends, exactly as remote workers serve it over
+    TCP (:func:`repro.sim.worker.serve_connection`).
+
+    Every child is forked before any handler thread starts, so no child
+    inherits a thread.  A dead child's socket hits EOF and its shards
+    re-dispatch to the survivors; once every child is gone with shards
+    outstanding, :meth:`run` raises at once.
+    """
+
+    kind = "local"
+
+    def __init__(self, context: Mapping[str, object], workers: int) -> None:
+        super().__init__(context, ExecutorSpec(kind="local", min_workers=workers))
+        fork = multiprocessing.get_context("fork")
+        ends: List[socket.socket] = []
+        self._processes: List[multiprocessing.process.BaseProcess] = []
+        try:
+            for _ in range(workers):
+                parent_end, child_end = socket.socketpair()
+                ends.append(parent_end)
+                try:
+                    # Process.start() flushes stdio before it forks, so
+                    # buffered CLI output is never written twice.
+                    process = fork.Process(
+                        target=_serve_forked, args=(child_end, ends), daemon=True
+                    )
+                    process.start()
+                finally:
+                    child_end.close()
+                self._processes.append(process)
+        except BaseException:
+            # A half-built executor never reaches the caller: close the
+            # coordinator ends so the children already forked see EOF and
+            # exit, then reap them.
+            for end in ends:
+                end.close()
+            self.close()
+            raise
+        for end in ends:
+            self._serve(end)
+
+    def _quorum(self) -> int:
+        # A child lost before joining lowers the start barrier: the
+        # survivors must not wait for a worker that will never arrive.
+        return min(self._spec.min_workers, self._live)
+
+    def _check_workers(
+        self, scheduler: WorkStealingScheduler, progress: bool
+    ) -> None:
         with self._lock:
-            handlers = list(self._handler_threads)
-        for thread in handlers:
-            thread.join(timeout=5.0)
+            live = self._live
+        if live == 0:
+            outstanding = scheduler.total - scheduler.completed_count
+            raise RuntimeError(
+                f"all {len(self._processes)} local workers died with "
+                f"{outstanding} shard(s) outstanding"
+            )
+
+    def close(self) -> None:
+        """Shut every child down over its socket, then reap it."""
+        super().close()
+        for process in self._processes:
+            process.join(timeout=5.0)
+            if process.is_alive():  # pragma: no cover - wedged child
+                process.kill()
+                process.join()
+
+
+def _serve_forked(sock: socket.socket, parent_ends: List[socket.socket]) -> None:
+    """Body of one forked local worker: serve the coordinator on ``sock``."""
+    for end in parent_ends:
+        end.close()
+    conn = wire.Connection(sock)
+    try:
+        serve_connection(conn, None)
+    except (ConnectionError, OSError):
+        pass  # the coordinator went away; nothing left to serve
+    finally:
+        conn.close()
 
 
 def make_executor(
@@ -770,10 +768,11 @@ def make_executor(
 ) -> ShardExecutor:
     """Build the executor a sweep asked for.
 
-    ``spec`` may be ``None`` (default: local pool when ``workers > 1``,
-    inline otherwise), a kind string, or an :class:`ExecutorSpec`.  The
-    ``tcp`` kind always builds a coordinator -- remote workers provide the
-    parallelism, so the local ``workers`` count only shapes shard sizing.
+    ``spec`` may be ``None`` (default: forked local workers when
+    ``workers > 1``, inline otherwise), a kind string, or an
+    :class:`ExecutorSpec`.  The ``tcp`` kind always builds a coordinator --
+    remote workers provide the parallelism, so the local ``workers`` count
+    only shapes shard sizing.
     """
     resolved = ExecutorSpec.coerce(spec)
     if runner is None:
@@ -782,4 +781,4 @@ def make_executor(
         return TcpExecutor(context, resolved)
     if resolved.kind == "inline" or workers <= 1:
         return InlineExecutor(context, runner)
-    return LocalPoolExecutor(context, workers)
+    return LocalExecutor(context, workers)

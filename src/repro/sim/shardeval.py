@@ -4,15 +4,9 @@ A *shard* is a list of die entries; evaluating one is a pure function of
 ``(entries, context)`` where the context carries the sweep's organization,
 schemes, benchmark data, and seeding parameters.  This module holds that
 function -- in both its fixed-budget (:func:`evaluate_shard`) and adaptive
-(:func:`summarize_shard`) forms -- plus the context plumbing each transport
-needs:
-
-* the in-process and process-pool executors ship the context once per worker
-  via :func:`share_context` (big arrays moved to shared memory) and
-  :func:`init_worker` / :func:`pool_run_shard`;
-* the TCP executor pickles the *materialised* context over the wire (shared
-  memory is a single-host capability -- see :mod:`repro.sim.sharedmem`) and
-  remote workers call :func:`run_shard` directly.
+(:func:`summarize_shard`) forms.  Every worker, forked locally or remote,
+receives the context once per session in the wire protocol's context frame
+(:mod:`repro.sim.wire`) and calls :func:`run_shard` for each shard.
 
 Every function here consumes randomness only from per-die
 ``SeedSequence`` children (the engine's seeding contract), so a shard's
@@ -24,7 +18,6 @@ work-stealing and fault-tolerant re-dispatch bit-identical by construction.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -32,9 +25,7 @@ import numpy as np
 from repro.memory.faults import FaultMap
 from repro.quality.mse import mse_of_fault_map
 from repro.scenarios.base import FaultScenario
-from repro.sim.experiment import BenchmarkDefinition
 from repro.sim.faulty_storage import FaultyTensorStore
-from repro.sim.sharedmem import SharedNdarray
 from repro.stats import FixedGridEcdfSketch, StreamingMoments
 
 __all__ = [
@@ -43,11 +34,7 @@ __all__ = [
     "ShardSummary",
     "REJECTION_MAX_ATTEMPTS",
     "evaluate_shard",
-    "init_worker",
-    "materialize_context",
-    "pool_run_shard",
     "run_shard",
-    "share_context",
     "summarize_shard",
 ]
 
@@ -64,10 +51,6 @@ AdaptiveEntry = Tuple[int, int, int]
 ShardSummary = List[Tuple[Tuple[int, int], StreamingMoments, FixedGridEcdfSketch]]
 
 REJECTION_MAX_ATTEMPTS = 1000
-
-# Set once per worker process by the pool initializer so the (potentially
-# large) training tensor and scheme objects ship once, not once per shard.
-_WORKER_CONTEXT: Optional[Dict[str, object]] = None
 
 #: Test-only fault injection: when this environment variable names a path,
 #: the first shard evaluation to atomically create that file kills its own
@@ -88,107 +71,6 @@ def _maybe_die_for_test() -> None:
         return
     os.close(fd)
     os._exit(1)
-
-
-# --------------------------------------------------------------------------- #
-# Context shipping
-# --------------------------------------------------------------------------- #
-@dataclass
-class _SharedBenchmark:
-    """Picklable stand-in for a :class:`BenchmarkDefinition` whose data
-    arrays live in shared memory (workers rebuild the real object once)."""
-
-    name: str
-    metric_name: str
-    evaluate: object
-    arrays: Dict[str, SharedNdarray]
-
-    def materialize(self) -> BenchmarkDefinition:
-        return BenchmarkDefinition(
-            name=self.name,
-            metric_name=self.metric_name,
-            train_features=self.arrays["train_features"].asarray(),
-            train_targets=self.arrays["train_targets"].asarray(),
-            test_features=self.arrays["test_features"].asarray(),
-            test_targets=self.arrays["test_targets"].asarray(),
-            evaluate=self.evaluate,
-        )
-
-
-def share_context(
-    context: Dict[str, object],
-) -> Tuple[Dict[str, object], List[SharedNdarray]]:
-    """Move the context's big arrays into shared-memory blocks.
-
-    Returns the picklable context (array fields replaced by
-    :class:`SharedNdarray` handles) plus the blocks the caller must
-    ``unlink`` once the worker pool is done.  Workers attach each block at
-    most once per process, so shard fan-out no longer scales the training
-    set's memory footprint with the worker count.
-
-    This is a **single-host capability**: the handles resolve through
-    ``/dev/shm`` and mean nothing on another machine, which is why the TCP
-    executor ships the raw context instead.
-    """
-    shared = dict(context)
-    blocks: List[SharedNdarray] = []
-    try:
-        raw_features = context.get("raw_features")
-        if isinstance(raw_features, np.ndarray):
-            handle = SharedNdarray.create(raw_features)
-            blocks.append(handle)
-            shared["raw_features"] = handle
-        benchmark = context.get("benchmark")
-        if isinstance(benchmark, BenchmarkDefinition):
-            arrays: Dict[str, SharedNdarray] = {}
-            for field_name in (
-                "train_features",
-                "train_targets",
-                "test_features",
-                "test_targets",
-            ):
-                handle = SharedNdarray.create(
-                    np.asarray(getattr(benchmark, field_name))
-                )
-                blocks.append(handle)
-                arrays[field_name] = handle
-            shared["benchmark"] = _SharedBenchmark(
-                name=benchmark.name,
-                metric_name=benchmark.metric_name,
-                evaluate=benchmark.evaluate,
-                arrays=arrays,
-            )
-    except BaseException:
-        # A failure after the first create must not leak the earlier blocks
-        # (e.g. /dev/shm exhaustion while sharing the third array).
-        for block in blocks:
-            block.unlink()
-        raise
-    return shared, blocks
-
-
-def materialize_context(context: Dict[str, object]) -> Dict[str, object]:
-    """Resolve shared-memory handles back into arrays (worker side)."""
-    context = dict(context)
-    raw_features = context.get("raw_features")
-    if isinstance(raw_features, SharedNdarray):
-        context["raw_features"] = raw_features.asarray()
-    benchmark = context.get("benchmark")
-    if isinstance(benchmark, _SharedBenchmark):
-        context["benchmark"] = benchmark.materialize()
-    return context
-
-
-def init_worker(context: Dict[str, object]) -> None:
-    """Process-pool initializer: materialise the context once per worker."""
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = materialize_context(context)
-
-
-def pool_run_shard(kind: str, entries: List[object]) -> object:
-    """Pool-side entry point: evaluate one shard against the worker context."""
-    assert _WORKER_CONTEXT is not None, "worker used before initialisation"
-    return run_shard(kind, entries, _WORKER_CONTEXT)
 
 
 def run_shard(kind: str, entries: List[object], context: Mapping[str, object]) -> object:

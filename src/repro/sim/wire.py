@@ -1,8 +1,9 @@
 """Framed message transport of the distributed sweep executor.
 
-The TCP executor (:mod:`repro.sim.executor`) and its remote workers
-(:mod:`repro.sim.worker`) exchange Python objects over a stream socket.  The
-framing is deliberately primitive and stdlib-only:
+The coordinator (:mod:`repro.sim.executor`) and its workers
+(:mod:`repro.sim.worker`) exchange Python objects over a stream socket: a
+TCP connection to a remote worker, or a :func:`socket.socketpair` to a
+forked local one.  The framing is deliberately primitive and stdlib-only:
 
 ``[4-byte magic "RSW1"] [8-byte big-endian payload length] [pickle payload]``
 
@@ -152,10 +153,13 @@ class Connection:
     @staticmethod
     def _describe_peer(sock: socket.socket) -> str:
         try:
-            host, port = sock.getpeername()[:2]
-            return f"{host}:{port}"
+            peer = sock.getpeername()
         except OSError:  # pragma: no cover - already disconnected
             return "<disconnected>"
+        if not isinstance(peer, tuple):
+            return "socketpair"  # AF_UNIX: the peer has no address
+        host, port = peer[:2]
+        return f"{host}:{port}"
 
     def send(self, message: object) -> None:
         with self._send_lock:

@@ -1,13 +1,17 @@
-"""Remote sweep worker: ``python -m repro.sim.worker --connect HOST:PORT``.
+"""Sweep worker: ``python -m repro.sim.worker --connect HOST:PORT``.
 
-A worker dials the coordinator (:class:`repro.sim.executor.TcpExecutor`),
-handshakes (wire version + optional ``--token``), receives the sweep's
-evaluation context once, then serves a dispatch loop: receive a shard,
-evaluate it with :func:`repro.sim.shardeval.run_shard`, send the payload
-back.  A background thread heartbeats throughout, so the coordinator can
-tell "slow shard" from "dead worker" and only re-dispatches the latter.
+:func:`serve_connection` is the worker side of the wire protocol, shared by
+both worker tiers: a remote worker dials the coordinator
+(:class:`repro.sim.executor.TcpExecutor`), and a forked local worker
+(:class:`repro.sim.executor.LocalExecutor`) serves the socketpair end it was
+forked with.  Either way it handshakes (wire version + optional token),
+receives the sweep's evaluation context once, then serves a dispatch loop:
+receive a shard, evaluate it with :func:`repro.sim.shardeval.run_shard`,
+send the payload back.  A background thread heartbeats throughout, so the
+coordinator can tell "slow shard" from "dead worker" and only re-dispatches
+the latter.
 
-Workers are elastic on both ends:
+Remote workers are elastic on both ends:
 
 * ``--retry`` keeps dialing for that many seconds before the first session,
   so workers may be started *before* the coordinator binds its port;

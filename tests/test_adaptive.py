@@ -3,8 +3,7 @@
 Covers the controller's contract end to end: bit-identical results for any
 worker count, early stopping with fewer dies than the fixed budget, hard die
 caps, adaptive-state checkpointing keyed by the adaptive parameters,
-O(bins) shard payloads, the spec/CLI surface, and the shared-memory context
-fan-out.
+O(bins) shard payloads, and the spec/CLI surface.
 """
 
 from __future__ import annotations
@@ -33,8 +32,6 @@ from repro.sim.engine import (
     SweepEngine,
 )
 from repro.sim.experiment import knn_benchmark
-from repro.sim.shardeval import _SharedBenchmark, materialize_context, share_context
-from repro.sim.sharedmem import SharedNdarray
 
 SCHEMES = ("no-protection", "bit-shuffle-nfm2")
 
@@ -429,46 +426,6 @@ class TestAdaptiveSpec:
     def test_adaptive_defaults_apply_when_target_unset(self):
         budget = McBudgetSpec(mode="adaptive").adaptive_budget()
         assert budget.target_ci == pytest.approx(0.02)
-
-
-class TestSharedMemoryContext:
-    def test_shared_ndarray_round_trip(self):
-        source = np.arange(24, dtype=np.int64).reshape(4, 6)
-        handle = SharedNdarray.create(source)
-        try:
-            view = handle.asarray()
-            assert np.array_equal(view, source)
-            assert not view.flags.writeable
-        finally:
-            handle.unlink()
-
-    def test_share_and_materialize_context(self, smoke_benchmark):
-        raw = np.arange(12, dtype=np.int64).reshape(3, 4)
-        context = {
-            "raw_features": raw,
-            "benchmark": smoke_benchmark,
-            "clean_quality": 1.0,
-        }
-        shared, blocks = share_context(context)
-        try:
-            assert isinstance(shared["raw_features"], SharedNdarray)
-            assert isinstance(shared["benchmark"], _SharedBenchmark)
-            materialized = materialize_context(shared)
-            assert np.array_equal(materialized["raw_features"], raw)
-            bench = materialized["benchmark"]
-            assert bench.name == smoke_benchmark.name
-            assert np.array_equal(
-                bench.train_features, smoke_benchmark.train_features
-            )
-            assert bench.evaluate is smoke_benchmark.evaluate
-        finally:
-            for block in blocks:
-                block.unlink()
-
-    def test_mse_context_needs_no_shared_blocks(self):
-        shared, blocks = share_context({"evaluation": "mse", "master_seed": 1})
-        assert blocks == []
-        assert shared == {"evaluation": "mse", "master_seed": 1}
 
 
 def _figure7(benchmark, samples_per_count, adaptive, reports):

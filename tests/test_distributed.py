@@ -1,16 +1,19 @@
 """Distributed executor tier: spec/wire units, the work-stealing scheduler,
-cross-executor bit-identity, and worker-death fault tolerance.
+cross-executor bit-identity, worker-death fault tolerance, and the forked
+local workers' lifecycle.
 
 The determinism contract under test: a shard's result is a pure function of
 its entry list and the sweep context, results are folded canonically
 (die-keyed for fixed sweeps, shard-index order for adaptive summaries), so
-inline, process-pool, and TCP execution -- including runs where a worker is
+inline, forked local, and TCP execution -- including runs where a worker is
 killed mid-sweep and its shards are re-dispatched -- produce bit-identical
 distributions.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import socket
 import subprocess
 import sys
@@ -26,7 +29,7 @@ from repro.sim.engine import ExperimentConfig, SweepEngine
 from repro.sim.executor import (
     ExecutorSpec,
     InlineExecutor,
-    LocalPoolExecutor,
+    LocalExecutor,
     TcpExecutor,
     WorkStealingScheduler,
     make_executor,
@@ -113,6 +116,16 @@ class TestParseAddress:
             wire.parse_address("host:70000")
 
 
+class TestConnectionPeer:
+    def test_socketpair_peer_is_labelled(self):
+        left, right = socket.socketpair()
+        try:
+            assert wire.Connection(left).peer == "socketpair"
+        finally:
+            left.close()
+            right.close()
+
+
 class TestExecutorSpec:
     def test_coerce_none_is_local(self):
         assert ExecutorSpec.coerce(None).kind == "local"
@@ -143,7 +156,7 @@ class TestExecutorSpec:
         with make_executor(context, workers=4, spec="inline") as ex:
             assert isinstance(ex, InlineExecutor)
         with make_executor(context, workers=2) as ex:
-            assert isinstance(ex, LocalPoolExecutor)
+            assert isinstance(ex, LocalExecutor)
 
 
 class TestShardCost:
@@ -440,6 +453,138 @@ class TestWorkerDeathRecovery:
                 executor.run("summarize", [[(0, 0, 1)]], lambda *_: None)
         finally:
             executor.close()
+
+
+# --------------------------------------------------------------------------- #
+# Forked local workers: no child may outlive its executor
+# --------------------------------------------------------------------------- #
+def _failing_evaluate(train_features, train_targets, test_features, test_targets):
+    raise RuntimeError("injected benchmark failure")
+
+
+def _bounded(call, timeout):
+    """Run ``call`` on a daemon thread: a stalled sweep fails the test
+    instead of hanging it."""
+    outcome = []
+
+    def target():
+        try:
+            outcome.append((True, call()))
+        except BaseException as error:
+            outcome.append((False, error))
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert outcome, f"still running after {timeout:g}s"
+    finished, value = outcome[0]
+    if not finished:
+        raise value
+    return value
+
+
+class TestLocalExecutorLifecycle:
+    def test_successful_sweep_leaves_no_child(self):
+        engine = SweepEngine(_mse_config())
+        engine.run_mse(workers=2)
+        assert engine.last_run_stats.executor == "local"
+        assert multiprocessing.active_children() == []
+
+    def test_failing_parallel_sweep_leaves_no_child(self, monkeypatch):
+        def _raise(entries, context):
+            raise ValueError("injected shard failure")
+
+        # Forked workers inherit the patched module.
+        monkeypatch.setattr(shardeval, "evaluate_shard", _raise)
+        with pytest.raises(RuntimeError, match="injected shard failure") as info:
+            SweepEngine(_mse_config()).run_mse(workers=2)
+        # The worker's traceback travels with the error.
+        assert "ValueError" in str(info.value)
+        assert multiprocessing.active_children() == []
+
+    def test_all_workers_dying_aborts_promptly(self, monkeypatch):
+        monkeypatch.setattr(
+            shardeval, "evaluate_shard", lambda entries, context: os._exit(3)
+        )
+        with pytest.raises(RuntimeError, match="all 2 local workers died"):
+            _bounded(lambda: SweepEngine(_mse_config()).run_mse(workers=2), 5.0)
+        assert multiprocessing.active_children() == []
+
+    def test_child_lost_before_joining_lowers_the_start_barrier(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.sim import executor as executor_module
+
+        config = _mse_config(samples_per_count=8)
+        inline = SweepEngine(config).run_mse(executor="inline")
+        marker = str(tmp_path / "one-child-dies-before-the-handshake")
+        real_serve = executor_module.serve_connection
+
+        def serve_unless_first(conn, token):
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            except FileExistsError:
+                return real_serve(conn, token)
+            os._exit(1)
+
+        monkeypatch.setattr(executor_module, "serve_connection", serve_unless_first)
+        survived = _bounded(lambda: SweepEngine(config).run_mse(workers=2), 30.0)
+        assert_results_identical(inline, survived)
+        assert multiprocessing.active_children() == []
+
+    def test_fork_failure_closes_ends_and_leaves_no_child(self, monkeypatch):
+        pairs = []
+        real_socketpair = socket.socketpair
+        real_fork = os.fork
+        forks = {"n": 0}
+
+        def recording_socketpair(*args):
+            pair = real_socketpair(*args)
+            pairs.append(pair)
+            return pair
+
+        def flaky_fork():
+            forks["n"] += 1
+            if forks["n"] >= 2:
+                raise OSError("injected fork failure")
+            return real_fork()
+
+        monkeypatch.setattr(socket, "socketpair", recording_socketpair)
+        monkeypatch.setattr(os, "fork", flaky_fork)
+        with pytest.raises(OSError, match="injected fork failure"):
+            make_executor({"evaluation": "mse"}, workers=3)
+        assert forks["n"] == 2  # one child was forked, then released
+        assert len(pairs) == 2
+        assert all(sock.fileno() == -1 for pair in pairs for sock in pair)
+        assert multiprocessing.active_children() == []
+
+    def test_context_manager_reaps_children_on_exception(self):
+        with pytest.raises(RuntimeError, match="mid-sweep"):
+            with make_executor({"evaluation": "mse"}, workers=2):
+                assert len(multiprocessing.active_children()) == 2
+                raise RuntimeError("mid-sweep failure")
+        assert multiprocessing.active_children() == []
+
+    def test_inline_executor_forks_nothing(self):
+        with make_executor({"evaluation": "mse"}, workers=1):
+            assert multiprocessing.active_children() == []
+
+    def test_failing_benchmark_training_leaves_no_child(self):
+        from repro.sim.experiment import BenchmarkDefinition
+
+        rng = np.random.default_rng(3)
+        benchmark = BenchmarkDefinition(
+            name="tiny",
+            metric_name="score",
+            train_features=rng.normal(size=(8, 4)),
+            train_targets=rng.normal(size=8),
+            test_features=rng.normal(size=(4, 4)),
+            test_targets=rng.normal(size=4),
+            evaluate=_failing_evaluate,
+        )
+        with pytest.raises(RuntimeError, match="injected benchmark failure"):
+            SweepEngine(_mse_config()).run(benchmark, workers=2)
+        assert multiprocessing.active_children() == []
 
 
 class TestTcpClose:

@@ -10,8 +10,8 @@ points are recomputed after a spec change).
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -278,14 +278,10 @@ class TestConcurrentWriters:
         root = str(tmp_path / "s")
         ResultStore(root).close()
         writers, per_writer = 4, 5
-        with ProcessPoolExecutor(max_workers=writers) as pool:
-            done = list(
-                pool.map(
-                    _append_records,
-                    [root] * writers,
-                    range(writers),
-                    [per_writer] * writers,
-                )
+        with multiprocessing.Pool(processes=writers) as pool:
+            done = pool.starmap(
+                _append_records,
+                [(root, writer_id, per_writer) for writer_id in range(writers)],
             )
         assert sorted(done) == list(range(writers))
         with ResultStore(root, create=False) as store:
@@ -304,8 +300,6 @@ class TestConcurrentWriters:
         # save genuinely race (each handle's snapshot only stamps its own
         # segment).  The reopen must rebuild from the segment listing and
         # account for every record exactly once.
-        import multiprocessing
-
         root = str(tmp_path / "s")
         ResultStore(root).close()
         per_writer = 25
