@@ -1,25 +1,17 @@
-"""Design-space sweep: checkpoint-cache reuse and worker-count bit-identity.
+"""Design-space sweep: checkpoint-cache replay speed.
 
 Runs a 3-voltage x 3-scheme x 1-benchmark DSE grid (the ``repro dse run``
-smoke configuration) and gates the two properties the subsystem promises:
-
-* **bit-identity across worker counts** -- the joined result table is exactly
-  equal for ``workers=1`` and ``workers=REPRO_BENCH_WORKERS`` (default 2),
-  the sweep engine's deterministic per-die seeding contract lifted to the
-  full grid;
-* **checkpoint reuse** -- a second run pointed at the same checkpoint
-  directory replays every grid point from the per-point SweepEngine caches
-  and must complete at least 10x faster than the cold sweep.
-
-Run with ``pytest -s`` to see the timing table.
+smoke configuration) cold, then again against the same checkpoint
+directory.  The second run replays every grid point from the per-point
+SweepEngine caches and must complete at least 10x faster than the cold
+sweep.  That the replay needs no evaluation, and that the grid is
+bit-identical across worker counts, are tier-1 checks in
+``tests/test_dse.py``.
 """
 
 from __future__ import annotations
 
-import os
 import time
-
-import pytest
 
 from repro.dse import (
     BenchmarkGridSpec,
@@ -31,7 +23,6 @@ from repro.dse import (
     SchemeGridSpec,
 )
 
-WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "2"))
 REPLAY_SPEEDUP_GATE = 10.0
 
 SPEC = ExperimentSpec(
@@ -52,47 +43,7 @@ SPEC = ExperimentSpec(
 )
 
 
-@pytest.fixture(scope="module")
-def serial_result():
-    return DesignSpaceExplorer(SPEC, workers=1).run()
-
-
-def test_dse_grid_bit_identical_across_worker_counts(
-    benchmark, table_printer, json_summary, serial_result
-):
-    parallel = benchmark.pedantic(
-        DesignSpaceExplorer(SPEC, workers=WORKERS).run, rounds=1, iterations=1
-    )
-    assert parallel.rows == serial_result.rows
-    assert len(parallel.rows) == SPEC.grid_size()
-    frontier = parallel.pareto()
-    assert frontier, "the 3x3 grid must produce a non-empty Pareto frontier"
-    json_summary(
-        "dse_grid",
-        {
-            "grid_size": SPEC.grid_size(),
-            "workers": WORKERS,
-            "frontier_size": len(frontier),
-            "bit_identical_across_workers": True,
-        },
-    )
-    table_printer(
-        f"DSE grid ({SPEC.grid_size()} cells), workers 1 vs {WORKERS}",
-        ["scheme", "VDD [V]", "E total [fJ]", "Q@yield", "on frontier"],
-        [
-            [
-                row["scheme"],
-                row["vdd"],
-                row["total_read_energy_fj"],
-                row["quality_at_yield"],
-                "yes" if row in frontier else "-",
-            ]
-            for row in parallel.rows
-        ],
-    )
-
-
-def test_dse_checkpoint_cache_replays_fast(tmp_path, table_printer, json_summary):
+def test_dse_checkpoint_cache_replays_fast(tmp_path, json_summary):
     directory = str(tmp_path / "grid-cache")
 
     start = time.perf_counter()
@@ -104,17 +55,8 @@ def test_dse_checkpoint_cache_replays_fast(tmp_path, table_printer, json_summary
     replay_seconds = time.perf_counter() - start
 
     assert replay.rows == cold.rows
-    assert len(os.listdir(directory)) == len(SPEC.operating_points())
 
     speedup = cold_seconds / replay_seconds
-    table_printer(
-        "DSE checkpoint reuse (per-grid-point SweepEngine caches)",
-        ["run", "wall clock [s]", "speedup"],
-        [
-            ["cold sweep", cold_seconds, 1.0],
-            ["cached replay", replay_seconds, speedup],
-        ],
-    )
     json_summary(
         "dse_checkpoint_replay",
         {

@@ -87,7 +87,7 @@ def _as_tuple(result):
 
 @pytest.mark.parametrize("kernel", sorted(KERNEL_CASES))
 @pytest.mark.parametrize("backend_name", BACKENDS)
-def test_kernel_throughput(kernel, backend_name, json_summary, table_printer):
+def test_kernel_throughput(kernel, backend_name, json_summary):
     """words/s per kernel per backend, with bit identity on the timed inputs."""
     backend = build_backend(backend_name)
     run = KERNEL_CASES[kernel]
@@ -95,11 +95,6 @@ def test_kernel_throughput(kernel, backend_name, json_summary, table_printer):
         assert np.array_equal(want, got), f"{backend_name} diverges on {kernel}"
     seconds = _best_seconds(lambda: run(backend))
     words_per_second = _WORDS_PER_CALL[kernel] / seconds
-    table_printer(
-        f"{kernel} [{backend_name}]",
-        ["kernel", "backend", "words/s"],
-        [[kernel, backend_name, words_per_second]],
-    )
     json_summary(
         "kernel_throughput",
         {

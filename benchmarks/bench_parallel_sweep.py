@@ -2,7 +2,7 @@
 
 Runs the same seeded :class:`~repro.sim.engine.SweepEngine` sweep (KNN
 benchmark, 16 kB memory, Pcell = 1e-3, 48 dies x 4 schemes) serially and with
-``REPRO_BENCH_WORKERS`` processes (default 4), then
+4 worker processes, then
 
 * asserts the two result sets are **bit-identical** -- the engine's
   deterministic per-die seeding contract, and
@@ -17,9 +17,6 @@ gates the tcp tier against the inline baseline: localhost sockets plus
 pickle framing must still deliver >= 1.5x at 4 workers on a 4-CPU machine,
 or the distributed tier's overhead has regressed past the point of
 usefulness.
-
-Run with ``pytest -s`` to see the timing tables; the CI smoke jobs run this
-file with ``REPRO_BENCH_WORKERS=2`` and archive the output.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from repro.sim.executor import ExecutorSpec
 from repro.sim.experiment import standard_benchmarks
 from repro.sim.worker import spawn_local_workers
 
-WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "4"))
+WORKERS = 4
 SPEEDUP_GATE = 2.0
 MASTER_SEED = 2015
 
@@ -65,9 +62,7 @@ def _snapshot(results):
     }
 
 
-def test_parallel_sweep_bit_identity_and_speedup(
-    benchmark, table_printer, json_summary, knn
-):
+def test_parallel_sweep_bit_identity_and_speedup(json_summary, knn):
     engine = SweepEngine(CONFIG)
     n_dies = len(engine.plan())
 
@@ -76,9 +71,7 @@ def test_parallel_sweep_bit_identity_and_speedup(
     serial_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    parallel = benchmark.pedantic(
-        engine.run, args=(knn,), kwargs={"workers": WORKERS}, rounds=1, iterations=1
-    )
+    parallel = engine.run(knn, workers=WORKERS)
     parallel_seconds = time.perf_counter() - start
 
     # Hard gate in every environment: the parallel path must be bit-identical
@@ -108,20 +101,11 @@ def test_parallel_sweep_bit_identity_and_speedup(
         record["skipped"] = f"{cpus} CPU(s) for {WORKERS} workers"
     else:
         record["speedup"] = speedup
-    table_printer(
-        f"Parallel sweep, Fig. 7 smoke config ({n_dies} dies x "
-        f"{len(engine.schemes)} schemes, {cpus} CPUs)",
-        ["workers", "wall clock [s]", "speedup", "bit-identical"],
-        [
-            [1, serial_seconds, 1.0, "-"],
-            [WORKERS, parallel_seconds, record.get("speedup", "skipped"), "yes"],
-        ],
-    )
     json_summary("parallel_sweep", record)
 
     # The speedup gate only binds where the hardware can deliver it: 4
     # workers on a 1-2 core runner measure scheduling overhead, not the engine.
-    if cpus >= 4 and WORKERS >= 4:
+    if cpus >= WORKERS:
         assert speedup >= SPEEDUP_GATE, (
             f"expected >= {SPEEDUP_GATE}x speedup with {WORKERS} workers on "
             f"{cpus} CPUs, measured {speedup:.2f}x"
@@ -137,7 +121,7 @@ def _free_port() -> int:
         return probe.getsockname()[1]
 
 
-def test_executor_scaling(table_printer, json_summary, knn):
+def test_executor_scaling(json_summary, knn):
     """Inline vs local vs tcp-localhost wall clock on the Fig. 7 smoke config.
 
     Every tier must reproduce the inline run bit-identically; the tcp tier
@@ -147,7 +131,7 @@ def test_executor_scaling(table_printer, json_summary, knn):
     local tier's >= 2x.
     """
     engine = SweepEngine(CONFIG)
-    counts = [2, 4] if WORKERS >= 4 else [2]
+    counts = [2, WORKERS]
     cpus = os.cpu_count() or 1
     results = {}
 
@@ -157,22 +141,18 @@ def test_executor_scaling(table_printer, json_summary, knn):
         return time.perf_counter() - start
 
     inline_seconds = timed("inline", workers=1)
-    rows = [["inline", 1, inline_seconds, 1.0]]
     record = {"cpus": cpus, "inline_seconds": inline_seconds}
 
     for n in counts:
-        seconds = timed(f"local-{n}", workers=n)
-        rows.append(["local", n, seconds, inline_seconds / seconds])
-        record[f"local_{n}_seconds"] = seconds
+        record[f"local_{n}_seconds"] = timed(f"local-{n}", workers=n)
 
-    tcp_seconds = {}
     for n in counts:
         port = _free_port()
         workers = spawn_local_workers(
             ("127.0.0.1", port), n, retry=8, stderr=subprocess.DEVNULL
         )
         try:
-            seconds = timed(
+            record[f"tcp_{n}_seconds"] = timed(
                 f"tcp-{n}",
                 workers=n,
                 executor=ExecutorSpec(kind="tcp", host="127.0.0.1", port=port),
@@ -182,9 +162,6 @@ def test_executor_scaling(table_printer, json_summary, knn):
                 proc.terminate()
             for proc in workers:
                 proc.wait(timeout=30)
-        tcp_seconds[n] = seconds
-        rows.append(["tcp (localhost)", n, seconds, inline_seconds / seconds])
-        record[f"tcp_{n}_seconds"] = seconds
 
     # Hard gate everywhere: every tier reproduces the inline run exactly.
     inline = results.pop("inline")
@@ -199,24 +176,19 @@ def test_executor_scaling(table_printer, json_summary, knn):
     stats = engine.last_run_stats
     assert stats is not None and stats.executor == "tcp"
 
-    table_printer(
-        f"Executor tiers, Fig. 7 smoke config ({cpus} CPUs)",
-        ["executor", "workers", "wall clock [s]", "speedup vs inline"],
-        rows,
-    )
     record["bit_identical"] = True
     json_summary("executor_scaling", record)
 
     # The distributed gate binds only where the hardware can deliver it.
-    if cpus >= 4 and 4 in tcp_seconds:
-        speedup = inline_seconds / tcp_seconds[4]
+    if cpus >= WORKERS:
+        speedup = inline_seconds / record[f"tcp_{WORKERS}_seconds"]
         assert speedup >= TCP_SPEEDUP_GATE, (
             f"expected >= {TCP_SPEEDUP_GATE}x speedup from the tcp executor "
             f"with 4 localhost workers on {cpus} CPUs, measured {speedup:.2f}x"
         )
 
 
-def test_checkpoint_replay_is_instant(tmp_path, knn, table_printer, json_summary):
+def test_checkpoint_replay_is_instant(tmp_path, knn, json_summary):
     """A completed checkpoint replays the whole sweep without re-evaluation."""
     engine = SweepEngine(CONFIG)
     path = str(tmp_path / "sweep.json")
@@ -230,11 +202,6 @@ def test_checkpoint_replay_is_instant(tmp_path, knn, table_printer, json_summary
     replay_seconds = time.perf_counter() - start
 
     assert _snapshot(replay) == _snapshot(first)
-    table_printer(
-        "Checkpoint replay",
-        ["run", "wall clock [s]"],
-        [["cold", cold_seconds], ["replay", replay_seconds]],
-    )
     json_summary(
         "checkpoint_replay",
         {"cold_seconds": cold_seconds, "replay_seconds": replay_seconds},

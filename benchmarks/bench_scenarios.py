@@ -1,60 +1,32 @@
-"""Fault-scenario pipeline benchmarks: clustered sampler speedup + sweep smoke.
-
-Two gates and one characterisation table:
+"""Fault-scenario sampler speed: clustered burst placement and the transient tier.
 
 * **vectorized clustered sampler >= 10x** -- the batch NumPy burst-placement
   sampler behind the ``clustered`` scenario must beat the per-map/per-cluster
   scalar reference (``vectorized=False``, the same rejection rule written as
   plain Python) by at least :data:`CLUSTER_SPEEDUP_GATE` on a Monte-Carlo
   sized batch;
-* **scenario sweep bit-identity** -- a seeded MSE sweep through each
-  non-default catalog scenario returns exactly equal distributions for
-  ``workers=1`` and ``workers=REPRO_BENCH_WORKERS`` (the engine's seeding
-  contract extended to scenario sampling);
-* a timing/summary table (run with ``pytest -s``) of one sweep per catalog
-  scenario at a shared operating point, showing how the scenario changes the
-  quality-aware yield answer.
+* a timing record of the batched transient-tier sampler against its scalar
+  reference.
+
+Scenario and transient sweeps being bit-identical across worker counts, and
+repair never lowering the yield, are tier-1 checks in
+``tests/test_scenarios.py`` and ``tests/test_transient.py``.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
-import pytest
 
 from repro.memory.organization import MemoryOrganization
-from repro.scenarios import ClusterTransform, ScenarioSpec
-from repro.sim.engine import ExperimentConfig, SweepEngine
+from repro.scenarios import ClusterTransform, build_scenario
 
-WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "2"))
 CLUSTER_SPEEDUP_GATE = 10.0
 
 ORG = MemoryOrganization.paper_16kb()
 CLUSTER_BATCH = 1000
 CLUSTER_FAULTS = 32
-
-SCENARIOS = (
-    ScenarioSpec("iid-pcell"),
-    ScenarioSpec("aged", (("years", 5.0),)),
-    ScenarioSpec("clustered", (("cluster_size", 4),)),
-    ScenarioSpec("repaired", (("spare_rows", 4),)),
-)
-
-
-def _sweep_config(scenario: ScenarioSpec) -> ExperimentConfig:
-    return ExperimentConfig(
-        rows=1024,
-        p_cell=2e-4,
-        coverage=0.95,
-        samples_per_count=4,
-        n_count_points=8,
-        master_seed=2015,
-        scheme_specs=("no-protection", "p-ecc", "bit-shuffle-nfm2"),
-        discard_multi_fault_words=False,
-        scenario=scenario,
-    )
 
 
 def _time(fn):
@@ -72,7 +44,7 @@ def _best_time(fn, repeats: int = 3):
     return result, best
 
 
-def test_clustered_vectorized_sampler_speedup(table_printer):
+def test_clustered_vectorized_sampler_speedup(json_summary):
     """The vectorized burst sampler must beat the scalar reference >= 10x."""
     transform = ClusterTransform(cluster_size=4, row_fraction=0.5)
 
@@ -99,15 +71,15 @@ def test_clustered_vectorized_sampler_speedup(table_printer):
             assert np.unique(flat).size == CLUSTER_FAULTS
 
     speedup = ref_seconds / vec_seconds
-    per_map_us = vec_seconds / CLUSTER_BATCH * 1e6
-    table_printer(
-        "Clustered burst sampler: vectorized vs scalar reference "
-        f"({CLUSTER_BATCH} maps x {CLUSTER_FAULTS} faults, 16kB memory)",
-        ["sampler", "seconds", "us/map", "speedup"],
-        [
-            ["scalar reference", ref_seconds, ref_seconds / CLUSTER_BATCH * 1e6, 1.0],
-            ["vectorized", vec_seconds, per_map_us, speedup],
-        ],
+    json_summary(
+        "clustered_sampler",
+        {
+            "maps": CLUSTER_BATCH,
+            "faults_per_map": CLUSTER_FAULTS,
+            "scalar_seconds": ref_seconds,
+            "vectorized_seconds": vec_seconds,
+            "speedup": speedup,
+        },
     )
     assert speedup >= CLUSTER_SPEEDUP_GATE, (
         f"vectorized clustered sampler only {speedup:.1f}x faster than the "
@@ -115,104 +87,12 @@ def test_clustered_vectorized_sampler_speedup(table_printer):
     )
 
 
-@pytest.mark.parametrize(
-    "scenario", SCENARIOS[1:], ids=lambda s: s.name
-)
-def test_scenario_sweep_bit_identical_across_workers(scenario):
-    """Seeded scenario sampling inherits the engine's worker-identity contract."""
-    engine = SweepEngine(_sweep_config(scenario))
-    serial = engine.run_mse(workers=1)
-    parallel = engine.run_mse(workers=WORKERS)
-    for name in serial:
-        xs, ys = serial[name].ecdf.curve()
-        xp, yp = parallel[name].ecdf.curve()
-        assert np.array_equal(xs, xp) and np.array_equal(ys, yp)
-
-
-def test_scenario_sweep_summary(table_printer):
-    """One seeded MSE sweep per catalog scenario at a shared operating point."""
-    rows = []
-    for scenario in SCENARIOS:
-        config = _sweep_config(scenario)
-        engine = SweepEngine(config)
-        results, seconds = _time(lambda: engine.run_mse(workers=1))
-        dist = results["bit-shuffle-nfm2"]
-        rows.append(
-            [
-                scenario.name,
-                config.effective_p_cell,
-                config.max_failures,
-                dist.yield_at_mse(1e4),
-                seconds,
-            ]
-        )
-    table_printer(
-        "Scenario sweep summary (bit-shuffle-nfm2, 4kB memory, Pcell=2e-4)",
-        ["scenario", "effective Pcell", "Nmax", "yield@MSE<=1e4", "seconds"],
-        rows,
-    )
-    by_name = {row[0]: row for row in rows}
-    # Aging widens the failure-count grid; repair can only help the yield.
-    assert by_name["aged"][2] > by_name["iid-pcell"][2]
-    # Tolerance: ECDF weight sums differ by a few ulps between scenarios.
-    assert by_name["repaired"][3] >= by_name["iid-pcell"][3] - 1e-9
-
-
-# --------------------------------------------------------------------------- #
-# Transient tier (per-read effects run through the quality sweep: the
-# analytical MSE path rejects transient scenarios by design)
-# --------------------------------------------------------------------------- #
-TRANSIENT_SCENARIO = ScenarioSpec(
-    "transient",
-    (("ser", 1e-4), ("disturb", 5e-5), ("scrub_interval", 2)),
-)
-
-
-def _transient_config() -> ExperimentConfig:
-    return ExperimentConfig(
-        rows=256,
-        p_cell=2e-3,
-        coverage=0.9,
-        samples_per_count=2,
-        n_count_points=4,
-        master_seed=2015,
-        scheme_specs=("no-protection", "bit-shuffle-nfm2"),
-        discard_multi_fault_words=False,
-        benchmark="knn",
-        scenario=TRANSIENT_SCENARIO,
-        access_trace=4,
-    )
-
-
-@pytest.fixture(scope="module")
-def transient_benchmark():
-    from repro.sim.experiment import knn_benchmark
-
-    return knn_benchmark(n_samples=120, seed=3)
-
-
-def test_transient_sweep_bit_identical_across_workers(transient_benchmark):
-    """Per-read transient corruption replays from each die's seed-sequence
-    child, so the quality sweep stays bit-identical for any worker count."""
-    engine = SweepEngine(_transient_config())
-    serial = engine.run(transient_benchmark, workers=1)
-    parallel = engine.run(transient_benchmark, workers=WORKERS)
-    for name in serial:
-        xs, ys = serial[name].cdf_series()
-        xp, yp = parallel[name].cdf_series()
-        assert np.array_equal(xs, xp) and np.array_equal(ys, yp)
-
-
-def test_transient_tier_vectorized_vs_scalar_summary(
-    table_printer, json_summary
-):
+def test_transient_tier_vectorized_vs_scalar_summary(json_summary):
     """Timing of the batched tier sampler against its scalar reference.
 
     Informational (no speedup gate: the tier is a small fraction of a
     quality sweep); the bit-identity of the two paths is asserted.
     """
-    from repro.scenarios import build_scenario
-
     scenario = build_scenario(
         "transient", ser=1e-3, disturb=5e-4, scrub_interval=2
     )
@@ -231,16 +111,6 @@ def test_transient_tier_vectorized_vs_scalar_summary(
     vec_masks, vec_seconds = _best_time(lambda: sample(True))
     ref_masks, ref_seconds = _best_time(lambda: sample(False))
     assert np.array_equal(vec_masks, ref_masks)
-    speedup = ref_seconds / vec_seconds
-    table_printer(
-        "Transient tier: batched vs scalar reference "
-        f"({n_values} values x {passes} passes, 16kB memory)",
-        ["path", "seconds", "speedup"],
-        [
-            ["scalar reference", ref_seconds, 1.0],
-            ["batched", vec_seconds, speedup],
-        ],
-    )
     json_summary(
         "transient_tier_sampler",
         {
@@ -248,6 +118,6 @@ def test_transient_tier_vectorized_vs_scalar_summary(
             "passes": passes,
             "scalar_seconds": ref_seconds,
             "batched_seconds": vec_seconds,
-            "speedup": speedup,
+            "speedup": ref_seconds / vec_seconds,
         },
     )

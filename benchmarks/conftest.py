@@ -1,22 +1,20 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the speed gates.
 
-Every ``bench_*`` module regenerates one table or figure of the paper.  The
-timed section is the experiment itself; after timing, each benchmark prints
-the reproduced data series (run pytest with ``-s`` to see the tables) and
-asserts the paper's qualitative claims so a regression in the model breaks the
-harness loudly.
+Tier-1 (``tests/``) holds every deterministic check, the paper's claims
+included.  The modules here hold what tier-1 must not run: wall-clock gates,
+whose verdict depends on the host, and the speed records they write.
 
-When the ``REPRO_BENCH_JSON`` environment variable names a file, benchmarks
-additionally append machine-readable summary records there (one JSON object
-per line) via the ``json_summary`` fixture; CI uploads those files as build
-artifacts so perf trends can be tracked without scraping stdout tables.
+When the ``REPRO_BENCH_JSON`` environment variable names a file, the gates
+append machine-readable records there (one JSON object per line) via the
+``json_summary`` fixture; CI uploads that file as a build artifact so speed
+trends can be tracked across runs.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import pytest
 
@@ -59,26 +57,3 @@ def emit_json_summary(record_name: str, record: Mapping[str, object]) -> None:
 def json_summary():
     """Fixture exposing :func:`emit_json_summary` to benchmark modules."""
     return emit_json_summary
-
-
-def print_table(title: str, headers: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
-    """Print a plain-text table (visible with ``pytest -s``)."""
-    formatted_rows = [
-        [f"{v:.4g}" if isinstance(v, float) else str(v) for v in row] for row in rows
-    ]
-    widths = [len(h) for h in headers]
-    for row in formatted_rows:
-        widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
-    print()
-    print(title)
-    line = "  ".join(h.ljust(w) for h, w in zip(headers, widths))
-    print(line)
-    print("-" * len(line))
-    for row in formatted_rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-
-
-@pytest.fixture
-def table_printer():
-    """Fixture exposing :func:`print_table` to benchmark modules."""
-    return print_table

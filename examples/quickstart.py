@@ -40,7 +40,8 @@ def main() -> None:
     #    Fig. 2, where the traditional zero-failure yield has already collapsed).
     #    At this fault density each faulty row holds a single faulty cell --
     #    the regime the paper's single-entry FM-LUT targets; see
-    #    benchmarks/bench_ablation_multifault_policy.py for what happens beyond it.
+    #    test_ablation_multifault_policy in tests/test_paper_claims.py for what
+    #    happens beyond it.
     fault_map = FaultMap.random_with_pcell(organization, p_cell=2e-4, rng=rng)
     print(
         f"Manufactured die has {fault_map.fault_count} faulty cells "

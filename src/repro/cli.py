@@ -15,9 +15,10 @@ Usage (after ``pip install -e .``)::
     repro-faulty-mem store gc --store results/      # compact it
     repro-faulty-mem store export --store results/ --output r.jsonl
 
-Every command prints a plain-text table to stdout; the benchmark harness under
-``benchmarks/`` reuses the same analysis functions.  The two Monte-Carlo sweep
-commands (``fig5``, ``fig7``) and ``dse run`` share one option set:
+Every command prints a plain-text table to stdout; the paper-claim tests in
+``tests/test_paper_claims.py`` call the same analysis functions.  The two
+Monte-Carlo sweep commands (``fig5``, ``fig7``) and ``dse run`` share one
+option set:
 ``--workers`` (process fan-out, bit-identical results for any count),
 ``--sampling legacy|seeded`` (shared-generator replay versus per-die seed
 children), ``--checkpoint`` (resumable JSON results cache),

@@ -16,8 +16,9 @@ exact number of faults of every input map and only re-places them, so the
 stratified ``Pr(N = n)`` weighting of the Monte-Carlo sweep stays valid
 unchanged.
 
-Two implementations are provided and gated against each other by
-``benchmarks/bench_scenarios.py``:
+Two implementations are provided; ``tests/test_scenarios.py`` checks that they
+draw the same distribution, and ``benchmarks/bench_scenarios.py`` gates the
+vectorized one at >= 10x the reference:
 
 * the default *vectorized* sampler draws whole batches of burst layouts as a
   few NumPy passes with rejection of colliding clusters;

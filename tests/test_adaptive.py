@@ -185,6 +185,37 @@ class TestAdaptiveStopping:
         for dist in results.values():
             assert dist.samples == report.total_dies
 
+    def test_fig5_golden_config_needs_3x_fewer_dies_than_fixed_budget(self):
+        # The Fig. 5 golden operating point: Neyman allocation concentrates
+        # dies in the high-variance low-count strata, so the +/-0.01 target
+        # costs at most a third of the uniform per-count budget that reaches
+        # the same half-width.
+        org = MemoryOrganization.paper_16kb()
+        config = ExperimentConfig(
+            rows=org.rows,
+            word_width=org.word_width,
+            p_cell=5e-6,
+            coverage=0.9999999,
+            samples_per_count=200,
+            master_seed=2015,
+            scheme_specs=(
+                "no-protection",
+                "p-ecc",
+                "bit-shuffle-nfm1",
+                "bit-shuffle-nfm2",
+            ),
+            discard_multi_fault_words=False,
+            adaptive=AdaptiveBudget(
+                target_ci=0.01, round_dies=128, max_total_samples=20_000
+            ),
+        )
+        engine = SweepEngine(config)
+        engine.run_mse()
+        report = engine.last_adaptive_report
+        assert report.reached
+        assert report.achieved_half_width <= 0.01
+        assert report.fixed_equivalent_dies() >= 3.0 * report.total_dies
+
     def test_unreachable_target_runs_to_the_cap(self):
         config = _config(
             samples_per_count=4,

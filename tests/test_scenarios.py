@@ -452,6 +452,28 @@ class TestEngineIntegration:
         assert aged.max_failures > base.max_failures
         assert aged.zero_fault_probability < base.zero_fault_probability
 
+    def test_repair_never_lowers_the_yield(self):
+        # 4 kB memory, Pcell = 2e-4: spare rows can only remove faults, so
+        # the repaired yield at MSE <= 1e4 is at least the iid yield.  The
+        # tolerance covers ECDF weight sums that differ by a few ulps.
+        def yield_at_1e4(scenario):
+            config = ExperimentConfig(
+                rows=1024,
+                p_cell=2e-4,
+                coverage=0.95,
+                samples_per_count=4,
+                n_count_points=8,
+                master_seed=2015,
+                scheme_specs=("no-protection", "p-ecc", "bit-shuffle-nfm2"),
+                discard_multi_fault_words=False,
+                scenario=scenario,
+            )
+            results = SweepEngine(config).run_mse(workers=1)
+            return results["bit-shuffle-nfm2"].yield_at_mse(1e4)
+
+        repaired = yield_at_1e4(ScenarioSpec("repaired", (("spare_rows", 4),)))
+        assert repaired >= yield_at_1e4(ScenarioSpec("iid-pcell")) - 1e-9
+
     def test_scenarios_change_the_answer(self):
         # The point of the refactor: different scenarios produce genuinely
         # different distributions over the same operating point and seed.
