@@ -177,6 +177,10 @@ def test_executor_scaling(json_summary, knn):
     assert stats is not None and stats.executor == "tcp"
 
     record["bit_identical"] = True
+    # Same reason field as the parallel-sweep record: with fewer CPUs than
+    # workers the tcp ratio measures oversubscription and is not gated.
+    if cpus < WORKERS:
+        record["skipped"] = f"{cpus} CPU(s) for {WORKERS} workers"
     json_summary("executor_scaling", record)
 
     # The distributed gate binds only where the hardware can deliver it.

@@ -2,8 +2,8 @@
 
 These functions glue the library's building blocks into the exact experiments
 of the paper's evaluation section and return plain data structures (dicts,
-numpy arrays, result dataclasses) that the benchmark harness, the examples and
-the CLI all share.  See DESIGN.md for the experiment-to-module index.
+numpy arrays, result dataclasses) that the paper-claim tests, the examples and
+the CLI all share.
 """
 
 from repro.analysis.figures import (

@@ -50,6 +50,7 @@ import tempfile
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
+from repro import jsonio
 from repro.dse.explore import (
     DesignSpaceExplorer,
     DseResult,
@@ -94,6 +95,18 @@ OPTIMIZE_AUDIT_COLUMNS = (
     "pruned",
     "pruned_by",
 )
+
+
+def _copy_rung_checkpoint(previous: str, checkpoint: str) -> None:
+    """Seed a rung's checkpoint with the previous rung's, durably: copy,
+    fsync, rename, fsync the directory (as :func:`jsonio.write_atomic`)."""
+    temp_path = checkpoint + ".tmp"
+    with open(previous, "rb") as source, open(temp_path, "wb") as target:
+        shutil.copyfileobj(source, target)
+        target.flush()
+        os.fsync(target.fileno())
+    os.replace(temp_path, checkpoint)
+    jsonio.fsync_directory(os.path.dirname(os.path.abspath(checkpoint)))
 
 
 @dataclass(frozen=True)
@@ -532,10 +545,7 @@ class ParetoOptimizer:
             if rung > 0 and not os.path.exists(checkpoint):
                 previous = cell.checkpoint(rung - 1)
                 if os.path.exists(previous):
-                    # Copy then rename, so a kill mid-copy never leaves a
-                    # truncated file under the rung's name.
-                    shutil.copyfile(previous, checkpoint + ".tmp")
-                    os.replace(checkpoint + ".tmp", checkpoint)
+                    _copy_rung_checkpoint(previous, checkpoint)
             probe = replace(
                 cell.config, adaptive=opt.adaptive_budget(cap)
             )

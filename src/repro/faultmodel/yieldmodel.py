@@ -10,7 +10,8 @@ counts (Eq. 4) and fault locations (Eq. 3, 5).
 :class:`YieldAnalyzer` estimates that distribution for any protection scheme
 by the same stratified Monte-Carlo procedure the paper uses for Fig. 5 and
 wraps the result in :class:`MseDistribution`, which answers yield queries and
-exports the CDF series the benchmark harness tabulates.
+exports the CDF series that the Fig. 5 analysis, the CLI and the paper-claim
+tests read.
 """
 
 from __future__ import annotations

@@ -54,7 +54,7 @@ class ReadPathOverhead:
     area_um2: float
 
     def as_dict(self) -> Dict[str, float]:
-        """Plain-dict view used by the benchmark harness and CLI tables."""
+        """Plain-dict view of the three overhead metrics."""
         return {
             "read_power_fj": self.read_power_fj,
             "read_delay_ps": self.read_delay_ps,
@@ -78,7 +78,7 @@ class WritePathOverhead:
     write_delay_ps: float
 
     def as_dict(self) -> Dict[str, float]:
-        """Plain-dict view used by benches and the CLI."""
+        """Plain-dict view of the two write-overhead metrics."""
         return {
             "write_power_fj": self.write_power_fj,
             "write_delay_ps": self.write_delay_ps,

@@ -17,9 +17,13 @@ This module provides that arrangement:
   independent work units, evaluates them inline (``workers=1``) or across
   forked local worker processes (:mod:`repro.sim.executor`), and merges the
   per-shard results into one distribution per scheme.
-* shard-level checkpointing -- a JSON results cache keyed by a hash of the
-  full configuration, written after every completed shard, so interrupted
-  sweeps resume without re-evaluating finished dies.
+* one execution core for both Monte-Carlo budgets (``SweepEngine._execute``):
+  it reads the checkpoint, opens the executor once and builds every CDF from
+  per-(scheme, stratum) ``(support, mass)`` cells.
+* checkpointing -- a durable JSON cache keyed by a hash of the full
+  configuration, so interrupted sweeps resume without re-evaluating finished
+  dies.  A fixed budget rewrites its exact per-die scores after every shard,
+  an adaptive budget its O(bins) round state once per round.
 
 The engine supports two die evaluations over the same sharded grid:
 :meth:`SweepEngine.run` trains a benchmark on the corrupted features of every
@@ -100,7 +104,6 @@ import json
 import math
 import os
 import re
-import tempfile
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -273,6 +276,10 @@ def reassign_count_probabilities(
 # count: the Welford merge order follows the shard partition, so a fixed
 # width is what makes adaptive results bit-identical for any worker count.
 _ADAPTIVE_SHARD_DIES = 32
+
+#: Per-(scheme index, count index) ``(support, mass)`` of one stratum: what
+#: both budgets hand the one CDF builder, :meth:`SweepEngine._scheme_ecdf`.
+_Cells = Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]]
 
 _DEFAULT_QUALITY_THRESHOLD = 0.9  # normalised quality (clean = 1.0)
 _DEFAULT_MSE_THRESHOLD = 1e2  # local-MSE bound of the yield criterion
@@ -889,78 +896,10 @@ def _read_checkpoint_payload(
     return data
 
 
-def _fsync_directory(path: str) -> None:
-    """fsync a directory so a rename inside it is durable, not just ordered."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-def _write_checkpoint_payload(path: str, payload: Mapping[str, object]) -> None:
-    """Durably and atomically write a checkpoint.
-
-    Temp file + ``os.replace`` alone is *atomic* but not *durable*: without
-    an fsync of the temp file a crash shortly after the rename can leave the
-    final name pointing at truncated (or empty) data, and without an fsync of
-    the directory the rename itself may not have reached disk.  Both syncs
-    run here, so once this function returns the checkpoint survives a crash.
-    """
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            jsonio.dump(payload, handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp_path, path)
-    except BaseException:
-        if os.path.exists(temp_path):
-            os.unlink(temp_path)
-        raise
-    _fsync_directory(directory)
-
-
-def _load_checkpoint(path: str, config_hash: str) -> Dict[int, List[float]]:
-    """Load completed per-die results from ``path`` (empty if absent)."""
-    data = _read_checkpoint_payload(path, config_hash, "fixed")
-    if data is None:
-        return {}
-    return {int(k): [float(v) for v in vs] for k, vs in data["dies"].items()}
-
-
-def _save_checkpoint(path: str, config_hash: str, **state: object) -> None:
-    """Atomically write a checkpoint: the versioned, hash-keyed envelope
-    around a fixed sweep's ``dies`` or an adaptive sweep's round state."""
-    _write_checkpoint_payload(
-        path,
-        {"version": _CHECKPOINT_VERSION, "config_hash": config_hash, **state},
-    )
-
-
-def _run_info(
-    evaluated_dies: int, dispatcher: Optional[ShardExecutor]
-) -> Dict[str, object]:
-    """The :class:`SweepRunStats` fields an execution core reports: dies it
-    evaluated, the executor tier that ran (``"inline"`` when none was
-    needed) and the shards that tier re-dispatched."""
-    if dispatcher is None:
-        return {"evaluated_dies": evaluated_dies}
-    return {
-        "evaluated_dies": evaluated_dies,
-        "executor": dispatcher.kind,
-        "redispatched_shards": dispatcher.stats.redispatched,
-    }
-
-
-def _summary_payload_scalars(summary: _shardeval.ShardSummary) -> int:
-    """Scalar count of one shard's summary payload (the O(bins) witness)."""
-    total = 0
-    for _key, _moments, sketch in summary:
-        total += 5 + sketch.payload_scalars()
-    return total
+#: The durable, atomic checkpoint writer.  A module binding rather than a
+#: direct :func:`repro.jsonio.write_atomic` call because the optimizer
+#: imports it and ``perfbench/layertrace.py`` wraps it by name.
+_write_checkpoint_payload = jsonio.write_atomic
 
 
 @dataclass(frozen=True)
@@ -1165,11 +1104,14 @@ class SweepEngine:
             forked worker processes.  Results are bit-identical for any
             value.
         checkpoint:
-            Optional path of a JSON results cache.  Completed dies are loaded
-            from it, the file is rewritten after every finished shard, and a
-            finished sweep leaves a cache that replays instantly.  Each save
-            serialises all results so far; the shard sizing (a few shards
-            per worker) keeps that negligible.
+            Optional path of a JSON results cache, read once before the
+            sweep and rewritten durably as it runs; a finished sweep leaves
+            a cache that replays instantly.  A fixed budget stores every
+            die's exact scores and rewrites the file after every finished
+            shard (the shard sizing, a few shards per worker, keeps that
+            negligible); an adaptive budget stores its round state -- the
+            per-stratum die counts, trackers and sketches -- and rewrites
+            the file once per round.
         fault_maps:
             Pre-drawn dies keyed by ``(count_index, sample_index)``; replaces
             the seeded per-die sampling (legacy-runner bridge).
@@ -1395,46 +1337,22 @@ class SweepEngine:
                 adaptive_cap_resumable=adaptive_cap_resumable,
                 **hash_args,
             )
-        scheme_indices = range(len(self._schemes))
-        report = None
-        if adaptive:
-            sketches, report, run_info = self._run_adaptive(
-                context,
-                zero_mass=zero_mass,
-                workers=workers,
-                checkpoint=checkpoint,
-                config_hash=config_hash,
-                executor=executor_spec,
-            )
-            ecdfs = [
-                self._adaptive_scheme_ecdf(sketches, si, zero_mass)
-                for si in scheme_indices
-            ]
-            samples = total_dies = report.total_dies
-        else:
-            die_results, run_info = self._execute(
-                context,
-                workers=workers,
-                checkpoint=checkpoint,
-                config_hash=config_hash,
-                fault_maps=fault_maps,
-                executor=executor_spec,
-            )
-            ecdfs = [
-                WeightedEcdf.from_groups(
-                    self._scheme_groups(die_results, si, zero_mass)
-                )
-                for si in scheme_indices
-            ]
-            samples = len(config.evaluated_counts()) * config.samples_per_count
-            total_dies = len(die_results)
+        ecdfs, report, total_dies, run_info = self._execute(
+            context,
+            zero_mass=zero_mass,
+            workers=workers,
+            checkpoint=checkpoint,
+            config_hash=config_hash,
+            fault_maps=fault_maps,
+            executor=executor_spec,
+        )
         results = {
             scheme.name: codec.wrap(
                 context,
                 scheme_name=scheme.name,
                 p_cell=config.p_cell,
                 ecdf=ecdf,
-                samples=samples,
+                samples=total_dies,
             )
             for scheme, ecdf in zip(self._schemes, ecdfs)
         }
@@ -1465,16 +1383,113 @@ class SweepEngine:
         self,
         context: Dict[str, object],
         *,
+        zero_mass: Optional[float],
         workers: int,
         checkpoint: Optional[str],
         config_hash: str,
         fault_maps: Optional[Mapping[Tuple[int, int], FaultMap]],
-        executor: Optional[ExecutorSpec] = None,
-    ) -> Tuple[Dict[int, List[float]], Dict[str, object]]:
-        """Evaluate every pending die of the plan (the fixed-budget core).
+        executor: ExecutorSpec,
+    ) -> Tuple[List[WeightedEcdf], Optional[AdaptiveBudgetReport], int, dict]:
+        """The one execution core of both Monte-Carlo budgets.
 
-        Returns the per-die results and the run's :func:`_run_info`.
+        It reads the checkpoint, opens the executor at the first dispatched
+        round and closes it once, and turns the per-(scheme, stratum)
+        ``(support, mass)`` cells of the budget body into one CDF per scheme
+        (:meth:`_scheme_ecdf`).  The bodies, :meth:`_fixed_cells` and
+        :meth:`_adaptive_cells`, keep only their seeding, their fold and
+        checkpoint cadence, and their worker-count rule.  Returns the CDFs in
+        scheme order, the adaptive report (``None`` for a fixed budget), the
+        sweep's total dies and the :class:`SweepRunStats` execution fields.
         """
+        adaptive = self._config.adaptive is not None
+        saved = None
+        save = None
+        if checkpoint is not None:
+            saved = _read_checkpoint_payload(
+                checkpoint, config_hash, "adaptive" if adaptive else "fixed"
+            )
+
+            def save(**state: object) -> None:
+                envelope = {"version": _CHECKPOINT_VERSION, "config_hash": config_hash}
+                _write_checkpoint_payload(checkpoint, {**envelope, **state})
+
+        dispatcher: Optional[ShardExecutor] = None
+
+        def dispatch(kind: str, shards: list, on_complete, fan_out: int) -> None:
+            nonlocal dispatcher
+            if dispatcher is None:
+                dispatcher = make_executor(
+                    context, fan_out, spec=executor, runner=_inline_run_shard
+                )
+            dispatcher.run(kind, shards, on_complete)
+
+        report = None
+        try:
+            if adaptive:
+                cells, report, evaluated = self._adaptive_cells(
+                    context, saved, dispatch, save, zero_mass, workers, checkpoint
+                )
+                total_dies = report.total_dies
+            else:
+                cells, evaluated = self._fixed_cells(
+                    saved, dispatch, save, workers, fault_maps, executor
+                )
+                total_dies = (
+                    len(self._config.evaluated_counts())
+                    * self._config.samples_per_count
+                )
+        finally:
+            if dispatcher is not None:
+                dispatcher.close()
+        ecdfs = [
+            self._scheme_ecdf(cells, si, zero_mass) for si in range(len(self._schemes))
+        ]
+        run_info: Dict[str, object] = {"evaluated_dies": evaluated}
+        if dispatcher is not None:
+            run_info["executor"] = dispatcher.kind
+            run_info["redispatched_shards"] = dispatcher.stats.redispatched
+        return ecdfs, report, total_dies, run_info
+
+    def _scheme_ecdf(
+        self, cells: _Cells, scheme_index: int, zero_mass: Optional[float]
+    ) -> WeightedEcdf:
+        """One scheme's CDF from its per-stratum ``(support, mass)`` cells.
+
+        The optional zero-fault point mass comes first, then the strata in
+        count order, each stratum's masses scaled to its ``Pr(N = n)``
+        weight.  Fixed-budget cells carry unit masses, so each die weighs
+        ``p * 1 / n``: bit for bit the ``p / n`` of the historical serial
+        merge.
+        """
+        config = self._config
+        probabilities = config.count_probabilities()
+        buffer = WeightedSampleBuffer()
+        if zero_mass is not None:
+            buffer.update_batch([zero_mass], [config.zero_fault_probability])
+        for ci, count in enumerate(config.evaluated_counts()):
+            support, mass = cells[(scheme_index, ci)]
+            if support.size:
+                buffer.update_batch(support, probabilities[count] * mass / mass.sum())
+        return WeightedEcdf(*buffer.finalize())
+
+    def _fixed_cells(
+        self,
+        saved: Optional[Mapping[str, object]],
+        dispatch: Callable[..., None],
+        save: Optional[Callable[..., None]],
+        workers: int,
+        fault_maps: Optional[Mapping[Tuple[int, int], FaultMap]],
+        executor: ExecutorSpec,
+    ) -> Tuple[_Cells, int]:
+        """The fixed budget: ``samples_per_count`` dies per failure count,
+        each seeded by ``(die_index,)`` unless pre-drawn.
+
+        Shards return exact per-die scores, and the checkpoint (one entry per
+        die) is rewritten after every shard.  Returns each (scheme, stratum)
+        cell -- the stratum's scores in sample order, with unit mass -- and
+        the number of dies this call evaluated.
+        """
+        config = self._config
         entries: List[_shardeval.DieEntry] = []
         for die_index, count_index, sample_index, count in self.plan():
             explicit = None
@@ -1489,66 +1504,64 @@ class SweepEngine:
             entries.append((die_index, count_index, sample_index, count, explicit))
 
         die_results: Dict[int, List[float]] = {}
-        if checkpoint is not None:
-            die_results.update(_load_checkpoint(checkpoint, config_hash))
+        if saved is not None:
+            for k, vs in saved["dies"].items():
+                die_results[int(k)] = [float(v) for v in vs]
         pending = [e for e in entries if e[0] not in die_results]
         shards = self._make_shards(pending, workers)
 
-        def _absorb(
-            _index: int, shard_results: List[Tuple[int, List[float]]]
-        ) -> None:
-            for die_index, values in shard_results:
-                die_results[die_index] = values
-            if checkpoint is not None:
-                _save_checkpoint(
-                    checkpoint,
-                    config_hash,
-                    dies={
-                        str(k): list(v) for k, v in sorted(die_results.items())
-                    },
-                )
+        def absorb(_index: int, shard_results: List[Tuple[int, List[float]]]) -> None:
+            die_results.update(shard_results)
+            if save is not None:
+                save(dies={str(k): list(v) for k, v in sorted(die_results.items())})
 
         # TCP executors keep their configured fan-out: remote workers decide
         # their own parallelism, and a single-shard sweep still has to bind
         # the rendezvous port the workers dial.
-        if executor is not None and executor.kind == "tcp":
-            effective_workers = workers
+        if executor.kind == "tcp":
+            fan_out = workers
         else:
-            effective_workers = (
-                1 if len(shards) <= 1 else min(workers, len(shards))
-            )
-        with make_executor(
-            context, effective_workers, spec=executor, runner=_inline_run_shard
-        ) as dispatcher:
-            dispatcher.run("evaluate", shards, _absorb)
-        return die_results, _run_info(len(pending), dispatcher)
+            fan_out = 1 if len(shards) <= 1 else min(workers, len(shards))
+        dispatch("evaluate", shards, absorb, fan_out)
 
-    # ------------------------------------------------------------------ #
-    # Adaptive budget controller
-    # ------------------------------------------------------------------ #
-    def _run_adaptive(
+        missing = [i for i in range(len(entries)) if i not in die_results]
+        if missing:
+            raise RuntimeError(
+                f"sweep finished with {len(missing)} unevaluated dies "
+                f"(first: {missing[:5]}); this indicates a sharding bug"
+            )
+        # Rows are dies in plan (count-major) order, columns are schemes.
+        scores = np.array([die_results[i] for i in range(len(entries))])
+        samples = config.samples_per_count
+        unit = np.ones(samples)
+        cells = {
+            (si, ci): (scores[ci * samples:(ci + 1) * samples, si], unit)
+            for si in range(len(self._schemes))
+            for ci in range(len(config.evaluated_counts()))
+        }
+        return cells, len(pending)
+
+    def _adaptive_cells(
         self,
         context: Dict[str, object],
-        *,
+        saved: Optional[Mapping[str, object]],
+        dispatch: Callable[..., None],
+        save: Optional[Callable[..., None]],
         zero_mass: Optional[float],
         workers: int,
         checkpoint: Optional[str],
-        config_hash: str,
-        executor: Optional[ExecutorSpec] = None,
-    ) -> Tuple[
-        Dict[Tuple[int, int], FixedGridEcdfSketch],
-        AdaptiveBudgetReport,
-        Dict[str, object],
-    ]:
-        """Round-based confidence-driven sweep (the adaptive execution core).
+    ) -> Tuple[_Cells, AdaptiveBudgetReport, int]:
+        """The adaptive budget: confidence-driven rounds of dies seeded by
+        ``(count_index, sample_index)``.
 
         Each round fans a batch of dies out as fixed-width shards whose
-        workers return O(bins) streaming summaries; the parent folds them in
+        workers return O(bins) streaming summaries; the body folds them in
         shard order, re-estimates every scheme's yield-at-threshold CI, and
         either stops or Neyman-allocates the next round by the observed
-        per-stratum standard deviations.  State is checkpointed after every
-        round when a cache path is given.  Returns the merged per-(scheme,
-        stratum) sketches, the run's report and its :func:`_run_info`.
+        per-stratum standard deviations.  The checkpoint (the round state) is
+        rewritten once per round.  Returns each (scheme, stratum) cell -- its
+        merged sketch's ``finalize()`` -- the run's report and the number of
+        dies this call evaluated.
         """
         config = self._config
         adaptive = config.adaptive
@@ -1591,36 +1604,30 @@ class SweepEngine:
         max_payload = 0
         evaluated = 0
 
-        if checkpoint is not None:
-            saved = _read_checkpoint_payload(checkpoint, config_hash, "adaptive")
-            if saved is not None:
-                rounds_done = int(saved["rounds"])
-                samples_done = {
-                    int(k): int(v)
-                    for k, v in saved["samples_per_count_index"].items()
-                }
-                trackers = [
-                    StratumVarianceTracker.from_dict(data)
-                    for data in saved["trackers"]
-                ]
-                for key, data in saved["sketches"].items():
-                    scheme_index, count_index = (
-                        int(part) for part in key.split(":")
-                    )
-                    sketches[(scheme_index, count_index)] = (
-                        FixedGridEcdfSketch.from_dict(data)
-                    )
-                max_payload = int(saved.get("max_shard_payload_scalars", 0))
-                saved_dies = sum(samples_done.values())
-                if saved_dies > max_total:
-                    raise ValueError(
-                        f"checkpoint {checkpoint!r} holds {saved_dies} dies, "
-                        f"more than this sweep's adaptive die cap "
-                        f"({max_total}); resume it under a cap of at least "
-                        f"{saved_dies} or point the checkpoint elsewhere"
-                    )
+        if saved is not None:
+            rounds_done = int(saved["rounds"])
+            samples_done = {
+                int(k): int(v) for k, v in saved["samples_per_count_index"].items()
+            }
+            trackers = [
+                StratumVarianceTracker.from_dict(data) for data in saved["trackers"]
+            ]
+            for key, data in saved["sketches"].items():
+                scheme_index, count_index = (int(part) for part in key.split(":"))
+                sketches[(scheme_index, count_index)] = (
+                    FixedGridEcdfSketch.from_dict(data)
+                )
+            max_payload = int(saved.get("max_shard_payload_scalars", 0))
+            saved_dies = sum(samples_done.values())
+            if saved_dies > max_total:
+                raise ValueError(
+                    f"checkpoint {checkpoint!r} holds {saved_dies} dies, more "
+                    f"than this sweep's adaptive die cap ({max_total}); resume "
+                    f"it under a cap of at least {saved_dies} or point the "
+                    f"checkpoint elsewhere"
+                )
 
-        context = dict(context)
+        # Workers read the yield criterion and the sketch grid from here.
         context["adaptive"] = {
             "threshold": threshold,
             "direction": direction,
@@ -1628,85 +1635,73 @@ class SweepEngine:
         }
 
         reached = False
-        dispatcher: Optional[ShardExecutor] = None
-        try:
-            while True:
-                total_done = sum(samples_done.values())
-                if total_done:
-                    half_width = max(
-                        tracker.half_width(adaptive.confidence)
-                        for tracker in trackers
-                    )
-                    if half_width <= adaptive.target_ci:
-                        reached = True
-                        break
-                    if total_done >= max_total:
-                        break
-                    budget = min(adaptive.round_dies, max_total - total_done)
-                    allocation = largest_remainder_allocation(
-                        {
-                            ci: sum(
-                                weights[ci] * tracker.strata[ci].std()
-                                for tracker in trackers
-                            )
-                            for ci in weights
-                        },
-                        budget,
-                    )
-                else:
-                    allocation = {ci: initial for ci in weights}
-                entries: List[_shardeval.AdaptiveEntry] = [
-                    (ci, samples_done[ci] + j, counts[ci])
-                    for ci in sorted(allocation)
-                    for j in range(allocation[ci])
-                ]
-                if not entries:
+        while True:
+            total_done = sum(samples_done.values())
+            if total_done:
+                half_width = max(
+                    tracker.half_width(adaptive.confidence) for tracker in trackers
+                )
+                if half_width <= adaptive.target_ci:
+                    reached = True
                     break
-                shards = [
-                    entries[start:start + _ADAPTIVE_SHARD_DIES]
-                    for start in range(0, len(entries), _ADAPTIVE_SHARD_DIES)
-                ]
-                if dispatcher is None:
-                    dispatcher = make_executor(
-                        context, workers, spec=executor, runner=_inline_run_shard
-                    )
-                evaluated += len(entries)
-                summaries: Dict[int, _shardeval.ShardSummary] = {}
-                dispatcher.run("summarize", shards, summaries.__setitem__)
-                # Canonical fold: shard-index order, then sorted cell keys
-                # inside each shard -- never completion order.
-                for index in range(len(shards)):
-                    summary = summaries[index]
-                    max_payload = max(
-                        max_payload, _summary_payload_scalars(summary)
-                    )
-                    for (si, ci), moments, sketch in summary:
-                        trackers[si].strata[ci].merge(moments)
-                        sketches[(si, ci)].merge(sketch)
-                for ci, batch in allocation.items():
-                    samples_done[ci] += batch
-                rounds_done += 1
-                if checkpoint is not None:
-                    _save_checkpoint(
-                        checkpoint,
-                        config_hash,
-                        mode="adaptive",
-                        rounds=rounds_done,
-                        samples_per_count_index={
-                            str(ci): samples_done[ci]
-                            for ci in sorted(samples_done)
-                        },
-                        trackers=[tracker.to_dict() for tracker in trackers],
-                        sketches={
-                            f"{si}:{ci}": sketches[(si, ci)].to_dict()
-                            for si, ci in sorted(sketches)
-                            if sketches[(si, ci)].count
-                        },
-                        max_shard_payload_scalars=max_payload,
-                    )
-        finally:
-            if dispatcher is not None:
-                dispatcher.close()
+                if total_done >= max_total:
+                    break
+                budget = min(adaptive.round_dies, max_total - total_done)
+                allocation = largest_remainder_allocation(
+                    {
+                        ci: sum(
+                            weights[ci] * tracker.strata[ci].std()
+                            for tracker in trackers
+                        )
+                        for ci in weights
+                    },
+                    budget,
+                )
+            else:
+                allocation = {ci: initial for ci in weights}
+            entries: List[_shardeval.AdaptiveEntry] = [
+                (ci, samples_done[ci] + j, counts[ci])
+                for ci in sorted(allocation)
+                for j in range(allocation[ci])
+            ]
+            if not entries:
+                break
+            shards = [
+                entries[start:start + _ADAPTIVE_SHARD_DIES]
+                for start in range(0, len(entries), _ADAPTIVE_SHARD_DIES)
+            ]
+            evaluated += len(entries)
+            summaries: Dict[int, _shardeval.ShardSummary] = {}
+            dispatch("summarize", shards, summaries.__setitem__, workers)
+            # Canonical fold: shard-index order, then sorted cell keys
+            # inside each shard -- never completion order.
+            for index in range(len(shards)):
+                summary = summaries[index]
+                # The O(bins) witness: five moment scalars plus the sketch,
+                # per cell of the shard's summary payload.
+                scalars = sum(5 + sketch.payload_scalars() for _, _, sketch in summary)
+                max_payload = max(max_payload, scalars)
+                for (si, ci), moments, sketch in summary:
+                    trackers[si].strata[ci].merge(moments)
+                    sketches[(si, ci)].merge(sketch)
+            for ci, batch in allocation.items():
+                samples_done[ci] += batch
+            rounds_done += 1
+            if save is not None:
+                save(
+                    mode="adaptive",
+                    rounds=rounds_done,
+                    samples_per_count_index={
+                        str(ci): samples_done[ci] for ci in sorted(samples_done)
+                    },
+                    trackers=[tracker.to_dict() for tracker in trackers],
+                    sketches={
+                        f"{si}:{ci}": sketches[(si, ci)].to_dict()
+                        for si, ci in sorted(sketches)
+                        if sketches[(si, ci)].count
+                    },
+                    max_shard_payload_scalars=max_payload,
+                )
 
         report = AdaptiveBudgetReport(
             evaluation=evaluation,
@@ -1739,35 +1734,8 @@ class SweepEngine:
             max_shard_payload_scalars=max_payload,
         )
         self._last_adaptive_report = report
-        return sketches, report, _run_info(evaluated, dispatcher)
-
-    def _adaptive_scheme_ecdf(
-        self,
-        sketches: Mapping[Tuple[int, int], FixedGridEcdfSketch],
-        scheme_index: int,
-        zero_mass: Optional[float],
-    ) -> WeightedEcdf:
-        """One scheme's CDF from its merged per-stratum sketches (O(bins)).
-
-        Mirrors :meth:`_scheme_groups`: the optional zero-fault point mass
-        first, then strata in count order, each stratum's bin masses scaled
-        to its ``Pr(N = n)`` weight.
-        """
-        config = self._config
-        counts = config.evaluated_counts()
-        probabilities = config.count_probabilities()
-        buffer = WeightedSampleBuffer()
-        if zero_mass is not None:
-            buffer.update_batch([zero_mass], [config.zero_fault_probability])
-        for ci, count in enumerate(counts):
-            sketch = sketches[(scheme_index, ci)]
-            support, mass = sketch.finalize()
-            if support.size == 0:
-                continue
-            buffer.update_batch(
-                support, probabilities[count] * mass / mass.sum()
-            )
-        return WeightedEcdf(*buffer.finalize())
+        cells = {key: sketch.finalize() for key, sketch in sketches.items()}
+        return cells, report, evaluated
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -1786,45 +1754,3 @@ class SweepEngine:
             entries[start:start + shard_size]
             for start in range(0, len(entries), shard_size)
         ]
-
-    def _scheme_groups(
-        self,
-        die_results: Mapping[int, Sequence[float]],
-        scheme_index: int,
-        zero_mass: Optional[float],
-    ) -> List[Tuple[np.ndarray, float]]:
-        """Weighted value groups of one scheme, in the canonical die order.
-
-        Grouping iterates dies in ``(count_index, sample_index)`` order, so
-        the resulting :class:`WeightedEcdf` is identical no matter which shard
-        or worker produced each value, and bit-identical to the historical
-        serial implementations on the same dies.
-        """
-        config = self._config
-        counts = config.evaluated_counts()
-        samples = config.samples_per_count
-        missing = [
-            die_index
-            for die_index in range(len(counts) * samples)
-            if die_index not in die_results
-        ]
-        if missing:
-            raise RuntimeError(
-                f"sweep finished with {len(missing)} unevaluated dies "
-                f"(first: {missing[:5]}); this indicates a sharding bug"
-            )
-        probabilities = config.count_probabilities()
-        groups: List[Tuple[np.ndarray, float]] = []
-        if zero_mass is not None:
-            groups.append((np.array([zero_mass]), config.zero_fault_probability))
-        for count_index, count in enumerate(counts):
-            values = np.array(
-                [
-                    die_results[count_index * samples + sample_index][
-                        scheme_index
-                    ]
-                    for sample_index in range(samples)
-                ]
-            )
-            groups.append((values, probabilities[count]))
-        return groups

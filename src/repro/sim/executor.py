@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.sim import shardeval, wire
-from repro.sim.worker import serve_connection
+from repro.sim.shardeval import serve_connection
 
 __all__ = [
     "ExecutorSpec",
@@ -680,7 +680,7 @@ class TcpExecutor(_Coordinator):
 class LocalExecutor(_Coordinator):
     """``workers`` forked processes serving the coordinator over
     :func:`socket.socketpair` ends, exactly as remote workers serve it over
-    TCP (:func:`repro.sim.worker.serve_connection`).
+    TCP (:func:`repro.sim.shardeval.serve_connection`).
 
     Every child is forked before any handler thread starts, so no child
     inherits a thread.  A dead child's socket hits EOF and its shards

@@ -6,7 +6,8 @@ schemes, benchmark data, and seeding parameters.  This module holds that
 function -- in both its fixed-budget (:func:`evaluate_shard`) and adaptive
 (:func:`summarize_shard`) forms.  Every worker, forked locally or remote,
 receives the context once per session in the wire protocol's context frame
-(:mod:`repro.sim.wire`) and calls :func:`run_shard` for each shard.
+(:mod:`repro.sim.wire`) and calls :func:`run_shard` for each shard; its
+side of that protocol is :func:`serve_connection`.
 
 Every function here consumes randomness only from per-die
 ``SeedSequence`` children (the engine's seeding contract), so a shard's
@@ -18,6 +19,8 @@ work-stealing and fault-tolerant re-dispatch bit-identical by construction.
 from __future__ import annotations
 
 import os
+import threading
+import traceback
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -25,6 +28,7 @@ import numpy as np
 from repro.memory.faults import FaultMap
 from repro.quality.mse import mse_of_fault_map
 from repro.scenarios.base import FaultScenario
+from repro.sim import wire
 from repro.sim.faulty_storage import FaultyTensorStore
 from repro.stats import FixedGridEcdfSketch, StreamingMoments
 
@@ -33,8 +37,10 @@ __all__ = [
     "AdaptiveEntry",
     "ShardSummary",
     "REJECTION_MAX_ATTEMPTS",
+    "HandshakeError",
     "evaluate_shard",
     "run_shard",
+    "serve_connection",
     "summarize_shard",
 ]
 
@@ -221,3 +227,78 @@ def shard_cost(kind: str, entries: List[object]) -> int:
     """
     position = 2 if kind == "summarize" else 3
     return sum(1 + int(entry[position]) for entry in entries)
+
+
+# --------------------------------------------------------------------------- #
+# Worker side of the wire protocol (here, not in repro.sim.worker, so the
+# executor never imports the module ``python -m`` runs)
+# --------------------------------------------------------------------------- #
+class HandshakeError(ConnectionError):
+    """The coordinator *explicitly* rejected the handshake (a ``reject``
+    frame: version/token mismatch): retrying would fail identically, so the
+    worker exits nonzero.  A connection that merely drops before the context
+    arrives is transient -- a coordinator shutting down races the re-dial of
+    a lingering worker -- and is retried like any lost connection."""
+
+
+def serve_connection(conn: wire.Connection, token: Optional[str]) -> int:
+    """Serve one coordinator session; returns the number of shards evaluated.
+
+    Raises :class:`HandshakeError` on an explicit ``reject`` frame (or a
+    malformed handshake); connection errors -- before or after the context
+    -- propagate as-is and the caller treats them as transient.
+    """
+    conn.send(("hello", wire.WIRE_VERSION, token))
+    message = conn.recv(timeout=60.0)
+    if (
+        isinstance(message, tuple)
+        and len(message) == 2
+        and message[0] == "reject"
+    ):
+        raise HandshakeError(
+            f"coordinator {conn.peer} rejected the handshake: {message[1]}"
+        )
+    if not (
+        isinstance(message, tuple) and len(message) == 3 and message[0] == "context"
+    ):
+        raise HandshakeError(
+            f"expected a context message from {conn.peer}, got {message!r}"
+        )
+    _tag, context, settings = message
+    interval = float(settings.get("heartbeat_interval", 2.0))
+    stop = threading.Event()
+
+    def _heartbeat() -> None:
+        # The send lock in Connection serialises these frames against the
+        # main thread's result frames.
+        while not stop.wait(interval):
+            try:
+                conn.send(("heartbeat",))
+            except OSError:
+                return
+
+    beat = threading.Thread(target=_heartbeat, name="worker-heartbeat", daemon=True)
+    beat.start()
+    shards_done = 0
+    try:
+        while True:
+            message = conn.recv(timeout=None)
+            tag = message[0]
+            if tag == "shutdown":
+                return shards_done
+            if tag != "shard":
+                raise wire.FrameError(
+                    f"unexpected message {tag!r} from coordinator"
+                )
+            _t, batch, index, kind, entries = message
+            try:
+                payload = run_shard(kind, entries, context)
+            except Exception:
+                conn.send(
+                    ("error", batch, index, traceback.format_exc(limit=20))
+                )
+                continue
+            conn.send(("result", batch, index, payload))
+            shards_done += 1
+    finally:
+        stop.set()

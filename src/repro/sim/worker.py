@@ -1,10 +1,11 @@
 """Sweep worker: ``python -m repro.sim.worker --connect HOST:PORT``.
 
-:func:`serve_connection` is the worker side of the wire protocol, shared by
-both worker tiers: a remote worker dials the coordinator
-(:class:`repro.sim.executor.TcpExecutor`), and a forked local worker
-(:class:`repro.sim.executor.LocalExecutor`) serves the socketpair end it was
-forked with.  Either way it handshakes (wire version + optional token),
+:func:`serve_connection` (defined in :mod:`repro.sim.shardeval`, which the
+executor imports without importing this script) is the worker side of the
+wire protocol, shared by both worker tiers: a remote worker dials the
+coordinator (:class:`repro.sim.executor.TcpExecutor`), and a forked local
+worker (:class:`repro.sim.executor.LocalExecutor`) serves the socketpair end
+it was forked with.  Either way it handshakes (wire version + optional token),
 receives the sweep's evaluation context once, then serves a dispatch loop:
 receive a shard, evaluate it with :func:`repro.sim.shardeval.run_shard`,
 send the payload back.  A background thread heartbeats throughout, so the
@@ -32,22 +33,13 @@ import argparse
 import os
 import socket
 import sys
-import threading
 import time
-import traceback
 from typing import List, Optional, Sequence, Tuple
 
-from repro.sim import shardeval, wire
+from repro.sim import wire
+from repro.sim.shardeval import HandshakeError, serve_connection
 
-__all__ = ["main", "serve_connection", "spawn_local_workers"]
-
-
-class HandshakeError(ConnectionError):
-    """The coordinator *explicitly* rejected the handshake (a ``reject``
-    frame: version/token mismatch): retrying would fail identically, so the
-    worker exits nonzero.  A connection that merely drops before the context
-    arrives is transient -- a coordinator shutting down races the re-dial of
-    a lingering worker -- and is retried like any lost connection."""
+__all__ = ["HandshakeError", "main", "serve_connection", "spawn_local_workers"]
 
 
 def _connect_with_retry(
@@ -62,69 +54,6 @@ def _connect_with_retry(
             if time.monotonic() >= deadline:
                 return None
             time.sleep(poll)
-
-
-def serve_connection(conn: wire.Connection, token: Optional[str]) -> int:
-    """Serve one coordinator session; returns the number of shards evaluated.
-
-    Raises :class:`HandshakeError` on an explicit ``reject`` frame (or a
-    malformed handshake); connection errors -- before or after the context
-    -- propagate as-is and the caller treats them as transient.
-    """
-    conn.send(("hello", wire.WIRE_VERSION, token))
-    message = conn.recv(timeout=60.0)
-    if (
-        isinstance(message, tuple)
-        and len(message) == 2
-        and message[0] == "reject"
-    ):
-        raise HandshakeError(
-            f"coordinator {conn.peer} rejected the handshake: {message[1]}"
-        )
-    if not (
-        isinstance(message, tuple) and len(message) == 3 and message[0] == "context"
-    ):
-        raise HandshakeError(
-            f"expected a context message from {conn.peer}, got {message!r}"
-        )
-    _tag, context, settings = message
-    interval = float(settings.get("heartbeat_interval", 2.0))
-    stop = threading.Event()
-
-    def _heartbeat() -> None:
-        # The send lock in Connection serialises these frames against the
-        # main thread's result frames.
-        while not stop.wait(interval):
-            try:
-                conn.send(("heartbeat",))
-            except OSError:
-                return
-
-    beat = threading.Thread(target=_heartbeat, name="worker-heartbeat", daemon=True)
-    beat.start()
-    shards_done = 0
-    try:
-        while True:
-            message = conn.recv(timeout=None)
-            tag = message[0]
-            if tag == "shutdown":
-                return shards_done
-            if tag != "shard":
-                raise wire.FrameError(
-                    f"unexpected message {tag!r} from coordinator"
-                )
-            _t, batch, index, kind, entries = message
-            try:
-                payload = shardeval.run_shard(kind, entries, context)
-            except Exception:
-                conn.send(
-                    ("error", batch, index, traceback.format_exc(limit=20))
-                )
-                continue
-            conn.send(("result", batch, index, payload))
-            shards_done += 1
-    finally:
-        stop.set()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

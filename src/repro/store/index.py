@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro import jsonio
@@ -115,25 +114,16 @@ class StoreIndex:
         )
 
     def save(self, path: str) -> None:
-        """Atomically snapshot the index (temp file + fsync + rename)."""
-        directory = os.path.dirname(os.path.abspath(path))
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "segments": self.segments,
-            "entries": self.entries,
-            "total_records": self.total_records,
-        }
-        fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                jsonio.dump(payload, handle)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temp_path, path)
-        except BaseException:
-            if os.path.exists(temp_path):
-                os.unlink(temp_path)
-            raise
+        """Durably snapshot the index (:func:`repro.jsonio.write_atomic`)."""
+        jsonio.write_atomic(
+            path,
+            {
+                "schema_version": SCHEMA_VERSION,
+                "segments": self.segments,
+                "entries": self.entries,
+                "total_records": self.total_records,
+            },
+        )
 
     # ------------------------------------------------------------------ #
     # Queries

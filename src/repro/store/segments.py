@@ -23,6 +23,7 @@ import json
 import os
 from typing import Any, Dict, Iterator, Mapping, Tuple
 
+from repro import jsonio
 from repro.store.schema import StoreError, validate_record
 
 __all__ = [
@@ -34,15 +35,6 @@ __all__ = [
 ]
 
 SEGMENT_SUFFIX = ".jsonl"
-
-
-def _fsync_directory(path: str) -> None:
-    """fsync a directory so a freshly created/renamed entry is durable."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 class SegmentWriter:
@@ -73,7 +65,7 @@ class SegmentWriter:
                 counter += 1
                 continue
             self.name = name
-            _fsync_directory(self._directory)
+            jsonio.fsync_directory(self._directory)
             return self._fd
 
     def append(self, record: Mapping[str, Any]) -> Tuple[str, int, int]:

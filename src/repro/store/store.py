@@ -26,9 +26,9 @@ from __future__ import annotations
 import csv
 import json
 import os
-import tempfile
 from typing import Any, Dict, List, Mapping, Optional
 
+from repro import jsonio
 from repro.store.index import StoreIndex
 from repro.store.schema import (
     SCHEMA_VERSION,
@@ -87,21 +87,9 @@ class ResultStore:
 
     @staticmethod
     def _write_marker(marker: str) -> None:
-        directory = os.path.dirname(marker)
-        fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(
-                    {"format": STORE_FORMAT, "schema_version": SCHEMA_VERSION},
-                    handle,
-                )
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temp_path, marker)
-        except BaseException:
-            if os.path.exists(temp_path):
-                os.unlink(temp_path)
-            raise
+        jsonio.write_atomic(
+            marker, {"format": STORE_FORMAT, "schema_version": SCHEMA_VERSION}
+        )
 
     # ------------------------------------------------------------------ #
     # Lifecycle

@@ -684,6 +684,25 @@ class TestWorkerHandshake:
         )
         assert proc.wait(timeout=60) == 1
 
+    def test_worker_module_starts_without_runtime_warning(self):
+        # runpy warns when the package import has already imported the
+        # module ``-m`` is about to run; the executor must not import it.
+        completed = subprocess.run(
+            [
+                sys.executable,
+                "-W",
+                "error::RuntimeWarning",
+                "-m",
+                "repro.sim.worker",
+                "--help",
+            ],
+            env=_worker_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert completed.returncode == 0, completed.stderr
+
 
 def _worker_env():
     import os

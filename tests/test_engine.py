@@ -21,6 +21,7 @@ from repro.core.no_protection import NoProtection
 from repro.core.priority_ecc import PriorityEccScheme
 from repro.core.scheme import BitShuffleScheme
 from repro.core.secded_scheme import SecdedScheme
+from repro.dse import optimize
 from repro.faultmodel.montecarlo import failure_count_pmf
 from repro.memory.organization import MemoryOrganization
 from repro.sim import engine as engine_module
@@ -36,6 +37,7 @@ from repro.sim.engine import (
 from repro.sim.experiment import BenchmarkDefinition, knn_benchmark, pca_benchmark
 from repro.sim.runner import QualityExperimentRunner
 from repro.store import ResultStore
+from repro.store.index import StoreIndex
 
 import statharness
 from test_runner import GOLDEN_CLEAN_QUALITY, GOLDEN_CURVES, GOLDEN_SAMPLES
@@ -334,12 +336,26 @@ class TestCheckpoint:
         final = json.loads((tmp_path / "interrupted.json").read_text())
         assert len(final["dies"]) == total_dies
 
-    def test_checkpoint_write_fsyncs_file_and_directory(
-        self, tmp_path, monkeypatch
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda path: engine_module._write_checkpoint_payload(
+                path, {"version": 1, "config_hash": "abc", "dies": {"0": [0.5]}}
+            ),
+            lambda path: StoreIndex(segments={"seg.jsonl": 12}).save(path),
+            ResultStore._write_marker,
+            lambda path: optimize._copy_rung_checkpoint(path + ".rung0", path),
+        ],
+        ids=["engine-checkpoint", "store-index", "store-marker", "optimizer-rung"],
+    )
+    def test_durable_write_fsyncs_file_and_directory(
+        self, write, tmp_path, monkeypatch
     ):
         # Atomic-rename alone is not durable: the temp file must be fsynced
         # before the rename and the directory after it, or a crash can leave
-        # the checkpoint name pointing at truncated data.
+        # the file's name pointing at truncated data.
+        path = tmp_path / "state.json"
+        (tmp_path / "state.json.rung0").write_text('{"rounds": 1}')
         real_fsync = os.fsync
         synced = []
 
@@ -348,12 +364,10 @@ class TestCheckpoint:
             real_fsync(fd)
 
         monkeypatch.setattr(os, "fsync", counting_fsync)
-        path = tmp_path / "sweep.json"
-        payload = {"version": 1, "config_hash": "abc", "dies": {"0": [0.5]}}
-        engine_module._write_checkpoint_payload(str(path), payload)
+        write(str(path))
         assert sum(stat.S_ISREG(mode) for mode in synced) >= 1
         assert sum(stat.S_ISDIR(mode) for mode in synced) >= 1
-        assert json.loads(path.read_text()) == payload
+        assert isinstance(json.loads(path.read_text()), dict)
 
     def test_mismatched_config_hash_rejected(
         self, smoke_config, smoke_benchmark, tmp_path
