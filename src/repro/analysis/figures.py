@@ -21,9 +21,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.no_protection import NoProtection
-from repro.core.priority_ecc import PriorityEccScheme
-from repro.core.scheme import BitShuffleScheme
 from repro.core.base import ProtectionScheme
 from repro.core.segments import (
     error_magnitude_profile,
@@ -37,10 +34,12 @@ from repro.hardware.technology import Technology
 from repro.memory.organization import MemoryOrganization
 from repro.scenarios.base import ScenarioSpec
 from repro.sim.engine import (
+    DEFAULT_SCHEME_SPECS,
     AdaptiveBudget,
     AdaptiveBudgetReport,
     ExperimentConfig,
     SweepEngine,
+    build_scheme,
 )
 from repro.sim.experiment import BenchmarkDefinition
 from repro.sim.runner import QualityDistribution, legacy_fault_maps
@@ -208,12 +207,7 @@ def figure6_overhead(
 
 def standard_figure7_schemes(word_width: int = 32) -> List[ProtectionScheme]:
     """The four schemes plotted in Fig. 7: none, P-ECC, bit-shuffle nFM=1 and nFM=2."""
-    return [
-        NoProtection(word_width),
-        PriorityEccScheme(word_width),
-        BitShuffleScheme(word_width, 1),
-        BitShuffleScheme(word_width, 2),
-    ]
+    return [build_scheme(spec, word_width) for spec in DEFAULT_SCHEME_SPECS]
 
 
 def figure7_quality(

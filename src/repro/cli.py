@@ -623,6 +623,14 @@ def _print_dse_rows(rows: Sequence[dict]) -> None:
     )
 
 
+def _load_spec(path: str) -> ExperimentSpec:
+    """Load a ``--spec`` file; a bad or unreadable file exits with one line."""
+    try:
+        return ExperimentSpec.from_file(path)
+    except (OSError, ValueError) as error:
+        raise SystemExit(f"--spec {path}: {error}") from error
+
+
 def _dse_result(args: argparse.Namespace) -> DseResult:
     """The result table a dse subcommand operates on (run the spec, or load)."""
     if getattr(args, "table", None) is not None:
@@ -660,7 +668,7 @@ def _dse_result(args: argparse.Namespace) -> DseResult:
         return DseResult.load(args.table)
     if args.spec is None:
         raise SystemExit("either --spec or --table is required")
-    spec = ExperimentSpec.from_file(args.spec)
+    spec = _load_spec(args.spec)
     if args.scenario is not None:
         spec = replace(spec, scenario=args.scenario)
     if args.access_trace != 1:
@@ -757,7 +765,7 @@ def _cmd_dse_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_dse_optimize(args: argparse.Namespace) -> int:
-    spec = ExperimentSpec.from_file(args.spec)
+    spec = _load_spec(args.spec)
     base = spec.optimizer if spec.optimizer is not None else OptimizerSpec()
     overrides: dict = {}
     if args.rungs is not None:

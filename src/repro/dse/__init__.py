@@ -7,9 +7,11 @@ own.  This package joins them behind one declarative surface:
 
 * :mod:`repro.dse.spec` -- :class:`ExperimentSpec`, the layered, serialisable
   description of a sweep grid (geometry / operating points / schemes /
-  Monte-Carlo budget / benchmarks);
-* :mod:`repro.dse.registry` -- the unified name registry for schemes,
-  benchmarks, and Pcell models that makes specs buildable from JSON;
+  Monte-Carlo budget / benchmarks).  Each axis is named by string and
+  resolved by the lookup that owns it: :func:`repro.sim.engine.build_scheme`,
+  :func:`repro.sim.experiment.benchmark_by_name`,
+  :func:`repro.scenarios.build_scenario` and
+  :meth:`~repro.dse.spec.OperatingGridSpec.model`;
 * :mod:`repro.dse.explore` -- :class:`DesignSpaceExplorer`, which sweeps the
   grid through the parallel :class:`~repro.sim.engine.SweepEngine`, joins
   energy and overhead, and extracts the energy/quality Pareto frontier;
@@ -32,13 +34,6 @@ from repro.dse.explore import (
     pareto_frontier,
 )
 from repro.dse.optimize import OptimizeResult, ParetoOptimizer, PruneEvent
-from repro.dse.registry import (
-    REGISTRY,
-    DesignRegistry,
-    build_benchmark,
-    build_pcell_model,
-    build_scheme,
-)
 from repro.dse.spec import (
     BenchmarkGridSpec,
     ExperimentSpec,
@@ -52,7 +47,6 @@ from repro.dse.spec import (
 __all__ = [
     "BenchmarkGridSpec",
     "DSE_COLUMNS",
-    "DesignRegistry",
     "DesignSpaceExplorer",
     "DseResult",
     "ExperimentSpec",
@@ -63,11 +57,7 @@ __all__ = [
     "OptimizerSpec",
     "ParetoOptimizer",
     "PruneEvent",
-    "REGISTRY",
     "SchemeGridSpec",
-    "build_benchmark",
     "build_dse_row",
-    "build_pcell_model",
-    "build_scheme",
     "pareto_frontier",
 ]

@@ -20,7 +20,6 @@ import os
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.base import ProtectionScheme
-from repro.dse.registry import build_benchmark, build_scheme
 from repro.dse.spec import ExperimentSpec
 from repro.hardware.overhead import OverheadModel, ReadPathOverhead
 from repro.sim.engine import (
@@ -28,7 +27,9 @@ from repro.sim.engine import (
     QualityDistribution,
     SweepEngine,
     SweepRunStats,
+    build_scheme,
 )
+from repro.sim.experiment import benchmark_by_name
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.store.invalidate import GridPointStatus
@@ -459,7 +460,7 @@ class DesignSpaceExplorer:
             str, Dict[Tuple[float, float], Dict[str, QualityDistribution]]
         ] = {}
         for benchmark_name in spec.benchmarks.names:
-            benchmark = build_benchmark(
+            benchmark = benchmark_by_name(
                 benchmark_name,
                 scale=spec.benchmarks.scale,
                 seed=spec.benchmarks.seed,

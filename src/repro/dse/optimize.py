@@ -58,7 +58,6 @@ from repro.dse.explore import (
     _reports_to_payload,
     build_dse_row,
 )
-from repro.dse.registry import build_benchmark
 from repro.dse.spec import ExperimentSpec, OptimizerSpec
 from repro.sim.engine import (
     AdaptiveBudgetReport,
@@ -67,6 +66,7 @@ from repro.sim.engine import (
     SweepEngine,
     _write_checkpoint_payload,
 )
+from repro.sim.experiment import benchmark_by_name
 from repro.store.schema import (
     adaptive_report_from_payload,
     quality_results_from_payload,
@@ -450,7 +450,7 @@ class ParetoOptimizer:
         cells: List[_CellState] = []
         benchmark_defs: Dict[str, object] = {}
         for benchmark_name in spec.benchmarks.names:
-            benchmark_defs[benchmark_name] = build_benchmark(
+            benchmark_defs[benchmark_name] = benchmark_by_name(
                 benchmark_name,
                 scale=spec.benchmarks.scale,
                 seed=spec.benchmarks.seed,

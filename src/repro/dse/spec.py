@@ -9,14 +9,18 @@ describes that grid declaratively, one layer per axis:
 * :class:`GeometrySpec` -- the memory under study (rows, word width, stored
   fixed-point format);
 * :class:`OperatingGridSpec` -- the supply-voltage / ``Pcell`` grid and the
-  energy model constants (which Pcell model by registry name, nominal VDD,
+  energy model constants (which Pcell model by name, nominal VDD,
   leakage);
-* :class:`SchemeGridSpec` -- the protection schemes by registry spec,
+* :class:`SchemeGridSpec` -- the protection schemes by
+  :func:`~repro.sim.engine.build_scheme` spec,
   including nFM / coverage variants, plus the FM-LUT realisation the
   overhead join uses;
 * :class:`McBudgetSpec` -- the Monte-Carlo budget and the master seed of the
   deterministic per-die seeding scheme;
-* :class:`BenchmarkGridSpec` -- the Table 1 benchmarks by registry name.
+* :class:`BenchmarkGridSpec` -- the Table 1 benchmarks by
+  :func:`~repro.sim.experiment.benchmark_by_name` name;
+* :class:`~repro.scenarios.base.ScenarioSpec` -- the fault scenario by
+  :func:`~repro.scenarios.catalog.build_scenario` name.
 
 A spec round-trips through plain JSON (:meth:`ExperimentSpec.to_json` /
 :meth:`ExperimentSpec.from_file`), expands into the cross product of
@@ -32,7 +36,6 @@ import math
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.dse.registry import REGISTRY
 from repro.faultmodel.pcell import PcellModel
 from repro.hardware.energy import OperatingPoint, VoltageScalingModel
 from repro.memory.organization import MemoryOrganization
@@ -48,6 +51,13 @@ __all__ = [
     "OptimizerSpec",
     "SchemeGridSpec",
 ]
+
+#: The ``Pcell(VDD)`` models a spec can name, and the parameters each takes.
+_PCELL_MODEL_PARAMS: Dict[str, Tuple[str, ...]] = {
+    "calibrated-28nm": (),
+    "default": (),
+    "gaussian": ("v_crit_mean", "v_crit_sigma"),
+}
 
 
 def _from_checked_dict(cls, data: Mapping[str, object], context: str):
@@ -92,9 +102,10 @@ class OperatingGridSpec:
     to ``Pcell`` through the named Pcell model) or as failure probabilities
     (``p_cell_values``, mapped back to a voltage through the model's
     inverse) -- or both; the grid is the concatenation in the given order.
-    ``pcell_params`` parameterises the model factory (e.g. the ``gaussian``
-    model's ``v_crit_mean`` / ``v_crit_sigma``) as a tuple of ``(name,
-    value)`` pairs so the spec stays hashable.
+    ``pcell_model`` is ``calibrated-28nm`` (alias ``default``) or
+    ``gaussian``; ``pcell_params`` carries the ``gaussian`` model's
+    ``v_crit_mean`` / ``v_crit_sigma`` as a tuple of ``(name, value)`` pairs
+    so the spec stays hashable.
     """
 
     vdd_values: Tuple[float, ...] = ()
@@ -120,12 +131,27 @@ class OperatingGridSpec:
             raise ValueError("vdd_values must be positive")
         if any(not 0.0 < p < 1.0 for p in self.p_cell_values):
             raise ValueError("p_cell_values must be in (0, 1)")
+        # Build once so a bad model name or parameter set fails at load time.
+        self.model()
 
     def model(self) -> PcellModel:
-        """The named ``Pcell(VDD)`` model of this grid."""
-        return REGISTRY.build(
-            "pcell-model", self.pcell_model, **dict(self.pcell_params)
-        )
+        """The named ``Pcell(VDD)`` model of this grid (case-insensitive)."""
+        name = str(self.pcell_model).strip().lower()
+        expected = _PCELL_MODEL_PARAMS.get(name)
+        if expected is None:
+            raise ValueError(
+                f"unknown pcell_model {self.pcell_model!r}; expected one of "
+                f"{', '.join(_PCELL_MODEL_PARAMS)}"
+            )
+        params = dict(self.pcell_params)
+        if sorted(params) != sorted(expected):
+            raise ValueError(
+                f"pcell_model {name!r} takes pcell_params "
+                f"{list(expected) or '(none)'}, got {sorted(params) or '(none)'}"
+            )
+        if name == "gaussian":
+            return PcellModel(**params)
+        return PcellModel.calibrated_28nm()
 
     def scaling_model(self, organization: MemoryOrganization) -> VoltageScalingModel:
         """The energy model joining voltages to access energy and leakage."""
@@ -388,9 +414,10 @@ class ExperimentSpec:
         """Resolve the scenario layer into a live pipeline.
 
         Delegates to :meth:`ScenarioSpec.build`, which resolves through
-        :data:`repro.dse.registry.REGISTRY` (kind ``"scenario"``) -- the same
-        lookup the sweep engine performs, so custom scenarios registered
-        there are reachable from spec files by name end-to-end.
+        :func:`repro.scenarios.catalog.build_scenario` -- the same lookup the
+        sweep engine performs, so custom scenarios added with
+        :func:`repro.scenarios.register_scenario` are reachable from spec
+        files by name end-to-end.
         """
         return self.scenario.build()
 
@@ -529,17 +556,11 @@ class ExperimentSpec:
             )
         if "scenario" in data:
             scenario = ScenarioSpec.from_dict(data["scenario"])
-            # Resolve through the registry now: an unknown scenario name or
-            # invalid parameter set must fail at load time, not halfway
-            # through a sweep.
+            # Build now: an unknown scenario name or invalid parameter set
+            # must fail at load time, not halfway through a sweep.
             try:
-                REGISTRY.build(
-                    "scenario", scenario.name, **dict(scenario.params)
-                )
-            except (TypeError, ValueError) as error:
-                # TypeError covers custom-registered factories called with a
-                # bad parameter set; both must surface as the documented
-                # load-time failure.
+                scenario.build()
+            except ValueError as error:
                 raise ValueError(f"invalid scenario section: {error}") from error
             kwargs["scenario"] = scenario
         return cls(**kwargs)

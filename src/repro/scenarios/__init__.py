@@ -18,7 +18,8 @@ decides *which* fault population every die of a sweep sees.
 * :mod:`repro.scenarios.catalog` -- the named catalog (``iid-pcell``,
   ``aged``, ``clustered``, ``repaired``, ``transient``) behind ``--scenario``
   flags and the ``scenario`` section of an
-  :class:`~repro.dse.spec.ExperimentSpec`.
+  :class:`~repro.dse.spec.ExperimentSpec`, extensible with
+  :func:`~repro.scenarios.catalog.register_scenario`.
 
 The default ``iid-pcell`` scenario reproduces the historical sampling stream
 bit-for-bit; every other scenario flows through the same per-die seeding,
@@ -35,6 +36,7 @@ from repro.scenarios.catalog import (
     SCENARIO_NAMES,
     build_scenario,
     default_scenario,
+    register_scenario,
 )
 from repro.scenarios.repair import RepairStage
 from repro.scenarios.sources import AgedPcellSource, IidPcellSource
@@ -66,4 +68,5 @@ __all__ = [
     "TransientTier",
     "build_scenario",
     "default_scenario",
+    "register_scenario",
 ]

@@ -21,9 +21,10 @@ defines the composable pipeline that expresses all of those as one object:
 Scenarios are consumed by :class:`~repro.faultmodel.montecarlo.FaultMapSampler`
 (batch sampling), by the :class:`~repro.sim.engine.SweepEngine` workers
 (per-die seeded sampling), and -- by name, through :class:`ScenarioSpec` and
-the design registry -- by :class:`~repro.dse.spec.ExperimentSpec` and the
-CLI.  The default ``iid-pcell`` scenario reproduces the historical sampling
-stream bit-for-bit: same generator calls, same rejection order, same maps.
+the catalog of :mod:`repro.scenarios.catalog` -- by
+:class:`~repro.dse.spec.ExperimentSpec` and the CLI.  The default
+``iid-pcell`` scenario reproduces the historical sampling stream
+bit-for-bit: same generator calls, same rejection order, same maps.
 
 Randomness contract
 -------------------
@@ -290,9 +291,6 @@ class RepairStageLike(abc.ABC):
 # --------------------------------------------------------------------------- #
 # Declarative scenario naming
 # --------------------------------------------------------------------------- #
-_DEFAULT_NAMES = ("iid-pcell", "iid", "default")
-
-
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Serialisable, hashable name + parameters of a catalog scenario.
@@ -332,22 +330,22 @@ class ScenarioSpec:
     @property
     def is_default(self) -> bool:
         """Whether this names the plain i.i.d. scenario with no parameters."""
-        return self.name in _DEFAULT_NAMES and not self.params
+        from repro.scenarios.catalog import _ALIASES
+
+        name = _ALIASES.get(self.name, self.name)
+        return name == "iid-pcell" and not self.params
 
     def build(self) -> FaultScenario:
         """Resolve the name into a live pipeline.
 
-        Resolution goes through the design registry's ``scenario`` kind, so
-        custom scenarios registered with ``REGISTRY.register("scenario",
-        name, factory)`` are buildable from any spec that validated against
-        the same registry (the built-in catalog is its fallback).  Imported
-        lazily because the DSE layer sits above this package; an import
-        failure there is a real error and propagates -- silently falling
-        back to the catalog would change which names resolve.
+        Resolution goes through :func:`repro.scenarios.catalog.build_scenario`,
+        so custom scenarios added with
+        :func:`~repro.scenarios.catalog.register_scenario` build like the
+        catalog's own.  Imported lazily: the catalog imports this module.
         """
-        from repro.dse.registry import REGISTRY
+        from repro.scenarios.catalog import build_scenario
 
-        return REGISTRY.build("scenario", self.name, **dict(self.params))
+        return build_scenario(self.name, **dict(self.params))
 
     # ------------------------------------------------------------------ #
     # Serialisation

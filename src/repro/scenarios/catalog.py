@@ -1,4 +1,4 @@
-"""Named scenario catalog: the registry grammar behind ``--scenario``.
+"""Named scenario catalog: the name grammar behind ``--scenario``.
 
 Every scenario an :class:`~repro.dse.spec.ExperimentSpec` or a CLI flag can
 name is assembled here from the pipeline stages of this package:
@@ -22,9 +22,9 @@ name            pipeline
 
 Unknown names and unknown/invalid parameters raise :class:`ValueError` with
 the accepted grammar -- a typo in a spec file must never silently run the
-default scenario.  The catalog is also registered as the ``scenario`` kind of
-the :data:`repro.dse.registry.REGISTRY`, so specs resolve through the same
-namespaced registry as schemes, benchmarks, and Pcell models.
+default scenario.  :func:`register_scenario` adds a custom scenario under a
+new name; spec files, ``--scenario`` flags and the sweep engine then resolve
+it like any catalog entry.
 """
 
 from __future__ import annotations
@@ -43,7 +43,12 @@ from repro.scenarios.transient import (
     TransientTier,
 )
 
-__all__ = ["SCENARIO_NAMES", "build_scenario", "default_scenario"]
+__all__ = [
+    "SCENARIO_NAMES",
+    "build_scenario",
+    "default_scenario",
+    "register_scenario",
+]
 
 #: Canonical catalog names (aliases excluded).
 SCENARIO_NAMES: Tuple[str, ...] = (
@@ -186,6 +191,20 @@ _FACTORIES: Dict[str, Callable[..., FaultScenario]] = {
 }
 
 
+def register_scenario(name: str, factory: Callable[..., FaultScenario]) -> None:
+    """Add ``factory`` to the catalog under ``name`` (case-insensitive).
+
+    ``factory`` takes the scenario's parameters as keyword arguments.  A name
+    that is already taken -- a catalog scenario, an alias or an earlier
+    registration -- is rejected: a silently shadowed entry would change what
+    a saved spec builds.
+    """
+    key = str(name).strip().lower()
+    if key in _FACTORIES or key in _ALIASES:
+        raise ValueError(f"scenario {name!r} is already registered")
+    _FACTORIES[key] = factory
+
+
 def build_scenario(name: str, **params) -> FaultScenario:
     """Assemble the catalog scenario named ``name`` with keyword parameters.
 
@@ -199,7 +218,7 @@ def build_scenario(name: str, **params) -> FaultScenario:
     if factory is None:
         raise ValueError(
             f"unknown scenario {name!r}; expected one of "
-            f"{', '.join(SCENARIO_NAMES)}"
+            f"{', '.join(_FACTORIES)}"
         )
     try:
         return factory(**params)

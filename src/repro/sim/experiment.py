@@ -245,7 +245,8 @@ BENCHMARK_NAMES = ("elasticnet", "pca", "knn")
 def benchmark_by_name(
     name: str, scale: float = 1.0, seed: int = 17
 ) -> BenchmarkDefinition:
-    """Build one Table 1 benchmark by name, at the standard sizing.
+    """Build one Table 1 benchmark by name (case-insensitive), at the
+    standard sizing.
 
     Seeds and sample counts follow :func:`standard_benchmarks` exactly, so
     ``benchmark_by_name(name, scale, seed)`` equals
@@ -254,15 +255,16 @@ def benchmark_by_name(
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
-    if name == "elasticnet":
+    key = str(name).strip().lower()
+    if key == "elasticnet":
         return elasticnet_benchmark(n_samples=max(int(1000 * scale), 50), seed=seed)
-    if name == "pca":
+    if key == "pca":
         return pca_benchmark(
             n_samples=max(int(600 * scale), 50),
             n_noise=max(int(100 * scale), 10),
             seed=seed + 1,
         )
-    if name == "knn":
+    if key == "knn":
         return knn_benchmark(n_samples=max(int(900 * scale), 50), seed=seed + 2)
     raise ValueError(
         f"unknown benchmark {name!r}; expected one of {', '.join(BENCHMARK_NAMES)}"

@@ -44,13 +44,13 @@ def grid_point_statuses(
     bytes enter the hash -- that is what catches data changes), but runs no
     Monte-Carlo work.
     """
-    from repro.dse.registry import build_benchmark
     from repro.sim.engine import SweepEngine
+    from repro.sim.experiment import benchmark_by_name
 
     statuses: List[GridPointStatus] = []
     points = spec.operating_points()
     for benchmark_name in spec.benchmarks.names:
-        benchmark = build_benchmark(
+        benchmark = benchmark_by_name(
             benchmark_name,
             scale=spec.benchmarks.scale,
             seed=spec.benchmarks.seed,

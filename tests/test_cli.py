@@ -347,6 +347,29 @@ class TestDseCommands:
         with pytest.raises(SystemExit):
             main(["dse", "run"])
 
+    def test_dse_spec_with_unknown_pcell_model_exits_with_one_line(
+        self, spec_path
+    ):
+        with open(spec_path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+        data["operating_grid"]["pcell_model"] = "bogus"
+        with open(spec_path, "w", encoding="utf-8") as handle:
+            json.dump(data, handle)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["dse", "run", "--spec", spec_path])
+        assert str(excinfo.value) == (
+            f"--spec {spec_path}: unknown pcell_model 'bogus'; expected one "
+            f"of calibrated-28nm, default, gaussian"
+        )
+
+    def test_dse_missing_spec_file_exits_with_one_line(self, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["dse", "optimize", "--spec", missing])
+        message = str(excinfo.value)
+        assert message.startswith(f"--spec {missing}: ")
+        assert "No such file" in message and "\n" not in message
+
     def test_dse_run_stdout_identical_for_worker_counts(
         self, capsys, spec_path
     ):

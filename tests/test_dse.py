@@ -1,9 +1,9 @@
 """Tests for the cross-layer design-space exploration subsystem.
 
-Covers the unified registry, the layered serialisable spec, the thin-view
-contract of the figure functions (golden equivalence with the pre-DSE
-implementations, bit-for-bit), and the explorer's determinism, checkpoint
-reuse, and Pareto extraction.
+Covers the name lookup of every spec axis, the layered serialisable spec,
+the thin-view contract of the figure functions (golden equivalence with the
+pre-DSE implementations, bit-for-bit), and the explorer's determinism,
+checkpoint reuse, and Pareto extraction.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.core.priority_ecc import PriorityEccScheme
 from repro.core.scheme import BitShuffleScheme
 from repro.dse import (
     BenchmarkGridSpec,
-    DesignRegistry,
     DesignSpaceExplorer,
     DseResult,
     ExperimentSpec,
@@ -28,9 +27,6 @@ from repro.dse import (
     McBudgetSpec,
     OperatingGridSpec,
     SchemeGridSpec,
-    build_benchmark,
-    build_pcell_model,
-    build_scheme,
     pareto_frontier,
 )
 from repro.faultmodel.pcell import PcellModel
@@ -38,7 +34,12 @@ from repro.faultmodel.yieldmodel import YieldAnalyzer
 from repro.memory.organization import MemoryOrganization
 from repro.scenarios import ScenarioSpec
 from repro.sim import engine as engine_module
-from repro.sim.experiment import knn_benchmark, standard_benchmarks
+from repro.sim.engine import build_scheme
+from repro.sim.experiment import (
+    benchmark_by_name,
+    knn_benchmark,
+    standard_benchmarks,
+)
 from repro.sim.runner import QualityExperimentRunner
 
 GOLDEN_FIG5_PATH = os.path.join(
@@ -61,13 +62,22 @@ def _fig5_golden(workers=1, **overrides):
 
 
 # --------------------------------------------------------------------------- #
-# Unified registry
+# Axis name lookups
 # --------------------------------------------------------------------------- #
+def _pcell_model(name, **params):
+    grid = OperatingGridSpec(
+        vdd_values=(0.7,), pcell_model=name, pcell_params=tuple(params.items())
+    )
+    return grid.model()
+
+
 class TestRegistry:
+    """Every named spec axis resolves through the lookup that owns it."""
+
     def test_builds_every_kind(self):
         assert isinstance(build_scheme("bit-shuffle-nfm2", 32), BitShuffleScheme)
-        assert build_benchmark("knn", scale=0.2).name == "knn"
-        assert isinstance(build_pcell_model("calibrated-28nm"), PcellModel)
+        assert benchmark_by_name("knn", scale=0.2).name == "knn"
+        assert isinstance(_pcell_model("calibrated-28nm"), PcellModel)
 
     def test_scheme_specs_cover_engine_grammar(self):
         assert isinstance(build_scheme("none", 32), NoProtection)
@@ -76,59 +86,38 @@ class TestRegistry:
             build_scheme("hamming-weight", 32)
 
     def test_benchmark_matches_standard_set(self):
-        registry_bench = build_benchmark("pca", scale=0.25, seed=5)
+        by_name = benchmark_by_name(" PCA ", scale=0.25, seed=5)
         standard = standard_benchmarks(scale=0.25, seed=5)["pca"]
-        assert registry_bench.name == standard.name
+        assert by_name.name == standard.name
         np.testing.assert_array_equal(
-            registry_bench.train_features, standard.train_features
+            by_name.train_features, standard.train_features
         )
 
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(ValueError, match="benchmark"):
-            build_benchmark("svm")
+            benchmark_by_name("svm")
 
     def test_parameterised_pcell_model(self):
-        model = build_pcell_model("gaussian", v_crit_mean=0.4, v_crit_sigma=0.1)
+        model = _pcell_model("Gaussian", v_crit_mean=0.4, v_crit_sigma=0.1)
         assert model.v_crit_mean == 0.4
-        default = build_pcell_model("default")
+        default = _pcell_model("DEFAULT")
         assert default == PcellModel.calibrated_28nm()
 
-    def test_unknown_kind_and_duplicate_registration_rejected(self):
-        registry = DesignRegistry()
-        with pytest.raises(ValueError, match="kind"):
-            registry.build("dataset", "iris")
-        registry.register("pcell-model", "custom", PcellModel.calibrated_28nm)
-        with pytest.raises(ValueError, match="already registered"):
-            registry.register("pcell-model", "custom", PcellModel.calibrated_28nm)
-
-    def test_custom_entry_builds(self):
-        registry = DesignRegistry()
-        registry.register(
-            "scheme", "mirror", lambda word_width: NoProtection(word_width)
-        )
-        assert isinstance(registry.build("scheme", "MIRROR", word_width=16),
-                          NoProtection)
-        assert registry.names("scheme") == ["mirror"]
-
-    def test_fallback_resolvers_are_tried_in_order(self):
-        """A resolver that raises ValueError means "not mine"; later
-        resolvers must still get a chance at the spec."""
-        registry = DesignRegistry()
-
-        def _rejects_everything(spec, word_width):
-            raise ValueError(f"not a family spec: {spec}")
-
-        def _mirror_family(spec, word_width):
-            if spec.startswith("mirror-"):
-                return NoProtection(word_width)
-            raise ValueError(f"not a mirror spec: {spec}")
-
-        registry.register_fallback("scheme", _rejects_everything)
-        registry.register_fallback("scheme", _mirror_family)
-        built = registry.build("scheme", "mirror-x", word_width=16)
-        assert isinstance(built, NoProtection)
-        with pytest.raises(ValueError, match="unknown scheme"):
-            registry.build("scheme", "prism-x", word_width=16)
+    @pytest.mark.parametrize(
+        "name, params, message",
+        [
+            ("bogus", {}, "unknown pcell_model 'bogus'"),
+            ("gaussian", {}, "v_crit_mean"),
+            ("gaussian", {"v_crit_mean": 0.4}, "v_crit_sigma"),
+            ("calibrated-28nm", {"v_crit_mean": 0.4}, "takes pcell_params"),
+        ],
+    )
+    def test_bad_pcell_model_fails_at_load(self, name, params, message):
+        data = _smoke_spec().to_dict()
+        data["operating_grid"]["pcell_model"] = name
+        data["operating_grid"]["pcell_params"] = params
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec.from_dict(data)
 
 
 # --------------------------------------------------------------------------- #

@@ -238,7 +238,7 @@ class TestRetrainMemo:
             retrained.append(_digest(features))
             return public(self, features)
 
-        monkeypatch.setattr("repro.dse.optimize.build_benchmark", build)
+        monkeypatch.setattr("repro.dse.optimize.benchmark_by_name", build)
         monkeypatch.setattr(
             BenchmarkDefinition, "quality_with_corrupted_features", recording_retrain
         )

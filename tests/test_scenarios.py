@@ -1,6 +1,6 @@
 """Tests for the composable fault-scenario pipeline (source -> transforms -> repair).
 
-Covers the pipeline stages themselves, the catalog/registry grammar, the
+Covers the pipeline stages themselves, the catalog name grammar, the
 spec round-trip, and the cross-layer integration contracts:
 
 * the default ``iid-pcell`` scenario is *bit-identical* to the historical
@@ -18,7 +18,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.dse.registry import REGISTRY, build_scenario as registry_build_scenario
 from repro.dse.spec import (
     BenchmarkGridSpec,
     ExperimentSpec,
@@ -40,7 +39,9 @@ from repro.scenarios import (
     ScenarioSpec,
     build_scenario,
     default_scenario,
+    register_scenario,
 )
+from repro.scenarios import catalog
 from repro.sim.engine import ExperimentConfig, SweepEngine
 
 
@@ -49,8 +50,14 @@ def org() -> MemoryOrganization:
     return MemoryOrganization(rows=256, word_width=32)
 
 
+@pytest.fixture
+def scenario_catalog(monkeypatch):
+    """Restore the catalog's factory table after a test registers into it."""
+    monkeypatch.setattr(catalog, "_FACTORIES", dict(catalog._FACTORIES))
+
+
 # --------------------------------------------------------------------------- #
-# Catalog and registry
+# Catalog
 # --------------------------------------------------------------------------- #
 class TestCatalog:
     def test_builds_every_catalog_scenario(self):
@@ -93,19 +100,10 @@ class TestCatalog:
         assert repaired.repair.spare_rows == 7
         assert repaired.repair.spare_columns == 3
 
-    def test_registry_resolves_scenarios(self):
-        assert "scenario" in REGISTRY.KINDS
-        assert set(SCENARIO_NAMES) <= set(REGISTRY.names("scenario"))
-        scenario = registry_build_scenario("aged", years=3.0)
-        assert scenario.source.years == 3.0
-        with pytest.raises(ValueError):
-            registry_build_scenario("not-a-scenario")
-
-    def test_custom_registered_scenario_runs_end_to_end(self):
-        # The advertised extension point: a scenario registered on the design
-        # registry must be spec-addressable AND buildable by the sweep engine.
-        REGISTRY.register(
-            "scenario",
+    def test_custom_registered_scenario_runs_end_to_end(self, scenario_catalog):
+        # The extension point: a scenario added to the catalog must be
+        # spec-addressable AND buildable by the sweep engine.
+        register_scenario(
             "custom-repair-heavy",
             lambda spare_rows=8: FaultScenario(
                 name="custom-repair-heavy",
@@ -113,6 +111,10 @@ class TestCatalog:
                 repair=RepairStage(spare_rows=int(spare_rows)),
             ),
         )
+        with pytest.raises(ValueError, match="already registered"):
+            register_scenario("Custom-Repair-Heavy", default_scenario)
+        with pytest.raises(ValueError, match="already registered"):
+            register_scenario("iid", default_scenario)
         spec = _minimal_spec()
         data = spec.to_dict()
         data["scenario"] = {

@@ -25,10 +25,10 @@ from repro.dse import (
     OperatingGridSpec,
     SchemeGridSpec,
 )
-from repro.dse.registry import build_benchmark
 from repro.quality.cdf import WeightedEcdf
 from repro.sim import engine as engine_module
 from repro.sim.engine import AdaptiveBudget, ExperimentConfig, SweepEngine
+from repro.sim.experiment import benchmark_by_name
 from repro.store import (
     SCHEMA_VERSION,
     ResultStore,
@@ -54,7 +54,7 @@ def _quick_config(**overrides):
 
 
 def _quick_benchmark():
-    return build_benchmark("elasticnet", scale=0.25, seed=1)
+    return benchmark_by_name("elasticnet", scale=0.25, seed=1)
 
 
 def _assert_ecdf_identical(a: WeightedEcdf, b: WeightedEcdf) -> None:
