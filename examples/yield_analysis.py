@@ -22,24 +22,13 @@ from repro import (
     MemoryOrganization,
     NoProtection,
     PriorityEccScheme,
-    YieldAnalyzer,
 )
+from repro.analysis import figure5_mse_cdf
 
 
 def main(samples_per_count: int = 300) -> None:
     organization = MemoryOrganization.paper_16kb()
     p_cell = 5e-6
-    analyzer = YieldAnalyzer(
-        organization,
-        p_cell,
-        rng=np.random.default_rng(2015),
-        coverage=0.9999999,
-    )
-    print(
-        f"Quality-aware yield for {organization} at Pcell = {p_cell:g} "
-        f"(Nmax = {analyzer.max_failures}, {samples_per_count} samples/count)"
-    )
-
     schemes = [
         NoProtection(32),
         PriorityEccScheme(32),
@@ -47,7 +36,20 @@ def main(samples_per_count: int = 300) -> None:
         BitShuffleScheme(32, 2),
         BitShuffleScheme(32, 5),
     ]
-    results = analyzer.compare_schemes(schemes, samples_per_count=samples_per_count)
+    # Every scheme is scored against the same dies (a paired comparison).
+    results = figure5_mse_cdf(
+        organization=organization,
+        p_cell=p_cell,
+        samples_per_count=samples_per_count,
+        coverage=0.9999999,
+        schemes=schemes,
+        rng=np.random.default_rng(2015),
+    )
+    max_failures = results["no-protection"].max_failures
+    print(
+        f"Quality-aware yield for {organization} at Pcell = {p_cell:g} "
+        f"(Nmax = {max_failures}, {samples_per_count} samples/count)"
+    )
 
     mse_targets = [1e0, 1e3, 1e6, 1e9]
     header = f"{'scheme':<22}" + "".join(

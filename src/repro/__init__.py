@@ -40,7 +40,6 @@ from repro.faultmodel import (
     MseDistribution,
     PcellModel,
     VoltageScalableDie,
-    YieldAnalyzer,
     classical_yield,
 )
 from repro.hardware import (
@@ -67,7 +66,6 @@ from repro.sim import (
     BenchmarkDefinition,
     FaultyTensorStore,
     QualityDistribution,
-    QualityExperimentRunner,
     standard_benchmarks,
 )
 from repro.dse import (
@@ -104,7 +102,6 @@ __all__ = [
     "ProtectedMemory",
     "ProtectionScheme",
     "QualityDistribution",
-    "QualityExperimentRunner",
     "RedundancyRepair",
     "SecdedCode",
     "SecdedScheme",
@@ -114,7 +111,6 @@ __all__ = [
     "VoltageScalingModel",
     "WritePathOverhead",
     "WeightedEcdf",
-    "YieldAnalyzer",
     "classical_yield",
     "mse_of_fault_map",
     "repair_yield",

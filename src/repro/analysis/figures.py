@@ -6,13 +6,17 @@ objects that the benchmarks print as tables and that a notebook could plot
 directly.
 
 The Monte-Carlo figures are one :class:`~repro.sim.engine.SweepEngine` call
-each: ``figure5_mse_cdf`` scores every die by local MSE (``run_mse``) and
-``figure7_quality`` retrains the benchmark on the corrupted features
-(``run``), sharing the engine's parallelism, seeding, and checkpointing.
+each, and each is its figure's only front end: ``figure5_mse_cdf`` scores
+every die by local MSE (``run_mse``) and ``figure7_quality`` retrains the
+benchmark on the corrupted features (``run``), sharing the engine's
+parallelism, seeding, and checkpointing.  Both take ``schemes=`` for scheme
+sets beyond their defaults (other P-ECC widths, the minimax FM-LUT policy).
 Legacy sampling pre-draws the die population with
-:func:`~repro.sim.runner.legacy_fault_maps`.  ``figure6_overhead`` is the
-:class:`~repro.hardware.overhead.OverheadModel` comparison.  The general grid
-lives behind ``repro-faulty-mem dse``.
+:func:`~repro.sim.runner.legacy_fault_maps`.  Sweeps that need other engine
+settings (``include_fault_free=False``, multi-fault-word rejection for
+Fig. 5, a fixed-point override) build the :class:`SweepEngine` directly.
+``figure6_overhead`` is the :class:`~repro.hardware.overhead.OverheadModel`
+comparison.  The general grid lives behind ``repro-faulty-mem dse``.
 """
 
 from __future__ import annotations
@@ -38,11 +42,12 @@ from repro.sim.engine import (
     AdaptiveBudget,
     AdaptiveBudgetReport,
     ExperimentConfig,
+    QualityDistribution,
     SweepEngine,
     build_scheme,
 )
 from repro.sim.experiment import BenchmarkDefinition
-from repro.sim.runner import QualityDistribution, legacy_fault_maps
+from repro.sim.runner import legacy_fault_maps
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.store.store import ResultStore
@@ -101,7 +106,7 @@ def figure5_mse_cdf(
     p_cell: float = 5e-6,
     samples_per_count: int = 300,
     coverage: float = 0.9999999,
-    n_fm_values: Optional[Sequence[int]] = None,
+    schemes: Optional[Sequence[ProtectionScheme]] = None,
     rng: Optional[np.random.Generator] = None,
     workers: int = 1,
     sampling: str = "legacy",
@@ -116,10 +121,11 @@ def figure5_mse_cdf(
 ) -> Dict[str, MseDistribution]:
     """Fig. 5: CDF of the local MSE for every protection option.
 
-    Evaluates the unprotected memory, the H(22,16) P-ECC baseline, and the
-    bit-shuffling scheme for every requested ``nFM`` against the *same*
-    Monte-Carlo population of faulty dies, at the paper's operating point
-    (16 kB memory, Pcell = 5e-6) -- one :meth:`SweepEngine.run_mse` call.
+    Evaluates ``schemes`` -- by default the unprotected memory, the H(22,16)
+    P-ECC baseline, and the bit-shuffling scheme for every ``nFM`` the word
+    width allows -- against the *same* Monte-Carlo population of faulty
+    dies, at the paper's operating point (16 kB memory, Pcell = 5e-6) -- one
+    :meth:`SweepEngine.run_mse` call.  Results are keyed by scheme name.
 
     ``workers`` fans the per-die analysis out over processes; results are
     bit-identical for any count.  ``sampling="legacy"`` (default) draws the
@@ -150,8 +156,13 @@ def figure5_mse_cdf(
     organization = (
         organization if organization is not None else MemoryOrganization.paper_16kb()
     )
-    if n_fm_values is None:
-        n_fm_values = range(1, max_lut_bits(organization.word_width) + 1)
+    if schemes is None:
+        n_fm_max = max_lut_bits(organization.word_width)
+        scheme_specs = ("no-protection", "p-ecc") + tuple(
+            f"bit-shuffle-nfm{n_fm}" for n_fm in range(1, n_fm_max + 1)
+        )
+    else:
+        scheme_specs = tuple(scheme.name for scheme in schemes)
     if adaptive is not None and sampling == "legacy":
         raise ValueError(
             "adaptive budgets require sampling='seeded' (the die population "
@@ -169,14 +180,13 @@ def figure5_mse_cdf(
         coverage=coverage,
         samples_per_count=samples_per_count,
         master_seed=master_seed,
-        scheme_specs=("no-protection", "p-ecc")
-        + tuple(f"bit-shuffle-nfm{n_fm}" for n_fm in n_fm_values),
+        scheme_specs=scheme_specs,
         discard_multi_fault_words=False,
         scenario=scenario,
         adaptive=adaptive,
         access_trace=access_trace,
     )
-    engine = SweepEngine(config)
+    engine = SweepEngine(config, schemes=schemes)
     results = engine.run_mse(
         workers=workers,
         checkpoint=checkpoint,

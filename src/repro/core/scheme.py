@@ -99,8 +99,15 @@ class BitShuffleScheme(ProtectionScheme):
     # ------------------------------------------------------------------ #
     @property
     def name(self) -> str:
-        """Scheme name used in reports, e.g. ``"bit-shuffle-nfm2"``."""
-        return f"bit-shuffle-nfm{self._n_fm}"
+        """Scheme name used in reports, e.g. ``"bit-shuffle-nfm2"``.
+
+        A non-default multi-fault policy is part of the name
+        (``"bit-shuffle-nfm2-minimax"``): sweeps key schemes by name, so two
+        policies must never share a store key or a checkpoint.
+        """
+        if self._policy == "most-significant":
+            return f"bit-shuffle-nfm{self._n_fm}"
+        return f"bit-shuffle-nfm{self._n_fm}-{self._policy}"
 
     @property
     def n_fm(self) -> int:

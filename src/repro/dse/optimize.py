@@ -428,11 +428,6 @@ class ParetoOptimizer:
         """The grid being optimized."""
         return self._spec
 
-    @property
-    def optimizer_spec(self) -> OptimizerSpec:
-        """The effective rung schedule and pruning rule."""
-        return self._optimizer
-
     # ------------------------------------------------------------------ #
     # Cell construction
     # ------------------------------------------------------------------ #

@@ -248,14 +248,6 @@ class SecdedCode:
             raise ValueError(f"data does not fit in {self._k} bits")
         return _active_backend().secded_encode(data, self._kernel_spec)
 
-    def extract_data_array(self, codewords: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`extract_data` (no checking beyond the width)."""
-        codewords = self._check_codeword_array(codewords)
-        data = np.zeros_like(codewords)
-        for i, pos in enumerate(self._data_positions):
-            data |= ((codewords >> np.uint64(pos)) & np.uint64(1)) << np.uint64(i)
-        return data
-
     def syndrome_array(self, codewords: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorised :meth:`syndrome`: ``(hamming_syndromes, overall_parity_errors)``."""
         codewords = self._check_codeword_array(codewords)

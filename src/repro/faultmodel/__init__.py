@@ -9,7 +9,7 @@
 * :mod:`repro.faultmodel.montecarlo` -- the failure-count law of Eq. 4 and
   the per-failure-count Monte-Carlo fault-map sampling used by Figs. 5 and 7.
 * :mod:`repro.faultmodel.yieldmodel` -- Eqs. 3-6: the quality-aware yield
-  criterion; produces MSE distributions and yield-at-target numbers.
+  criterion; the MSE distribution that answers yield-at-target queries.
 * :mod:`repro.faultmodel.aging` -- temporal degradation (aging) of bit-cells,
   motivating the paper's power-on self test (POST) FM-LUT reprogramming.
 """
@@ -25,7 +25,7 @@ from repro.faultmodel.montecarlo import (
     samples_per_failure_count,
 )
 from repro.faultmodel.pcell import PcellModel, classical_yield
-from repro.faultmodel.yieldmodel import MseDistribution, YieldAnalyzer
+from repro.faultmodel.yieldmodel import MseDistribution
 
 __all__ = [
     "AgingDie",
@@ -34,7 +34,6 @@ __all__ = [
     "MseDistribution",
     "PcellModel",
     "VoltageScalableDie",
-    "YieldAnalyzer",
     "classical_yield",
     "expected_failures",
     "failure_count_cdf",

@@ -237,8 +237,8 @@ class FaultMapSampler:
 
         Without a scenario this draws cells without replacement directly from
         the generator, keeping the exact random stream of the original scalar
-        implementation (the legacy Fig. 7 runner's golden regressions depend
-        on it).  With a scenario the map runs through the full pipeline (a
+        implementation (the legacy-sampling Fig. 5 and Fig. 7 golden
+        regressions depend on it).  With a scenario the map runs through the full pipeline (a
         repair stage may leave fewer than ``fault_count`` post-repair faults).
         """
         if self._scenario is not None:
@@ -298,10 +298,4 @@ class FaultMapSampler:
             max_faults_per_word=max_faults_per_word,
             max_rounds=max_attempts,
             vectorized=vectorized,
-        )
-
-    def sample_with_pcell(self, p_cell: float) -> FaultMap:
-        """One fault map where each cell fails independently with ``p_cell``."""
-        return FaultMap.random_with_pcell(
-            self._organization, p_cell, self._rng, kind=self._fault_kind
         )

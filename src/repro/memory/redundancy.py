@@ -89,11 +89,6 @@ class RedundancyRepair:
         """Available spare columns."""
         return self._spare_columns
 
-    @property
-    def storage_overhead_cells(self) -> int:
-        """Extra cells required by the spares for a given organization (per row/column)."""
-        return self._spare_rows + self._spare_columns
-
     def overhead_cells(self, organization: MemoryOrganization) -> int:
         """Total extra bit-cells the spares add to ``organization``."""
         return (

@@ -24,13 +24,14 @@ corrupted data, and the output quality is measured on clean test data.
   (``python -m repro.sim.worker --connect HOST:PORT``).
 * :mod:`repro.sim.wire` -- the framed socket protocol between coordinator
   and workers.
-* :mod:`repro.sim.runner` -- the legacy generator-seeded front end that sweeps
-  failure counts and assembles the quality CDFs of Fig. 7 (a thin wrapper
-  over the engine).
+* :mod:`repro.sim.runner` -- legacy sampling: the die population pre-drawn
+  from one shared generator, the stream the pinned golden curves of Figs. 5
+  and 7 were produced with (fed to the engine as ``fault_maps``).
 """
 
 from repro.sim.engine import (
     ExperimentConfig,
+    QualityDistribution,
     SweepEngine,
     build_scheme,
 )
@@ -43,7 +44,6 @@ from repro.sim.experiment import (
     standard_benchmarks,
 )
 from repro.sim.faulty_storage import FaultyTensorStore
-from repro.sim.runner import QualityDistribution, QualityExperimentRunner
 
 __all__ = [
     "BenchmarkDefinition",
@@ -51,7 +51,6 @@ __all__ = [
     "ExperimentConfig",
     "FaultyTensorStore",
     "QualityDistribution",
-    "QualityExperimentRunner",
     "SweepEngine",
     "build_scheme",
     "elasticnet_benchmark",

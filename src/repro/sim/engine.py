@@ -61,9 +61,9 @@ and samplers must follow the same rule -- consume randomness only from the
 die's own child sequence -- to stay reproducible.
 
 The engine also accepts pre-drawn fault maps (``fault_maps=``), which is how
-the legacy :class:`~repro.sim.runner.QualityExperimentRunner` API keeps its
-historical shared-generator sampling (and its golden regression curves) while
-delegating all evaluation, parallelism, and checkpointing to this engine.
+legacy sampling (:func:`~repro.sim.runner.legacy_fault_maps`, the historical
+shared-generator stream of the golden regression curves) reaches the same
+evaluation, parallelism, and checkpointing.
 
 Budget modes and the streaming reduction
 ----------------------------------------
@@ -231,7 +231,7 @@ def build_scheme(spec: str, word_width: int) -> ProtectionScheme:
 
 
 # --------------------------------------------------------------------------- #
-# Failure-count grid helpers (shared with the legacy runner API)
+# Failure-count grid helpers
 # --------------------------------------------------------------------------- #
 def evaluated_failure_counts(
     max_failures: int, n_points: Optional[int] = None
@@ -930,9 +930,10 @@ class SweepEngine:
         The sweep description.  ``config.scheme_specs`` defines the schemes
         unless explicit instances are supplied.
     schemes:
-        Optional pre-built scheme objects (overrides ``config.scheme_specs``);
-        used by the legacy runner API, whose callers pass arbitrary scheme
-        instances.
+        Optional pre-built scheme objects (overrides ``config.scheme_specs``),
+        for schemes no spec names (other P-ECC widths, the minimax FM-LUT
+        policy).  Results, store keys and checkpoints are keyed by
+        ``scheme.name``, so names must be distinct.
     """
 
     def __init__(
@@ -952,12 +953,16 @@ class SweepEngine:
             self._schemes = list(schemes)
             if not self._schemes:
                 raise ValueError("at least one scheme is required")
+        names = set()
         for scheme in self._schemes:
             if scheme.word_width != config.word_width:
                 raise ValueError(
                     f"scheme {scheme.name!r} word width {scheme.word_width} "
                     f"does not match the memory ({config.word_width})"
                 )
+            if scheme.name in names:
+                raise ValueError(f"duplicate scheme name {scheme.name!r}")
+            names.add(scheme.name)
 
     @property
     def config(self) -> ExperimentConfig:
@@ -1114,7 +1119,8 @@ class SweepEngine:
             the file once per round.
         fault_maps:
             Pre-drawn dies keyed by ``(count_index, sample_index)``; replaces
-            the seeded per-die sampling (legacy-runner bridge).
+            the seeded per-die sampling (legacy sampling, see
+            :func:`~repro.sim.runner.legacy_fault_maps`).
         fixed_point:
             Override for the stored fixed-point format (defaults to the
             config's ``Q(word_width - frac_bits).frac_bits`` format).

@@ -78,11 +78,6 @@ class WeightedSampleBuffer:
     def __len__(self) -> int:
         return sum(chunk.size for chunk in self._values)
 
-    @property
-    def is_empty(self) -> bool:
-        """Whether no observations have been absorbed."""
-        return not self._values
-
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe state (exact float round-trip)."""
         return {

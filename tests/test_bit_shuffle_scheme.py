@@ -22,6 +22,9 @@ class TestParameters:
         assert scheme.extra_columns == 3
         assert scheme.storage_width == 35
         assert scheme.segment_size == 4
+        # Only a non-default multi-fault policy enters the name.
+        minimax = BitShuffleScheme(32, 3, multi_fault_policy="minimax")
+        assert minimax.name == "bit-shuffle-nfm3-minimax"
 
     def test_rejects_invalid_nfm(self):
         with pytest.raises(ValueError):

@@ -531,46 +531,6 @@ class TestDseCommands:
             main(["dse", "pareto", "--table", output, "--scenario", "aged"])
 
 
-class TestScenarioParseErrors:
-    """Exact diagnoses of malformed --scenario values (fail loudly, not
-
-    by silently mis-splitting on '=')."""
-
-    def _error(self, text):
-        import argparse
-
-        with pytest.raises(argparse.ArgumentTypeError) as excinfo:
-            cli_module._parse_scenario(text)
-        return str(excinfo.value)
-
-    def test_parameter_without_separator(self):
-        assert self._error("aged,years") == (
-            "scenario parameter 'years' must have the form key=value"
-        )
-
-    def test_parameter_missing_key(self):
-        assert self._error("aged,=5") == (
-            "scenario parameter '=5' is missing a key before '='"
-        )
-
-    def test_parameter_value_containing_equals(self):
-        assert self._error("aged,years=5=6") == (
-            "scenario parameter 'years=5=6' has more than one '='; "
-            "values must not contain '='"
-        )
-
-    def test_parameter_missing_value(self):
-        assert self._error("aged,years=") == (
-            "scenario parameter 'years=' is missing a value after '='"
-        )
-
-    def test_name_containing_equals(self):
-        assert self._error("aged=5") == (
-            "scenario name 'aged=5' must not contain '='; parameters follow "
-            "the name after a comma (e.g. 'aged,years=5')"
-        )
-
-
 class TestStoreCli:
     FIG5_SMOKE = ["fig5", "--samples", "2", "--p-cell", "1e-4"]
 

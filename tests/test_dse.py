@@ -8,6 +8,7 @@ checkpoint reuse, and Pareto extraction.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
@@ -30,17 +31,16 @@ from repro.dse import (
     pareto_frontier,
 )
 from repro.faultmodel.pcell import PcellModel
-from repro.faultmodel.yieldmodel import YieldAnalyzer
 from repro.memory.organization import MemoryOrganization
 from repro.scenarios import ScenarioSpec
 from repro.sim import engine as engine_module
-from repro.sim.engine import build_scheme
+from repro.sim.engine import ExperimentConfig, SweepEngine, build_scheme
 from repro.sim.experiment import (
     benchmark_by_name,
     knn_benchmark,
     standard_benchmarks,
 )
-from repro.sim.runner import QualityExperimentRunner
+from repro.sim.runner import legacy_fault_maps
 
 GOLDEN_FIG5_PATH = os.path.join(
     os.path.dirname(__file__), "golden", "fig5_mse_cdf.json"
@@ -48,7 +48,15 @@ GOLDEN_FIG5_PATH = os.path.join(
 
 # The configuration the pre-refactor golden snapshot was captured with.
 FIG5_GOLDEN_CONFIG = dict(
-    p_cell=2e-4, samples_per_count=4, coverage=0.995, n_fm_values=[1, 3]
+    p_cell=2e-4,
+    samples_per_count=4,
+    coverage=0.995,
+    schemes=(
+        NoProtection(32),
+        PriorityEccScheme(32),
+        BitShuffleScheme(32, 1),
+        BitShuffleScheme(32, 3),
+    ),
 )
 
 
@@ -239,6 +247,36 @@ class TestExperimentSpec:
 # --------------------------------------------------------------------------- #
 # Golden equivalence: the figures as thin DSE views
 # --------------------------------------------------------------------------- #
+def _mse_digest(dist):
+    digest = hashlib.sha256()
+    for array in dist.ecdf.curve():
+        digest.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
+    digest.update(
+        repr(
+            (dist.samples, dist.max_failures, dist.zero_fault_probability)
+        ).encode()
+    )
+    return digest.hexdigest()
+
+
+# Captured from the former scheme-comparison front end over the same dies,
+# whose curves equalled the paired per-scheme MSE analysis bit for bit.
+_FIG5_VIEW_DIGESTS = {
+    None: {
+        "no-protection": "77118cc2bd1271b76eea5e7d59b64200b6bb5a5e65b21f8674e573dfd567d65c",
+        "bit-shuffle-nfm2": "cb37311c6ce3deeb1589e259c3425b4f527d96627107c09ca0da7d66d44e96b9",
+    },
+    "aged": {
+        "no-protection": "6cccf3345706d368c0d6e39db1520460c3aa52f415977f256dd28cc815cd14dd",
+        "bit-shuffle-nfm2": "27ca718ecb975040c9e26f411dc16b26304503cd2fda8cc17675b00fd169fe9b",
+    },
+    "clustered": {
+        "no-protection": "fd13270984af568ec73bc8cf1e2fa09ca5ec2a8bc69a17c1dcadb585d0bddb30",
+        "bit-shuffle-nfm2": "5f839729c4f1a9c88cc04842a9f13ce40972b1028e5c13b395e93e6271e2d489",
+    },
+}
+
+
 class TestFigureGoldenEquivalence:
     """The pinned pre-refactor outputs, reproduced bit-for-bit through the
     DSE grid-point evaluators."""
@@ -264,36 +302,26 @@ class TestFigureGoldenEquivalence:
             )
 
     @pytest.mark.parametrize("scenario", [None, "aged", "clustered"])
-    def test_fig5_compare_schemes_view_matches_analyzer(self, scenario):
-        """YieldAnalyzer.compare_schemes (an engine sweep over the dies of
-        legacy_fault_maps) equals the paired per-scheme mse_distribution
-        analysis on the dies of shared_fault_maps, for every scenario."""
-        org = MemoryOrganization(rows=128, word_width=32)
-        schemes = [NoProtection(32), BitShuffleScheme(32, 2)]
-        spec = None if scenario is None else ScenarioSpec(scenario)
-
-        via_compare = YieldAnalyzer(
-            org, 5e-4, rng=np.random.default_rng(3), coverage=0.95,
-            scenario=spec,
-        ).compare_schemes(schemes, samples_per_count=3)
-
-        reference_analyzer = YieldAnalyzer(
-            org, 5e-4, rng=np.random.default_rng(3), coverage=0.95,
-            scenario=spec,
+    def test_fig5_scheme_view_matches_pinned_digests(self, scenario):
+        """figure5_mse_cdf(schemes=...) reproduces, per scenario, the curves
+        of the paired per-scheme analysis it replaced (digests of the ECDF
+        support, mass, sample count, Nmax and Pr(N = 0))."""
+        results = figure5_mse_cdf(
+            organization=MemoryOrganization(rows=128, word_width=32),
+            p_cell=5e-4,
+            samples_per_count=3,
+            coverage=0.95,
+            schemes=[NoProtection(32), BitShuffleScheme(32, 2)],
+            rng=np.random.default_rng(3),
+            scenario=None if scenario is None else ScenarioSpec(scenario),
         )
-        shared = reference_analyzer.shared_fault_maps(samples_per_count=3)
-        for scheme in schemes:
-            expected = reference_analyzer.mse_distribution(
-                scheme, 3, fault_maps_by_count=shared
-            )
-            actual = via_compare[scheme.name]
-            assert actual.samples == expected.samples
-            assert actual.max_failures == expected.max_failures
-            for got, want in zip(actual.ecdf.curve(), expected.ecdf.curve()):
-                np.testing.assert_array_equal(got, want)
+        assert {
+            name: _mse_digest(dist) for name, dist in results.items()
+        } == _FIG5_VIEW_DIGESTS[scenario]
 
     def test_fig7_legacy_view_matches_runner(self):
-        """figure7_quality's legacy path (a DSE view) equals the runner."""
+        """figure7_quality's legacy path equals a direct engine sweep over
+        the dies of legacy_fault_maps (the serial runner's stream)."""
         org = MemoryOrganization(rows=128, word_width=32)
         bench = knn_benchmark(n_samples=120, seed=3)
         schemes = [NoProtection(32), BitShuffleScheme(32, 2)]
@@ -307,16 +335,22 @@ class TestFigureGoldenEquivalence:
             schemes=schemes,
             rng=np.random.default_rng(11),
         )
-        runner = QualityExperimentRunner(
-            org, p_cell=4e-3, rng=np.random.default_rng(11)
+        config = ExperimentConfig(
+            rows=org.rows,
+            word_width=org.word_width,
+            p_cell=4e-3,
+            samples_per_count=2,
+            n_count_points=3,
+            scheme_specs=tuple(scheme.name for scheme in schemes),
+            benchmark=bench.name,
         )
-        via_runner = runner.run(
-            bench, schemes, samples_per_count=2, n_count_points=3
+        via_engine = SweepEngine(config, schemes=schemes).run(
+            bench, fault_maps=legacy_fault_maps(config, np.random.default_rng(11))
         )
-        assert set(via_figure) == set(via_runner)
+        assert set(via_figure) == set(via_engine)
         for name in via_figure:
             for got, want in zip(
-                via_figure[name].cdf_series(), via_runner[name].cdf_series()
+                via_figure[name].cdf_series(), via_engine[name].cdf_series()
             ):
                 np.testing.assert_array_equal(got, want)
 

@@ -4,7 +4,7 @@ The engine's contract is *bit-identical reproducibility*: for a fixed master
 seed the assembled quality distributions must not depend on the worker count,
 the shard size, the shard execution order, or whether the sweep was
 interrupted and resumed from a checkpoint.  These tests enforce each clause,
-plus the golden equivalence of the legacy runner front end.
+plus the golden equivalence of legacy shared-generator sampling.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import stat
 import numpy as np
 import pytest
 
+from repro.analysis.figures import figure5_mse_cdf
 from repro.core.no_protection import NoProtection
 from repro.core.priority_ecc import PriorityEccScheme
 from repro.core.scheme import BitShuffleScheme
@@ -34,13 +35,18 @@ from repro.sim.engine import (
     evaluated_failure_counts,
     reassign_count_probabilities,
 )
-from repro.sim.experiment import BenchmarkDefinition, knn_benchmark, pca_benchmark
-from repro.sim.runner import QualityExperimentRunner
+from repro.sim.experiment import BenchmarkDefinition, knn_benchmark
+from repro.sim.runner import legacy_fault_maps
 from repro.store import ResultStore
 from repro.store.index import StoreIndex
 
 import statharness
-from test_runner import GOLDEN_CLEAN_QUALITY, GOLDEN_CURVES, GOLDEN_SAMPLES
+from test_runner import (
+    GOLDEN_CLEAN_QUALITY,
+    GOLDEN_CURVES,
+    GOLDEN_SAMPLES,
+    golden_sweep,
+)
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +66,26 @@ def smoke_config():
         master_seed=2026,
         scheme_specs=("no-protection", "bit-shuffle-nfm2"),
         benchmark="knn",
+    )
+
+
+def _legacy_run(benchmark, organization, checkpoint, fixed_point=None):
+    """A legacy-sampling quality sweep (dies from ``default_rng(11)``)."""
+    config = ExperimentConfig(
+        rows=organization.rows,
+        word_width=organization.word_width,
+        p_cell=4e-3,
+        coverage=0.9,
+        samples_per_count=2,
+        n_count_points=2,
+        scheme_specs=("no-protection",),
+        benchmark=benchmark.name,
+    )
+    return SweepEngine(config).run(
+        benchmark,
+        checkpoint=checkpoint,
+        fault_maps=legacy_fault_maps(config, np.random.default_rng(11)),
+        fixed_point=fixed_point,
     )
 
 
@@ -133,18 +159,6 @@ class TestExperimentConfig:
     def test_rejects_empty_schemes(self):
         with pytest.raises(ValueError):
             ExperimentConfig(rows=64, scheme_specs=())
-
-    def test_counts_match_legacy_runner(self, smoke_config):
-        runner = QualityExperimentRunner(
-            smoke_config.organization,
-            smoke_config.p_cell,
-            rng=np.random.default_rng(0),
-            coverage=smoke_config.coverage,
-        )
-        assert smoke_config.max_failures == runner.max_failures
-        assert smoke_config.evaluated_counts() == runner.failure_counts(
-            smoke_config.n_count_points
-        )
 
     def test_count_probabilities_match_direct_reassignment(self, smoke_config):
         counts = smoke_config.evaluated_counts()
@@ -239,37 +253,16 @@ class TestSeedDeterminism:
 
 
 # --------------------------------------------------------------------------- #
-# Golden equivalence with the legacy serial runner
+# Golden equivalence with the legacy serial implementation
 # --------------------------------------------------------------------------- #
 class TestLegacyGoldenEquivalence:
     """The Fig. 7 smoke config of test_runner's golden regression, executed
     through the engine's parallel path, must reproduce the seed
     implementation's curves bit-for-bit."""
 
-    @pytest.fixture(scope="class")
-    def golden_setup(self):
-        bench = pca_benchmark(n_samples=80, n_noise=20, seed=21)
-        org = MemoryOrganization(rows=64, word_width=32)
-        schemes = [
-            NoProtection(32),
-            SecdedScheme(32),
-            PriorityEccScheme(32),
-            BitShuffleScheme(32, 2),
-        ]
-        return bench, org, schemes
-
-    def _run(self, golden_setup, workers):
-        bench, org, schemes = golden_setup
-        runner = QualityExperimentRunner(
-            org, p_cell=8e-3, rng=np.random.default_rng(2024), coverage=0.9
-        )
-        return runner.run(
-            bench, schemes, samples_per_count=3, n_count_points=3, workers=workers
-        )
-
     @pytest.mark.parametrize("workers", [2, 4])
-    def test_parallel_runner_reproduces_golden_curves(self, golden_setup, workers):
-        results = self._run(golden_setup, workers)
+    def test_parallel_runner_reproduces_golden_curves(self, workers):
+        results = golden_sweep(workers)
         assert set(results) == set(GOLDEN_CURVES)
         for name, golden in GOLDEN_CURVES.items():
             dist = results[name]
@@ -281,9 +274,9 @@ class TestLegacyGoldenEquivalence:
             np.testing.assert_allclose(x, golden["x"], rtol=1e-10, atol=1e-10)
             np.testing.assert_allclose(y, golden["y"], rtol=1e-10, atol=1e-10)
 
-    def test_parallel_equals_serial_exactly(self, golden_setup):
-        serial = self._run(golden_setup, 1)
-        parallel = self._run(golden_setup, 2)
+    def test_parallel_equals_serial_exactly(self):
+        serial = golden_sweep(1)
+        parallel = golden_sweep(2)
         assert _curves(serial) == _curves(parallel)
 
 
@@ -409,19 +402,11 @@ class TestCheckpoint:
         path = str(tmp_path / "fp.json")
 
         def run(frac_bits):
-            runner = QualityExperimentRunner(
-                org,
-                p_cell=4e-3,
-                rng=np.random.default_rng(11),
-                coverage=0.9,
-                fixed_point=FixedPointFormat(total_bits=32, frac_bits=frac_bits),
-            )
-            return runner.run(
+            return _legacy_run(
                 smoke_benchmark,
-                [NoProtection(32)],
-                samples_per_count=2,
-                n_count_points=2,
-                checkpoint=path,
+                org,
+                path,
+                fixed_point=FixedPointFormat(total_bits=32, frac_bits=frac_bits),
             )
 
         run(4)
@@ -435,16 +420,7 @@ class TestCheckpoint:
         path = str(tmp_path / "legacy.json")
 
         def run():
-            runner = QualityExperimentRunner(
-                org, p_cell=4e-3, rng=np.random.default_rng(11), coverage=0.9
-            )
-            return runner.run(
-                smoke_benchmark,
-                [NoProtection(32)],
-                samples_per_count=2,
-                n_count_points=2,
-                checkpoint=path,
-            )
+            return _legacy_run(smoke_benchmark, org, path)
 
         first = run()
 
@@ -452,8 +428,8 @@ class TestCheckpoint:
             raise AssertionError("complete checkpoint must not re-evaluate dies")
 
         monkeypatch.setattr(engine_module, "_evaluate_shard", _must_not_run)
-        # The runner re-draws the same dies from the same generator seed, so
-        # the checkpoint hash matches and the cached results replay.
+        # Legacy sampling re-draws the same dies from the same generator
+        # seed, so the checkpoint hash matches and the cached results replay.
         assert _curves(run()) == _curves(first)
 
 
@@ -473,6 +449,11 @@ _CAP_RESUMABLE_HASH = (
 )
 _ADAPTIVE_QUALITY_STORE_KEY = (
     "3754ce0f8aecf238ee5827fc184caf7b478bae457476a8e337f7db5669f6f576"
+)
+# figure5_mse_cdf's default scheme set, legacy sampling (see
+# test_fig5_front_end_store_key_and_checkpoint_hash).
+_FIG5_FRONT_END_HASH = (
+    "373563405139c8f5a3cade578c3923807f74e32fe680506a3d3e991de8e1cf19"
 )
 
 
@@ -528,6 +509,69 @@ class TestPinnedHashes:
             )
         assert _checkpoint_hash(checkpoint) == _CAP_RESUMABLE_HASH
         assert engine.last_run_stats.store_key == _ADAPTIVE_QUALITY_STORE_KEY
+
+
+    def test_fig5_front_end_store_key_and_checkpoint_hash(self, tmp_path):
+        # The Fig. 5 front end builds its default scheme set by spec string;
+        # the key it computes must not move with how that set is spelled.
+        checkpoint = tmp_path / "fig5.json"
+        with ResultStore(str(tmp_path / "store")) as store:
+            figure5_mse_cdf(
+                organization=MemoryOrganization(rows=128, word_width=32),
+                p_cell=5e-4,
+                samples_per_count=2,
+                coverage=0.95,
+                rng=np.random.default_rng(3),
+                store=store,
+                checkpoint=str(checkpoint),
+            )
+            assert store.keys() == [_FIG5_FRONT_END_HASH]
+        assert _checkpoint_hash(checkpoint) == _FIG5_FRONT_END_HASH
+
+
+class TestSchemeNames:
+    """Results, store keys and checkpoints are keyed by scheme name."""
+
+    @pytest.fixture
+    def dense_config(self):
+        # A small, fault-dense memory: multi-fault rows are common, so the
+        # two FM-LUT policies score the same dies differently.
+        return ExperimentConfig(
+            rows=256,
+            p_cell=3e-3,
+            samples_per_count=4,
+            master_seed=99,
+            scheme_specs=("bit-shuffle-nfm5",),
+            discard_multi_fault_words=False,
+        )
+
+    def test_multi_fault_policy_keys_the_store(self, dense_config, tmp_path):
+        minimax = BitShuffleScheme(32, 5, multi_fault_policy="minimax")
+        cold = SweepEngine(dense_config, schemes=[minimax]).run_mse()
+        with ResultStore(str(tmp_path / "store")) as store:
+            greedy = SweepEngine(dense_config).run_mse(store=store)
+            engine = SweepEngine(dense_config, schemes=[minimax])
+            warm = engine.run_mse(store=store)
+        assert not engine.last_run_stats.store_hit
+        assert list(warm) == ["bit-shuffle-nfm5-minimax"]
+        cold_x, cold_y = cold["bit-shuffle-nfm5-minimax"].ecdf.curve()
+        warm_x, warm_y = warm["bit-shuffle-nfm5-minimax"].ecdf.curve()
+        np.testing.assert_array_equal(warm_x, cold_x)
+        np.testing.assert_array_equal(warm_y, cold_y)
+        greedy_x, _ = greedy["bit-shuffle-nfm5"].ecdf.curve()
+        assert not np.array_equal(greedy_x, cold_x)
+
+    def test_duplicate_scheme_names_rejected(self, dense_config):
+        with pytest.raises(ValueError, match="duplicate scheme name 'bit-shu"):
+            SweepEngine(
+                dense_config,
+                schemes=[BitShuffleScheme(32, 2), BitShuffleScheme(32, 2)],
+            )
+        specs = dataclasses.replace(
+            dense_config, scheme_specs=("p-ecc", "p-ecc-H(22,16)")
+        )
+        with pytest.raises(ValueError, match="duplicate scheme name 'p-ecc-H"):
+            SweepEngine(specs)
 
 
 class TestCapResumableValidation:

@@ -12,6 +12,9 @@ from repro.analysis.figures import (
     figure7_quality,
     standard_figure7_schemes,
 )
+from repro.core.no_protection import NoProtection
+from repro.core.priority_ecc import PriorityEccScheme
+from repro.core.scheme import BitShuffleScheme
 from repro.memory.organization import MemoryOrganization
 from repro.sim.experiment import knn_benchmark
 
@@ -63,7 +66,12 @@ class TestFigure5:
             p_cell=1e-4,
             samples_per_count=20,
             coverage=0.999,
-            n_fm_values=[1, 5],
+            schemes=[
+                NoProtection(32),
+                PriorityEccScheme(32),
+                BitShuffleScheme(32, 1),
+                BitShuffleScheme(32, 5),
+            ],
             rng=rng,
         )
         assert set(results) == {

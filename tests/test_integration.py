@@ -5,13 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis.figures import figure5_mse_cdf
 from repro.core.no_protection import NoProtection
 from repro.core.priority_ecc import PriorityEccScheme
 from repro.core.scheme import BitShuffleScheme
 from repro.core.secded_scheme import SecdedScheme
 from repro.faultmodel.inclusion import VoltageScalableDie
 from repro.faultmodel.pcell import PcellModel
-from repro.faultmodel.yieldmodel import YieldAnalyzer
 from repro.memory.controller import ProtectedMemory
 from repro.memory.faults import FaultMap
 from repro.memory.organization import MemoryOrganization
@@ -112,10 +112,13 @@ class TestAnalyticalVsBitAccurateConsistency:
 class TestYieldStudyIntegration:
     def test_fig5_style_comparison_on_shared_dies(self, rng):
         org = MemoryOrganization(rows=1024, word_width=32)
-        analyzer = YieldAnalyzer(org, p_cell=5e-5, rng=rng, coverage=0.999)
-        results = analyzer.compare_schemes(
-            [NoProtection(32), PriorityEccScheme(32), BitShuffleScheme(32, 2)],
+        results = figure5_mse_cdf(
+            organization=org,
+            p_cell=5e-5,
             samples_per_count=25,
+            coverage=0.999,
+            schemes=[NoProtection(32), PriorityEccScheme(32), BitShuffleScheme(32, 2)],
+            rng=rng,
         )
         target_yield = 0.999
         mse_required = {

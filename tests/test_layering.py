@@ -2,9 +2,11 @@
 
 ``repro.dse``, ``repro.analysis`` and ``repro.cli`` compose the lower
 packages; a run-time import in the other direction (even a lazy one inside a
-function) ties a lower layer to everything above it.  Imports under
-``if TYPE_CHECKING:`` are annotations only and are allowed.  The package
-uses absolute imports throughout, so only those are checked.
+function) ties a lower layer to everything above it.  Within the lower
+packages, ``repro.faultmodel`` sits below the fault-scenario pipeline and the
+sweep engine that draw dies through it.  Imports under ``if TYPE_CHECKING:``
+are annotations only and are allowed.  The package uses absolute imports
+throughout, so only those are checked.
 """
 
 from __future__ import annotations
@@ -42,16 +44,11 @@ def _runtime_imports(tree: ast.AST):
         yield from _runtime_imports(child)
 
 
-def _is_upper(module: str) -> bool:
-    return any(
-        module == upper or module.startswith(upper + ".")
-        for upper in UPPER_MODULES
-    )
-
-
-def test_lower_layers_do_not_import_upper_layers():
+def _offending_imports(packages, upper_modules):
+    """``path:line imports module`` for every run-time import of an upper
+    module from a file under one of ``packages``."""
     offending = []
-    for package in LOWER_PACKAGES:
+    for package in packages:
         for dirpath, _, filenames in os.walk(os.path.join(SRC, package)):
             for filename in sorted(filenames):
                 if not filename.endswith(".py"):
@@ -62,6 +59,21 @@ def test_lower_layers_do_not_import_upper_layers():
                 offending.extend(
                     f"{os.path.relpath(path, SRC)}:{line} imports {module}"
                     for line, module in _runtime_imports(tree)
-                    if _is_upper(module)
+                    if any(
+                        module == upper or module.startswith(upper + ".")
+                        for upper in upper_modules
+                    )
                 )
+    return offending
+
+
+def test_lower_layers_do_not_import_upper_layers():
+    offending = _offending_imports(LOWER_PACKAGES, UPPER_MODULES)
+    assert not offending, "\n".join(offending)
+
+
+def test_faultmodel_does_not_import_sim_or_scenarios():
+    offending = _offending_imports(
+        ("faultmodel",), ("repro.sim", "repro.scenarios")
+    )
     assert not offending, "\n".join(offending)

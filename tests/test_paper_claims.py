@@ -29,12 +29,11 @@ from repro.core.priority_ecc import PriorityEccScheme
 from repro.core.scheme import BitShuffleScheme
 from repro.core.segments import worst_case_error_magnitude
 from repro.faultmodel.pcell import PcellModel
-from repro.faultmodel.yieldmodel import YieldAnalyzer
 from repro.hardware.energy import VoltageScalingModel
 from repro.memory.organization import MemoryOrganization
 from repro.memory.redundancy import spares_for_yield_target
 from repro.sim.experiment import standard_benchmarks
-from repro.sim.runner import QualityDistribution
+from repro.sim.engine import QualityDistribution
 
 PAPER_ORG = MemoryOrganization.paper_16kb()
 
@@ -291,25 +290,21 @@ def test_ablation_multifault_policy():
     minimising the worst residual weight", never needs a larger MSE
     tolerance than protecting the most significant fault."""
     # A small, fault-dense memory makes multi-fault rows common.
-    analyzer = YieldAnalyzer(
-        MemoryOrganization(rows=256, word_width=32),
-        3e-3,
-        rng=np.random.default_rng(99),
+    results = figure5_mse_cdf(
+        organization=MemoryOrganization(rows=256, word_width=32),
+        p_cell=3e-3,
+        samples_per_count=60,
         coverage=0.99,
+        schemes=[
+            BitShuffleScheme(32, n_fm, multi_fault_policy=policy)
+            for policy in ("most-significant", "minimax")
+            for n_fm in (1, 5)
+        ],
+        rng=np.random.default_rng(99),
     )
-    shared = analyzer.shared_fault_maps(samples_per_count=60)
-
-    results = {
-        (policy, n_fm): analyzer.mse_distribution(
-            BitShuffleScheme(32, n_fm, multi_fault_policy=policy),
-            fault_maps_by_count=shared,
-        )
-        for policy in ("most-significant", "minimax")
-        for n_fm in (1, 5)
-    }
     for n_fm in (1, 5):
-        greedy = results[("most-significant", n_fm)]
-        minimax = results[("minimax", n_fm)]
+        greedy = results[f"bit-shuffle-nfm{n_fm}"]
+        minimax = results[f"bit-shuffle-nfm{n_fm}-minimax"]
         for target in (0.99, 0.999):
             assert minimax.mse_at_yield(target) <= greedy.mse_at_yield(target) + 1e-9
 
@@ -318,10 +313,6 @@ def test_ablation_pecc_coverage():
     """Ablation of P-ECC coverage: "even the widest P-ECC coverage leaves the
     unprotected LSBs as the quality floor while paying more parity columns
     than the FM-LUT" (16 kB memory, Pcell = 5e-6)."""
-    analyzer = YieldAnalyzer(
-        PAPER_ORG, 5e-6, rng=np.random.default_rng(11), coverage=0.99999
-    )
-    shared = analyzer.shared_fault_maps(samples_per_count=150)
     schemes = [
         PriorityEccScheme(32, protected_bits=8),
         PriorityEccScheme(32, protected_bits=16),
@@ -329,12 +320,15 @@ def test_ablation_pecc_coverage():
         BitShuffleScheme(32, 2),
         BitShuffleScheme(32, 3),
     ]
-    mse = {
-        scheme.name: analyzer.mse_distribution(
-            scheme, fault_maps_by_count=shared
-        ).mse_at_yield(0.9999)
-        for scheme in schemes
-    }
+    results = figure5_mse_cdf(
+        organization=PAPER_ORG,
+        p_cell=5e-6,
+        samples_per_count=150,
+        coverage=0.99999,
+        schemes=schemes,
+        rng=np.random.default_rng(11),
+    )
+    mse = {name: dist.mse_at_yield(0.9999) for name, dist in results.items()}
     columns = {scheme.name: scheme.extra_columns for scheme in schemes}
 
     # Wider ECC coverage helps monotonically ...
@@ -355,24 +349,22 @@ def test_ablation_voltage_energy_quality_tradeoff():
     savings, unprotected, shuffled = [], [], []
     for vdd in (0.90, 0.83, 0.78, 0.73):
         point = energy_model.operating_point(vdd)
-        analyzer = YieldAnalyzer(
-            PAPER_ORG, point.p_cell, rng=np.random.default_rng(7), coverage=0.999
-        )
-        shared = analyzer.shared_fault_maps(samples_per_count=60)
-        savings.append(point.energy_saving)
-        unprotected.append(
-            analyzer.mse_distribution(
-                NoProtection(32), fault_maps_by_count=shared
-            ).mse_at_yield(0.999)
-        )
         # Multi-fault rows are common at the lowest voltages, so the
         # multi-fault-robust minimax LUT policy is used.
-        shuffled.append(
-            analyzer.mse_distribution(
+        results = figure5_mse_cdf(
+            organization=PAPER_ORG,
+            p_cell=point.p_cell,
+            samples_per_count=60,
+            coverage=0.999,
+            schemes=[
+                NoProtection(32),
                 BitShuffleScheme(32, 2, multi_fault_policy="minimax"),
-                fault_maps_by_count=shared,
-            ).mse_at_yield(0.999)
+            ],
+            rng=np.random.default_rng(7),
         )
+        savings.append(point.energy_saving)
+        unprotected.append(results["no-protection"].mse_at_yield(0.999))
+        shuffled.append(results["bit-shuffle-nfm2-minimax"].mse_at_yield(0.999))
 
     assert savings == sorted(savings)
     assert savings[-1] > 0.4

@@ -1,9 +1,14 @@
-"""Tests for the application-quality Monte-Carlo runner (Fig. 7 flow)."""
+"""Tests for the application-quality Monte-Carlo flow of Fig. 7: legacy
+sampling, the stratified failure-count grid, and the Fig. 7 front end."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+
+from repro.analysis.figures import figure7_quality
 
 from repro.core.no_protection import NoProtection
 from repro.core.priority_ecc import PriorityEccScheme
@@ -12,9 +17,13 @@ from repro.core.secded_scheme import SecdedScheme
 from repro.faultmodel.montecarlo import FaultMapSampler, failure_count_pmf
 from repro.memory.faults import FaultMap
 from repro.memory.organization import MemoryOrganization
-from repro.sim.engine import ExperimentConfig, reassign_count_probabilities
+from repro.sim.engine import (
+    ExperimentConfig,
+    SweepEngine,
+    reassign_count_probabilities,
+)
 from repro.sim.experiment import knn_benchmark, pca_benchmark
-from repro.sim.runner import QualityExperimentRunner, legacy_fault_maps
+from repro.sim.runner import legacy_fault_maps
 
 
 @pytest.fixture(scope="module")
@@ -22,18 +31,40 @@ def knn_bench():
     return knn_benchmark(n_samples=150, seed=3)
 
 
+# Small memory and elevated Pcell keep the Monte-Carlo sweep cheap while
+# exercising the full stratified flow.
+ORG = MemoryOrganization(rows=256, word_width=32)
+
+
 @pytest.fixture
-def runner(rng):
-    # Small memory and elevated Pcell keep the Monte-Carlo sweep cheap while
-    # exercising the full stratified flow.
-    org = MemoryOrganization(rows=256, word_width=32)
-    return QualityExperimentRunner(org, p_cell=2e-3, rng=rng, coverage=0.9)
+def config():
+    return ExperimentConfig(
+        rows=ORG.rows, word_width=ORG.word_width, p_cell=2e-3, coverage=0.9
+    )
 
 
-def _count_probabilities(runner, counts):
-    """``Pr(N = n)`` of the runner's sweep, reassigned onto ``counts``."""
+def _counts(config, n_points=None):
+    """The failure counts of ``config``'s sweep, optionally subsampled."""
+    return dataclasses.replace(config, n_count_points=n_points).evaluated_counts()
+
+
+def _count_probabilities(config, counts):
+    """``Pr(N = n)`` of ``config``'s sweep, reassigned onto ``counts``."""
     return reassign_count_probabilities(
-        runner.organization.total_cells, runner.p_cell, runner.max_failures, counts
+        config.organization.total_cells, config.p_cell, config.max_failures, counts
+    )
+
+
+def _fig7(benchmark, schemes, samples_per_count, n_count_points=None):
+    """A small Fig. 7 sweep of ``schemes`` on ``ORG`` at Pcell = 2e-3."""
+    return figure7_quality(
+        benchmark,
+        organization=ORG,
+        p_cell=2e-3,
+        samples_per_count=samples_per_count,
+        n_count_points=n_count_points,
+        schemes=schemes,
+        rng=np.random.default_rng(12345),
     )
 
 
@@ -74,33 +105,33 @@ class TestLegacyFaultMaps:
 
 
 class TestConfiguration:
-    def test_rejects_bad_pcell(self, small_org, rng):
+    def test_rejects_bad_pcell(self, small_org, knn_bench):
         with pytest.raises(ValueError):
-            QualityExperimentRunner(small_org, 0.0, rng)
+            figure7_quality(knn_bench, organization=small_org, p_cell=0.0)
 
-    def test_failure_counts_full_range(self, runner):
-        counts = runner.failure_counts()
+    def test_failure_counts_full_range(self, config):
+        counts = _counts(config)
         assert counts[0] == 1
-        assert counts[-1] == runner.max_failures
+        assert counts[-1] == config.max_failures
 
-    def test_failure_counts_subsampled(self, runner):
-        counts = runner.failure_counts(n_points=4)
+    def test_failure_counts_subsampled(self, config):
+        counts = _counts(config, n_points=4)
         assert len(counts) <= 4
         assert counts[0] >= 1
-        assert counts[-1] <= runner.max_failures
+        assert counts[-1] <= config.max_failures
 
-    def test_failure_counts_rejects_zero_points(self, runner):
+    def test_failure_counts_rejects_zero_points(self, config):
         with pytest.raises(ValueError):
-            runner.failure_counts(n_points=0)
+            _counts(config, n_points=0)
 
-    def test_count_probabilities_sum_to_fault_mass(self, runner):
-        counts = runner.failure_counts(n_points=5)
-        probabilities = _count_probabilities(runner, counts)
+    def test_count_probabilities_sum_to_fault_mass(self, config):
+        counts = _counts(config, n_points=5)
+        probabilities = _count_probabilities(config, counts)
         total = sum(probabilities.values())
 
         expected = sum(
-            failure_count_pmf(runner.organization.total_cells, runner.p_cell, n)
-            for n in range(1, runner.max_failures + 1)
+            failure_count_pmf(config.organization.total_cells, config.p_cell, n)
+            for n in range(1, config.max_failures + 1)
         )
         assert total == pytest.approx(expected)
 
@@ -109,68 +140,63 @@ class TestFailureCountSubsampling:
     """The geometric subsample must conserve probability mass exactly."""
 
     @pytest.mark.parametrize("n_points", [1, 2, 4, 7])
-    def test_skipped_mass_reassigned_to_nearest_count(self, runner, n_points):
-        counts = runner.failure_counts(n_points=n_points)
-        probabilities = _count_probabilities(runner, counts)
+    def test_skipped_mass_reassigned_to_nearest_count(self, config, n_points):
+        counts = _counts(config, n_points=n_points)
+        probabilities = _count_probabilities(config, counts)
         assert set(probabilities) == set(counts)
 
         # Independently reassign each skipped count's mass to the nearest
         # evaluated count (ties resolved to the smaller count, as np.argmin
         # does) and compare bucket by bucket.
         expected = {c: 0.0 for c in counts}
-        cells, p_cell = runner.organization.total_cells, runner.p_cell
-        for n in range(1, runner.max_failures + 1):
+        cells, p_cell = config.organization.total_cells, config.p_cell
+        for n in range(1, config.max_failures + 1):
             nearest = min(counts, key=lambda c: (abs(c - n), c))
             expected[nearest] += failure_count_pmf(cells, p_cell, n)
         for count in counts:
             assert probabilities[count] == pytest.approx(expected[count], abs=1e-15)
 
     @pytest.mark.parametrize("n_points", [1, 3, 6])
-    def test_mass_with_zero_fault_point_sums_to_one(self, runner, n_points):
+    def test_mass_with_zero_fault_point_sums_to_one(self, config, n_points):
         # Together with the fault-free point mass, the reassigned per-count
         # probabilities must reproduce the full sweep's coverage of the die
         # population: at least `coverage`, at most exactly 1 (the tail beyond
         # Nmax is the only mass allowed to be missing).
         probabilities = _count_probabilities(
-            runner, runner.failure_counts(n_points=n_points)
+            config, _counts(config, n_points=n_points)
         )
         zero_mass = failure_count_pmf(
-            runner.organization.total_cells, runner.p_cell, 0
+            config.organization.total_cells, config.p_cell, 0
         )
         total = zero_mass + sum(probabilities.values())
         assert total <= 1.0 + 1e-12
-        assert total >= 0.9  # the runner fixture's coverage
+        assert total >= 0.9  # the config fixture's coverage
         # Subsampling must not change the total at all relative to the full sweep.
-        full = _count_probabilities(runner, runner.failure_counts())
+        full = _count_probabilities(config, _counts(config))
         assert total == pytest.approx(zero_mass + sum(full.values()), abs=1e-15)
 
 
 class TestRun:
-    def test_run_produces_distribution_per_scheme(self, runner, knn_bench):
+    def test_run_produces_distribution_per_scheme(self, knn_bench):
         schemes = [NoProtection(32), BitShuffleScheme(32, 2)]
-        results = runner.run(
-            knn_bench, schemes, samples_per_count=2, n_count_points=3
-        )
+        results = _fig7(knn_bench, schemes, samples_per_count=2, n_count_points=3)
         assert set(results) == {"no-protection", "bit-shuffle-nfm2"}
         for dist in results.values():
             assert dist.benchmark == "knn"
             assert dist.samples > 0
             assert 0.0 <= dist.yield_at_quality(0.5) <= 1.0
 
-    def test_secded_reference_stays_at_clean_quality(self, runner, knn_bench):
+    def test_secded_reference_stays_at_clean_quality(self, knn_bench):
         # With multi-fault words discarded, SECDED corrects everything and the
         # normalised quality is exactly 1 for every die.
-        results = runner.run(
-            knn_bench,
-            [SecdedScheme(32)],
-            samples_per_count=2,
-            n_count_points=3,
+        results = _fig7(
+            knn_bench, [SecdedScheme(32)], samples_per_count=2, n_count_points=3
         )
         dist = results["secded-H(39,32)"]
         assert dist.yield_at_quality(1.0 - 1e-9) == pytest.approx(1.0)
 
-    def test_protected_yield_not_worse_than_unprotected(self, runner, knn_bench):
-        results = runner.run(
+    def test_protected_yield_not_worse_than_unprotected(self, knn_bench):
+        results = _fig7(
             knn_bench,
             [NoProtection(32), BitShuffleScheme(32, 2)],
             samples_per_count=2,
@@ -181,20 +207,20 @@ class TestRun:
             "no-protection"
         ].yield_at_quality(target) - 1e-9
 
-    def test_rejects_non_positive_samples(self, runner, knn_bench):
+    def test_rejects_non_positive_samples(self, knn_bench):
         with pytest.raises(ValueError):
-            runner.run(knn_bench, [NoProtection(32)], samples_per_count=0)
+            _fig7(knn_bench, [NoProtection(32)], samples_per_count=0)
 
-    def test_cdf_series_shapes(self, runner, knn_bench):
-        results = runner.run(
+    def test_cdf_series_shapes(self, knn_bench):
+        results = _fig7(
             knn_bench, [NoProtection(32)], samples_per_count=2, n_count_points=2
         )
         x, y = results["no-protection"].cdf_series()
         assert len(x) == len(y)
         assert np.all(np.diff(y) >= -1e-12)
 
-    def test_median_quality_bounded(self, runner, knn_bench):
-        results = runner.run(
+    def test_median_quality_bounded(self, knn_bench):
+        results = _fig7(
             knn_bench, [BitShuffleScheme(32, 1)], samples_per_count=2, n_count_points=2
         )
         median = results["bit-shuffle-nfm1"].median_quality()
@@ -204,8 +230,8 @@ class TestRun:
 # --------------------------------------------------------------------------- #
 # Golden regression: the exact Fig. 7 numbers of the scalar seed implementation
 # --------------------------------------------------------------------------- #
-# Captured from the seed (pre-vectorisation) QualityExperimentRunner with the
-# configuration of `golden_runner` below.  The batched datapath rewrite must
+# Captured from the seed (pre-vectorisation) serial runner with the
+# configuration of `golden_sweep` below.  The batched datapath rewrite must
 # reproduce these numbers bit-for-bit; any drift here means the vectorised
 # encode/corrupt/decode path is no longer equivalent to the scalar model.
 GOLDEN_CLEAN_QUALITY = 0.8944027824216683
@@ -266,21 +292,38 @@ GOLDEN_CURVES = {
 }
 
 
+def golden_sweep(workers=1):
+    """The golden configuration: PCA stored in a 64-row memory at
+    Pcell = 8e-3, dies pre-drawn from ``default_rng(2024)``.  Its coverage
+    (0.9) is no Fig. 7 front-end setting, so the engine is built directly."""
+    bench = pca_benchmark(n_samples=80, n_noise=20, seed=21)
+    schemes = [
+        NoProtection(32),
+        SecdedScheme(32),
+        PriorityEccScheme(32),
+        BitShuffleScheme(32, 2),
+    ]
+    config = ExperimentConfig(
+        rows=64,
+        word_width=32,
+        p_cell=8e-3,
+        coverage=0.9,
+        samples_per_count=3,
+        n_count_points=3,
+        scheme_specs=tuple(scheme.name for scheme in schemes),
+        benchmark=bench.name,
+    )
+    return SweepEngine(config, schemes=schemes).run(
+        bench,
+        workers=workers,
+        fault_maps=legacy_fault_maps(config, np.random.default_rng(2024)),
+    )
+
+
 class TestGoldenRegression:
     @pytest.fixture(scope="class")
     def golden_results(self):
-        bench = pca_benchmark(n_samples=80, n_noise=20, seed=21)
-        org = MemoryOrganization(rows=64, word_width=32)
-        runner = QualityExperimentRunner(
-            org, p_cell=8e-3, rng=np.random.default_rng(2024), coverage=0.9
-        )
-        schemes = [
-            NoProtection(32),
-            SecdedScheme(32),
-            PriorityEccScheme(32),
-            BitShuffleScheme(32, 2),
-        ]
-        return runner.run(bench, schemes, samples_per_count=3, n_count_points=3)
+        return golden_sweep()
 
     def test_scheme_set(self, golden_results):
         assert set(golden_results) == set(GOLDEN_CURVES)

@@ -27,7 +27,6 @@ from repro.dse.spec import (
     SchemeGridSpec,
 )
 from repro.faultmodel.montecarlo import FaultMapSampler
-from repro.faultmodel.yieldmodel import YieldAnalyzer
 from repro.memory.faults import FaultKind, FaultMap
 from repro.memory.organization import MemoryOrganization
 from repro.scenarios import (
@@ -516,20 +515,29 @@ class TestEngineIntegration:
         )
         assert set(legacy) == {"no-protection", "bit-shuffle-nfm2"}
 
-    def test_yield_analyzer_accepts_scenarios(self, rng):
-        org = MemoryOrganization(rows=128, word_width=32)
-        analyzer = YieldAnalyzer(
-            org,
-            p_cell=1e-4,
-            rng=rng,
-            coverage=0.99,
-            scenario=ScenarioSpec("aged", (("years", 10.0),)),
-        )
-        assert analyzer.effective_p_cell > 1e-4
+    def test_fig5_front_end_accepts_scenarios(self, rng):
+        from repro.analysis.figures import figure5_mse_cdf
         from repro.core.no_protection import NoProtection
 
-        dist = analyzer.mse_distribution(NoProtection(32), samples_per_count=5)
-        assert dist.samples == analyzer.max_failures * 5
+        org = MemoryOrganization(rows=128, word_width=32)
+        aged = ScenarioSpec("aged", (("years", 10.0),))
+        dist = figure5_mse_cdf(
+            organization=org,
+            p_cell=1e-4,
+            samples_per_count=5,
+            coverage=0.99,
+            schemes=[NoProtection(32)],
+            rng=rng,
+            scenario=aged,
+        )["no-protection"]
+        config = ExperimentConfig(
+            rows=org.rows, p_cell=1e-4, coverage=0.99, scenario=aged
+        )
+        assert config.effective_p_cell > 1e-4
+        # The failure-count grid follows the aged operating point.
+        assert dist.max_failures == config.max_failures
+        assert dist.zero_fault_probability == config.zero_fault_probability
+        assert dist.samples == dist.max_failures * 5
 
 
 # --------------------------------------------------------------------------- #

@@ -2,126 +2,155 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.analysis.figures import figure5_mse_cdf
 from repro.core.no_protection import NoProtection
 from repro.core.priority_ecc import PriorityEccScheme
 from repro.core.scheme import BitShuffleScheme
 from repro.core.secded_scheme import SecdedScheme
-from repro.faultmodel.yieldmodel import YieldAnalyzer
 from repro.memory.organization import MemoryOrganization
+from repro.sim.engine import ExperimentConfig, SweepEngine
+from repro.sim.runner import legacy_fault_maps
+
+# A smaller memory keeps the Monte-Carlo sweeps fast while preserving the
+# structure of the analysis.
+ORG = MemoryOrganization(rows=512, word_width=32)
+P_CELL = 1e-4
+COVERAGE = 0.999
 
 
-@pytest.fixture
-def analyzer(rng) -> YieldAnalyzer:
-    # A smaller memory keeps the Monte-Carlo sweeps fast while preserving the
-    # structure of the analysis.
-    org = MemoryOrganization(rows=512, word_width=32)
-    return YieldAnalyzer(org, p_cell=1e-4, rng=rng, coverage=0.999)
+def _fig5(rng, schemes, samples_per_count=40):
+    """One paired Fig. 5 sweep of ``schemes`` over the same dies."""
+    return figure5_mse_cdf(
+        organization=ORG,
+        p_cell=P_CELL,
+        samples_per_count=samples_per_count,
+        coverage=COVERAGE,
+        schemes=schemes,
+        rng=rng,
+    )
+
+
+def _engine_mse(
+    rng, schemes, samples_per_count, discard=False, include_fault_free=True
+):
+    """An engine MSE sweep with settings the Fig. 5 front end does not
+    expose (multi-fault-word rejection, no fault-free point mass)."""
+    config = ExperimentConfig(
+        rows=ORG.rows,
+        word_width=ORG.word_width,
+        p_cell=P_CELL,
+        coverage=COVERAGE,
+        samples_per_count=samples_per_count,
+        scheme_specs=tuple(scheme.name for scheme in schemes),
+        discard_multi_fault_words=discard,
+    )
+    return SweepEngine(config, schemes=schemes).run_mse(
+        fault_maps=legacy_fault_maps(config, rng),
+        include_fault_free=include_fault_free,
+    )
 
 
 class TestConstruction:
-    def test_rejects_degenerate_pcell(self, small_org, rng):
-        with pytest.raises(ValueError):
-            YieldAnalyzer(small_org, 0.0, rng)
-        with pytest.raises(ValueError):
-            YieldAnalyzer(small_org, 1.0, rng)
+    def test_rejects_degenerate_pcell(self, rng):
+        for p_cell in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                figure5_mse_cdf(organization=ORG, p_cell=p_cell, rng=rng)
 
-    def test_max_failures_covers_population(self, analyzer):
-        assert analyzer.max_failures >= 1
+    def test_max_failures_covers_population(self, rng):
+        dist = _fig5(rng, [NoProtection(32)], samples_per_count=2)
+        assert dist["no-protection"].max_failures >= 1
 
-    def test_zero_fault_probability(self, analyzer):
-        expected = (1 - 1e-4) ** analyzer.organization.total_cells
-        assert analyzer.zero_fault_probability == pytest.approx(expected, rel=1e-6)
+    def test_zero_fault_probability(self, rng):
+        dist = _fig5(rng, [NoProtection(32)], samples_per_count=2)
+        expected = (1 - P_CELL) ** ORG.total_cells
+        assert dist["no-protection"].zero_fault_probability == pytest.approx(
+            expected, rel=1e-6
+        )
 
 
 class TestMseDistribution:
-    def test_secded_yield_is_dominated_by_clean_and_single_fault_dies(self, analyzer):
-        dist = analyzer.mse_distribution(SecdedScheme(32), samples_per_count=40)
+    def test_secded_yield_is_dominated_by_clean_and_single_fault_dies(self, rng):
+        dist = _fig5(rng, [SecdedScheme(32)])["secded-H(39,32)"]
         # SECDED corrects every single-fault die, so essentially every die that
         # is either clean or has one fault reaches MSE = 0.
         assert dist.yield_at_mse(0.0) > 0.99
 
-    def test_unprotected_yield_lower_than_shuffled(self, analyzer):
-        shared = analyzer.shared_fault_maps(samples_per_count=40)
-        unprotected = analyzer.mse_distribution(
-            NoProtection(32), fault_maps_by_count=shared
-        )
-        shuffled = analyzer.mse_distribution(
-            BitShuffleScheme(32, 1), fault_maps_by_count=shared
-        )
+    def test_unprotected_yield_lower_than_shuffled(self, rng):
+        results = _fig5(rng, [NoProtection(32), BitShuffleScheme(32, 1)])
         target = 1e6
-        assert shuffled.yield_at_mse(target) >= unprotected.yield_at_mse(target)
+        assert results["bit-shuffle-nfm1"].yield_at_mse(target) >= results[
+            "no-protection"
+        ].yield_at_mse(target)
 
-    def test_mse_at_yield_monotone_in_nfm_single_fault_rows(self, analyzer):
+    def test_mse_at_yield_monotone_in_nfm_single_fault_rows(self, rng):
         # The finer the LUT granularity, the smaller the MSE a given yield
         # target requires -- in the paper's single-fault-per-word regime.
-        # Rows with several faults are excluded here (the most-significant
-        # programming policy cannot neutralise them all; see the dedicated
-        # multi-fault ablation test below).
-        shared = analyzer.shared_fault_maps(samples_per_count=40)
-        filtered = {
-            count: [m for m in maps if m.max_faults_per_row() <= 1]
-            for count, maps in shared.items()
-        }
-        values = [
-            analyzer.mse_distribution(
-                BitShuffleScheme(32, n_fm), fault_maps_by_count=filtered
-            ).mse_at_yield(0.999)
-            for n_fm in (1, 3, 5)
-        ]
+        # Dies with several faults in one row are redrawn here (the
+        # most-significant programming policy cannot neutralise them all; see
+        # the multi-fault test below).
+        schemes = [BitShuffleScheme(32, n_fm) for n_fm in (1, 3, 5)]
+        results = _engine_mse(
+            rng, schemes, samples_per_count=40, discard=True
+        )
+        values = [results[scheme.name].mse_at_yield(0.999) for scheme in schemes]
         assert values == sorted(values, reverse=True)
 
-    def test_minimax_policy_tames_multi_fault_rows(self, analyzer):
+    def test_minimax_policy_tames_multi_fault_rows(self, rng):
         # Ablation: with several faults in one row the simple most-significant
         # policy can wrap a low fault to a high logical position; the minimax
         # policy never requires a larger MSE at the same yield target.
-        shared = analyzer.shared_fault_maps(samples_per_count=40)
-        greedy = analyzer.mse_distribution(
-            BitShuffleScheme(32, 5, multi_fault_policy="most-significant"),
-            fault_maps_by_count=shared,
+        results = _fig5(
+            rng,
+            [
+                BitShuffleScheme(32, 5, multi_fault_policy="most-significant"),
+                BitShuffleScheme(32, 5, multi_fault_policy="minimax"),
+            ],
         )
-        minimax = analyzer.mse_distribution(
-            BitShuffleScheme(32, 5, multi_fault_policy="minimax"),
-            fault_maps_by_count=shared,
-        )
-        assert minimax.mse_at_yield(0.999) <= greedy.mse_at_yield(0.999)
+        assert results["bit-shuffle-nfm5-minimax"].mse_at_yield(0.999) <= results[
+            "bit-shuffle-nfm5"
+        ].mse_at_yield(0.999)
 
-    def test_exclude_fault_free_mass(self, analyzer):
-        with_mass = analyzer.mse_distribution(
-            NoProtection(32), samples_per_count=20, include_fault_free=True
-        )
-        without_mass = analyzer.mse_distribution(
-            NoProtection(32), samples_per_count=20, include_fault_free=False
-        )
-        assert with_mass.yield_at_mse(0.0) >= analyzer.zero_fault_probability - 1e-9
+    def test_exclude_fault_free_mass(self):
+        with_mass = _engine_mse(
+            np.random.default_rng(1), [NoProtection(32)], 20,
+            include_fault_free=True,
+        )["no-protection"]
+        without_mass = _engine_mse(
+            np.random.default_rng(1), [NoProtection(32)], 20,
+            include_fault_free=False,
+        )["no-protection"]
+        assert with_mass.yield_at_mse(0.0) >= with_mass.zero_fault_probability - 1e-9
         assert without_mass.yield_at_mse(0.0) < with_mass.yield_at_mse(0.0)
 
-    def test_rejects_word_width_mismatch(self, analyzer):
-        with pytest.raises(ValueError):
-            analyzer.mse_distribution(NoProtection(16))
+    def test_rejects_word_width_mismatch(self, rng):
+        with pytest.raises(ValueError, match="word width"):
+            _fig5(rng, [NoProtection(16)])
 
-    def test_rejects_non_positive_samples(self, analyzer):
+    def test_rejects_non_positive_samples(self, rng):
         with pytest.raises(ValueError):
-            analyzer.mse_distribution(NoProtection(32), samples_per_count=0)
+            _fig5(rng, [NoProtection(32)], samples_per_count=0)
 
-    def test_yield_queries_validate_input(self, analyzer):
-        dist = analyzer.mse_distribution(NoProtection(32), samples_per_count=5)
+    def test_yield_queries_validate_input(self, rng):
+        dist = _fig5(rng, [NoProtection(32)], samples_per_count=5)
         with pytest.raises(ValueError):
-            dist.yield_at_mse(-1.0)
+            dist["no-protection"].yield_at_mse(-1.0)
 
-    def test_cdf_series_on_grid(self, analyzer):
-        dist = analyzer.mse_distribution(NoProtection(32), samples_per_count=10)
+    def test_cdf_series_on_grid(self, rng):
+        dist = _fig5(rng, [NoProtection(32)], samples_per_count=10)
         grid = [1e0, 1e3, 1e6, 1e9, 1e15]
-        x, y = dist.cdf_series(grid)
+        x, y = dist["no-protection"].cdf_series(grid)
         assert list(x) == grid
         assert all(0.0 <= v <= 1.0 for v in y)
         assert list(y) == sorted(y)
 
 
 class TestSchemeComparison:
-    def test_compare_uses_shared_dies(self, analyzer):
-        results = analyzer.compare_schemes(
+    def test_compare_uses_shared_dies(self, rng):
+        results = _fig5(
+            rng,
             [NoProtection(32), BitShuffleScheme(32, 2), PriorityEccScheme(32)],
             samples_per_count=30,
         )
@@ -131,6 +160,7 @@ class TestSchemeComparison:
         shuffled = results["bit-shuffle-nfm2"]
         assert shuffled.mse_at_yield(0.999) <= pecc.mse_at_yield(0.999)
 
-    def test_samples_counted(self, analyzer):
-        dist = analyzer.mse_distribution(NoProtection(32), samples_per_count=10)
-        assert dist.samples == analyzer.max_failures * 10
+    def test_samples_counted(self, rng):
+        dist = _fig5(rng, [NoProtection(32)], samples_per_count=10)
+        dist = dist["no-protection"]
+        assert dist.samples == dist.max_failures * 10
