@@ -10,8 +10,9 @@ interface with two complementary views:
 * an *analytical* view (``residual_error_positions``) used by the fast
   Monte-Carlo yield model behind Fig. 5 and Fig. 7, which only needs to know
   which logical data bits can still be corrupted for a given set of physical
-  fault positions, plus its table-driven per-die batch form
-  ``residual_error_energy`` that the Eq. 6 MSE runs on.
+  fault positions, plus its batch form ``error_energy_tables`` (the Eq. 6
+  energy of every lone fault, and an exact function for multi-fault rows)
+  that the batched MSE scores whole shards of dies with.
 
 Available schemes:
 

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, List, Mapping, Sequence, Tuple
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["ProtectionScheme"]
+__all__ = ["EnergyTables", "ProtectionScheme"]
+
+#: ``(single, multi)`` Eq. 6 energy tables; see :meth:`ProtectionScheme.error_energy_tables`.
+EnergyTables = Tuple[Sequence[float], Callable[[Sequence[int]], int]]
 
 
 class ProtectionScheme(ABC):
@@ -32,10 +35,12 @@ class ProtectionScheme(ABC):
     The analytical flow used by the Monte-Carlo yield model asks a single
     question per row: *given faults at these physical data-bit positions, which
     logical data bits can still be wrong after mitigation?*  That is
-    :meth:`residual_error_positions`, the scalar contract.  Its per-die batch
-    view, :meth:`residual_error_energy`, sums the Eq. 6 error energy of every
-    faulty row of a die; the base class derives it from the scalar method and
-    the concrete schemes override it with lookup tables built at construction.
+    :meth:`residual_error_positions`, the scalar contract.  Its batch view is
+    :meth:`error_energy_tables`: the concrete schemes build, at construction,
+    the Eq. 6 error energy of every lone fault plus an exact function for
+    rows with several faults, and :func:`repro.quality.mse.mse_of_fault_map`
+    scores whole shards of dies from them.  The base class returns no tables,
+    so the MSE falls back to the scalar method row by row.
     """
 
     def __init__(self, word_width: int) -> None:
@@ -180,58 +185,23 @@ class ProtectionScheme(ABC):
         are the positions whose weight ``2**b`` enters the local MSE (Eq. 6).
         """
 
-    def residual_error_energy(
-        self, row_columns: Mapping[int, Sequence[int]]
-    ) -> float:
-        """Eq. 6 error energy of one die: the MSE numerator before division by ``R``.
+    def error_energy_tables(self) -> Optional[EnergyTables]:
+        """Lookup tables of the batched Eq. 6 MSE, or ``None`` for the fallback.
 
-        ``row_columns`` maps each faulty row to its sorted, distinct fault
-        columns, in the fault map's row order -- exactly
-        :meth:`~repro.memory.faults.FaultMap.faulty_columns_by_row`.
-        Each row contributes the exact integer ``sum(4**b)`` over its
-        :meth:`residual_error_positions`, converted to float once; the row
-        values are added left to right in mapping order.  This generic
-        fallback loops over the scalar method; concrete schemes override it
-        with table lookups that return the bit-identical float.
+        ``(single, multi)``: ``single[c]`` is the float error energy of a row
+        whose only fault is at column ``c``, and ``multi(columns)`` the exact
+        integer ``sum(4**b)`` over the :meth:`residual_error_positions` of a
+        row with several sorted, distinct fault columns.  Both must agree
+        with the scalar method bit for bit.  The base class has no tables,
+        so :func:`~repro.quality.mse.mse_of_fault_map` calls the scalar
+        method for every faulty row, with its real row index.
         """
-        total = 0.0
-        for row, columns in row_columns.items():
-            positions = self.residual_error_positions(row, columns)
-            total += float(sum(1 << (2 * b) for b in positions))
-        return total
+        return None
 
     def _columns_energy(self, columns: Sequence[int]) -> int:
         """Exact energy of a row in which every listed column stays wrong."""
         energy = self._energy_by_position
         return sum(energy[c] for c in columns)
-
-    def _tabulated_energy(
-        self,
-        row_columns: Mapping[int, Sequence[int]],
-        single_fault_energy: Sequence[float],
-        multi_fault_energy: Callable[[Sequence[int]], int],
-    ) -> float:
-        """Table-driven :meth:`residual_error_energy` shared by concrete schemes.
-
-        Single-fault rows, the bulk of any die, are one lookup in
-        ``single_fault_energy`` (column -> float energy of a lone fault there);
-        rows with several faults go through ``multi_fault_energy``, which
-        returns the row's exact integer energy.  Columns are sorted, so the
-        range check looks at the ends only.
-        """
-        width = self._word_width
-        total = 0.0
-        for columns in row_columns.values():
-            if len(columns) == 1:
-                column = columns[0]
-                if not 0 <= column < width:
-                    self._check_fault_columns(columns)
-                total += single_fault_energy[column]
-            elif columns:
-                if columns[0] < 0 or columns[-1] >= width:
-                    self._check_fault_columns(columns)
-                total += float(multi_fault_energy(columns))
-        return total
 
     # ------------------------------------------------------------------ #
     # Convenience

@@ -8,11 +8,11 @@ and 7.
 
 from __future__ import annotations
 
-from typing import List, Mapping, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.core.base import ProtectionScheme
+from repro.core.base import EnergyTables, ProtectionScheme
 
 __all__ = ["NoProtection"]
 
@@ -66,10 +66,6 @@ class NoProtection(ProtectionScheme):
         self._check_fault_columns(fault_columns)
         return sorted(set(fault_columns))
 
-    def residual_error_energy(
-        self, row_columns: Mapping[int, Sequence[int]]
-    ) -> float:
-        """Table-driven Eq. 6 energy: every fault keeps its full weight."""
-        return self._tabulated_energy(
-            row_columns, self._single_fault_energy, self._columns_energy
-        )
+    def error_energy_tables(self) -> EnergyTables:
+        """Eq. 6 energy tables: every fault keeps its full weight."""
+        return self._single_fault_energy, self._columns_energy

@@ -14,11 +14,11 @@ Stored-pattern layout (LSB first): the unprotected LSB half occupies columns
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import List, Mapping, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.base import ProtectionScheme
+from repro.core.base import EnergyTables, ProtectionScheme
 from repro.ecc.hamming import SecdedCode, secded_code_for_data_bits
 from repro.memory.words import bit_mask
 
@@ -146,13 +146,9 @@ class PriorityEccScheme(ProtectionScheme):
             high_faults = []
         return sorted(low_faults + high_faults)
 
-    def residual_error_energy(
-        self, row_columns: Mapping[int, Sequence[int]]
-    ) -> float:
-        """Table-driven Eq. 6 energy of the raw LSBs and any uncorrectable MSB faults."""
-        return self._tabulated_energy(
-            row_columns, self._single_fault_energy, self._multi_fault_energy
-        )
+    def error_energy_tables(self) -> EnergyTables:
+        """Eq. 6 energy tables of the raw LSBs and any uncorrectable MSB faults."""
+        return self._single_fault_energy, self._multi_fault_energy
 
     def _multi_fault_energy(self, columns: Sequence[int]) -> int:
         """Exact energy of a row with several (sorted) faults."""

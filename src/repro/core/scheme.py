@@ -26,7 +26,7 @@ from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.core.base import ProtectionScheme
+from repro.core.base import EnergyTables, ProtectionScheme
 from repro.core.fault_map_lut import FaultMapLut
 from repro.core.segments import rotation_amount, segment_index, segment_size
 from repro.core.shuffler import BitShuffler
@@ -257,17 +257,13 @@ class BitShuffleScheme(ProtectionScheme):
             {(column + rotation) % self.word_width for column in fault_columns}
         )
 
-    def residual_error_energy(
-        self, row_columns: Mapping[int, Sequence[int]]
-    ) -> float:
-        """Table-driven Eq. 6 energy of the rotated residual positions.
+    def error_energy_tables(self) -> EnergyTables:
+        """Eq. 6 energy tables of the rotated residual positions.
 
         A lone fault at column ``c`` always lands on logical bit ``c mod S``,
         so single-fault rows are one table lookup under either policy.
         """
-        return self._tabulated_energy(
-            row_columns, self._single_fault_energy, self._multi_fault_energy
-        )
+        return self._single_fault_energy, self._multi_fault_energy
 
     def _multi_fault_energy(self, columns: Sequence[int]) -> int:
         """Exact energy of a row with several (sorted, distinct) faults."""

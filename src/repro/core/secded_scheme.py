@@ -9,11 +9,11 @@ of Fig. 6.
 
 from __future__ import annotations
 
-from typing import List, Mapping, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.core.base import ProtectionScheme
+from repro.core.base import EnergyTables, ProtectionScheme
 from repro.ecc.hamming import DecodeStatus, SecdedCode, secded_code_for_data_bits
 
 __all__ = ["SecdedScheme"]
@@ -89,10 +89,6 @@ class SecdedScheme(ProtectionScheme):
             return []
         return unique
 
-    def residual_error_energy(
-        self, row_columns: Mapping[int, Sequence[int]]
-    ) -> float:
-        """Table-driven Eq. 6 energy: lone faults vanish, multi-fault rows stay whole."""
-        return self._tabulated_energy(
-            row_columns, self._single_fault_energy, self._columns_energy
-        )
+    def error_energy_tables(self) -> EnergyTables:
+        """Eq. 6 energy tables: lone faults vanish, multi-fault rows stay whole."""
+        return self._single_fault_energy, self._columns_energy

@@ -57,6 +57,7 @@ class FaultSite:
             raise ValueError(f"row must be non-negative, got {self.row}")
         if self.column < 0:
             raise ValueError(f"column must be non-negative, got {self.column}")
+        object.__setattr__(self, "kind", FaultKind(self.kind))
 
 
 class FaultMap:
@@ -65,7 +66,8 @@ class FaultMap:
     The map is immutable from the perspective of the memory model (faults are
     persistent); construction-time helpers generate random maps according to a
     cell-failure probability or an exact failure count, matching the paper's
-    Monte-Carlo methodology.
+    Monte-Carlo methodology.  Faults are one ``(row, column) -> FaultKind``
+    table in insertion order; only accessors build :class:`FaultSite` objects.
     """
 
     def __init__(
@@ -74,7 +76,7 @@ class FaultMap:
         faults: Iterable[FaultSite] = (),
     ) -> None:
         self._organization = organization
-        by_cell: Dict[Tuple[int, int], FaultSite] = {}
+        by_cell: Dict[Tuple[int, int], FaultKind] = {}
         for fault in faults:
             organization.check_row(fault.row)
             organization.check_column(fault.column)
@@ -83,7 +85,7 @@ class FaultMap:
                 raise ValueError(
                     f"duplicate fault at row {fault.row}, column {fault.column}"
                 )
-            by_cell[key] = fault
+            by_cell[key] = fault.kind
         self._faults = by_cell
         self._mask_cache: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
@@ -104,22 +106,21 @@ class FaultMap:
         return self.fault_count
 
     def __iter__(self) -> Iterator[FaultSite]:
-        return iter(sorted(self._faults.values(), key=lambda f: (f.row, f.column)))
+        return (FaultSite(r, c, kind) for (r, c), kind in sorted(self._faults.items()))
 
     def __contains__(self, cell: Tuple[int, int]) -> bool:
         return tuple(cell) in self._faults
 
     def fault_at(self, row: int, column: int) -> Optional[FaultSite]:
         """Return the fault at ``(row, column)`` or ``None`` if the cell is healthy."""
-        return self._faults.get((row, column))
+        kind = self._faults.get((row, column))
+        return None if kind is None else FaultSite(row, column, kind)
 
     def faults_in_row(self, row: int) -> List[FaultSite]:
         """All faults located in ``row``, sorted by bit position."""
         self._organization.check_row(row)
-        return sorted(
-            (f for (r, _c), f in self._faults.items() if r == row),
-            key=lambda f: f.column,
-        )
+        in_row = ((c, kind) for (r, c), kind in self._faults.items() if r == row)
+        return [FaultSite(row, c, kind) for c, kind in sorted(in_row)]
 
     def faulty_rows(self) -> List[int]:
         """Sorted list of rows containing at least one faulty cell."""
@@ -153,7 +154,7 @@ class FaultMap:
         a single fault: ECC and multi-fault bit-shuffle rows depend on which
         faults share a row, so the MSE reads :meth:`faulty_columns_by_row`.
         """
-        return np.array(sorted(f.column for f in self._faults.values()), dtype=np.int64)
+        return np.array(sorted(c for _r, c in self._faults), dtype=np.int64)
 
     # ------------------------------------------------------------------ #
     # Application of faults to data
@@ -185,10 +186,10 @@ class FaultMap:
         data-dependent and cannot be expressed as a fixed XOR mask.
         """
         masks = np.zeros(self._organization.rows, dtype=np.uint64)
-        for fault in self._faults.values():
-            if fault.kind is not FaultKind.BIT_FLIP:
+        for (row, column), kind in self._faults.items():
+            if kind is not FaultKind.BIT_FLIP:
                 raise ValueError("flip_masks() requires a pure bit-flip fault map")
-            masks[fault.row] |= np.uint64(1 << fault.column)
+            masks[row] |= np.uint64(1 << column)
         return masks
 
     def corruption_masks(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -206,14 +207,14 @@ class FaultMap:
             and_masks = np.full(rows, word_mask, dtype=np.uint64)
             or_masks = np.zeros(rows, dtype=np.uint64)
             xor_masks = np.zeros(rows, dtype=np.uint64)
-            for fault in self._faults.values():
-                bit = np.uint64(1 << fault.column)
-                if fault.kind is FaultKind.STUCK_AT_ZERO:
-                    and_masks[fault.row] &= ~bit
-                elif fault.kind is FaultKind.STUCK_AT_ONE:
-                    or_masks[fault.row] |= bit
+            for (row, column), kind in self._faults.items():
+                bit = np.uint64(1 << column)
+                if kind is FaultKind.STUCK_AT_ZERO:
+                    and_masks[row] &= ~bit
+                elif kind is FaultKind.STUCK_AT_ONE:
+                    or_masks[row] |= bit
                 else:  # BIT_FLIP
-                    xor_masks[fault.row] |= bit
+                    xor_masks[row] |= bit
             self._mask_cache = (and_masks, or_masks, xor_masks)
         return self._mask_cache
 
@@ -305,7 +306,7 @@ class FaultMap:
                 raise IndexError(
                     f"column out of range [0, {organization.word_width})"
                 )
-        faults = {(r, c): FaultSite(r, c, kind) for r, c in zip(rows, columns)}
+        faults = dict.fromkeys(zip(rows, columns), FaultKind(kind))
         if len(faults) != len(rows):
             raise ValueError("duplicate fault cell in rows/columns arrays")
         # Establish every instance invariant through the canonical
@@ -502,8 +503,8 @@ class FaultMap:
             "rows": self._organization.rows,
             "word_width": self._organization.word_width,
             "faults": [
-                {"row": f.row, "column": f.column, "kind": f.kind.value}
-                for f in self
+                {"row": row, "column": column, "kind": kind.value}
+                for (row, column), kind in sorted(self._faults.items())
             ],
         }
 
@@ -514,7 +515,7 @@ class FaultMap:
             rows=int(data["rows"]), word_width=int(data["word_width"])
         )
         faults = [
-            FaultSite(int(f["row"]), int(f["column"]), FaultKind(f["kind"]))
+            FaultSite(int(f["row"]), int(f["column"]), f["kind"])
             for f in data["faults"]  # type: ignore[index]
         ]
         return cls(organization, faults)

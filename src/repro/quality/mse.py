@@ -16,20 +16,29 @@ residual positions, rounded to float once; the row energies are added one at
 a time, left to right, in the fault map's row order
 (:meth:`FaultMap.faulty_columns_by_row`); the total is divided by ``R`` last.
 :func:`mse_from_error_positions` applies it to explicit per-row positions
-(the test oracle), and :func:`mse_of_fault_map` to one die through the
-scheme's table-driven
-:meth:`~repro.core.base.ProtectionScheme.residual_error_energy`.
+(the test oracle).  :func:`mse_of_fault_map` applies it to a whole batch of
+dies under every scheme at once: it groups each die's rows once, puts each
+row's energy -- from the scheme's
+:meth:`~repro.core.base.ProtectionScheme.error_energy_tables` -- at the row's
+position in a zero-padded ``(dies x max rows)`` grid, and takes the last
+column of ``np.cumsum(grid, axis=1)``.  ``cumsum`` adds strictly left to
+right and the trailing padding adds exact zeros, so each die's total is the
+contract's sum bit for bit.  A lone die skips the grid's fixed NumPy cost:
+its rows are added one at a time in a Python loop, the same sum.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence, Union
 
+import numpy as np
 
 from repro.core.base import ProtectionScheme
 from repro.memory.faults import FaultMap
 
-__all__ = ["word_error_energy", "mse_from_error_positions", "mse_of_fault_map"]
+__all__ = [
+    "error_energies", "mse_from_error_positions", "mse_of_fault_map", "word_error_energy"
+]
 
 
 def word_error_energy(bit_positions: Sequence[int]) -> float:
@@ -58,8 +67,11 @@ def mse_from_error_positions(
     return total / rows
 
 
-def mse_of_fault_map(fault_map: FaultMap, scheme: ProtectionScheme) -> float:
-    """MSE of one die operated behind ``scheme`` (Eq. 6 with mitigation applied).
+def mse_of_fault_map(
+    fault_maps: Union[FaultMap, Sequence[FaultMap]],
+    schemes: Union[ProtectionScheme, Sequence[ProtectionScheme]],
+) -> Union[float, np.ndarray]:
+    """MSE of dies operated behind protection schemes (Eq. 6 with mitigation).
 
     For every faulty row the scheme charges the logical bits that remain
     vulnerable; the worst case (every residual bit actually wrong) defines the
@@ -67,11 +79,88 @@ def mse_of_fault_map(fault_map: FaultMap, scheme: ProtectionScheme) -> float:
     which charges each failure its full error magnitude.  The result equals
     :func:`mse_from_error_positions` over the rows'
     ``residual_error_positions`` bit for bit (see the module docstring).
+
+    One map and one scheme give a float.  A sequence of maps or of schemes
+    gives a ``(dies x schemes)`` array, scored in one batch.  Both arguments
+    are read once, so any iterable will do.
     """
-    organization = fault_map.organization
-    if organization.word_width != scheme.word_width:
+    one_map = isinstance(fault_maps, FaultMap)
+    one_scheme = isinstance(schemes, ProtectionScheme)
+    maps = [fault_maps] if one_map else list(fault_maps)
+    scheme_list = [schemes] if one_scheme else list(schemes)
+    widths = {fault_map.organization.word_width for fault_map in maps}
+    if any(widths - {scheme.word_width} for scheme in scheme_list):
         raise ValueError(
             "fault map word width does not match the protection scheme"
         )
-    energy = scheme.residual_error_energy(fault_map.faulty_columns_by_row())
-    return energy / organization.rows
+    if one_map and one_scheme:
+        return _die_energy(maps[0].faulty_columns_by_row(), schemes) / maps[0].organization.rows
+    rows = np.array([fault_map.organization.rows for fault_map in maps], dtype=float)
+    energies = error_energies(
+        [fault_map.faulty_columns_by_row() for fault_map in maps], scheme_list
+    )
+    return energies / rows[:, None]
+
+
+def error_energies(
+    row_columns: Sequence[Mapping[int, Sequence[int]]],
+    schemes: Sequence[ProtectionScheme],
+) -> np.ndarray:
+    """Eq. 6 error energies (MSE numerators) of many dies: ``(dies x schemes)``.
+
+    ``row_columns`` holds one mapping per die from each faulty row to its
+    sorted, distinct fault columns, in the die's row order -- exactly
+    :meth:`~repro.memory.faults.FaultMap.faulty_columns_by_row`.  The rows
+    are grouped once for every scheme; each scheme then fills the grid of the
+    module docstring from its tables.  A scheme without tables scores each
+    die with its scalar ``residual_error_positions``, row by row with the
+    real row index.  A column outside a scheme's word raises ``ValueError``.
+    """
+    if len(row_columns) == 1:
+        return np.array([[_die_energy(row_columns[0], scheme) for scheme in schemes]])
+    span = max(map(len, row_columns), default=0) or 1
+    single_slots, single_columns, multi = [], [], []
+    for start, by_row in zip(range(0, span * len(row_columns), span), row_columns):
+        for slot, columns in enumerate(by_row.values(), start):
+            if len(columns) == 1:
+                single_slots.append(slot)
+                single_columns.append(columns[0])
+            elif columns:
+                multi.append((slot, columns))
+    every_column = single_columns + [c for _, columns in multi for c in columns]
+    lowest, highest = min(every_column, default=0), max(every_column, default=0)
+    single_at = np.array(single_slots, dtype=np.intp)
+    columns_at = np.array(single_columns, dtype=np.intp)
+    energies = np.empty((len(row_columns), len(schemes)))
+    for index, scheme in enumerate(schemes):
+        tables = scheme.error_energy_tables()
+        if tables is None:
+            energies[:, index] = [_die_energy(by_row, scheme) for by_row in row_columns]
+            continue
+        if lowest < 0 or highest >= scheme.word_width:
+            raise ValueError(f"fault column out of range [0, {scheme.word_width})")
+        row_energies = np.zeros(len(row_columns) * span)
+        row_energies[single_at] = np.asarray(tables[0])[columns_at]
+        for slot, columns in multi:
+            row_energies[slot] = float(tables[1](columns))
+        grid = row_energies.reshape(len(row_columns), span)
+        energies[:, index] = np.cumsum(grid, axis=1)[:, -1]
+    return energies
+
+
+def _die_energy(by_row: Mapping[int, Sequence[int]], scheme: ProtectionScheme) -> float:
+    """One die's :func:`error_energies` under one scheme: rows added in order."""
+    width = scheme.word_width
+    single_energy, multi_energy = scheme.error_energy_tables() or (None, None)
+    total = 0.0
+    for row, columns in by_row.items():
+        if single_energy is None:
+            positions = scheme.residual_error_positions(row, columns)
+            total += float(sum(1 << (2 * b) for b in positions))
+        elif len(columns) == 1 and 0 <= columns[0] < width:
+            total += single_energy[columns[0]]
+        elif columns:
+            if columns[0] < 0 or columns[-1] >= width:
+                raise ValueError(f"fault column out of range [0, {width})")
+            total += float(multi_energy(columns))
+    return total

@@ -1217,9 +1217,10 @@ class SweepEngine:
         """Run the sweep scoring each die by its local MSE (the Fig. 5 study).
 
         Same sharded grid, per-die seeding, parallel fan-out, and checkpoint
-        cache as :meth:`run`, but each die is evaluated analytically --
-        :func:`~repro.quality.mse.mse_of_fault_map` per scheme -- instead of
-        retraining a benchmark, and the merged result is one
+        cache as :meth:`run`, but dies are scored analytically instead of
+        by retraining a benchmark: each shard is one
+        :func:`~repro.quality.mse.mse_of_fault_map` call over all its dies
+        and every scheme, and the merged result is one
         :class:`~repro.faultmodel.yieldmodel.MseDistribution` per scheme.
         ``include_fault_free`` adds the ``Pr(N = 0)`` point mass at MSE = 0
         (pass ``False`` for the paper's Eq. 5 conditional view).

@@ -21,7 +21,8 @@ from __future__ import annotations
 import os
 import threading
 import traceback
-from typing import Dict, List, Mapping, Optional, Tuple
+from itertools import islice
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -57,6 +58,10 @@ AdaptiveEntry = Tuple[int, int, int]
 ShardSummary = List[Tuple[Tuple[int, int], StreamingMoments, FixedGridEcdfSketch]]
 
 REJECTION_MAX_ATTEMPTS = 1000
+
+#: Most dies an MSE shard draws and scores in one batch: the bound keeps a
+#: large shard's maps and energy grid from all being held at once.
+SCORE_BATCH_DIES = 2048
 
 #: Test-only fault injection: when this environment variable names a path,
 #: the first shard evaluation to atomically create that file kills its own
@@ -130,17 +135,43 @@ def _die_transient_seed(
     return int(rng.integers(np.iinfo(np.int64).max, dtype=np.int64))
 
 
+def _scored_dies(
+    context: Mapping[str, object],
+    dies: Iterator[Tuple[Tuple[int, ...], int, Optional[FaultMap]]],
+) -> Iterator[List[float]]:
+    """Per-scheme scores of ``(spawn_key, failure_count, fault_map)`` dies, in order.
+
+    A ``None`` map is drawn, with the die's transient seed, from the die's
+    seed child.  MSE sweeps draw :data:`SCORE_BATCH_DIES` dies at a time and
+    score them in one :func:`mse_of_fault_map` call; quality sweeps score
+    each die as soon as it is drawn.
+    """
+    mse = context.get("evaluation", "quality") == "mse"
+    step = SCORE_BATCH_DIES if mse else 1
+    while batch := list(islice(dies, step)):
+        fault_maps, transient_seeds = [], []
+        for spawn_key, failure_count, fault_map in batch:
+            transient_seed = None
+            if fault_map is None:
+                child = np.random.SeedSequence(context["master_seed"], spawn_key=spawn_key)
+                rng = np.random.default_rng(child)
+                fault_map = _sample_die_map(context, rng, failure_count)
+                transient_seed = _die_transient_seed(context, rng)
+            fault_maps.append(fault_map)
+            transient_seeds.append(transient_seed)
+        if mse:
+            yield from mse_of_fault_map(fault_maps, context["schemes"]).tolist()
+        else:
+            for fault_map, transient_seed in zip(fault_maps, transient_seeds):
+                yield _evaluate_die(context, fault_map, transient_seed)
+
+
 def _evaluate_die(
     context: Mapping[str, object],
     fault_map: FaultMap,
     transient_seed: Optional[int] = None,
 ) -> List[float]:
-    """Per-scheme score of one die: normalised quality, or local MSE."""
-    if context.get("evaluation", "quality") == "mse":
-        return [
-            float(mse_of_fault_map(fault_map, scheme))
-            for scheme in context["schemes"]
-        ]
+    """Per-scheme normalised quality of one die."""
     qualities = []
     for scheme in context["schemes"]:
         store = FaultyTensorStore(
@@ -161,21 +192,10 @@ def _evaluate_die(
 def evaluate_shard(
     entries: List[DieEntry], context: Mapping[str, object]
 ) -> List[Tuple[int, List[float]]]:
-    """Evaluate one shard of dies; returns ``(die_index, qualities)`` pairs."""
-    results = []
-    for die_index, _count_index, _sample_index, failure_count, fault_map in entries:
-        transient_seed = None
-        if fault_map is None:
-            child = np.random.SeedSequence(
-                context["master_seed"], spawn_key=(die_index,)
-            )
-            rng = np.random.default_rng(child)
-            fault_map = _sample_die_map(context, rng, failure_count)
-            transient_seed = _die_transient_seed(context, rng)
-        results.append(
-            (die_index, _evaluate_die(context, fault_map, transient_seed))
-        )
-    return results
+    """Evaluate one shard of dies; returns ``(die_index, scores)`` pairs."""
+    dies = (((die,), failures, fault_map) for die, _, _, failures, fault_map in entries)
+    scores = _scored_dies(context, dies)
+    return [(entry[0], die_scores) for entry, die_scores in zip(entries, scores)]
 
 
 def summarize_shard(
@@ -194,14 +214,8 @@ def summarize_shard(
     larger_is_better = adaptive["direction"] == "ge"
     edges = adaptive["edges"]
     cells: Dict[Tuple[int, int], Tuple[StreamingMoments, FixedGridEcdfSketch]] = {}
-    for count_index, sample_index, failure_count in entries:
-        child = np.random.SeedSequence(
-            context["master_seed"], spawn_key=(count_index, sample_index)
-        )
-        rng = np.random.default_rng(child)
-        fault_map = _sample_die_map(context, rng, failure_count)
-        transient_seed = _die_transient_seed(context, rng)
-        scores = _evaluate_die(context, fault_map, transient_seed)
+    dies = (((count, sample), failures, None) for count, sample, failures in entries)
+    for (count_index, _, _), scores in zip(entries, _scored_dies(context, dies)):
         for scheme_index, score in enumerate(scores):
             key = (scheme_index, count_index)
             cell = cells.get(key)

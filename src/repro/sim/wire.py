@@ -55,7 +55,7 @@ __all__ = [
 #: Protocol version exchanged in the handshake; bumped on any frame or
 #: message-shape change so mismatched coordinator/worker builds fail loudly
 #: instead of mis-parsing each other.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 _MAGIC = b"RSW1"
 _HEADER = struct.Struct(">4sQ")

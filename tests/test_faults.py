@@ -78,8 +78,10 @@ class TestFromCellArrays:
             small_org, convert(rows), convert(columns)
         )
         assert list(fault_map._faults) == self.CELLS
-        for (row, column), site in fault_map._faults.items():
+        for (row, column), kind in fault_map._faults.items():
             assert type(row) is int and type(column) is int
+            assert kind is FaultKind.BIT_FLIP
+            site = fault_map.fault_at(row, column)
             assert type(site.row) is int and type(site.column) is int
 
     @pytest.mark.parametrize(
@@ -192,6 +194,44 @@ class TestCorruption:
         fault_map = FaultMap.from_cells(small_org, [(0, 0)], kind=FaultKind.STUCK_AT_ONE)
         with pytest.raises(ValueError):
             fault_map.flip_masks()
+
+
+class TestStringKinds:
+    """A kind given by its string value behaves exactly like the enum member."""
+
+    def test_string_stuck_at_zero_clears_the_bit(self, small_org):
+        fault_map = FaultMap.from_cells(small_org, [(0, 1)], kind="stuck_at_zero")
+        and_masks, or_masks, xor_masks = fault_map.corruption_masks()
+        assert int(and_masks[0]) == ((1 << 32) - 1) & ~0b10
+        assert int(or_masks[0]) == 0 and int(xor_masks[0]) == 0
+        assert fault_map.corrupt_word(0, 0b10) == 0
+        assert fault_map.to_dict()["faults"] == [
+            {"row": 0, "column": 1, "kind": "stuck_at_zero"}
+        ]
+
+    def test_cell_arrays_coerce_the_kind(self, small_org):
+        fault_map = FaultMap.from_cell_arrays(
+            small_org, np.array([2, 0]), np.array([5, 1]), "stuck_at_one"
+        )
+        assert fault_map._faults == {
+            (2, 5): FaultKind.STUCK_AT_ONE,
+            (0, 1): FaultKind.STUCK_AT_ONE,
+        }
+        assert fault_map.fault_at(2, 5).kind is FaultKind.STUCK_AT_ONE
+
+    def test_string_bit_flip_has_flip_masks(self, small_org):
+        fault_map = FaultMap.from_cells(small_org, [(3, 5)], kind="bit_flip")
+        assert fault_map.flip_masks()[3] == 1 << 5
+
+    def test_unknown_kind_rejected(self, small_org):
+        with pytest.raises(ValueError):
+            FaultSite(0, 0, "stuck")
+        with pytest.raises(ValueError):
+            FaultMap.from_cells(small_org, [(0, 0)], kind="stuck")
+        with pytest.raises(ValueError):
+            FaultMap.from_cell_arrays(
+                small_org, np.array([0]), np.array([0]), "stuck"
+            )
 
 
 class TestRandomGeneration:

@@ -17,6 +17,7 @@ from repro.core.segments import max_lut_bits
 from repro.memory.faults import FaultMap
 from repro.memory.organization import MemoryOrganization
 from repro.quality.mse import (
+    error_energies,
     mse_from_error_positions,
     mse_of_fault_map,
     word_error_energy,
@@ -111,8 +112,8 @@ class TestMseOfFaultMap:
 
 
 class PositionsOnlyScheme(ProtectionScheme):
-    """Implements only the scalar analytical contract, so the MSE takes the
-    base-class ``residual_error_energy`` fallback.  Its residual positions
+    """Implements only the scalar analytical contract, so it has no energy
+    tables and the MSE takes the scalar fallback.  Its residual positions
     depend on the row index, which pins that the fallback passes real rows."""
 
     @property
@@ -224,6 +225,96 @@ class TestResidualErrorEnergy:
     def test_rejects_out_of_range_columns(self):
         for scheme in SCHEMES_BY_WIDTH[32]:
             with pytest.raises(ValueError):
-                scheme.residual_error_energy({0: [32]})
+                error_energies([{0: [32]}], [scheme])
             with pytest.raises(ValueError):
-                scheme.residual_error_energy({0: [-1, 4]})
+                error_energies([{}, {1: [3], 0: [-1, 4]}], [scheme])
+
+
+@st.composite
+def fault_map_batches(draw):
+    """A word width and a batch of dies of it, each with its own row count.
+
+    Dies differ in how many faulty rows they have (the grid's padding) and
+    in ``R``; fault-free dies and multi-fault rows are common.
+    """
+    word_width = draw(st.sampled_from(DIFFERENTIAL_WIDTHS))
+    dies = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        rows = draw(st.integers(min_value=1, max_value=DIFFERENTIAL_ROWS))
+        cells = draw(
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=0, max_value=rows - 1),
+                    st.integers(min_value=0, max_value=word_width - 1),
+                ),
+                unique=True,
+                max_size=3 * rows,
+            )
+        )
+        dies.append((rows, cells))
+    return word_width, dies
+
+
+class TestBatchedMse:
+    @settings(max_examples=200, deadline=None)
+    @given(fault_map_batches())
+    def test_batch_matches_positions_oracle_bit_for_bit(self, drawn):
+        word_width, dies = drawn
+        schemes = SCHEMES_BY_WIDTH[word_width]
+        fault_maps = [
+            FaultMap.from_cells(
+                MemoryOrganization(rows=rows, word_width=word_width), cells
+            )
+            for rows, cells in dies
+        ]
+        batch = mse_of_fault_map(fault_maps, schemes)
+        assert batch.shape == (len(dies), len(schemes))
+        for die, (rows, cells) in enumerate(dies):
+            for index, scheme in enumerate(schemes):
+                expected = _positions_oracle(cells, scheme, rows)
+                assert float(batch[die, index]).hex() == expected.hex(), (
+                    scheme.name
+                )
+
+    def test_long_dies_sum_left_to_right(self):
+        # A 2**54 row then sixteen rows of energy 1: strictly left to right
+        # every 1 is lost, while a pairwise or blocked sum keeps some.  The
+        # short second die pads the first's grid row.
+        org = MemoryOrganization(rows=32, word_width=32)
+        cells = [(0, 27)] + [(row, 0) for row in range(1, 17)]
+        dies = [FaultMap.from_cells(org, cells), FaultMap.from_cells(org, [(3, 1)])]
+        batch = mse_of_fault_map(dies, [NoProtection(32)])
+        assert batch[0, 0] == 2.0 ** 54 / 32
+        assert float(batch[0, 0]).hex() == _positions_oracle(
+            cells, NoProtection(32), 32
+        ).hex()
+        assert batch[1, 0] == 4.0 / 32
+
+    def test_one_map_many_schemes_is_one_row(self, paper_org):
+        fault_map = FaultMap.from_cells(paper_org, [(0, 31), (0, 2), (5, 20)])
+        schemes = [NoProtection(32), SecdedScheme(32), BitShuffleScheme(32, 2)]
+        batch = mse_of_fault_map(fault_map, schemes)
+        assert batch.shape == (1, 3)
+        assert batch[0].tolist() == [
+            mse_of_fault_map(fault_map, scheme) for scheme in schemes
+        ]
+
+    def test_one_shot_iterables_are_read_once(self, paper_org):
+        fault_maps = [
+            FaultMap.from_cells(paper_org, [(0, 31), (0, 2)]),
+            FaultMap.from_cells(paper_org, [(7, 4)]),
+        ]
+        schemes = [NoProtection(32), BitShuffleScheme(32, 2)]
+        batch = mse_of_fault_map(iter(fault_maps), (s for s in schemes))
+        assert batch.tolist() == mse_of_fault_map(fault_maps, schemes).tolist()
+        assert batch.shape == (2, 2)
+
+    def test_word_width_mismatch_rejected_in_a_batch(self, paper_org):
+        wide = FaultMap.from_cells(paper_org, [(0, 0)])
+        narrow = FaultMap.from_cells(
+            MemoryOrganization(rows=8, word_width=16), [(0, 0)]
+        )
+        with pytest.raises(ValueError):
+            mse_of_fault_map([wide, wide], [NoProtection(32), NoProtection(16)])
+        with pytest.raises(ValueError):
+            mse_of_fault_map([wide, narrow], [NoProtection(32)])

@@ -164,3 +164,63 @@ class TestSchemeComparison:
         dist = _fig5(rng, [NoProtection(32)], samples_per_count=10)
         dist = dist["no-protection"]
         assert dist.samples == dist.max_failures * 10
+
+
+class TestLegacyMapsAcrossWorkers:
+    def test_local_workers_match_inline_bit_for_bit(self, monkeypatch):
+        """Legacy sampling draws every map in the coordinator and ships the
+        pre-drawn maps to the workers; a two-worker local pool must score
+        them to the inline sweep's curves exactly."""
+        executors = []
+        run_mse = SweepEngine.run_mse
+
+        def recording_run_mse(self, **kwargs):
+            results = run_mse(self, **kwargs)
+            executors.append(self.last_run_stats.executor)
+            return results
+
+        monkeypatch.setattr(SweepEngine, "run_mse", recording_run_mse)
+
+        def sweep(workers, executor):
+            return figure5_mse_cdf(
+                organization=ORG,
+                p_cell=P_CELL,
+                samples_per_count=6,
+                coverage=COVERAGE,
+                rng=np.random.default_rng(11),
+                sampling="legacy",
+                workers=workers,
+                executor=executor,
+            )
+
+        inline = sweep(1, "inline")
+        local = sweep(2, "local")
+        assert executors == ["inline", "local"]
+        assert list(local) == list(inline)
+        for name, dist in inline.items():
+            assert local[name].samples == dist.samples
+            for ours, theirs in zip(local[name].cdf_series(), dist.cdf_series()):
+                assert ours.tobytes() == theirs.tobytes()
+
+    def test_score_batches_smaller_than_a_shard_change_nothing(self, monkeypatch):
+        """Shards draw and score their dies in bounded batches; cutting a
+        shard into many batches must not move any seeded curve."""
+        from repro.sim import shardeval
+
+        def sweep():
+            return figure5_mse_cdf(
+                organization=ORG,
+                p_cell=P_CELL,
+                samples_per_count=6,
+                coverage=COVERAGE,
+                sampling="seeded",
+                master_seed=5,
+                executor="inline",
+            )
+
+        whole = sweep()
+        monkeypatch.setattr(shardeval, "SCORE_BATCH_DIES", 4)
+        batched = sweep()
+        for name, dist in whole.items():
+            for ours, theirs in zip(batched[name].cdf_series(), dist.cdf_series()):
+                assert ours.tobytes() == theirs.tobytes()
