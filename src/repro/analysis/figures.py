@@ -14,7 +14,7 @@ sets beyond their defaults (other P-ECC widths, the minimax FM-LUT policy).
 Legacy sampling pre-draws the die population with
 :func:`~repro.sim.runner.legacy_fault_maps`.  Sweeps that need other engine
 settings (``include_fault_free=False``, multi-fault-word rejection for
-Fig. 5, a fixed-point override) build the :class:`SweepEngine` directly.
+Fig. 5) build the :class:`SweepEngine` directly.
 ``figure6_overhead`` is the :class:`~repro.hardware.overhead.OverheadModel`
 comparison.  The general grid lives behind ``repro-faulty-mem dse``.
 """
@@ -37,16 +37,10 @@ from repro.hardware.overhead import OverheadModel, OverheadReport
 from repro.hardware.technology import Technology
 from repro.memory.organization import MemoryOrganization
 from repro.scenarios.base import ScenarioSpec
-from repro.sim.engine import (
-    DEFAULT_SCHEME_SPECS,
-    AdaptiveBudget,
-    AdaptiveBudgetReport,
-    ExperimentConfig,
-    QualityDistribution,
-    SweepEngine,
-    build_scheme,
-)
+from repro.sim.config import DEFAULT_SCHEME_SPECS, AdaptiveBudget, ExperimentConfig, build_scheme
+from repro.sim.engine import SweepEngine
 from repro.sim.experiment import BenchmarkDefinition
+from repro.sim.results import AdaptiveBudgetReport, QualityDistribution
 from repro.sim.runner import legacy_fault_maps
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -116,7 +110,6 @@ def figure5_mse_cdf(
     adaptive: Optional[AdaptiveBudget] = None,
     report_out: Optional[List[AdaptiveBudgetReport]] = None,
     store: Optional["ResultStore"] = None,
-    access_trace: int = 1,
     executor: Optional[object] = None,
 ) -> Dict[str, MseDistribution]:
     """Fig. 5: CDF of the local MSE for every protection option.
@@ -131,20 +124,20 @@ def figure5_mse_cdf(
     bit-identical for any count.  ``sampling="legacy"`` (default) draws the
     die population serially from ``rng``, reproducing the historical pinned
     curves; ``"seeded"`` derives one seed-sequence child per die from
-    ``master_seed`` so sampling parallelises too.  ``checkpoint`` names an
-    optional JSON results cache for resumable sweeps.  ``scenario``
-    optionally names a fault-scenario pipeline (aged / clustered / repaired
-    dies) the population is drawn through; ``None`` is the default i.i.d.
-    population, and scenarios with a transient tier are rejected by the
-    engine (the analytical MSE evaluation cannot model per-read faults; use
-    :func:`figure7_quality`).  ``adaptive`` switches the sweep to the engine's
-    confidence-driven budget (requires seeded sampling;
-    ``samples_per_count`` then caps the spend instead of fixing it), with
-    the outcome report appended to ``report_out`` when given.  ``store``
-    makes the figure a store-backed view: an exact configuration-hash hit
-    is served from the :class:`~repro.store.ResultStore` bit-identically
-    with zero new die evaluations, and a computed sweep is recorded into
-    it.
+    ``master_seed`` (default 2015; legacy sampling refuses one) so sampling
+    parallelises too.  ``checkpoint`` names an optional JSON results cache
+    for resumable sweeps.  ``scenario`` optionally names a fault-scenario
+    pipeline (aged / clustered / repaired dies) the population is drawn
+    through; ``None`` is the default i.i.d. population, and scenarios with a
+    transient tier are rejected by the engine (the analytical MSE evaluation
+    cannot model per-read faults; use :func:`figure7_quality`).
+    ``adaptive`` switches the sweep to the engine's confidence-driven budget
+    (requires seeded sampling; ``samples_per_count`` then caps the spend
+    instead of fixing it), with the outcome report appended to
+    ``report_out`` when given.  ``store`` makes the figure a store-backed
+    view: an exact configuration-hash hit is served from the
+    :class:`~repro.store.ResultStore` bit-identically with zero new die
+    evaluations, and a computed sweep is recorded into it.
     ``executor`` selects the shard executor tier (``None``/``"local"``,
     ``"inline"``, or an :class:`~repro.sim.executor.ExecutorSpec` for
     distributed TCP sweeps); results are bit-identical across tiers.
@@ -169,8 +162,12 @@ def figure5_mse_cdf(
             "is not known up front)"
         )
     if sampling == "legacy":
+        if master_seed is not None:
+            raise ValueError(
+                "master_seed requires sampling='seeded'; sampling='legacy' "
+                "draws the population from rng"
+            )
         rng = rng if rng is not None else np.random.default_rng(2015)
-        master_seed = None
     else:
         master_seed = master_seed if master_seed is not None else 2015
     config = ExperimentConfig(
@@ -184,7 +181,6 @@ def figure5_mse_cdf(
         discard_multi_fault_words=False,
         scenario=scenario,
         adaptive=adaptive,
-        access_trace=access_trace,
     )
     engine = SweepEngine(config, schemes=schemes)
     results = engine.run_mse(

@@ -71,8 +71,9 @@ from repro.dse import (
     OptimizerSpec,
     ParetoOptimizer,
 )
-from repro.sim.engine import AdaptiveBudget, AdaptiveBudgetReport
+from repro.sim.config import AdaptiveBudget
 from repro.sim.experiment import standard_benchmarks
+from repro.sim.results import AdaptiveBudgetReport
 
 __all__ = ["main", "build_parser"]
 
@@ -454,7 +455,6 @@ def _cmd_fig5(args: argparse.Namespace) -> int:
             adaptive=adaptive,
             report_out=reports,
             store=store,
-            access_trace=args.access_trace,
             executor=executor,
         )
     finally:

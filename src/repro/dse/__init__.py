@@ -8,7 +8,7 @@ own.  This package joins them behind one declarative surface:
 * :mod:`repro.dse.spec` -- :class:`ExperimentSpec`, the layered, serialisable
   description of a sweep grid (geometry / operating points / schemes /
   Monte-Carlo budget / benchmarks).  Each axis is named by string and
-  resolved by the lookup that owns it: :func:`repro.sim.engine.build_scheme`,
+  resolved by the lookup that owns it: :func:`repro.sim.config.build_scheme`,
   :func:`repro.sim.experiment.benchmark_by_name`,
   :func:`repro.scenarios.build_scenario` and
   :meth:`~repro.dse.spec.OperatingGridSpec.model`;

@@ -22,14 +22,10 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.core.base import ProtectionScheme
 from repro.dse.spec import ExperimentSpec
 from repro.hardware.overhead import OverheadModel, ReadPathOverhead
-from repro.sim.engine import (
-    AdaptiveBudgetReport,
-    QualityDistribution,
-    SweepEngine,
-    SweepRunStats,
-    build_scheme,
-)
+from repro.sim.config import build_scheme
+from repro.sim.engine import SweepEngine
 from repro.sim.experiment import benchmark_by_name
+from repro.sim.results import AdaptiveBudgetReport, QualityDistribution, SweepRunStats
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.store.invalidate import GridPointStatus
@@ -181,7 +177,7 @@ class DseResult:
     more than the tabulated summary statistics, keyed ``[benchmark][(vdd,
     p_cell)][scheme]`` (in-memory runs only; the JSON round-trip persists the
     table, not the distributions).  ``adaptive_reports`` holds the
-    per-grid-point :class:`~repro.sim.engine.AdaptiveBudgetReport` audit of
+    per-grid-point :class:`~repro.sim.results.AdaptiveBudgetReport` audit of
     adaptive-budget runs, keyed ``(benchmark, vdd, p_cell)``; unlike the
     distributions it *does* survive the JSON round-trip, so a pruned or
     adaptive run's audit trail (which budget stopped where, at what CI) is
@@ -374,7 +370,7 @@ class DesignSpaceExplorer:
 
     @property
     def run_stats(self) -> Dict[Tuple[str, float, float], SweepRunStats]:
-        """Per-grid-point :class:`~repro.sim.engine.SweepRunStats` of the last
+        """Per-grid-point :class:`~repro.sim.results.SweepRunStats` of the last
         :meth:`run`, keyed by ``(benchmark, vdd, p_cell)``.  With a warm
         store, every entry has ``store_hit=True`` and ``evaluated_dies=0``."""
         return dict(self._run_stats)

@@ -8,7 +8,7 @@ Pareto frontier for a fraction of that die bill by racing the cells through
 *successive halving*:
 
 * every ``(benchmark, operating point)`` cell gets an adaptive-budget probe
-  (:class:`~repro.sim.engine.AdaptiveBudget`, PR 5's confidence-driven inner
+  (:class:`~repro.sim.config.AdaptiveBudget`, PR 5's confidence-driven inner
   loop) capped at ``rung0_dies`` dies in rung 0;
 * after each rung a pruning pass drops every row another row *provably*
   dominates -- lower-or-equal energy and a strictly separated quality
@@ -59,14 +59,10 @@ from repro.dse.explore import (
     build_dse_row,
 )
 from repro.dse.spec import ExperimentSpec, OptimizerSpec
-from repro.sim.engine import (
-    AdaptiveBudgetReport,
-    ExperimentConfig,
-    QualityDistribution,
-    SweepEngine,
-    _write_checkpoint_payload,
-)
+from repro.sim.config import ExperimentConfig
+from repro.sim.engine import SweepEngine, _write_checkpoint_payload
 from repro.sim.experiment import benchmark_by_name
+from repro.sim.results import AdaptiveBudgetReport, QualityDistribution
 from repro.store.schema import (
     adaptive_report_from_payload,
     quality_results_from_payload,
@@ -216,7 +212,7 @@ class OptimizeResult:
     band, the dies its cell spent, the last rung it was probed at, and -- if
     it was pruned -- which row eliminated it.  ``prune_log`` is the ordered
     list of :class:`PruneEvent` decisions, and ``adaptive_reports`` the
-    final per-cell :class:`~repro.sim.engine.AdaptiveBudgetReport` audit.
+    final per-cell :class:`~repro.sim.results.AdaptiveBudgetReport` audit.
 
     ``total_dies`` counts the dies behind the final distributions,
     ``evaluated_dies`` the dies actually simulated by *this* run (lower when

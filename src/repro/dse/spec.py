@@ -1,6 +1,6 @@
 """Layered, serialisable description of a design-space sweep.
 
-:class:`~repro.sim.engine.ExperimentConfig` freezes *one* Monte-Carlo sweep:
+:class:`~repro.sim.config.ExperimentConfig` freezes *one* Monte-Carlo sweep:
 a single memory geometry at a single operating point against one scheme set.
 The paper's closing trade-off -- energy versus quality versus overhead at
 scaled voltages -- is a *grid* of such sweeps, and :class:`ExperimentSpec`
@@ -12,7 +12,7 @@ describes that grid declaratively, one layer per axis:
   energy model constants (which Pcell model by name, nominal VDD,
   leakage);
 * :class:`SchemeGridSpec` -- the protection schemes by
-  :func:`~repro.sim.engine.build_scheme` spec,
+  :func:`~repro.sim.config.build_scheme` spec,
   including nFM / coverage variants, plus the FM-LUT realisation the
   overhead join uses;
 * :class:`McBudgetSpec` -- the Monte-Carlo budget and the master seed of the
@@ -40,7 +40,7 @@ from repro.faultmodel.pcell import PcellModel
 from repro.hardware.energy import OperatingPoint, VoltageScalingModel
 from repro.memory.organization import MemoryOrganization
 from repro.scenarios.base import FaultScenario, ScenarioSpec
-from repro.sim.engine import AdaptiveBudget, ExperimentConfig
+from repro.sim.config import AdaptiveBudget, ExperimentConfig
 
 __all__ = [
     "BenchmarkGridSpec",
@@ -216,7 +216,7 @@ class McBudgetSpec:
     fixed budget, so adaptive never costs more than fixed).  The remaining
     adaptive knobs (``confidence``, ``threshold``, ``initial_samples_per_
     count``, ``round_dies``) mirror
-    :class:`~repro.sim.engine.AdaptiveBudget` and are ignored -- rejected,
+    :class:`~repro.sim.config.AdaptiveBudget` and are ignored -- rejected,
     for ``target_ci`` -- in fixed mode, so a spec cannot silently carry a
     half-configured budget.
     """
@@ -280,7 +280,7 @@ class OptimizerSpec:
     ties (including the sketch-quantisation ties of near-saturated
     qualities) never prune, which is what preserves frontier recall.  The
     adaptive knobs (``target_ci`` .. ``sketch_bins``) parameterise the inner
-    :class:`~repro.sim.engine.AdaptiveBudget` probes and are validated by
+    :class:`~repro.sim.config.AdaptiveBudget` probes and are validated by
     constructing one, so a spec file and the engine can never disagree.
     """
 

@@ -87,7 +87,6 @@ class FaultMap:
                 )
             by_cell[key] = fault.kind
         self._faults = by_cell
-        self._mask_cache: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -201,28 +200,26 @@ class FaultMap:
         carries at most one fault, so the three masks never overlap and the
         composition is exact for any mix of fault kinds.
         """
-        if self._mask_cache is None:
-            rows = self._organization.rows
-            word_mask = np.uint64((1 << self._organization.word_width) - 1)
-            and_masks = np.full(rows, word_mask, dtype=np.uint64)
-            or_masks = np.zeros(rows, dtype=np.uint64)
-            xor_masks = np.zeros(rows, dtype=np.uint64)
-            for (row, column), kind in self._faults.items():
-                bit = np.uint64(1 << column)
-                if kind is FaultKind.STUCK_AT_ZERO:
-                    and_masks[row] &= ~bit
-                elif kind is FaultKind.STUCK_AT_ONE:
-                    or_masks[row] |= bit
-                else:  # BIT_FLIP
-                    xor_masks[row] |= bit
-            self._mask_cache = (and_masks, or_masks, xor_masks)
-        return self._mask_cache
+        rows = self._organization.rows
+        word_mask = np.uint64((1 << self._organization.word_width) - 1)
+        and_masks = np.full(rows, word_mask, dtype=np.uint64)
+        or_masks = np.zeros(rows, dtype=np.uint64)
+        xor_masks = np.zeros(rows, dtype=np.uint64)
+        for (row, column), kind in self._faults.items():
+            bit = np.uint64(1 << column)
+            if kind is FaultKind.STUCK_AT_ZERO:
+                and_masks[row] &= ~bit
+            elif kind is FaultKind.STUCK_AT_ONE:
+                or_masks[row] |= bit
+            else:  # BIT_FLIP
+                xor_masks[row] |= bit
+        return and_masks, or_masks, xor_masks
 
     def corrupt_words(self, rows: np.ndarray, patterns: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`corrupt_word` over parallel row/pattern arrays.
 
         ``rows`` selects the per-row fault masks for each pattern; the masks
-        are built once per map and cached (faults are persistent).
+        are built on each call, so a map holds only its cell table.
         """
         rows = np.asarray(rows, dtype=np.int64)
         patterns = np.asarray(patterns, dtype=np.uint64)

@@ -295,7 +295,7 @@ class RepairStageLike(abc.ABC):
 class ScenarioSpec:
     """Serialisable, hashable name + parameters of a catalog scenario.
 
-    This is what travels inside :class:`~repro.sim.engine.ExperimentConfig`
+    This is what travels inside :class:`~repro.sim.config.ExperimentConfig`
     (it must stay hashable for the frozen config) and inside the ``scenario``
     section of an :class:`~repro.dse.spec.ExperimentSpec` JSON file.
     ``params`` is stored as a sorted tuple of ``(key, value)`` pairs so equal

@@ -11,6 +11,10 @@ corrupted data, and the output quality is measured on clean test data.
   the fault map.
 * :mod:`repro.sim.experiment` -- benchmark definitions binding a dataset, a
   learning algorithm and a quality metric (the rows of Table 1).
+* :mod:`repro.sim.config` -- the sweep description: the frozen
+  :class:`ExperimentConfig`, the adaptive budget and the scheme registry.
+* :mod:`repro.sim.results` -- the sweep's result types (per-scheme quality
+  distributions, the adaptive-budget report, per-call run stats).
 * :mod:`repro.sim.engine` -- the parallel sharded Monte-Carlo sweep engine:
   deterministic per-die seeding, pluggable shard executors, and shard-level
   checkpoint/resume.
@@ -29,12 +33,9 @@ corrupted data, and the output quality is measured on clean test data.
   and 7 were produced with (fed to the engine as ``fault_maps``).
 """
 
-from repro.sim.engine import (
-    ExperimentConfig,
-    QualityDistribution,
-    SweepEngine,
-    build_scheme,
-)
+from repro.sim.config import ExperimentConfig, build_scheme
+from repro.sim.engine import SweepEngine
+from repro.sim.results import QualityDistribution
 from repro.sim.executor import ExecutorSpec, make_executor
 from repro.sim.experiment import (
     BenchmarkDefinition,

@@ -8,11 +8,10 @@ protection scheme, and the per-die qualities are re-weighted by ``Pr(N = n)``
 which makes the sweep embarrassingly parallel -- *if* the random sampling is
 arranged so that results do not depend on how the work is distributed.
 
-This module provides that arrangement:
+This module provides that arrangement for a sweep described by an
+:class:`~repro.sim.config.ExperimentConfig` (whose results are the types of
+:mod:`repro.sim.results`):
 
-* :class:`ExperimentConfig` -- a frozen, hashable description of one sweep
-  (memory organization, operating point, Monte-Carlo budget, master seed,
-  protection schemes by name).
 * :class:`SweepEngine` -- shards the ``(failure_count x sample)`` grid into
   independent work units, evaluates them inline (``workers=1``) or across
   forked local worker processes (:mod:`repro.sim.executor`), and merges the
@@ -34,8 +33,10 @@ supplies only its worker context, its config-hash arguments, the score of
 the fault-free point mass and its result codec (distribution constructor
 plus store payload encode/decode); the core owns validation, the result
 store, checkpoint keying, fixed or adaptive execution, the per-scheme ECDF
-merge and :class:`SweepRunStats`.  The two entry points are the grid-point
-evaluators behind the :mod:`repro.dse` design-space exploration layer.
+merge and :class:`~repro.sim.results.SweepRunStats`.  The two entry points
+are the grid-point evaluators behind the :mod:`repro.dse` design-space
+exploration layer.  The configuration and result names stay importable from
+this module.
 
 Deterministic seeding scheme
 ----------------------------
@@ -103,43 +104,31 @@ import hashlib
 import json
 import math
 import os
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import jsonio
 from repro.core.base import ProtectionScheme
-from repro.core.no_protection import NoProtection
-from repro.core.priority_ecc import PriorityEccScheme
-from repro.core.scheme import BitShuffleScheme
-from repro.core.secded_scheme import SecdedScheme
-from repro.faultmodel.montecarlo import (
-    failure_count_pmf,
-    failure_count_pmf_array,
-    max_failures_for_coverage,
-)
 from repro.faultmodel.yieldmodel import MseDistribution
 from repro.memory.faults import FaultMap
-from repro.memory.organization import MemoryOrganization
 from repro.quality.cdf import WeightedEcdf
 from repro.quantize.fixedpoint import FixedPointFormat
-from repro.scenarios.base import (
-    FaultScenario,
-    ScenarioSpec,
-    validated_effective_p_cell,
-)
-from repro.scenarios.catalog import default_scenario
+from repro.scenarios.base import FaultScenario
 from repro.sim import shardeval as _shardeval
+from repro.sim.config import (
+    DEFAULT_SCHEME_SPECS, AdaptiveBudget, ExperimentConfig, build_scheme,
+    evaluated_failure_counts, reassign_count_probabilities,
+)
 from repro.sim.executor import ExecutorSpec, ShardExecutor, make_executor
 from repro.sim.experiment import BenchmarkDefinition
+from repro.sim.results import AdaptiveBudgetReport, QualityDistribution, SweepRunStats
 from repro.stats import (
     FixedGridEcdfSketch,
     StratumVarianceTracker,
     WeightedSampleBuffer,
     largest_remainder_allocation,
-    normal_critical_value,
 )
 from repro.store.schema import (
     adaptive_report_from_payload,
@@ -168,107 +157,6 @@ __all__ = [
 _ENGINE_VERSION = 1
 _CHECKPOINT_VERSION = 1
 
-# The four Fig. 7 schemes, by registry spec.
-DEFAULT_SCHEME_SPECS: Tuple[str, ...] = (
-    "no-protection",
-    "p-ecc",
-    "bit-shuffle-nfm1",
-    "bit-shuffle-nfm2",
-)
-
-
-# --------------------------------------------------------------------------- #
-# Scheme registry
-# --------------------------------------------------------------------------- #
-def build_scheme(spec: str, word_width: int) -> ProtectionScheme:
-    """Instantiate a protection scheme from its registry spec.
-
-    Accepted specs (case-insensitive) and the canonical report names they
-    produce for 32-bit words:
-
-    ==============================  ===============================
-    spec                            scheme
-    ==============================  ===============================
-    ``no-protection`` / ``none``    :class:`NoProtection`
-    ``secded`` / ``secded-...``     :class:`SecdedScheme` (H(39,32))
-    ``p-ecc`` / ``p-ecc-...``       :class:`PriorityEccScheme`
-    ``bit-shuffle-nfm<k>``          :class:`BitShuffleScheme`, nFM=k
-    ==============================  ===============================
-
-    Report names (``scheme.name``) round-trip: every name produced by the
-    registry is itself a valid spec, so configurations can be serialised by
-    name alone.
-    """
-    normalized = spec.strip().lower()
-    if normalized in ("none", "no-protection"):
-        return NoProtection(word_width)
-    if normalized == "secded" or normalized.startswith("secded-"):
-        scheme = SecdedScheme(word_width)
-        # Only the variant this registry can actually build is accepted; a
-        # config naming some other code must fail loudly, not run silently
-        # with the default.
-        if normalized not in ("secded", scheme.name.lower()):
-            raise ValueError(
-                f"unknown SECDED variant {spec!r}; for {word_width}-bit words "
-                f"this registry builds {scheme.name!r}"
-            )
-        return scheme
-    if normalized == "p-ecc" or normalized.startswith("p-ecc-"):
-        scheme = PriorityEccScheme(word_width)
-        if normalized not in ("p-ecc", scheme.name.lower()):
-            raise ValueError(
-                f"unknown P-ECC variant {spec!r}; for {word_width}-bit words "
-                f"this registry builds {scheme.name!r}"
-            )
-        return scheme
-    match = re.fullmatch(r"bit-shuffle-nfm(\d+)", normalized)
-    if match:
-        return BitShuffleScheme(word_width, int(match.group(1)))
-    raise ValueError(
-        f"unknown scheme spec {spec!r}; expected one of no-protection, "
-        f"secded, p-ecc, or bit-shuffle-nfm<k>"
-    )
-
-
-# --------------------------------------------------------------------------- #
-# Failure-count grid helpers
-# --------------------------------------------------------------------------- #
-def evaluated_failure_counts(
-    max_failures: int, n_points: Optional[int] = None
-) -> List[int]:
-    """The failure counts evaluated by a sweep: all of ``1..max_failures``, or
-    a geometric subsample of ``n_points`` of them."""
-    counts = list(range(1, max_failures + 1))
-    if n_points is None or n_points >= len(counts):
-        return counts
-    if n_points < 1:
-        raise ValueError("n_points must be at least 1")
-    positions = np.unique(
-        np.geomspace(1, max_failures, n_points).round().astype(int)
-    )
-    return positions.tolist()
-
-
-def reassign_count_probabilities(
-    total_cells: int,
-    p_cell: float,
-    max_failures: int,
-    evaluated_counts: Sequence[int],
-) -> Dict[int, float]:
-    """Assign each failure count's ``Pr(N = n)`` to the nearest evaluated count.
-
-    Probability mass of skipped counts moves to the closest evaluated count
-    (ties to the smaller count), conserving the sweep's total coverage.
-    """
-    evaluated = np.asarray(sorted(evaluated_counts))
-    probabilities = {int(c): 0.0 for c in evaluated}
-    pmf = failure_count_pmf_array(total_cells, p_cell, max_failures)
-    for n in range(1, max_failures + 1):
-        nearest = int(evaluated[np.argmin(np.abs(evaluated - n))])
-        probabilities[nearest] += float(pmf[n])
-    return probabilities
-
-
 # --------------------------------------------------------------------------- #
 # Adaptive Monte-Carlo budgets
 # --------------------------------------------------------------------------- #
@@ -280,9 +168,6 @@ _ADAPTIVE_SHARD_DIES = 32
 #: Per-(scheme index, count index) ``(support, mass)`` of one stratum: what
 #: both budgets hand the one CDF builder, :meth:`SweepEngine._scheme_ecdf`.
 _Cells = Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]]
-
-_DEFAULT_QUALITY_THRESHOLD = 0.9  # normalised quality (clean = 1.0)
-_DEFAULT_MSE_THRESHOLD = 1e2  # local-MSE bound of the yield criterion
 
 
 def _adaptive_sketch_edges(evaluation: str, bins: int) -> np.ndarray:
@@ -299,542 +184,6 @@ def _adaptive_sketch_edges(evaluation: str, bins: int) -> np.ndarray:
     return FixedGridEcdfSketch.linear(0.0, 2.0, bins).edges
 
 
-@dataclass(frozen=True)
-class AdaptiveBudget:
-    """Confidence-driven Monte-Carlo budget (the ``mode="adaptive"`` sweep).
-
-    The controller estimates the yield at a threshold -- the fraction of
-    dies whose normalised quality reaches ``threshold`` (quality sweeps) or
-    whose local MSE stays at or below it (MSE sweeps) -- and keeps drawing
-    dies until the estimate's two-sided confidence half-width drops to
-    ``target_ci``, or ``max_total_samples`` dies have been spent.
-
-    Parameters
-    ----------
-    target_ci:
-        Target half-width of the yield estimate's confidence interval.
-    confidence:
-        Confidence level of the interval (normal approximation).
-    threshold:
-        Yield threshold the CI is tracked at; ``None`` selects the mode
-        default (normalised quality 0.9, or MSE 1e2).
-    initial_samples_per_count:
-        Dies drawn for every failure count in the first round (at least 2,
-        so every stratum has a defined sample variance).
-    round_dies:
-        Total dies per subsequent round, split across strata by Neyman
-        allocation.
-    max_total_samples:
-        Hard cap on evaluated dies; ``None`` means the equivalent fixed
-        budget (``samples_per_count`` dies for every failure count), so an
-        adaptive sweep never costs more than the fixed sweep it replaces.
-    sketch_bins:
-        Bin count of the fixed-grid ECDF sketches (the O(bins) that bounds
-        shard payloads and merged-result memory).
-    """
-
-    target_ci: float = 0.02
-    confidence: float = 0.95
-    threshold: Optional[float] = None
-    initial_samples_per_count: int = 8
-    round_dies: int = 64
-    max_total_samples: Optional[int] = None
-    sketch_bins: int = 256
-
-    def __post_init__(self) -> None:
-        if not self.target_ci > 0.0:
-            raise ValueError("target_ci must be positive")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError("confidence must be in (0, 1)")
-        if self.initial_samples_per_count < 2:
-            raise ValueError(
-                "initial_samples_per_count must be at least 2 (a stratum "
-                "needs two observations for a sample variance)"
-            )
-        if self.round_dies < 1:
-            raise ValueError("round_dies must be positive")
-        if self.max_total_samples is not None and self.max_total_samples < 1:
-            raise ValueError("max_total_samples must be positive")
-        if self.sketch_bins < 8:
-            raise ValueError("sketch_bins must be at least 8")
-
-    def resolved_threshold(self, evaluation: str) -> float:
-        """The yield threshold for an evaluation mode (mode default if unset)."""
-        if self.threshold is not None:
-            return float(self.threshold)
-        if evaluation == "mse":
-            return _DEFAULT_MSE_THRESHOLD
-        return _DEFAULT_QUALITY_THRESHOLD
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable representation (keys the checkpoint hash)."""
-        return {
-            "target_ci": self.target_ci,
-            "confidence": self.confidence,
-            "threshold": self.threshold,
-            "initial_samples_per_count": self.initial_samples_per_count,
-            "round_dies": self.round_dies,
-            "max_total_samples": self.max_total_samples,
-            "sketch_bins": self.sketch_bins,
-        }
-
-
-@dataclass
-class AdaptiveBudgetReport:
-    """Outcome of one adaptive-budget sweep (``SweepEngine.last_adaptive_report``).
-
-    ``half_widths`` / ``estimates`` are keyed by scheme name; the sweep stops
-    when *every* scheme's half-width reaches the target.  ``stratum_weights``,
-    ``stratum_stds`` and ``samples_per_count`` are keyed by failure count and
-    feed :meth:`fixed_equivalent_dies`, the analytic answer to "how many dies
-    would the uniform fixed budget have needed for the same half-width?".
-    """
-
-    evaluation: str
-    threshold: float
-    target_ci: float
-    confidence: float
-    reached: bool
-    rounds: int
-    total_dies: int
-    max_total_dies: int
-    half_widths: Dict[str, float]
-    estimates: Dict[str, float]
-    samples_per_count: Dict[int, int]
-    stratum_weights: Dict[int, float] = field(default_factory=dict)
-    stratum_stds: Dict[str, Dict[int, float]] = field(default_factory=dict)
-    max_shard_payload_scalars: int = 0
-
-    @property
-    def achieved_half_width(self) -> float:
-        """The widest (worst-scheme) confidence half-width at stop time."""
-        return max(self.half_widths.values())
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe state (stored with adaptive records in the result store)."""
-        return {
-            "evaluation": self.evaluation,
-            "threshold": self.threshold,
-            "target_ci": self.target_ci,
-            "confidence": self.confidence,
-            "reached": self.reached,
-            "rounds": self.rounds,
-            "total_dies": self.total_dies,
-            "max_total_dies": self.max_total_dies,
-            "half_widths": dict(self.half_widths),
-            "estimates": dict(self.estimates),
-            "samples_per_count": {
-                str(count): dies
-                for count, dies in self.samples_per_count.items()
-            },
-            "stratum_weights": {
-                str(count): weight
-                for count, weight in self.stratum_weights.items()
-            },
-            "stratum_stds": {
-                scheme: {str(count): std for count, std in stds.items()}
-                for scheme, stds in self.stratum_stds.items()
-            },
-            "max_shard_payload_scalars": self.max_shard_payload_scalars,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "AdaptiveBudgetReport":
-        """Rebuild a report saved by :meth:`to_dict` (int keys restored)."""
-        return cls(
-            evaluation=str(data["evaluation"]),
-            threshold=float(data["threshold"]),
-            target_ci=float(data["target_ci"]),
-            confidence=float(data["confidence"]),
-            reached=bool(data["reached"]),
-            rounds=int(data["rounds"]),
-            total_dies=int(data["total_dies"]),
-            max_total_dies=int(data["max_total_dies"]),
-            half_widths={k: float(v) for k, v in data["half_widths"].items()},
-            estimates={k: float(v) for k, v in data["estimates"].items()},
-            samples_per_count={
-                int(k): int(v) for k, v in data["samples_per_count"].items()
-            },
-            stratum_weights={
-                int(k): float(v) for k, v in data["stratum_weights"].items()
-            },
-            stratum_stds={
-                scheme: {int(k): float(v) for k, v in stds.items()}
-                for scheme, stds in data["stratum_stds"].items()
-            },
-            max_shard_payload_scalars=int(
-                data.get("max_shard_payload_scalars", 0)
-            ),
-        )
-
-    def fixed_equivalent_dies(self, target_ci: Optional[float] = None) -> int:
-        """Dies a uniform fixed budget would need to reach ``target_ci``.
-
-        Uses the final per-stratum standard-deviation estimates: a fixed
-        budget of ``S`` dies per failure count has estimator variance
-        ``sum_n w_n^2 s_n^2 / S``, so the smallest sufficient ``S`` is
-        ``ceil(z^2 * sum_n w_n^2 s_n^2 / target_ci^2)`` for the worst
-        scheme, and the die bill is ``S * len(strata)``.
-        """
-        target = self.target_ci if target_ci is None else target_ci
-        if target <= 0.0:
-            raise ValueError("target_ci must be positive")
-        z = normal_critical_value(self.confidence)
-        worst = 0.0
-        for stds in self.stratum_stds.values():
-            worst = max(
-                worst,
-                sum(
-                    (self.stratum_weights[count] * std) ** 2
-                    for count, std in stds.items()
-                ),
-            )
-        samples_per_count = max(2, math.ceil(z * z * worst / (target * target)))
-        return samples_per_count * len(self.stratum_weights)
-
-
-# --------------------------------------------------------------------------- #
-# Results
-# --------------------------------------------------------------------------- #
-@dataclass
-class QualityDistribution:
-    """Distribution of a benchmark's quality metric for one scheme (a Fig. 7 curve).
-
-    Attributes
-    ----------
-    benchmark:
-        Benchmark name (``"elasticnet"``, ``"pca"``, ``"knn"``).
-    metric_name:
-        Name of the quality metric.
-    scheme_name:
-        Protection scheme the distribution belongs to.
-    p_cell:
-        Operating-point bit-cell failure probability.
-    clean_quality:
-        Quality obtained with uncorrupted training data (normalisation point).
-    ecdf:
-        Weighted empirical CDF of the *normalised* quality (faulty quality
-        divided by ``clean_quality``), including the fault-free point mass.
-    samples:
-        Number of fault maps evaluated.
-    """
-
-    benchmark: str
-    metric_name: str
-    scheme_name: str
-    p_cell: float
-    clean_quality: float
-    ecdf: WeightedEcdf
-    samples: int
-
-    def yield_at_quality(self, normalized_target: float) -> float:
-        """Fraction of dies whose normalised quality reaches ``normalized_target``."""
-        return float(self.ecdf.probability_at_least(normalized_target))
-
-    def quality_at_yield(self, yield_target: float) -> float:
-        """Normalised quality guaranteed at a die-yield target.
-
-        The largest quality bound ``q`` such that at most ``1 - yield_target``
-        of the die population falls strictly below it -- i.e. the quality an
-        application can rely on if it is willing to discard the worst
-        ``1 - yield_target`` of dies.
-        """
-        if not 0.0 < yield_target <= 1.0:
-            raise ValueError("yield_target must be in (0, 1]")
-        return float(self.ecdf.quantile(1.0 - yield_target))
-
-    def cdf_series(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(normalised quality, P(Q <= q))`` step points -- the Fig. 7 curve."""
-        return self.ecdf.curve()
-
-    def median_quality(self) -> float:
-        """Median normalised quality across the die population."""
-        return self.ecdf.quantile(0.5)
-
-
-@dataclass(frozen=True)
-class SweepRunStats:
-    """Bookkeeping of the most recent :meth:`SweepEngine.run`/``run_mse`` call.
-
-    Both entry points run through the one sweep core, which alone builds
-    these stats, so a quality and an MSE sweep report them identically.
-
-    Attributes
-    ----------
-    evaluation:
-        ``"quality"`` or ``"mse"``.
-    store_key:
-        Configuration hash used against the result store (``None`` when the
-        run had no store configured).
-    store_hit:
-        ``True`` when the results were served from the store without any
-        simulation.
-    evaluated_dies:
-        Monte-Carlo dies actually evaluated by *this* call -- ``0`` on a
-        store hit, and less than :attr:`total_dies` when a checkpoint
-        resumed part of the sweep.
-    total_dies:
-        Dies the full sweep comprises (fixed grid size, or the adaptive
-        controller's final total).
-    executor:
-        Shard executor that ran the sweep: ``"inline"``, ``"local"``
-        (forked workers), ``"tcp"`` (distributed coordinator), or ``"store"``
-        when the results were served from the result store without any
-        execution.
-    redispatched_shards:
-        Shards re-dispatched after a worker died.  Re-dispatch never
-        changes results (die evaluation is a pure function of the entry
-        list, folded canonically), so a nonzero count documents recovered
-        faults, not divergence.
-    """
-
-    evaluation: str
-    store_key: Optional[str]
-    store_hit: bool
-    evaluated_dies: int
-    total_dies: int
-    executor: str = "inline"
-    redispatched_shards: int = 0
-
-
-# --------------------------------------------------------------------------- #
-# Configuration
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Frozen description of one stratified Monte-Carlo quality sweep.
-
-    Parameters
-    ----------
-    rows / word_width:
-        Memory geometry (the paper's 16 kB memory is 4096 x 32).
-    p_cell:
-        Operating-point bit-cell failure probability.
-    coverage:
-        Fraction of the die population covered by the failure-count grid.
-    samples_per_count:
-        Fault maps evaluated per failure count.
-    n_count_points:
-        Geometric subsample size of the failure-count grid (``None`` = every
-        count up to Nmax).
-    master_seed:
-        Root entropy of the deterministic per-die seeding scheme (see the
-        module docstring).  ``None`` is only valid when pre-drawn fault maps
-        are supplied to :meth:`SweepEngine.run`.
-    scheme_specs:
-        Protection schemes by registry spec (see :func:`build_scheme`).
-    discard_multi_fault_words:
-        Redraw dies containing a word with more than one faulty cell,
-        reproducing the paper's Fig. 7 simplification.
-    frac_bits:
-        Fraction bits of the stored fixed-point format.
-    benchmark:
-        Optional benchmark label recorded in the checkpoint hash.
-    scenario:
-        Optional :class:`~repro.scenarios.base.ScenarioSpec` naming the
-        fault-scenario pipeline every die is drawn through.  ``None`` (and
-        any spec of the default ``iid-pcell`` scenario, which is normalised
-        to ``None``) reproduces the historical i.i.d. sampling bit-for-bit
-        and leaves every checkpoint hash unchanged; a non-default scenario
-        keys the hash, so caches of different scenarios never alias.
-    adaptive:
-        Optional :class:`AdaptiveBudget` switching the sweep from the fixed
-        ``samples_per_count`` budget to confidence-driven sampling.  ``None``
-        (fixed mode) keeps every historical result and checkpoint hash
-        bit-identical; a budget keys the hash with its full parameter set.
-    access_trace:
-        Read passes replayed per load when the scenario carries a transient
-        tier (see :mod:`repro.scenarios.transient`).  The default single
-        pass keeps non-transient hashes unchanged; any other value requires
-        a transient scenario and keys the hash.
-    """
-
-    rows: int
-    word_width: int = 32
-    p_cell: float = 1e-3
-    coverage: float = 0.99
-    samples_per_count: int = 10
-    n_count_points: Optional[int] = None
-    master_seed: Optional[int] = None
-    scheme_specs: Tuple[str, ...] = DEFAULT_SCHEME_SPECS
-    discard_multi_fault_words: bool = True
-    frac_bits: int = 16
-    benchmark: str = ""
-    scenario: Optional[ScenarioSpec] = None
-    adaptive: Optional[AdaptiveBudget] = None
-    access_trace: int = 1
-
-    def __post_init__(self) -> None:
-        if self.adaptive is not None and not isinstance(
-            self.adaptive, AdaptiveBudget
-        ):
-            raise ValueError(
-                f"adaptive must be an AdaptiveBudget or None, got "
-                f"{type(self.adaptive).__name__}"
-            )
-        if not 0.0 < self.p_cell < 1.0:
-            raise ValueError("p_cell must be in (0, 1)")
-        if self.samples_per_count <= 0:
-            raise ValueError("samples_per_count must be positive")
-        if not self.scheme_specs:
-            raise ValueError("at least one scheme spec is required")
-        if self.scenario is not None:
-            if not isinstance(self.scenario, ScenarioSpec):
-                raise ValueError(
-                    f"scenario must be a ScenarioSpec or None, got "
-                    f"{type(self.scenario).__name__}"
-                )
-            if self.scenario.is_default:
-                # Canonical form: the default pipeline is represented as
-                # None, so its hashes match the pre-scenario era exactly.
-                object.__setattr__(self, "scenario", None)
-        if not isinstance(self.access_trace, int) or isinstance(
-            self.access_trace, bool
-        ):
-            raise ValueError(
-                f"access_trace must be an integer, got {self.access_trace!r}"
-            )
-        if self.access_trace < 1:
-            raise ValueError(
-                f"access_trace must be >= 1, got {self.access_trace}"
-            )
-        if self.access_trace != 1 and self.build_scenario().transient is None:
-            raise ValueError(
-                "access_trace > 1 requires a scenario with a transient "
-                "tier: static faults do not change between read passes, so "
-                "a longer trace would silently run the single-read model"
-            )
-
-    @property
-    def organization(self) -> MemoryOrganization:
-        """Memory geometry under study."""
-        return MemoryOrganization(rows=self.rows, word_width=self.word_width)
-
-    def build_scenario(self) -> FaultScenario:
-        """The live fault-scenario pipeline of this sweep (default i.i.d.)."""
-        if self.scenario is None:
-            return default_scenario()
-        return self.scenario.build()
-
-    @property
-    def effective_p_cell(self) -> float:
-        """The cell-failure probability the stratified grid is computed at.
-
-        Scenario sources may shift the base operating point (an aged
-        population fails more often than the fresh ``p_cell`` suggests); the
-        failure-count grid, its ``Pr(N = n)`` weights, and the fault-free
-        point mass all follow that shift.
-        """
-        if self.scenario is None:
-            return self.p_cell
-        # Cached on first access (outside the frozen-dataclass field set, so
-        # equality and hashing are unaffected): the grid properties below
-        # read this repeatedly per sweep, and recomputing it rebuilds the
-        # scenario pipeline each time.
-        cached = self.__dict__.get("_effective_p_cell")
-        if cached is not None:
-            return cached
-        effective = validated_effective_p_cell(self.build_scenario(), self.p_cell)
-        object.__setattr__(self, "_effective_p_cell", effective)
-        return effective
-
-    @property
-    def max_failures(self) -> int:
-        """Largest failure count in the sweep (coverage-determined Nmax)."""
-        return max_failures_for_coverage(
-            self.rows * self.word_width, self.effective_p_cell, self.coverage
-        )
-
-    @property
-    def zero_fault_probability(self) -> float:
-        """``Pr(N = 0)`` -- the fault-free point mass."""
-        return failure_count_pmf(
-            self.rows * self.word_width, self.effective_p_cell, 0
-        )
-
-    def evaluated_counts(self) -> List[int]:
-        """The failure counts this sweep evaluates.
-
-        Cached on first access (same ``__dict__`` technique as
-        ``effective_p_cell``): adaptive sweeps and the budgeted optimizer
-        read the grid every round/rung, and the coverage search behind it is
-        the costly part.  A fresh list is returned so callers can never
-        mutate the cache.
-        """
-        cached = self.__dict__.get("_evaluated_counts")
-        if cached is None:
-            cached = evaluated_failure_counts(
-                self.max_failures, self.n_count_points
-            )
-            object.__setattr__(self, "_evaluated_counts", cached)
-        return list(cached)
-
-    def count_probabilities(self) -> Dict[int, float]:
-        """``Pr(N = n)`` mass reassigned onto the evaluated counts (cached
-        per config instance, like :meth:`evaluated_counts`)."""
-        cached = self.__dict__.get("_count_probabilities")
-        if cached is None:
-            cached = reassign_count_probabilities(
-                self.rows * self.word_width,
-                self.effective_p_cell,
-                self.max_failures,
-                self.evaluated_counts(),
-            )
-            object.__setattr__(self, "_count_probabilities", cached)
-        return dict(cached)
-
-    def build_schemes(self) -> List[ProtectionScheme]:
-        """Instantiate the configured protection schemes."""
-        return [build_scheme(spec, self.word_width) for spec in self.scheme_specs]
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable representation (feeds the checkpoint hash).
-
-        The ``scenario`` key is present only for non-default scenarios:
-        default sweeps keep the exact payload (and therefore the exact
-        checkpoint hashes) of the pre-scenario engine, while every other
-        scenario keys the cache so resumes can never replay another
-        scenario's dies.  The key holds the *resolved pipeline* description
-        (:meth:`FaultScenario.to_dict`), not the spec: two specs naming the
-        same pipeline (``years=5`` versus ``5.0``) share a cache, and a
-        custom scenario whose registered factory changes under the same name
-        changes the hash instead of silently aliasing stale results.
-        """
-        data: Dict[str, object] = {
-            "rows": self.rows,
-            "word_width": self.word_width,
-            "p_cell": self.p_cell,
-            "coverage": self.coverage,
-            "samples_per_count": self.samples_per_count,
-            "n_count_points": self.n_count_points,
-            "master_seed": self.master_seed,
-            "scheme_specs": list(self.scheme_specs),
-            "discard_multi_fault_words": self.discard_multi_fault_words,
-            "frac_bits": self.frac_bits,
-            "benchmark": self.benchmark,
-        }
-        if self.scenario is not None:
-            data["scenario"] = self.build_scenario().to_dict()
-        if self.adaptive is not None:
-            # Adaptive budgets key the cache with their full parameter set:
-            # a fixed-mode checkpoint must never resume an adaptive sweep
-            # (or vice versa), and two different CI targets must not alias.
-            data["adaptive"] = self.adaptive.to_dict()
-        if self.access_trace != 1:
-            # Same only-when-non-default rule as the scenario/adaptive keys:
-            # single-pass sweeps keep their historical hashes, and sweeps of
-            # different trace lengths never alias one cache entry.
-            data["access_trace"] = self.access_trace
-        return data
-
-    def max_adaptive_samples(self) -> int:
-        """Total die cap of the adaptive budget (the equivalent fixed budget
-        when the budget leaves ``max_total_samples`` unset)."""
-        if self.adaptive is None:
-            raise ValueError("config has no adaptive budget")
-        if self.adaptive.max_total_samples is not None:
-            return self.adaptive.max_total_samples
-        return len(self.evaluated_counts()) * self.samples_per_count
 
 
 # --------------------------------------------------------------------------- #
@@ -1011,18 +360,17 @@ class SweepEngine:
         self,
         benchmark: Optional[BenchmarkDefinition] = None,
         fault_maps: Optional[Mapping[Tuple[int, int], FaultMap]] = None,
-        fixed_point: Optional[FixedPointFormat] = None,
         extra: Optional[Mapping[str, object]] = None,
         adaptive_cap_resumable: bool = False,
     ) -> str:
         """Hash identifying this sweep's results (keys the checkpoint cache).
 
-        ``fixed_point`` is the *effective* storage format of the run --
-        overrides must enter the hash, or a resume could silently replay
-        results quantised under a different format.  ``benchmark`` is ``None``
-        for evaluations that need no training data (the MSE mode), and
-        ``extra`` carries any additional mode parameters that must key the
-        cache; hashes of benchmark-quality sweeps are unchanged by both.
+        The storage format ``Q(word_width - frac_bits).frac_bits`` enters the
+        hash, so a resume never replays results quantised under another
+        format.  ``benchmark`` is ``None`` for evaluations that need no
+        training data (the MSE mode), and ``extra`` carries any additional
+        mode parameters that must key the cache; hashes of benchmark-quality
+        sweeps are unchanged by both.
 
         ``adaptive_cap_resumable`` drops the adaptive budget's
         ``max_total_samples`` from the digest and stamps a ``cap_resumable``
@@ -1038,11 +386,6 @@ class SweepEngine:
                 "adaptive_cap_resumable requires an adaptive budget (a fixed "
                 "budget has no round state to resume across caps)"
             )
-        if fixed_point is None:
-            fixed_point = FixedPointFormat(
-                total_bits=self._config.word_width,
-                frac_bits=self._config.frac_bits,
-            )
         config_dict = self._config.to_dict()
         if adaptive_cap_resumable:
             adaptive_dict = dict(config_dict["adaptive"])
@@ -1052,7 +395,7 @@ class SweepEngine:
         payload: Dict[str, object] = {
             "engine_version": _ENGINE_VERSION,
             "config": config_dict,
-            "fixed_point": [fixed_point.total_bits, fixed_point.frac_bits],
+            "fixed_point": [self._config.word_width, self._config.frac_bits],
             "schemes": [scheme.name for scheme in self._schemes],
             "benchmark": (
                 {
@@ -1091,7 +434,6 @@ class SweepEngine:
         workers: int = 1,
         checkpoint: Optional[str] = None,
         fault_maps: Optional[Mapping[Tuple[int, int], FaultMap]] = None,
-        fixed_point: Optional[FixedPointFormat] = None,
         store: Optional["ResultStore"] = None,
         executor: Optional[object] = None,
         adaptive_cap_resumable: bool = False,
@@ -1121,9 +463,6 @@ class SweepEngine:
             Pre-drawn dies keyed by ``(count_index, sample_index)``; replaces
             the seeded per-die sampling (legacy sampling, see
             :func:`~repro.sim.runner.legacy_fault_maps`).
-        fixed_point:
-            Override for the stored fixed-point format (defaults to the
-            config's ``Q(word_width - frac_bits).frac_bits`` format).
         store:
             Optional :class:`~repro.store.ResultStore`.  An exact
             configuration-hash hit is served from the store -- bit-identical,
@@ -1156,10 +495,10 @@ class SweepEngine:
                     "corruption replays from each die's seed-sequence "
                     "child, which pre-drawn maps do not carry"
                 )
-        if fixed_point is None:
-            fixed_point = FixedPointFormat(
-                total_bits=config.word_width, frac_bits=config.frac_bits
-            )
+        fixed_point = FixedPointFormat(
+            total_bits=config.word_width, frac_bits=config.frac_bits
+        )
+
         def build_context() -> Dict[str, object]:
             clean_quality = benchmark.clean_quality()
             if clean_quality == 0.0:
@@ -1193,7 +532,7 @@ class SweepEngine:
                 quality_results_from_payload,
             ),
             build_context,
-            {"benchmark": benchmark, "fixed_point": fixed_point},
+            {"benchmark": benchmark},
             zero_mass=1.0,
             workers=workers,
             checkpoint=checkpoint,

@@ -4,7 +4,7 @@ The Fig. 5 and Fig. 7 golden regression curves were produced by serial
 implementations that drew every fault map, one after another, from the
 caller's ``np.random.Generator``.  :func:`legacy_fault_maps` is the one place
 that stream is reproduced: it pre-draws every die of an
-:class:`~repro.sim.engine.ExperimentConfig` in the canonical count-major
+:class:`~repro.sim.config.ExperimentConfig` in the canonical count-major
 order and returns the maps in the shape
 ``SweepEngine.run``/``run_mse(fault_maps=...)`` accept.  Evaluation, parallel
 fan-out, checkpointing and the result store stay with the engine, so a legacy
@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.faultmodel.montecarlo import FaultMapSampler
 from repro.memory.faults import FaultMap
-from repro.sim.engine import ExperimentConfig
+from repro.sim.config import ExperimentConfig
 
 __all__ = ["legacy_fault_maps"]
 

@@ -31,11 +31,11 @@ decode -- loudly, never by silently reinterpreting old bytes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sim imports store)
-    from repro.faultmodel.yieldmodel import MseDistribution
-    from repro.sim.engine import AdaptiveBudgetReport, QualityDistribution
+from repro.faultmodel.yieldmodel import MseDistribution
+from repro.quality.cdf import WeightedEcdf
+from repro.sim.results import AdaptiveBudgetReport, QualityDistribution
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -116,24 +116,22 @@ def validate_record(record: Mapping[str, Any], source: str) -> None:
 # --------------------------------------------------------------------------- #
 # Payload codecs (exact round-trip)
 # --------------------------------------------------------------------------- #
-def _report_payload(report: Optional["AdaptiveBudgetReport"]):
+def _report_payload(report: Optional[AdaptiveBudgetReport]):
     return None if report is None else report.to_dict()
 
 
 def adaptive_report_from_payload(
     data: Optional[Mapping[str, Any]],
-) -> Optional["AdaptiveBudgetReport"]:
+) -> Optional[AdaptiveBudgetReport]:
     """Rebuild the adaptive-budget report stored with a record (if any)."""
     if data is None:
         return None
-    from repro.sim.engine import AdaptiveBudgetReport
-
     return AdaptiveBudgetReport.from_dict(data)
 
 
 def quality_results_to_payload(
-    results: Mapping[str, "QualityDistribution"],
-    report: Optional["AdaptiveBudgetReport"] = None,
+    results: Mapping[str, QualityDistribution],
+    report: Optional[AdaptiveBudgetReport] = None,
 ) -> Dict[str, Any]:
     """Encode one quality sweep's per-scheme distributions."""
     return {
@@ -155,11 +153,8 @@ def quality_results_to_payload(
 
 def quality_results_from_payload(
     payload: Mapping[str, Any],
-) -> Dict[str, "QualityDistribution"]:
+) -> Dict[str, QualityDistribution]:
     """Decode a quality payload back into per-scheme distributions."""
-    from repro.quality.cdf import WeightedEcdf
-    from repro.sim.engine import QualityDistribution
-
     results: Dict[str, QualityDistribution] = {}
     for entry in payload["schemes"]:
         results[entry["scheme"]] = QualityDistribution(
@@ -175,8 +170,8 @@ def quality_results_from_payload(
 
 
 def mse_results_to_payload(
-    results: Mapping[str, "MseDistribution"],
-    report: Optional["AdaptiveBudgetReport"] = None,
+    results: Mapping[str, MseDistribution],
+    report: Optional[AdaptiveBudgetReport] = None,
 ) -> Dict[str, Any]:
     """Encode one MSE sweep's per-scheme distributions."""
     return {
@@ -197,11 +192,8 @@ def mse_results_to_payload(
 
 def mse_results_from_payload(
     payload: Mapping[str, Any],
-) -> Dict[str, "MseDistribution"]:
+) -> Dict[str, MseDistribution]:
     """Decode an MSE payload back into per-scheme distributions."""
-    from repro.faultmodel.yieldmodel import MseDistribution
-    from repro.quality.cdf import WeightedEcdf
-
     results: Dict[str, MseDistribution] = {}
     for entry in payload["schemes"]:
         results[entry["scheme"]] = MseDistribution(

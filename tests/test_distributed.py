@@ -45,6 +45,15 @@ def _free_port() -> int:
     return port
 
 
+def _stop_workers(workers) -> None:
+    """Terminate workers whose linger a test does not check, then reap them
+    (a worker started with ``retry=3`` would otherwise redial for ~3 s)."""
+    for proc in workers:
+        proc.terminate()
+    for proc in workers:
+        proc.wait(timeout=60)
+
+
 def _flatten(obj, prefix=""):
     """Walk an object graph down to scalar/array leaves for exact compare."""
     if isinstance(obj, np.ndarray):
@@ -324,12 +333,7 @@ class TestExecutorBitIdentity:
             distributed = engine.run(benchmark, workers=2, executor=spec)
             assert engine.last_run_stats.executor == "tcp"
         finally:
-            for proc in workers:
-                try:
-                    proc.wait(timeout=60)
-                except subprocess.TimeoutExpired:  # pragma: no cover
-                    proc.kill()
-                    raise
+            _stop_workers(workers)
         assert_results_identical(inline, distributed)
 
     def test_adaptive_tcp_matches_inline(self):
@@ -352,12 +356,7 @@ class TestExecutorBitIdentity:
                 workers=2, executor=spec
             )
         finally:
-            for proc in workers:
-                try:
-                    proc.wait(timeout=60)
-                except subprocess.TimeoutExpired:  # pragma: no cover
-                    proc.kill()
-                    raise
+            _stop_workers(workers)
         assert_results_identical(inline, distributed)
 
 
@@ -431,12 +430,7 @@ class TestWorkerDeathRecovery:
                 executor.run("summarize", [[(0, 0, 1)]], lambda *_: None)
         finally:
             executor.close()
-            for proc in workers:
-                try:
-                    proc.wait(timeout=60)
-                except subprocess.TimeoutExpired:  # pragma: no cover
-                    proc.kill()
-                    raise
+            _stop_workers(workers)
 
     def test_tcp_aborts_when_no_worker_ever_connects(self):
         port = _free_port()

@@ -69,7 +69,7 @@ def smoke_config():
     )
 
 
-def _legacy_run(benchmark, organization, checkpoint, fixed_point=None):
+def _legacy_run(benchmark, organization, checkpoint, frac_bits=16):
     """A legacy-sampling quality sweep (dies from ``default_rng(11)``)."""
     config = ExperimentConfig(
         rows=organization.rows,
@@ -79,13 +79,13 @@ def _legacy_run(benchmark, organization, checkpoint, fixed_point=None):
         samples_per_count=2,
         n_count_points=2,
         scheme_specs=("no-protection",),
+        frac_bits=frac_bits,
         benchmark=benchmark.name,
     )
     return SweepEngine(config).run(
         benchmark,
         checkpoint=checkpoint,
         fault_maps=legacy_fault_maps(config, np.random.default_rng(11)),
-        fixed_point=fixed_point,
     )
 
 
@@ -393,21 +393,14 @@ class TestCheckpoint:
     def test_fixed_point_override_enters_checkpoint_hash(
         self, smoke_benchmark, tmp_path
     ):
-        # Regression: the effective quantisation format must key the cache --
-        # a resume under a different format would silently replay wrong
-        # curves otherwise.
-        from repro.quantize.fixedpoint import FixedPointFormat
-
+        # Regression: the storage format must key the cache -- a resume
+        # under a different format would silently replay wrong curves
+        # otherwise.
         org = MemoryOrganization(rows=128, word_width=32)
         path = str(tmp_path / "fp.json")
 
         def run(frac_bits):
-            return _legacy_run(
-                smoke_benchmark,
-                org,
-                path,
-                fixed_point=FixedPointFormat(total_bits=32, frac_bits=frac_bits),
-            )
+            return _legacy_run(smoke_benchmark, org, path, frac_bits=frac_bits)
 
         run(4)
         with pytest.raises(ValueError, match="different experiment"):

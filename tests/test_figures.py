@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.analysis.figures import (
     figure2_pcell_vs_vdd,
@@ -84,6 +85,15 @@ class TestFigure5:
         assert results["bit-shuffle-nfm1"].yield_at_mse(target) >= results[
             "no-protection"
         ].yield_at_mse(target)
+
+    def test_legacy_sampling_refuses_a_master_seed(self):
+        # Legacy sampling draws the population from ``rng``; a seed it would
+        # ignore must fail loudly rather than return an unseeded population.
+        with pytest.raises(ValueError, match="master_seed.*sampling="):
+            figure5_mse_cdf(
+                organization=MemoryOrganization(rows=64, word_width=32),
+                master_seed=7,
+            )
 
 
 class TestFigure6:

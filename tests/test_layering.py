@@ -4,9 +4,11 @@
 packages; a run-time import in the other direction (even a lazy one inside a
 function) ties a lower layer to everything above it.  Within the lower
 packages, ``repro.faultmodel`` sits below the fault-scenario pipeline and the
-sweep engine that draw dies through it.  Imports under ``if TYPE_CHECKING:``
-are annotations only and are allowed.  The package uses absolute imports
-throughout, so only those are checked.
+sweep engine that draw dies through it, and the modules that only describe
+or store a sweep (its configuration, its result types, the store schema, the
+DSE spec) sit below the engine and its executor tier.  Imports under
+``if TYPE_CHECKING:`` are annotations only and are allowed.  The package uses
+absolute imports throughout, so only those are checked.
 """
 
 from __future__ import annotations
@@ -44,26 +46,37 @@ def _runtime_imports(tree: ast.AST):
         yield from _runtime_imports(child)
 
 
-def _offending_imports(packages, upper_modules):
+def _python_files(target):
+    """The ``.py`` files of ``target``: a package directory or one module file
+    (both relative to the ``repro`` package)."""
+    root = os.path.join(SRC, target)
+    if root.endswith(".py"):
+        assert os.path.isfile(root), root
+        return [root]
+    return [
+        os.path.join(dirpath, filename)
+        for dirpath, _, filenames in os.walk(root)
+        for filename in sorted(filenames)
+        if filename.endswith(".py")
+    ]
+
+
+def _offending_imports(targets, upper_modules):
     """``path:line imports module`` for every run-time import of an upper
-    module from a file under one of ``packages``."""
+    module from a file of one of ``targets`` (packages or module files)."""
     offending = []
-    for package in packages:
-        for dirpath, _, filenames in os.walk(os.path.join(SRC, package)):
-            for filename in sorted(filenames):
-                if not filename.endswith(".py"):
-                    continue
-                path = os.path.join(dirpath, filename)
-                with open(path, "r", encoding="utf-8") as handle:
-                    tree = ast.parse(handle.read(), filename=path)
-                offending.extend(
-                    f"{os.path.relpath(path, SRC)}:{line} imports {module}"
-                    for line, module in _runtime_imports(tree)
-                    if any(
-                        module == upper or module.startswith(upper + ".")
-                        for upper in upper_modules
-                    )
+    for target in targets:
+        for path in _python_files(target):
+            with open(path, "r", encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), filename=path)
+            offending.extend(
+                f"{os.path.relpath(path, SRC)}:{line} imports {module}"
+                for line, module in _runtime_imports(tree)
+                if any(
+                    module == upper or module.startswith(upper + ".")
+                    for upper in upper_modules
                 )
+            )
     return offending
 
 
@@ -75,5 +88,24 @@ def test_lower_layers_do_not_import_upper_layers():
 def test_faultmodel_does_not_import_sim_or_scenarios():
     offending = _offending_imports(
         ("faultmodel",), ("repro.sim", "repro.scenarios")
+    )
+    assert not offending, "\n".join(offending)
+
+
+def test_sweep_config_and_results_do_not_import_the_engine_or_store():
+    offending = _offending_imports(
+        ("sim/config.py", "sim/results.py"),
+        (
+            "repro.sim.engine", "repro.sim.executor", "repro.sim.wire",
+            "repro.sim.shardeval", "repro.sim.worker", "repro.store",
+        ),
+    )
+    assert not offending, "\n".join(offending)
+
+
+def test_sweep_descriptions_do_not_import_the_engine_or_executor():
+    offending = _offending_imports(
+        ("dse/spec.py", "sim/runner.py", "store/schema.py"),
+        ("repro.sim.engine", "repro.sim.executor"),
     )
     assert not offending, "\n".join(offending)
