@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from abc import ABC, abstractmethod
 from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
@@ -95,6 +96,23 @@ class ProtectionScheme(ABC):
         positions found by BIST.  Schemes that do not need die-specific state
         (plain ECC, no protection) ignore the call.
         """
+
+    def for_die(
+        self, rows: int, fault_columns_by_row: Mapping[int, Sequence[int]]
+    ) -> "ProtectionScheme":
+        """A scheme programmed for one die of ``rows`` rows; ``self`` is never mutated.
+
+        Stateless schemes return themselves: programming them is a no-op, so
+        sharing them between dies is safe.  Stateful ones return a deep copy,
+        programmed; subclasses that know which of their state programming
+        replaces may copy less.
+        """
+        del rows  # only schemes that size per-row state need it
+        if not self.has_die_state:
+            return self
+        scheme = copy.deepcopy(self)
+        scheme.program(fault_columns_by_row)
+        return scheme
 
     # ------------------------------------------------------------------ #
     # Operational (bit-accurate) view

@@ -97,11 +97,29 @@ class FaultMapLut:
     def set_entry(self, row: int, x_fm: int) -> None:
         """Directly program ``xFM(row)`` (normally done via :meth:`program_row`)."""
         self._check_row(row)
-        if not 0 <= x_fm < self.segment_count:
-            raise ValueError(
-                f"xFM {x_fm} out of range [0, {self.segment_count}) for nFM={self._n_fm}"
-            )
+        self._check_entry(x_fm)
         self._entries[row] = x_fm
+        self._invalidate()
+
+    def program_entries(self, rows: Sequence[int], entries: Sequence[int]) -> None:
+        """Set ``xFM(rows[i]) = entries[i]`` and every other row to 0, in one write.
+
+        Raises like :meth:`set_entry` on the first out-of-range row or entry,
+        and then leaves the LUT unchanged.  The range checks run once over
+        each whole sequence: a die has a few dozen faulty rows, too few for
+        NumPy's per-call overhead to pay off.
+        """
+        rows, entries = list(rows), list(entries)
+        if len(rows) != len(entries):
+            raise ValueError("rows and entries must have the same length")
+        if rows and (min(rows) < 0 or max(rows) >= self._rows):
+            for row in rows:
+                self._check_row(row)
+        if entries and (min(entries) < 0 or max(entries) >= self.segment_count):
+            for x_fm in entries:
+                self._check_entry(x_fm)
+        self._entries[:] = 0
+        self._entries[rows] = entries
         self._invalidate()
 
     def rotation(self, row: int) -> int:
@@ -191,6 +209,12 @@ class FaultMapLut:
     def _check_row(self, row: int) -> None:
         if not 0 <= row < self._rows:
             raise IndexError(f"row {row} out of range [0, {self._rows})")
+
+    def _check_entry(self, x_fm: int) -> None:
+        if not 0 <= x_fm < self.segment_count:
+            raise ValueError(
+                f"xFM {x_fm} out of range [0, {self.segment_count}) for nFM={self._n_fm}"
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

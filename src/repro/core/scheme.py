@@ -22,6 +22,8 @@ faults in different segments into the lowest segment simultaneously:
 
 from __future__ import annotations
 
+import copy
+from itertools import chain
 from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -149,10 +151,35 @@ class BitShuffleScheme(ProtectionScheme):
     def program(self, fault_columns_by_row: Mapping[int, Sequence[int]]) -> None:
         """Program the FM-LUT from BIST fault locations (row -> fault columns)."""
         lut = self.lut
-        # Reset, then program only faulty rows; healthy rows keep xFM = 0.
-        lut.reset()
-        for row, columns in fault_columns_by_row.items():
-            lut.set_entry(row, self._select_entry(columns))
+        columns_by_row = fault_columns_by_row.values()
+        if self._policy == "most-significant":
+            # One range check over every fault of the die; each row's entry
+            # is then the segment of its most significant fault.
+            faults = list(chain.from_iterable(columns_by_row))
+            if faults and (min(faults) < 0 or max(faults) >= self.word_width):
+                self._check_fault_columns(faults)
+            entry_by_column = self._entry_by_column
+            entries = [
+                entry_by_column[max(columns)] if columns else 0 for columns in columns_by_row
+            ]
+        else:
+            entries = [self._select_entry(columns) for columns in columns_by_row]
+        # Healthy rows keep xFM = 0.
+        lut.program_entries(fault_columns_by_row.keys(), entries)
+
+    def for_die(
+        self, rows: int, fault_columns_by_row: Mapping[int, Sequence[int]]
+    ) -> "BitShuffleScheme":
+        """A copy with a fresh FM-LUT programmed for one die; ``self`` is untouched.
+
+        The FM-LUT is the scheme's only mutable state and the copy gets its
+        own, so a shallow copy suffices: everything else it shares with
+        ``self`` is immutable.
+        """
+        scheme = copy.copy(self)
+        scheme.attach_rows(rows)
+        scheme.program(fault_columns_by_row)
+        return scheme
 
     def _select_entry(self, fault_columns: Sequence[int]) -> int:
         """Choose the LUT entry for one row according to the multi-fault policy."""

@@ -25,15 +25,15 @@ corrupts all words at once with the fault map's per-row stuck-at/flip masks.
 This is what makes Monte-Carlo sweeps over thousands of fault maps tractable
 while remaining bit-exact with the scalar word-at-a-time model.
 
-Ownership contract: when the supplied scheme carries die-specific state
-(``ProtectionScheme.has_die_state``, e.g. an FM-LUT), the constructor
-deep-copies it before programming (``attach_rows`` / ``program``), so the
-caller's scheme instance is never mutated and any number of stores may be
-built from one shared scheme object without corrupting each other's FM-LUT
-state.  Stateless schemes (plain ECC, no protection) are shared as-is --
-programming them is a no-op, so there is nothing a copy would protect.  The
-store's (possibly copied) scheme is available as
-:attr:`FaultyTensorStore.scheme`.
+Ownership contract: the constructor programs the scheme through
+:meth:`ProtectionScheme.for_die`.  When the supplied scheme carries
+die-specific state (``ProtectionScheme.has_die_state``, e.g. an FM-LUT),
+that returns a programmed private copy, so the caller's scheme instance is
+never mutated and any number of stores may be built from one shared scheme
+object without corrupting each other's FM-LUT state.  Stateless schemes
+(plain ECC, no protection) are shared as-is -- programming them is a no-op,
+so there is nothing a copy would protect.  The store's (possibly copied)
+scheme is available as :attr:`FaultyTensorStore.scheme`.
 
 Access-trace mode: when a :class:`~repro.scenarios.transient.TransientTier`
 is attached, every load additionally replays ``access_trace`` read passes of
@@ -49,7 +49,6 @@ reference path (``transient_vectorized=False``) that is bit-identical.
 
 from __future__ import annotations
 
-import copy
 from typing import Optional, Tuple
 
 import numpy as np
@@ -78,7 +77,7 @@ class FaultyTensorStore:
         Geometry of the data memory (16 kB / 32-bit words in the paper).
     scheme:
         Protection scheme guarding the memory.  When the scheme carries
-        die-specific state the store programs a private deep copy from the
+        die-specific state the store programs a private copy from the
         supplied fault map (mirroring the BIST flow); the caller's instance
         is left untouched.  Stateless schemes are shared without copying.
     fault_map:
@@ -155,15 +154,7 @@ class FaultyTensorStore:
         )
         # Program a private copy so the caller's scheme is never mutated and
         # stores sharing one scheme object cannot corrupt each other's LUTs.
-        # Stateless schemes (program() is a no-op) need no copy: sharing them
-        # is safe and skipping the deepcopy keeps store construction cheap in
-        # Monte-Carlo sweeps that build one store per die.
-        if scheme.has_die_state or hasattr(scheme, "attach_rows"):
-            scheme = copy.deepcopy(scheme)
-            if hasattr(scheme, "attach_rows"):
-                scheme.attach_rows(organization.rows)
-            scheme.program(self._faulty_rows)
-        self._scheme = scheme
+        self._scheme = scheme.for_die(organization.rows, self._faulty_rows)
 
     # ------------------------------------------------------------------ #
     # Properties

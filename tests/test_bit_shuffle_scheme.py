@@ -82,6 +82,40 @@ class TestProgramming:
         assert scheme.lut.entries().tolist() == expected
 
 
+    @pytest.mark.parametrize("policy", ["most-significant", "minimax"])
+    @pytest.mark.parametrize("columns", [[32], [-1], [3, 40]])
+    def test_program_rejects_out_of_range_columns(self, policy, columns):
+        scheme = BitShuffleScheme(32, 2, rows=8, multi_fault_policy=policy)
+        with pytest.raises(ValueError, match="fault column"):
+            scheme.program({1: [0], 2: columns})
+
+    def test_minimax_program_uses_the_minimax_entry(self):
+        scheme = BitShuffleScheme(32, 2, rows=4, multi_fault_policy="minimax")
+        faults = {0: [7, 31], 2: [], 3: [12]}
+        scheme.program(faults)
+        expected = [scheme._select_entry(faults.get(row, [])) for row in range(4)]
+        assert scheme.lut.entries().tolist() == expected
+
+
+class TestForDie:
+    def test_returns_a_programmed_copy_and_leaves_the_caller_alone(self):
+        scheme = BitShuffleScheme(32, 2, rows=4)
+        scheme.program({1: [31]})
+        die = scheme.for_die(8, {0: [31], 5: [9]})
+        assert die is not scheme
+        assert die.lut is not scheme.lut
+        assert die.lut.entries().tolist() == [3, 0, 0, 0, 0, 1, 0, 0]
+        assert scheme.lut.entries().tolist() == [0, 3, 0, 0]
+
+    def test_copies_do_not_share_lut_state(self):
+        scheme = BitShuffleScheme(32, 3, multi_fault_policy="minimax")
+        first = scheme.for_die(4, {2: [30]})
+        second = scheme.for_die(4, {})
+        assert first.name == second.name == scheme.name
+        assert first.lut.entry(2) == 7
+        assert second.lut.entries().tolist() == [0, 0, 0, 0]
+
+
 class TestOperationalPath:
     def test_clean_row_roundtrip(self):
         scheme = BitShuffleScheme(32, 2, rows=8)

@@ -51,6 +51,28 @@ class TestEntryAccess:
         with pytest.raises(IndexError):
             lut.set_entry(-1, 0)
 
+    def test_program_entries_writes_rows_and_clears_the_rest(self):
+        lut = FaultMapLut(rows=6, word_width=32, n_fm=2)
+        lut.set_entry(5, 3)  # stale entry from a previous die
+        lut.program_entries([1, 4], [2, 3])
+        assert lut.entries().tolist() == [0, 2, 0, 0, 3, 0]
+        assert lut.rotations().tolist() == lut.rotations_view().tolist()
+
+    @pytest.mark.parametrize(
+        "rows, entries, error",
+        [
+            ([0, 6], [1, 1], IndexError),
+            ([0, -1], [1, 1], IndexError),
+            ([0, 2], [1, 4], ValueError),
+        ],
+    )
+    def test_program_entries_rejects_out_of_range(self, rows, entries, error):
+        lut = FaultMapLut(rows=6, word_width=32, n_fm=2)
+        lut.set_entry(3, 2)
+        with pytest.raises(error):
+            lut.program_entries(rows, entries)
+        assert lut.entries().tolist() == [0, 0, 0, 2, 0, 0]
+
     def test_rotation_matches_equation_two(self):
         lut = FaultMapLut(rows=4, word_width=32, n_fm=5)
         lut.set_entry(0, 3)

@@ -157,6 +157,21 @@ class TestSchemeOwnership:
     def test_stateful_scheme_reports_die_state(self):
         assert BitShuffleScheme(32, 2).has_die_state
 
+    def test_other_stateful_schemes_get_a_programmed_deep_copy(self, org):
+        class RecordingScheme(NoProtection):
+            def __init__(self):
+                super().__init__(32)
+                self.programmed = {}
+
+            def program(self, fault_columns_by_row):
+                self.programmed.update(fault_columns_by_row)
+
+        scheme = RecordingScheme()
+        store = FaultyTensorStore(org, scheme, FaultMap.from_cells(org, [(4, 9)]))
+        assert store.scheme is not scheme
+        assert store.scheme.programmed == {4: [9]}
+        assert scheme.programmed == {}
+
 
 class TestValidation:
     def test_rejects_mismatched_scheme_width(self, org):
