@@ -5,10 +5,13 @@ vectorised datapath: the batch ``encode_words``/``decode_words`` round trip
 must beat the scalar word-at-a-time loop by at least 10x on the bit-shuffle
 scheme (in practice the margin is two orders of magnitude).
 ``test_mse_evaluation_throughput`` likewise gates the table-driven Eq. 6
-evaluation against the per-row ``residual_error_positions`` oracle.  Both
-time the two paths back to back in one process, so the ratios do not depend
-on host speed.  Batch-versus-scalar equality over every scheme is tier-1's
-``tests/test_batch_equivalence.py``.
+evaluation against the per-row ``residual_error_positions`` oracle, and
+``test_die_datapath_speedup`` gates a die's stores sharing one
+``DieDatapath`` against one fresh store per scheme.  All three time the two
+paths back to back in one process, so the ratios do not depend on host
+speed.  Batch-versus-scalar equality over every scheme is tier-1's
+``tests/test_batch_equivalence.py``, and shared-versus-fresh equality is
+``tests/test_die_datapath.py``.
 """
 
 from __future__ import annotations
@@ -21,8 +24,13 @@ from repro.core.no_protection import NoProtection
 from repro.core.priority_ecc import PriorityEccScheme
 from repro.core.scheme import BitShuffleScheme
 from repro.faultmodel.montecarlo import FaultMapSampler
+from repro.memory.faults import FaultMap
 from repro.memory.organization import MemoryOrganization
 from repro.quality.mse import mse_from_error_positions, mse_of_fault_map
+from repro.quantize.fixedpoint import FixedPointFormat
+from repro.sim.config import build_scheme
+from repro.sim.experiment import benchmark_by_name
+from repro.sim.faulty_storage import FaultyTensorStore, QuantizedTensor
 
 BATCH_ROWS = 256
 BATCH_WORDS = (
@@ -133,3 +141,79 @@ def test_mse_evaluation_throughput(json_summary):
         },
     )
     assert speedup >= 5.0
+
+
+def test_die_datapath_speedup(json_summary):
+    """A die's schemes sharing one datapath beat one fresh store per scheme.
+
+    The 1024 x 32 memory, the five schemes and the ElasticNet tensor at
+    scale 0.25 are those of the ``dse-optimize`` perfbench workload; the 40
+    dies hold 10 to 200 faults.  Both paths must return identical tensors.
+    On a 2-vCPU x86-64 VM the shared path measured 1.5-1.6x with the NumPy
+    kernels and 1.85-1.95x with the C kernels; the gate leaves margin below
+    the lower figure.
+    """
+    organization = MemoryOrganization(rows=1024, word_width=32)
+    fixed_point = FixedPointFormat(total_bits=32, frac_bits=16)
+    features = benchmark_by_name("elasticnet", scale=0.25).train_features
+    raw = fixed_point.quantize_array(np.asarray(features, dtype=np.float64))
+    schemes = [
+        build_scheme(spec, 32)
+        for spec in (
+            "no-protection", "p-ecc", "bit-shuffle-nfm1", "bit-shuffle-nfm2", "secded",
+        )
+    ]
+    rng = np.random.default_rng(29)
+    fault_maps = [
+        FaultMap.random_with_count(organization, int(count), rng)
+        for count in np.linspace(10, 200, 40)
+    ]
+    loads = len(fault_maps) * len(schemes)
+
+    def per_scheme():
+        return [
+            FaultyTensorStore(organization, scheme, fault_map, fixed_point).load_quantized(raw)
+            for fault_map in fault_maps
+            for scheme in schemes
+        ]
+
+    def shared():
+        tensor = QuantizedTensor(fixed_point, raw)
+        out = []
+        for fault_map in fault_maps:
+            die = None
+            for scheme in schemes:
+                store = FaultyTensorStore(
+                    organization, scheme, fault_map, fixed_point, die=die
+                )
+                die = store.die
+                out.append(store.load_quantized(tensor))
+        return out
+
+    per_scheme_seconds = shared_seconds = float("inf")
+    for _ in range(5):
+        start = time.perf_counter()
+        reference = per_scheme()
+        middle = time.perf_counter()
+        candidate = shared()
+        per_scheme_seconds = min(per_scheme_seconds, middle - start)
+        shared_seconds = min(shared_seconds, time.perf_counter() - middle)
+
+    assert [a.tobytes() for a in candidate] == [a.tobytes() for a in reference]
+    speedup = per_scheme_seconds / shared_seconds
+    print(
+        f"\ndie datapath speedup: {speedup:.2f}x "
+        f"(per-scheme stores {loads / per_scheme_seconds:,.0f} loads/s, "
+        f"shared die {loads / shared_seconds:,.0f} loads/s)"
+    )
+    json_summary(
+        "die_datapath_speedup",
+        {
+            "schemes": len(schemes),
+            "dies": len(fault_maps),
+            "speedup_vs_per_scheme_stores": speedup,
+            "per_scheme_loads_per_second": loads / per_scheme_seconds,
+            "shared_loads_per_second": loads / shared_seconds,
+        },
+    )
+    assert speedup >= 1.3

@@ -181,8 +181,8 @@ class ProtectionScheme(ABC):
                 f"batch rows and patterns must have equal length, got "
                 f"{rows.size} and {patterns.size}"
             )
-        if width < 64 and patterns.size and np.any(
-            patterns > np.uint64((1 << width) - 1)
+        if width < 64 and patterns.size and patterns.max() > np.uint64(
+            (1 << width) - 1
         ):
             raise ValueError(f"{what} does not fit in {width} bits")
         return rows, patterns

@@ -11,13 +11,12 @@ behaviour captured here.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.segments import (
     rotation_amount,
-    segment_index,
     segment_size,
 )
 
@@ -95,7 +94,12 @@ class FaultMapLut:
         return int(self._entries[row])
 
     def set_entry(self, row: int, x_fm: int) -> None:
-        """Directly program ``xFM(row)`` (normally done via :meth:`program_row`)."""
+        """Directly program ``xFM(row)``.
+
+        Dies are normally programmed whole, through
+        :meth:`repro.core.scheme.BitShuffleScheme.program` and
+        :meth:`program_entries`.
+        """
         self._check_row(row)
         self._check_entry(x_fm)
         self._entries[row] = x_fm
@@ -164,44 +168,12 @@ class FaultMapLut:
         return state
 
     # ------------------------------------------------------------------ #
-    # Programming from BIST results
+    # Reset
     # ------------------------------------------------------------------ #
     def reset(self) -> None:
         """Clear every entry to ``xFM = 0`` (the no-rotation state)."""
         self._entries[:] = 0
         self._invalidate()
-
-    def program_row(self, row: int, fault_columns: Sequence[int]) -> None:
-        """Program ``xFM(row)`` from the faulty bit positions BIST found in the row.
-
-        With a single fault the entry is simply the fault's segment index.
-        With multiple faults a single rotation cannot push every fault into the
-        lowest segment; the hardware-realistic policy implemented here selects
-        the segment of the *most significant* faulty bit, so the fault with the
-        largest potential error magnitude is the one neutralised.
-        """
-        self._check_row(row)
-        if not fault_columns:
-            self._entries[row] = 0
-            self._invalidate()
-            return
-        for column in fault_columns:
-            if not 0 <= column < self._word_width:
-                raise ValueError(
-                    f"fault column {column} out of range [0, {self._word_width})"
-                )
-        most_significant = max(fault_columns)
-        self._entries[row] = segment_index(
-            most_significant, self._word_width, self._n_fm
-        )
-        self._invalidate()
-
-    def program(self, fault_columns_by_row: Mapping[int, Sequence[int]]) -> None:
-        """Program the whole LUT from a BIST fault report (row -> fault columns)."""
-        self._entries[:] = 0
-        self._invalidate()
-        for row, columns in fault_columns_by_row.items():
-            self.program_row(row, columns)
 
     # ------------------------------------------------------------------ #
     # Helpers

@@ -244,7 +244,7 @@ class SecdedCode:
     def encode_array(self, data: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`encode` over a ``uint64`` array of data words."""
         data = np.asarray(data, dtype=np.uint64)
-        if data.size and np.any(data > np.uint64(bit_mask(self._k))):
+        if data.size and data.max() > np.uint64(bit_mask(self._k)):
             raise ValueError(f"data does not fit in {self._k} bits")
         return _active_backend().secded_encode(data, self._kernel_spec)
 
@@ -265,7 +265,7 @@ class SecdedCode:
 
     def _check_codeword_array(self, codewords: np.ndarray) -> np.ndarray:
         codewords = np.asarray(codewords, dtype=np.uint64)
-        if codewords.size and np.any(codewords > np.uint64(bit_mask(self._n))):
+        if codewords.size and codewords.max() > np.uint64(bit_mask(self._n)):
             raise ValueError(f"codeword does not fit in {self._n} bits")
         return codewords
 

@@ -45,23 +45,24 @@ _CFLAGS = ("-O3", "-fPIC", "-shared", "-std=c11")
 # without the flag (some cc shims) get the portable build.
 _ARCH_FLAGS = ("-march=native",)
 
-_U64P = ctypes.POINTER(ctypes.c_uint64)
-_I64P = ctypes.POINTER(ctypes.c_int64)
-_U8P = ctypes.POINTER(ctypes.c_uint8)
+# Buffers travel as plain addresses: a typed pointer built per argument
+# (``ndarray.ctypes.data_as``) cost about as much as the kernel itself on the
+# few hundred words a die stores.  The C prototypes keep the element types.
+_PTR = ctypes.c_void_p
 _I64 = ctypes.c_int64
 
 #: Argument types of every exported kernel (all return ``int``), in the
 #: order of the C prototypes in ``_kernels.c``.
 _SIGNATURES = {
-    "rk_secded_encode": (_U64P, _U64P, _I64, _I64, _I64, _I64P, _I64P, _U64P),
-    "rk_secded_syndrome": (_U64P, _U64P, _U64P, _I64, _I64, _U64P),
-    "rk_secded_decode": (_U64P, _U64P, _I64, _I64, _I64, _I64, _I64P, _U64P),
-    "rk_fmlut_encode": (_U64P, _I64P, _U64P, _I64, _I64P, _I64P, _I64),
-    "rk_fmlut_decode": (_U64P, _I64P, _U64P, _I64, _I64P, _I64),
-    "rk_apply_masks": (_U64P, _I64P, _U64P, _I64, _U64P, _U64P, _U64P),
-    "rk_to_twos": (_I64P, _U64P, _I64, _I64),
-    "rk_from_twos": (_U64P, _I64P, _I64, _I64),
-    "rk_invalid_map_mask": (_I64P, _I64, _I64, _I64, _I64, _U8P, _I64P),
+    "rk_secded_encode": (_PTR, _PTR, _I64, _I64, _I64, _PTR, _PTR, _PTR),
+    "rk_secded_syndrome": (_PTR, _PTR, _PTR, _I64, _I64, _PTR),
+    "rk_secded_decode": (_PTR, _PTR, _I64, _I64, _I64, _I64, _PTR, _PTR),
+    "rk_fmlut_encode": (_PTR, _PTR, _PTR, _I64, _PTR, _PTR, _I64),
+    "rk_fmlut_decode": (_PTR, _PTR, _PTR, _I64, _PTR, _I64),
+    "rk_apply_masks": (_PTR, _PTR, _PTR, _I64, _PTR, _PTR, _PTR),
+    "rk_to_twos": (_PTR, _PTR, _I64, _I64),
+    "rk_from_twos": (_PTR, _PTR, _I64, _I64),
+    "rk_invalid_map_mask": (_PTR, _I64, _I64, _I64, _I64, _PTR, _PTR),
 }
 
 
@@ -146,12 +147,9 @@ def _as_i64(array: np.ndarray):
     return np.ascontiguousarray(array, dtype=np.int64)
 
 
-def _ptr_u64(array: np.ndarray):
-    return array.ctypes.data_as(_U64P)
-
-
-def _ptr_i64(array: np.ndarray):
-    return array.ctypes.data_as(_I64P)
+def _ptr(array: np.ndarray) -> int:
+    """Address of a contiguous array's data; the caller keeps the array alive."""
+    return array.ctypes.data
 
 
 class CKernelBackend(KernelBackend):
@@ -181,14 +179,14 @@ class CKernelBackend(KernelBackend):
         data = _as_u64(data)
         out = np.empty_like(data)
         self._lib.rk_secded_encode(
-            _ptr_u64(data),
-            _ptr_u64(out),
+            _ptr(data),
+            _ptr(out),
             ctypes.c_int64(data.size),
             ctypes.c_int64(spec.data_bits),
             ctypes.c_int64(spec.parity_bits),
-            _ptr_i64(spec.data_positions),
-            _ptr_i64(spec.parity_positions),
-            _ptr_u64(spec.check_masks),
+            _ptr(spec.data_positions),
+            _ptr(spec.parity_positions),
+            _ptr(spec.check_masks),
         )
         return out
 
@@ -199,12 +197,12 @@ class CKernelBackend(KernelBackend):
         syndromes = np.empty_like(codewords)
         overall = np.empty_like(codewords)
         self._lib.rk_secded_syndrome(
-            _ptr_u64(codewords),
-            _ptr_u64(syndromes),
-            _ptr_u64(overall),
+            _ptr(codewords),
+            _ptr(syndromes),
+            _ptr(overall),
             ctypes.c_int64(codewords.size),
             ctypes.c_int64(spec.parity_bits),
-            _ptr_u64(spec.check_masks),
+            _ptr(spec.check_masks),
         )
         return syndromes, overall
 
@@ -212,14 +210,14 @@ class CKernelBackend(KernelBackend):
         codewords = _as_u64(codewords)
         out = np.empty_like(codewords)
         status = self._lib.rk_secded_decode(
-            _ptr_u64(codewords),
-            _ptr_u64(out),
+            _ptr(codewords),
+            _ptr(out),
             ctypes.c_int64(codewords.size),
             ctypes.c_int64(spec.data_bits),
             ctypes.c_int64(spec.parity_bits),
             ctypes.c_int64(spec.codeword_bits),
-            _ptr_i64(spec.data_positions),
-            _ptr_u64(spec.check_masks),
+            _ptr(spec.data_positions),
+            _ptr(spec.check_masks),
         )
         if status != 0:
             raise ValueError(f"codeword does not fit in {spec.codeword_bits} bits")
@@ -244,12 +242,12 @@ class CKernelBackend(KernelBackend):
         self._check_patterns(data, width)
         out = np.empty_like(data)
         self._lib.rk_fmlut_encode(
-            _ptr_u64(data),
-            _ptr_i64(rows),
-            _ptr_u64(out),
+            _ptr(data),
+            _ptr(rows),
+            _ptr(out),
             ctypes.c_int64(data.size),
-            _ptr_i64(entries),
-            _ptr_i64(rotations),
+            _ptr(entries),
+            _ptr(rotations),
             ctypes.c_int64(width),
         )
         return out
@@ -267,11 +265,11 @@ class CKernelBackend(KernelBackend):
         rotations = _as_i64(rotations)
         out = np.empty_like(stored)
         self._lib.rk_fmlut_decode(
-            _ptr_u64(stored),
-            _ptr_i64(rows),
-            _ptr_u64(out),
+            _ptr(stored),
+            _ptr(rows),
+            _ptr(out),
             ctypes.c_int64(stored.size),
-            _ptr_i64(rotations),
+            _ptr(rotations),
             ctypes.c_int64(width),
         )
         return out
@@ -287,7 +285,7 @@ class CKernelBackend(KernelBackend):
 
     @staticmethod
     def _check_patterns(patterns: np.ndarray, width: int) -> None:
-        if patterns.size and np.any(patterns > np.uint64(bit_mask(width))):
+        if patterns.size and patterns.max() > np.uint64(bit_mask(width)):
             raise ValueError(f"pattern exceeds {width}-bit range")
 
     # ------------------------------------------------------------------ #
@@ -309,13 +307,13 @@ class CKernelBackend(KernelBackend):
         xor_masks = _as_u64(xor_masks)
         out = np.empty_like(patterns)
         self._lib.rk_apply_masks(
-            _ptr_u64(patterns),
-            _ptr_i64(rows),
-            _ptr_u64(out),
+            _ptr(patterns),
+            _ptr(rows),
+            _ptr(out),
             ctypes.c_int64(patterns.size),
-            _ptr_u64(and_masks),
-            _ptr_u64(or_masks),
-            _ptr_u64(xor_masks),
+            _ptr(and_masks),
+            _ptr(or_masks),
+            _ptr(xor_masks),
         )
         return out
 
@@ -326,8 +324,8 @@ class CKernelBackend(KernelBackend):
         values = _as_i64(values)
         out = np.empty(values.shape, dtype=np.uint64)
         status = self._lib.rk_to_twos(
-            _ptr_i64(values),
-            _ptr_u64(out),
+            _ptr(values),
+            _ptr(out),
             ctypes.c_int64(values.size),
             ctypes.c_int64(width),
         )
@@ -339,8 +337,8 @@ class CKernelBackend(KernelBackend):
         patterns = _as_u64(patterns)
         out = np.empty(patterns.shape, dtype=np.int64)
         status = self._lib.rk_from_twos(
-            _ptr_u64(patterns),
-            _ptr_i64(out),
+            _ptr(patterns),
+            _ptr(out),
             ctypes.c_int64(patterns.size),
             ctypes.c_int64(width),
         )
@@ -362,12 +360,12 @@ class CKernelBackend(KernelBackend):
         bad = np.empty(n_maps, dtype=np.uint8)
         scratch = np.empty(fault_count, dtype=np.int64)
         self._lib.rk_invalid_map_mask(
-            _ptr_i64(draws),
+            _ptr(draws),
             ctypes.c_int64(n_maps),
             ctypes.c_int64(fault_count),
             ctypes.c_int64(width),
             ctypes.c_int64(max_faults_per_word or 0),
-            bad.ctypes.data_as(_U8P),
-            _ptr_i64(scratch),
+            _ptr(bad),
+            _ptr(scratch),
         )
         return bad.astype(bool)

@@ -105,12 +105,12 @@ class NumpyKernelBackend(KernelBackend):
     def to_twos_complement(self, values: np.ndarray, width: int) -> np.ndarray:
         lo = -(1 << (width - 1))
         hi = (1 << (width - 1)) - 1
-        if np.any(values < lo) or np.any(values > hi):
+        if values.size and (values.min() < lo or values.max() > hi):
             raise ValueError(f"values out of range for {width}-bit 2's complement")
         return values.astype(np.uint64) & np.uint64(bit_mask(width))
 
     def from_twos_complement(self, patterns: np.ndarray, width: int) -> np.ndarray:
-        if np.any(patterns > np.uint64(bit_mask(width))):
+        if patterns.size and patterns.max() > np.uint64(bit_mask(width)):
             raise ValueError(f"pattern exceeds {width}-bit range")
         sign = np.uint64(1 << (width - 1))
         # (x ^ m) - m sign-extends an m-bit pattern; x ^ sign stays below 2**63.

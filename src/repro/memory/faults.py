@@ -24,7 +24,6 @@ Two fault behaviours are modelled:
 from __future__ import annotations
 
 import json
-from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -129,15 +128,42 @@ class FaultMap:
         """Mapping row -> sorted faulty bit positions, for rows with faults only.
 
         Rows appear in the order their first fault was added to the map; that
-        order is the summation order of the Eq. 6 MSE.
+        order is the summation order of the Eq. 6 MSE.  Built in one pass:
+        columns are appended per row, and only rows holding more than one
+        fault are sorted afterwards.
         """
         result: Dict[int, List[int]] = {}
+        shared: List[int] = []
         for row, column in self._faults:
             if row in result:
-                insort(result[row], column)
+                result[row].append(column)
+                shared.append(row)
             else:
                 result[row] = [column]
+        for row in shared:
+            result[row].sort()
         return result
+
+    def row_masks(self) -> Dict[int, List[int]]:
+        """Per faulty row, its ``[stuck-at-zero, stuck-at-one, bit-flip]`` cells.
+
+        Each entry is a bit set held in a Python int; rows appear in the order
+        of :meth:`faulty_columns_by_row`.  This is what every mask builder
+        reads, so a die's masks cost one pass over its faults.
+        """
+        bit_flip, stuck_at_one = FaultKind.BIT_FLIP, FaultKind.STUCK_AT_ONE
+        masks: Dict[int, List[int]] = {}
+        for (row, column), kind in self._faults.items():
+            row_masks = masks.get(row)
+            if row_masks is None:
+                row_masks = masks[row] = [0, 0, 0]
+            if kind is bit_flip:
+                row_masks[2] |= 1 << column
+            elif kind is stuck_at_one:
+                row_masks[1] |= 1 << column
+            else:  # STUCK_AT_ZERO
+                row_masks[0] |= 1 << column
+        return masks
 
     def max_faults_per_row(self) -> int:
         """Largest number of faulty cells sharing a single row (0 if fault-free)."""
@@ -178,19 +204,6 @@ class FaultMap:
                 corrupted ^= bit
         return corrupted
 
-    def flip_masks(self) -> np.ndarray:
-        """Per-row XOR masks for ``BIT_FLIP`` faults (vectorised corruption).
-
-        Only meaningful when every fault is a ``BIT_FLIP``; stuck-at faults are
-        data-dependent and cannot be expressed as a fixed XOR mask.
-        """
-        masks = np.zeros(self._organization.rows, dtype=np.uint64)
-        for (row, column), kind in self._faults.items():
-            if kind is not FaultKind.BIT_FLIP:
-                raise ValueError("flip_masks() requires a pure bit-flip fault map")
-            masks[row] |= np.uint64(1 << column)
-        return masks
-
     def corruption_masks(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-row ``(and, or, xor)`` masks expressing every fault kind at once.
 
@@ -200,19 +213,18 @@ class FaultMap:
         carries at most one fault, so the three masks never overlap and the
         composition is exact for any mix of fault kinds.
         """
+        word_mask = (1 << self._organization.word_width) - 1
         rows = self._organization.rows
-        word_mask = np.uint64((1 << self._organization.word_width) - 1)
         and_masks = np.full(rows, word_mask, dtype=np.uint64)
         or_masks = np.zeros(rows, dtype=np.uint64)
         xor_masks = np.zeros(rows, dtype=np.uint64)
-        for (row, column), kind in self._faults.items():
-            bit = np.uint64(1 << column)
-            if kind is FaultKind.STUCK_AT_ZERO:
-                and_masks[row] &= ~bit
-            elif kind is FaultKind.STUCK_AT_ONE:
-                or_masks[row] |= bit
-            else:  # BIT_FLIP
-                xor_masks[row] |= bit
+        masks = self.row_masks()
+        if masks:
+            faulty = list(masks)
+            zero, one, flip = zip(*masks.values())
+            and_masks[faulty] = [word_mask ^ bits for bits in zero]
+            or_masks[faulty] = one
+            xor_masks[faulty] = flip
         return and_masks, or_masks, xor_masks
 
     def corrupt_words(self, rows: np.ndarray, patterns: np.ndarray) -> np.ndarray:

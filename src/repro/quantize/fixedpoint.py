@@ -102,7 +102,7 @@ class FixedPointFormat:
     def dequantize_array(self, raw: np.ndarray) -> np.ndarray:
         """De-quantise signed integer codes back to float64 values."""
         raw = np.asarray(raw, dtype=np.int64)
-        if np.any(raw > self.max_raw) or np.any(raw < self.min_raw):
+        if raw.size and (raw.max() > self.max_raw or raw.min() < self.min_raw):
             raise ValueError("raw codes outside the representable range")
         return raw.astype(np.float64) * self.scale
 

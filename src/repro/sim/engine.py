@@ -123,6 +123,7 @@ from repro.sim.config import (
 )
 from repro.sim.executor import ExecutorSpec, ShardExecutor, make_executor
 from repro.sim.experiment import BenchmarkDefinition
+from repro.sim.faulty_storage import QuantizedTensor
 from repro.sim.results import AdaptiveBudgetReport, QualityDistribution, SweepRunStats
 from repro.stats import (
     FixedGridEcdfSketch,
@@ -508,7 +509,9 @@ class SweepEngine:
             features = np.asarray(benchmark.train_features, dtype=np.float64)
             return {
                 "fixed_point": fixed_point,
-                "raw_features": fixed_point.quantize_array(features),
+                "raw_features": QuantizedTensor(
+                    fixed_point, fixed_point.quantize_array(features)
+                ),
                 "benchmark": benchmark,
                 "clean_quality": clean_quality,
                 "transient": self._scenario.transient,

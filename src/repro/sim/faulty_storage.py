@@ -16,14 +16,24 @@ of ``rows`` values, which is how a real system would stream a large training
 set through a small on-chip buffer.
 
 Healthy rows round-trip bit-exactly through every scheme (encode and decode
-are inverses), so only the values landing on faulty rows are pushed through
-the encode/corrupt/decode datapath -- and that datapath is fully batched: the
-store gathers every affected value of every page into one ``uint64`` array,
-runs the scheme's vectorised :meth:`~repro.core.base.ProtectionScheme.
-encode_words` / :meth:`~repro.core.base.ProtectionScheme.decode_words`, and
-corrupts all words at once with the fault map's per-row stuck-at/flip masks.
-This is what makes Monte-Carlo sweeps over thousands of fault maps tractable
-while remaining bit-exact with the scalar word-at-a-time model.
+are inverses), and quantisation is elementwise, so a load starts from the
+tensor's fault-free de-quantisation (:class:`QuantizedTensor`) and rewrites
+only the values that land on faulty rows.  Those go through the batched
+datapath: one ``uint64`` array of every affected word of every page, the
+scheme's vectorised :meth:`~repro.core.base.ProtectionScheme.encode_words`,
+one masked corruption, :meth:`~repro.core.base.ProtectionScheme.decode_words`,
+and a patch at the affected indices.  This is bit-exact with the scalar
+word-at-a-time model.
+
+Half of that work does not depend on the protection scheme: the die's
+row -> columns table, its faulty rows, the affected rows and indices of a
+tensor, the AND/OR/XOR masks of the faulty rows, and the 2's-complement
+patterns of the affected codes.  :class:`DieDatapath` holds that half.  A
+store builds one for itself, or shares the one it is handed (``die=``), so a
+sweep that stores one tensor in one die under several schemes derives it once
+per die; per scheme only programming, encode, corruption, decode and the
+patch remain.  A die memoises what it derives for the last tensor it loaded,
+which is safe because a :class:`QuantizedTensor` is read-only.
 
 Ownership contract: the constructor programs the scheme through
 :meth:`ProtectionScheme.for_die`.  When the supplied scheme carries
@@ -39,17 +49,18 @@ Access-trace mode: when a :class:`~repro.scenarios.transient.TransientTier`
 is attached, every load additionally replays ``access_trace`` read passes of
 per-read corruption (soft errors, read-disturb, scrubbing) drawn from a
 dedicated ``transient_seed``.  The seed is expanded through a fresh
-``SeedSequence`` on every load, so repeated loads of one store observe the
-*same* transient events -- a die is one sample of the population, and the
-sweep engine derives the seed from the die's own seed-sequence child to keep
-worker-count/shard-order bit-identity.  Transient masks cover only the data
-columns (like the static fault map), and the batched application has a scalar
-reference path (``transient_vectorized=False``) that is bit-identical.
+``SeedSequence``, so every load of one die observes the *same* transient
+events -- a die is one sample of the population, and the sweep engine
+derives the seed from the die's own seed-sequence child to keep
+worker-count/shard-order bit-identity.  Being a pure function of the seed,
+the replay is part of the die's shared half.  Transient masks cover only the
+data columns (like the static fault map), and the batched application has a
+scalar reference path (``transient_vectorized=False``) that is bit-identical.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -65,50 +76,82 @@ from repro.memory.words import (
 from repro.quantize.fixedpoint import FixedPointFormat
 from repro.scenarios.transient import TransientTier
 
-__all__ = ["FaultyTensorStore"]
+__all__ = ["DieDatapath", "FaultyTensorStore", "QuantizedTensor"]
+
+_ALL_BITS = (1 << 64) - 1
+_EMPTY_INDICES = np.empty(0, dtype=np.int64)
+_EMPTY_INDICES.flags.writeable = False
 
 
-class FaultyTensorStore:
-    """Store-and-load pipeline through a protected, faulty memory.
+class QuantizedTensor:
+    """A tensor's fixed-point codes together with their fault-free values.
 
-    Parameters
-    ----------
-    organization:
-        Geometry of the data memory (16 kB / 32-bit words in the paper).
-    scheme:
-        Protection scheme guarding the memory.  When the scheme carries
-        die-specific state the store programs a private copy from the
-        supplied fault map (mirroring the BIST flow); the caller's instance
-        is left untouched.  Stateless schemes are shared without copying.
-    fault_map:
-        Persistent fault map of the die's data columns.
-    fixed_point:
-        Quantisation format used for the stored values (Q15.16 by default).
-    transient:
-        Optional per-read fault tier (see the module docstring).
-    transient_seed:
-        Seed the tier's events are replayed from; required with ``transient``.
-    access_trace:
-        Number of read passes the tier replays per load (>= 1).
-    transient_vectorized:
-        Apply transient masks through the batched NumPy path (default) or
-        the scalar reference loop; both are bit-identical by contract.
+    Both arrays are flat, private and read-only; :attr:`shape` is the shape
+    of the original tensor.  Sweeps build one per tensor and load it into
+    every store of every die, so the full de-quantisation happens once.
+    Construction validates the codes against the format's range.
+    """
+
+    __slots__ = ("fixed_point", "shape", "codes", "clean")
+
+    def __init__(self, fixed_point: FixedPointFormat, raw: np.ndarray) -> None:
+        codes = np.array(raw, dtype=np.int64)
+        clean = fixed_point.dequantize_array(codes)
+        self.fixed_point = fixed_point
+        self.shape: Tuple[int, ...] = codes.shape
+        self.codes = codes.reshape(-1)
+        self.clean = clean.reshape(-1)
+        self.codes.flags.writeable = False
+        self.clean.flags.writeable = False
+
+    def __reduce__(self):
+        # Workers rebuild the tensor from its codes: the copy is read-only
+        # again, and the clean values need not travel.
+        return (QuantizedTensor, (self.fixed_point, self.codes.reshape(self.shape)))
+
+
+class _Plan(NamedTuple):
+    """What one die does to one tensor, whatever the scheme."""
+
+    #: Flat indices of the values the datapath rewrites.
+    indices: np.ndarray
+    #: Physical row of each such value.
+    rows: np.ndarray
+    #: Each value's slot in the die's mask arrays.
+    slots: np.ndarray
+    #: 2's-complement patterns of the values' codes (``uint64``).
+    patterns: np.ndarray
+    #: Per-value XOR masks of the final transient read, if a tier is set.
+    transient_masks: Optional[np.ndarray]
+
+
+class DieDatapath:
+    """The scheme-independent half of storing tensors in one faulty die.
+
+    Takes the die-level arguments of :class:`FaultyTensorStore` and
+    validates them once.  Holds the die's row -> columns table (what schemes
+    are programmed from), its faulty rows in that table's order, and one
+    AND/OR/XOR mask slot per faulty row plus an identity slot for healthy
+    rows.  For the last tensor loaded it memoises the affected indices, rows
+    and slots, the 2's-complement patterns of the affected codes and, with a
+    transient tier, the replayed read masks.
     """
 
     def __init__(
         self,
         organization: MemoryOrganization,
-        scheme: ProtectionScheme,
         fault_map: FaultMap,
         fixed_point: Optional[FixedPointFormat] = None,
         *,
-        transient: Optional["TransientTier"] = None,
+        transient: Optional[TransientTier] = None,
         transient_seed: Optional[int] = None,
         access_trace: int = 1,
         transient_vectorized: bool = True,
     ) -> None:
-        if scheme.word_width != organization.word_width:
-            raise ValueError("scheme word width does not match the memory")
+        self._arguments = (
+            organization, fault_map, fixed_point, transient, transient_seed,
+            access_trace, transient_vectorized,
+        )
         if fault_map.organization.rows != organization.rows:
             raise ValueError("fault map row count does not match the memory")
         if fault_map.organization.word_width != organization.word_width:
@@ -139,22 +182,189 @@ class FaultyTensorStore:
                 "corruption must replay deterministically from the die's "
                 "seed stream"
             )
-        self._organization = organization
-        self._fault_map = fault_map
-        self._fixed_point = fixed_point
-        self._transient = transient
-        self._transient_seed = (
-            None if transient_seed is None else int(transient_seed)
+        self.organization = organization
+        self.fault_map = fault_map
+        self.fixed_point = fixed_point
+        self.transient = transient
+        self.transient_seed = None if transient_seed is None else int(transient_seed)
+        self.access_trace = access_trace
+        self.transient_vectorized = bool(transient_vectorized)
+        self.columns_by_row = fault_map.faulty_columns_by_row()
+        masks = fault_map.row_masks()
+        self.faulty_rows = np.array(list(masks), dtype=np.int64)
+        # The AND masks keep every bit but the stuck-at-zero cells, so the
+        # columns a scheme stores above the data word (parity, FM-LUT) pass
+        # through untouched: they are fault-free in this model.
+        row_masks = masks.values()
+        self._and_masks = np.array(
+            [_ALL_BITS ^ zero for zero, _one, _flip in row_masks] + [_ALL_BITS],
+            dtype=np.uint64,
         )
-        self._access_trace = access_trace
-        self._transient_vectorized = bool(transient_vectorized)
-        self._faulty_rows = fault_map.faulty_columns_by_row()
-        self._faulty_row_array = np.array(
-            sorted(self._faulty_rows), dtype=np.int64
+        self._or_masks = np.array(
+            [one for _zero, one, _flip in row_masks] + [0], dtype=np.uint64
         )
+        self._xor_masks = np.array(
+            [flip for _zero, _one, flip in row_masks] + [0], dtype=np.uint64
+        )
+        self._tensor: Optional[QuantizedTensor] = None
+        self._plan: Optional[_Plan] = None
+
+    def plan(self, tensor: QuantizedTensor) -> _Plan:
+        """The die's scheme-independent work on ``tensor`` (memoised per tensor)."""
+        if tensor is not self._tensor:
+            if self.transient is None:
+                self._plan = self._static_plan(tensor)
+            else:
+                self._plan = self._transient_plan(tensor)
+            self._tensor = tensor
+        return self._plan
+
+    def corrupt(self, slots: np.ndarray, stored: np.ndarray) -> np.ndarray:
+        """Apply each slot's faults to a batch of stored patterns."""
+        from repro.kernels import active_backend
+
+        return active_backend().apply_corruption_masks(
+            stored, slots, self._and_masks, self._or_masks, self._xor_masks
+        )
+
+    def affected(self, n_values: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, flat indices, slots)`` of the values landing on faulty rows.
+
+        The same physical row hosts value indices ``row, row + rows,
+        row + 2*rows, ...`` (consecutive pages through the memory).
+        """
+        rows = self.organization.rows
+        faulty = self.faulty_rows
+        n_pages = (n_values + rows - 1) // rows
+        if n_pages == 0 or faulty.size == 0:
+            return _EMPTY_INDICES, _EMPTY_INDICES, _EMPTY_INDICES
+        indices = (
+            faulty[np.newaxis, :]
+            + rows * np.arange(n_pages, dtype=np.int64)[:, np.newaxis]
+        ).ravel()
+        keep = indices < n_values
+        slots = np.tile(np.arange(faulty.size, dtype=np.int64), n_pages)[keep]
+        return np.tile(faulty, n_pages)[keep], indices[keep], slots
+
+    def _patterns(self, tensor: QuantizedTensor, indices: np.ndarray) -> np.ndarray:
+        if indices.size == 0:
+            return np.empty(0, dtype=np.uint64)
+        return to_twos_complement_array(
+            tensor.codes[indices], self.organization.word_width
+        )
+
+    def _static_plan(self, tensor: QuantizedTensor) -> _Plan:
+        rows, indices, slots = self.affected(tensor.codes.size)
+        return _Plan(indices, rows, slots, self._patterns(tensor, indices), None)
+
+    def _transient_plan(self, tensor: QuantizedTensor) -> _Plan:
+        """The access-trace plan: static faults plus replayed per-read flips.
+
+        The generator is rebuilt from ``transient_seed`` (seed sequences are
+        pure functions of their entropy), so the transient events of this
+        die are identical across loads, schemes, worker counts, and shard
+        orders.  Values whose transient mask is zero and whose row is
+        healthy skip the datapath entirely, exactly like the static-only
+        plan.
+        """
+        n_values = int(tensor.codes.size)
+        if n_values == 0:
+            empty = _EMPTY_INDICES
+            return _Plan(empty, empty, empty, self._patterns(tensor, empty), empty)
+        rng = np.random.default_rng(np.random.SeedSequence(self.transient_seed))
+        effects = self.transient.sample_read_effects(
+            self.organization,
+            n_values,
+            self.access_trace,
+            rng,
+            vectorized=self.transient_vectorized,
+        )
+        total_rows = self.organization.rows
+        value_rows = np.arange(n_values, dtype=np.int64) % total_rows
+        transient_masks = effects.observed_masks(value_rows)
+        hit = transient_masks != np.uint64(0)
+        _static_rows, static_indices, _static_slots = self.affected(n_values)
+        hit[static_indices] = True
+        affected = np.nonzero(hit)[0]
+        rows = value_rows[affected]
+        slot_of_row = np.full(total_rows, self.faulty_rows.size, dtype=np.int64)
+        slot_of_row[self.faulty_rows] = np.arange(self.faulty_rows.size)
+        return _Plan(
+            affected,
+            rows,
+            slot_of_row[rows],
+            self._patterns(tensor, affected),
+            transient_masks[affected],
+        )
+
+
+class FaultyTensorStore:
+    """Store-and-load pipeline through a protected, faulty memory.
+
+    Parameters
+    ----------
+    organization:
+        Geometry of the data memory (16 kB / 32-bit words in the paper).
+    scheme:
+        Protection scheme guarding the memory.  When the scheme carries
+        die-specific state the store programs a private copy from the
+        supplied fault map (mirroring the BIST flow); the caller's instance
+        is left untouched.  Stateless schemes are shared without copying.
+    fault_map:
+        Persistent fault map of the die's data columns.
+    fixed_point:
+        Quantisation format used for the stored values (Q15.16 by default).
+    transient:
+        Optional per-read fault tier (see the module docstring).
+    transient_seed:
+        Seed the tier's events are replayed from; required with ``transient``.
+    access_trace:
+        Number of read passes the tier replays per load (>= 1).
+    transient_vectorized:
+        Apply transient masks through the batched NumPy path (default) or
+        the scalar reference loop; both are bit-identical by contract.
+    die:
+        The scheme-independent half to share, from another store of the same
+        die (:attr:`die`).  It must have been built from exactly the
+        arguments above; without it the store builds its own.
+    """
+
+    def __init__(
+        self,
+        organization: MemoryOrganization,
+        scheme: ProtectionScheme,
+        fault_map: FaultMap,
+        fixed_point: Optional[FixedPointFormat] = None,
+        *,
+        transient: Optional[TransientTier] = None,
+        transient_seed: Optional[int] = None,
+        access_trace: int = 1,
+        transient_vectorized: bool = True,
+        die: Optional[DieDatapath] = None,
+    ) -> None:
+        if scheme.word_width != organization.word_width:
+            raise ValueError("scheme word width does not match the memory")
+        if die is None:
+            die = DieDatapath(
+                organization,
+                fault_map,
+                fixed_point,
+                transient=transient,
+                transient_seed=transient_seed,
+                access_trace=access_trace,
+                transient_vectorized=transient_vectorized,
+            )
+        elif die._arguments != (
+            organization, fault_map, fixed_point, transient, transient_seed,
+            access_trace, transient_vectorized,
+        ):
+            raise ValueError(
+                "the shared die was built for other store arguments"
+            )
+        self._die = die
         # Program a private copy so the caller's scheme is never mutated and
         # stores sharing one scheme object cannot corrupt each other's LUTs.
-        self._scheme = scheme.for_die(organization.rows, self._faulty_rows)
+        self._scheme = scheme.for_die(organization.rows, die.columns_by_row)
 
     # ------------------------------------------------------------------ #
     # Properties
@@ -162,7 +372,7 @@ class FaultyTensorStore:
     @property
     def organization(self) -> MemoryOrganization:
         """Geometry of the modelled memory."""
-        return self._organization
+        return self._die.organization
 
     @property
     def scheme(self) -> ProtectionScheme:
@@ -172,12 +382,17 @@ class FaultyTensorStore:
     @property
     def fault_map(self) -> FaultMap:
         """Fault map of the modelled die."""
-        return self._fault_map
+        return self._die.fault_map
 
     @property
     def fixed_point(self) -> FixedPointFormat:
         """Quantisation format for stored values."""
-        return self._fixed_point
+        return self._die.fixed_point
+
+    @property
+    def die(self) -> DieDatapath:
+        """The scheme-independent half, shareable with stores of the same die."""
+        return self._die
 
     # ------------------------------------------------------------------ #
     # Round trip
@@ -185,8 +400,9 @@ class FaultyTensorStore:
     def quantization_roundtrip(self, values: np.ndarray) -> np.ndarray:
         """Quantise and de-quantise without fault effects (the fault-free reference)."""
         values = np.asarray(values, dtype=np.float64)
-        raw = self._fixed_point.quantize_array(values)
-        return self._fixed_point.dequantize_array(raw).reshape(values.shape)
+        fixed_point = self.fixed_point
+        raw = fixed_point.quantize_array(values)
+        return fixed_point.dequantize_array(raw).reshape(values.shape)
 
     def store_and_load(self, values: np.ndarray) -> np.ndarray:
         """Round-trip an array through the faulty memory and return what comes back.
@@ -196,136 +412,77 @@ class FaultyTensorStore:
         exhibit whatever corruption the protection scheme failed to prevent.
         """
         values = np.asarray(values, dtype=np.float64)
-        raw = self._fixed_point.quantize_array(values.ravel())
-        restored = self._fixed_point.dequantize_array(self._roundtrip_raw(raw))
-        return restored.reshape(values.shape)
+        fixed_point = self.fixed_point
+        tensor = QuantizedTensor(fixed_point, fixed_point.quantize_array(values))
+        return self._load(tensor).reshape(values.shape)
 
-    def load_quantized(self, raw: np.ndarray) -> np.ndarray:
+    def load_quantized(self, raw: "np.ndarray | QuantizedTensor") -> np.ndarray:
         """Round-trip already-quantised integer codes; return de-quantised floats.
 
         ``raw`` holds signed fixed-point codes (as produced by
-        :meth:`FixedPointFormat.quantize_array`); the result has the same
-        shape.  This lets callers that sweep many fault maps or schemes over
-        the same tensor quantise it once and reuse the codes for every store.
+        :meth:`FixedPointFormat.quantize_array`), or is a
+        :class:`QuantizedTensor` of them in this store's format; the result
+        has the tensor's shape.  Callers that sweep many fault maps or
+        schemes over one tensor build the :class:`QuantizedTensor` once and
+        load it into every store.
         """
-        raw = np.asarray(raw, dtype=np.int64)
-        restored = self._fixed_point.dequantize_array(
-            self._roundtrip_raw(raw.ravel())
-        )
-        return restored.reshape(raw.shape)
+        if isinstance(raw, QuantizedTensor):
+            if raw.fixed_point != self.fixed_point:
+                raise ValueError(
+                    "the tensor was quantised in another fixed-point format"
+                )
+            tensor = raw
+        else:
+            tensor = QuantizedTensor(self.fixed_point, raw)
+        return self._load(tensor).reshape(tensor.shape)
 
-    def _roundtrip_raw(self, raw: np.ndarray) -> np.ndarray:
-        """Push flat signed codes through the batched encode/corrupt/decode path."""
-        if self._transient is not None:
-            return self._roundtrip_transient(raw)
-        corrupted_raw = raw.copy()
-        if self._faulty_row_array.size == 0:
-            return corrupted_raw
-        rows, indices = self._affected(raw.size)
-        if indices.size == 0:
-            return corrupted_raw
-        width = self._organization.word_width
-        patterns = to_twos_complement_array(raw[indices], width)
-        stored = self._scheme.encode_words(rows, patterns)
-        observed = self._corrupt_words(rows, stored)
-        recovered = self._scheme.decode_words(rows, observed)
-        corrupted_raw[indices] = from_twos_complement_array(recovered, width)
-        return corrupted_raw
+    def _load(self, tensor: QuantizedTensor) -> np.ndarray:
+        """The flat de-quantised values this die returns for ``tensor``."""
+        plan = self._die.plan(tensor)
+        values = tensor.clean.copy()
+        if plan.indices.size == 0:
+            return values
+        if self._die.transient is not None and not self._die.transient_vectorized:
+            codes = self._scalar_transient_codes(tensor, plan)
+        else:
+            width = self.organization.word_width
+            stored = self._scheme.encode_words(plan.rows, plan.patterns)
+            observed = self._die.corrupt(plan.slots, stored)
+            if plan.transient_masks is not None:
+                # Static masks first (identity on healthy rows), then the
+                # transient XOR; both touch only the data columns.
+                observed = observed ^ plan.transient_masks
+            recovered = self._scheme.decode_words(plan.rows, observed)
+            codes = from_twos_complement_array(recovered, width)
+        values[plan.indices] = self.fixed_point.dequantize_array(codes)
+        return values
 
-    def _roundtrip_transient(self, raw: np.ndarray) -> np.ndarray:
-        """The access-trace datapath: static masks plus replayed per-read flips.
-
-        Every load rebuilds the generator from ``transient_seed`` (seed
-        sequences are pure functions of their entropy), so the transient
-        events of this die are identical across loads, schemes, worker
-        counts, and shard orders.  Values whose transient mask is zero and
-        whose row is healthy skip the datapath entirely, exactly like the
-        static-only fast path.
-        """
-        corrupted_raw = raw.copy()
-        n_values = int(raw.size)
-        if n_values == 0:
-            return corrupted_raw
-        rng = np.random.default_rng(
-            np.random.SeedSequence(self._transient_seed)
-        )
-        effects = self._transient.sample_read_effects(
-            self._organization,
-            n_values,
-            self._access_trace,
-            rng,
-            vectorized=self._transient_vectorized,
-        )
-        total_rows = self._organization.rows
-        value_rows = np.arange(n_values, dtype=np.int64) % total_rows
-        transient_masks = effects.observed_masks(value_rows)
-        statically_affected = np.zeros(n_values, dtype=bool)
-        _static_rows, static_indices = self._affected(n_values)
-        statically_affected[static_indices] = True
-        affected = np.nonzero(
-            statically_affected | (transient_masks != np.uint64(0))
-        )[0]
-        if affected.size == 0:
-            return corrupted_raw
-        width = self._organization.word_width
-        if self._transient_vectorized:
-            rows = value_rows[affected]
-            patterns = to_twos_complement_array(raw[affected], width)
-            stored = self._scheme.encode_words(rows, patterns)
-            # Static masks first (identity on healthy rows), then the
-            # transient XOR; both touch only the data columns.
-            observed = self._corrupt_words(rows, stored)
-            observed = observed ^ transient_masks[affected]
-            recovered = self._scheme.decode_words(rows, observed)
-            corrupted_raw[affected] = from_twos_complement_array(
-                recovered, width
-            )
-            return corrupted_raw
+    def _scalar_transient_codes(
+        self, tensor: QuantizedTensor, plan: _Plan
+    ) -> np.ndarray:
+        """The word-at-a-time reference of the access-trace datapath."""
+        width = self.organization.word_width
         data_mask = (1 << width) - 1
-        for value_index in affected.tolist():
-            row = int(value_rows[value_index])
-            pattern = to_twos_complement(int(raw[value_index]), width)
+        fault_map = self.fault_map
+        codes = np.empty(plan.indices.size, dtype=np.int64)
+        for position, (value_index, row, transient_mask) in enumerate(
+            zip(
+                plan.indices.tolist(),
+                plan.rows.tolist(),
+                plan.transient_masks.tolist(),
+            )
+        ):
+            pattern = to_twos_complement(int(tensor.codes[value_index]), width)
             stored = int(self._scheme.encode_word(row, pattern))
             observed = (
-                self._fault_map.corrupt_word(row, stored & data_mask)
+                fault_map.corrupt_word(row, stored & data_mask)
                 | (stored & ~data_mask)
             )
-            observed ^= int(transient_masks[value_index])
-            corrupted_raw[value_index] = from_twos_complement(
+            observed ^= transient_mask
+            codes[position] = from_twos_complement(
                 int(self._scheme.decode_word(row, observed)), width
             )
-        return corrupted_raw
-
-    def _affected(self, n_values: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``(rows, flat indices)`` of the values landing on faulty rows.
-
-        The same physical row hosts value indices ``row, row + rows,
-        row + 2*rows, ...`` (consecutive pages through the memory).
-        """
-        rows = self._organization.rows
-        faulty = self._faulty_row_array
-        n_pages = (n_values + rows - 1) // rows
-        if n_pages == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        indices = (
-            faulty[np.newaxis, :]
-            + rows * np.arange(n_pages, dtype=np.int64)[:, np.newaxis]
-        ).ravel()
-        keep = indices < n_values
-        return np.tile(faulty, n_pages)[keep], indices[keep]
-
-    def _corrupt_words(self, rows: np.ndarray, stored: np.ndarray) -> np.ndarray:
-        """Apply each row's fault behaviour to a batch of stored patterns.
-
-        The fault map is defined over the data columns; scheme overhead
-        columns (parity, FM-LUT) are fault-free in this model, matching the
-        paper's 16 kB fault population.
-        """
-        data_mask = np.uint64((1 << self._organization.word_width) - 1)
-        data_part = stored & data_mask
-        upper_part = stored & ~data_mask
-        return self._fault_map.corrupt_words(rows, data_part) | upper_part
+        return codes
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -334,5 +491,5 @@ class FaultyTensorStore:
         """Flat indices of values that land on faulty rows when storing ``n_values``."""
         if n_values < 0:
             raise ValueError("n_values must be non-negative")
-        _rows, indices = self._affected(n_values)
+        _rows, indices, _slots = self._die.affected(n_values)
         return np.sort(indices)

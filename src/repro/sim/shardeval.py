@@ -171,18 +171,30 @@ def _evaluate_die(
     fault_map: FaultMap,
     transient_seed: Optional[int] = None,
 ) -> List[float]:
-    """Per-scheme normalised quality of one die."""
+    """Per-scheme normalised quality of one die.
+
+    The die's stores share one :class:`~repro.sim.faulty_storage.DieDatapath`,
+    built by the first, so the scheme-independent half of the datapath runs
+    once per die.
+    """
+    organization = context["organization"]
+    fixed_point = context["fixed_point"]
+    transient = context.get("transient")
+    access_trace = int(context.get("access_trace", 1))
+    die = None
     qualities = []
     for scheme in context["schemes"]:
         store = FaultyTensorStore(
-            context["organization"],
+            organization,
             scheme,
             fault_map,
-            context["fixed_point"],
-            transient=context.get("transient"),
+            fixed_point,
+            transient=transient,
             transient_seed=transient_seed,
-            access_trace=int(context.get("access_trace", 1)),
+            access_trace=access_trace,
+            die=die,
         )
+        die = store.die
         corrupted = store.load_quantized(context["raw_features"])
         quality = context["benchmark"].quality_with_corrupted_features(corrupted)
         qualities.append(quality / context["clean_quality"])

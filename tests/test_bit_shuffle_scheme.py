@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.scheme import BitShuffleScheme
@@ -49,18 +49,21 @@ class TestParameters:
 class TestProgramming:
     def test_program_sets_lut_entries(self):
         scheme = BitShuffleScheme(32, 5, rows=8)
-        scheme.program({2: [3], 5: [31]})
+        scheme.lut.set_entry(1, 7)  # stale entry of a row that is now healthy
+        scheme.program({1: [], 2: [3], 5: [31]})
         assert scheme.lut.entry(2) == 3
         assert scheme.lut.entry(5) == 31
         assert scheme.lut.entry(0) == 0
+        assert scheme.lut.entry(1) == 0
 
     def test_reprogramming_clears_previous_die(self):
         scheme = BitShuffleScheme(32, 5, rows=8)
         scheme.program({2: [3]})
-        scheme.program({4: [1]})
-        assert scheme.lut.entry(2) == 0
-        assert scheme.lut.entry(4) == 1
+        scheme.lut.set_entry(7, 9)
+        scheme.program({0: [31], 4: [1], 3: [0]})
+        assert scheme.lut.entries().tolist() == [31, 0, 0, 0, 1, 0, 0, 0]
 
+    @example(n_fm=2, rows={0: [2, 30]})  # bit 30 lies in segment 3 of four
     @given(
         n_fm=st.integers(min_value=1, max_value=5),
         rows=st.dictionaries(

@@ -91,35 +91,3 @@ class TestEntryAccess:
         entries = lut.entries()
         entries[0] = 1
         assert lut.entry(0) == 0
-
-
-class TestProgramming:
-    def test_program_row_single_fault(self):
-        lut = FaultMapLut(rows=4, word_width=32, n_fm=5)
-        lut.program_row(1, [3])
-        assert lut.entry(1) == 3
-
-    def test_program_row_empty_resets(self):
-        lut = FaultMapLut(rows=4, word_width=32, n_fm=5)
-        lut.set_entry(1, 7)
-        lut.program_row(1, [])
-        assert lut.entry(1) == 0
-
-    def test_program_row_multiple_faults_uses_most_significant(self):
-        lut = FaultMapLut(rows=4, word_width=32, n_fm=2)
-        lut.program_row(0, [2, 30])
-        # Bit 30 lives in segment 3 (segments of 8 bits).
-        assert lut.entry(0) == 3
-
-    def test_program_row_rejects_bad_columns(self):
-        lut = FaultMapLut(rows=4, word_width=32, n_fm=1)
-        with pytest.raises(ValueError):
-            lut.program_row(0, [32])
-
-    def test_program_bulk(self):
-        lut = FaultMapLut(rows=8, word_width=32, n_fm=5)
-        lut.set_entry(7, 9)  # stale entry from a previous die
-        lut.program({0: [31], 3: [0]})
-        assert lut.entry(0) == 31
-        assert lut.entry(3) == 0
-        assert lut.entry(7) == 0  # reset

@@ -133,6 +133,13 @@ class TestFaultMapQueries:
     def test_faulty_columns_by_row(self, small_org):
         fault_map = FaultMap.from_cells(small_org, [(2, 7), (2, 3), (4, 0)])
         assert fault_map.faulty_columns_by_row() == {2: [3, 7], 4: [0]}
+        # Rows in first-fault order; each row's columns sorted.
+        fault_map = FaultMap.from_cells(
+            small_org, [(9, 31), (5, 1), (9, 2), (9, 0), (1, 4)]
+        )
+        by_row = fault_map.faulty_columns_by_row()
+        assert list(by_row.items()) == [(9, [0, 2, 31]), (5, [1]), (1, [4])]
+        assert list(fault_map.row_masks()) == [9, 5, 1]
 
     def test_max_faults_per_row(self, small_org):
         fault_map = FaultMap.from_cells(small_org, [(2, 7), (2, 3), (4, 0)])
@@ -184,16 +191,30 @@ class TestCorruption:
             fault_map.corrupt_word(0, 1 << 32)
 
     def test_flip_masks(self, small_org):
+        """Bit-flip cells land in the XOR masks; the other masks stay identity."""
         fault_map = FaultMap.from_cells(small_org, [(0, 0), (3, 5)])
-        masks = fault_map.flip_masks()
-        assert masks[0] == 1
-        assert masks[3] == 1 << 5
-        assert masks[1] == 0
+        and_masks, or_masks, xor_masks = fault_map.corruption_masks()
+        assert xor_masks[0] == 1
+        assert xor_masks[3] == 1 << 5
+        assert xor_masks[1] == 0
+        assert (and_masks == (1 << 32) - 1).all() and not or_masks.any()
+        assert fault_map.row_masks() == {0: [0, 0, 1], 3: [0, 0, 1 << 5]}
 
     def test_flip_masks_rejects_stuck_faults(self, small_org):
-        fault_map = FaultMap.from_cells(small_org, [(0, 0)], kind=FaultKind.STUCK_AT_ONE)
-        with pytest.raises(ValueError):
-            fault_map.flip_masks()
+        """Stuck-at cells never enter the flip masks: they go to AND and OR."""
+        fault_map = FaultMap(
+            small_org,
+            [
+                FaultSite(0, 0, FaultKind.STUCK_AT_ONE),
+                FaultSite(0, 4, FaultKind.STUCK_AT_ZERO),
+                FaultSite(2, 1, FaultKind.BIT_FLIP),
+            ],
+        )
+        and_masks, or_masks, xor_masks = fault_map.corruption_masks()
+        assert int(xor_masks[0]) == 0 and int(xor_masks[2]) == 0b10
+        assert int(or_masks[0]) == 1
+        assert int(and_masks[0]) == ((1 << 32) - 1) & ~(1 << 4)
+        assert fault_map.row_masks() == {0: [1 << 4, 1, 0], 2: [0, 0, 0b10]}
 
 
 class TestStringKinds:
@@ -221,7 +242,7 @@ class TestStringKinds:
 
     def test_string_bit_flip_has_flip_masks(self, small_org):
         fault_map = FaultMap.from_cells(small_org, [(3, 5)], kind="bit_flip")
-        assert fault_map.flip_masks()[3] == 1 << 5
+        assert fault_map.corruption_masks()[2][3] == 1 << 5
 
     def test_unknown_kind_rejected(self, small_org):
         with pytest.raises(ValueError):
