@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.fault_map_lut import FaultMapLut
+from repro.core.scheme import BitShuffleScheme
 
 
 class TestConstruction:
@@ -91,3 +92,37 @@ class TestEntryAccess:
         entries = lut.entries()
         entries[0] = 1
         assert lut.entry(0) == 0
+
+
+class TestProgramming:
+    """The FM-LUT as ``BitShuffleScheme.program`` writes it from BIST fault rows."""
+
+    def test_program_row_single_fault(self):
+        scheme = BitShuffleScheme(32, 5, rows=4)
+        scheme.program({1: [3]})
+        assert scheme.lut.entry(1) == 3
+
+    def test_program_row_empty_resets(self):
+        scheme = BitShuffleScheme(32, 5, rows=4)
+        scheme.lut.set_entry(1, 7)
+        scheme.program({1: []})
+        assert scheme.lut.entry(1) == 0
+
+    def test_program_row_multiple_faults_uses_most_significant(self):
+        scheme = BitShuffleScheme(32, 2, rows=4)
+        scheme.program({0: [2, 30]})
+        # Bit 30 lives in segment 3 (segments of 8 bits).
+        assert scheme.lut.entry(0) == 3
+
+    def test_program_row_rejects_bad_columns(self):
+        scheme = BitShuffleScheme(32, 1, rows=4)
+        with pytest.raises(ValueError):
+            scheme.program({0: [32]})
+
+    def test_program_bulk(self):
+        scheme = BitShuffleScheme(32, 5, rows=8)
+        scheme.lut.set_entry(7, 9)  # stale entry from a previous die
+        scheme.program({0: [31], 3: [0]})
+        assert scheme.lut.entry(0) == 31
+        assert scheme.lut.entry(3) == 0
+        assert scheme.lut.entry(7) == 0  # reset
