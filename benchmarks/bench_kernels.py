@@ -3,7 +3,10 @@
 Times every kernel of :mod:`repro.kernels` (SECDED encode / syndrome /
 decode, FM-LUT apply, corruption masks, 2's-complement codecs, the rejection
 sampler's validity check) on each backend that builds on this machine, in
-words per second.  Two invariants are gated:
+words per second, at the datapath's per-die call sizes (41 and 600 words)
+and on a bulk 131 072-word array.  The ``c`` backend compiles only SECDED
+encode/decode and FM-LUT, the kernels it wins at datapath sizes; its other
+rows time the NumPy code it inherits.  Two invariants are gated:
 
 * **bit identity** -- every backend returns exactly the reference result on
   the timed inputs (the deep property suite is ``tests/test_kernels.py``;
@@ -12,7 +15,7 @@ words per second.  Two invariants are gated:
   compiled ``secded_decode`` must beat the NumPy reference by at least 3x
   (the headline win of the compiled tier; in practice the margin is larger).
 
-With ``REPRO_BENCH_JSON`` set, one record per (kernel, backend) pair is
+With ``REPRO_BENCH_JSON`` set, one record per (kernel, backend, size) is
 appended for CI artifacts; the ``kernel_backend`` field names the backend so
 perf trends can be split by tier.
 """
@@ -54,30 +57,42 @@ STORED = REFERENCE.fmlut_encode(DATA32, ROWS, ENTRIES, ROTATIONS, 32)
 SIGNED = _rng.integers(-(1 << 31), 1 << 31, size=N_WORDS).astype(np.int64)
 DRAWS = _rng.integers(0, N_ROWS * 32, size=(N_WORDS // 8, 4)).astype(np.int64)
 
-KERNEL_CASES = {
-    "secded_encode": lambda b: b.secded_encode(DATA32, SPEC),
-    "secded_syndrome": lambda b: b.secded_syndrome(CORRUPTED, SPEC),
-    "secded_decode": lambda b: b.secded_decode(CORRUPTED, SPEC),
-    "fmlut_encode": lambda b: b.fmlut_encode(DATA32, ROWS, ENTRIES, ROTATIONS, 32),
-    "fmlut_decode": lambda b: b.fmlut_decode(STORED, ROWS, ROTATIONS, 32),
-    "apply_corruption_masks": lambda b: b.apply_corruption_masks(
-        DATA32, ROWS, AND_MASKS, OR_MASKS, XOR_MASKS
-    ),
-    "to_twos_complement": lambda b: b.to_twos_complement(SIGNED, 32),
-    "from_twos_complement": lambda b: b.from_twos_complement(DATA32, 32),
-    "invalid_map_mask": lambda b: b.invalid_map_mask(DRAWS, 32, 2),
-}
-
-_WORDS_PER_CALL = {name: N_WORDS for name in KERNEL_CASES}
-_WORDS_PER_CALL["invalid_map_mask"] = DRAWS.size
+#: Words per call: the datapath's median and largest per-die calls (the
+#: Fig. 7 and DSE workloads make 28-652-word calls), then a bulk array.
+CALL_SIZES = (41, 600, N_WORDS)
 
 
-def _best_seconds(callable_, repeats: int = 5) -> float:
+def _kernel_cases(n: int):
+    """``{kernel: (call, words)}`` on the first ``n`` words of the fixed inputs."""
+    data, corrupted, rows = DATA32[:n], CORRUPTED[:n], ROWS[:n]
+    stored, signed, draws = STORED[:n], SIGNED[:n], DRAWS[: max(1, n // 8)]
+    calls = {
+        "secded_encode": lambda b: b.secded_encode(data, SPEC),
+        "secded_syndrome": lambda b: b.secded_syndrome(corrupted, SPEC),
+        "secded_decode": lambda b: b.secded_decode(corrupted, SPEC),
+        "fmlut_encode": lambda b: b.fmlut_encode(data, rows, ENTRIES, ROTATIONS, 32),
+        "fmlut_decode": lambda b: b.fmlut_decode(stored, rows, ROTATIONS, 32),
+        "apply_corruption_masks": lambda b: b.apply_corruption_masks(
+            data, rows, AND_MASKS, OR_MASKS, XOR_MASKS
+        ),
+        "to_twos_complement": lambda b: b.to_twos_complement(signed, 32),
+        "from_twos_complement": lambda b: b.from_twos_complement(data, 32),
+        "invalid_map_mask": lambda b: b.invalid_map_mask(draws, 32, 2),
+    }
+    return {
+        kernel: (call, draws.size if kernel == "invalid_map_mask" else n)
+        for kernel, call in calls.items()
+    }
+
+
+def _best_seconds(callable_, repeats: int = 5, loops: int = 1) -> float:
+    """Best per-call time over ``repeats`` rounds of ``loops`` calls each."""
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        callable_()
-        best = min(best, time.perf_counter() - start)
+        for _ in range(loops):
+            callable_()
+        best = min(best, (time.perf_counter() - start) / loops)
     return best
 
 
@@ -85,24 +100,25 @@ def _as_tuple(result):
     return result if isinstance(result, tuple) else (result,)
 
 
-@pytest.mark.parametrize("kernel", sorted(KERNEL_CASES))
+@pytest.mark.parametrize("words", CALL_SIZES)
+@pytest.mark.parametrize("kernel", sorted(_kernel_cases(1)))
 @pytest.mark.parametrize("backend_name", BACKENDS)
-def test_kernel_throughput(kernel, backend_name, json_summary):
-    """words/s per kernel per backend, with bit identity on the timed inputs."""
+def test_kernel_throughput(kernel, backend_name, words, json_summary):
+    """words/s per kernel per backend per call size, with bit identity on the timed inputs."""
     backend = build_backend(backend_name)
-    run = KERNEL_CASES[kernel]
+    run, counted = _kernel_cases(words)[kernel]
     for want, got in zip(_as_tuple(run(REFERENCE)), _as_tuple(run(backend))):
         assert np.array_equal(want, got), f"{backend_name} diverges on {kernel}"
-    seconds = _best_seconds(lambda: run(backend))
-    words_per_second = _WORDS_PER_CALL[kernel] / seconds
+    # Small calls are timed in batches so the clock resolves them.
+    seconds = _best_seconds(lambda: run(backend), loops=max(1, min(1000, N_WORDS // words)))
     json_summary(
         "kernel_throughput",
         {
             "kernel": kernel,
             "backend": backend_name,
-            "words": _WORDS_PER_CALL[kernel],
+            "words": counted,
             "seconds": seconds,
-            "words_per_second": words_per_second,
+            "words_per_second": counted / seconds,
         },
     )
 

@@ -29,7 +29,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.sim.engine import ExperimentConfig, SweepEngine
+from repro.sim.config import ExperimentConfig
+from repro.sim.engine import SweepEngine
 from repro.sim.executor import ExecutorSpec
 from repro.sim.experiment import standard_benchmarks
 from repro.sim.worker import spawn_local_workers

@@ -48,6 +48,7 @@ README's "Distributed sweeps" section.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from dataclasses import replace
 from typing import List, Optional, Sequence
@@ -140,6 +141,35 @@ def _parse_scenario(text: str) -> ScenarioSpec:
     return spec
 
 
+def _add_run_options(
+    parser: argparse.ArgumentParser,
+    *,
+    workers_help: str,
+    checkpoint_help: str,
+    store_help: str,
+    executor_help: str,
+    connect_help: str,
+    token_help: str,
+    checkpoint_metavar: Optional[str] = None,
+) -> None:
+    """The options that say how a sweep-running command executes.
+
+    ``--workers``, ``--checkpoint``, ``--store``, ``--executor``,
+    ``--connect`` and ``--token`` mean the same for the Monte-Carlo sweep
+    commands and ``dse optimize``; only their help texts differ.
+    """
+    parser.add_argument("--workers", type=_positive_int, default=1, help=workers_help)
+    parser.add_argument(
+        "--checkpoint", default=None, metavar=checkpoint_metavar, help=checkpoint_help
+    )
+    parser.add_argument("--store", default=None, metavar="DIR", help=store_help)
+    parser.add_argument(
+        "--executor", choices=["local", "tcp"], default="local", help=executor_help
+    )
+    parser.add_argument("--connect", default=None, metavar="HOST:PORT", help=connect_help)
+    parser.add_argument("--token", default=None, metavar="SECRET", help=token_help)
+
+
 def _add_sweep_options(
     parser: argparse.ArgumentParser,
     *,
@@ -153,12 +183,29 @@ def _add_sweep_options(
     the design-space grid always uses the engine's seeded per-die sampling,
     whose master seed lives in the spec file).
     """
-    parser.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help="processes for the Monte-Carlo sweep (results are bit-identical "
-        "for any count)",
+    _add_run_options(
+        parser,
+        workers_help="processes for the Monte-Carlo sweep (results are "
+        "bit-identical for any count)",
+        checkpoint_help=checkpoint_help
+        or "JSON results cache updated after every completed shard; "
+        "re-running with the same configuration resumes from it",
+        store_help="persistent result store directory (created if missing): "
+        "sweeps whose full configuration hash is already stored are served "
+        "from it bit-identically with zero new die evaluations, and "
+        "computed sweeps are recorded into it; status lines go to stderr, "
+        "so stdout stays byte-identical with and without a warm store",
+        executor_help="shard executor tier: 'local' evaluates shards in "
+        "--workers forked worker processes (in-process when --workers 1); "
+        "'tcp' binds the --connect address and serves shards to remote "
+        "workers started with 'python -m repro.sim.worker --connect "
+        "HOST:PORT'.  Results are bit-identical across executors and worker "
+        "counts",
+        connect_help="rendezvous address of the tcp executor (the coordinator "
+        "binds it; workers dial it; requires --executor tcp)",
+        token_help="shared secret for the tcp handshake; workers must pass the "
+        "same --token (guards against accidental connections, not "
+        "adversaries; requires --executor tcp)",
     )
     if include_sampling:
         parser.add_argument(
@@ -171,13 +218,6 @@ def _add_sweep_options(
             "native mode).  Default: legacy, or seeded when --adaptive is "
             "given (adaptive budgets cannot pre-draw the population)",
         )
-    parser.add_argument(
-        "--checkpoint",
-        default=None,
-        help=checkpoint_help
-        or "JSON results cache updated after every completed shard; "
-        "re-running with the same configuration resumes from it",
-    )
     parser.add_argument(
         "--scenario",
         type=_parse_scenario,
@@ -225,50 +265,26 @@ def _add_sweep_options(
         help="total die cap of the adaptive budget (default: the "
         "equivalent fixed budget; requires --adaptive)",
     )
-    parser.add_argument(
-        "--store",
-        default=None,
-        metavar="DIR",
-        help="persistent result store directory (created if missing): "
-        "sweeps whose full configuration hash is already stored are served "
-        "from it bit-identically with zero new die evaluations, and "
-        "computed sweeps are recorded into it; status lines go to stderr, "
-        "so stdout stays byte-identical with and without a warm store",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=["local", "tcp"],
-        default="local",
-        help="shard executor tier: 'local' evaluates shards in --workers "
-        "forked worker processes (in-process when --workers 1); 'tcp' binds the "
-        "--connect address and serves shards to remote workers started "
-        "with 'python -m repro.sim.worker --connect HOST:PORT'.  Results "
-        "are bit-identical across executors and worker counts",
-    )
-    parser.add_argument(
-        "--connect",
-        default=None,
-        metavar="HOST:PORT",
-        help="rendezvous address of the tcp executor (the coordinator "
-        "binds it; workers dial it; requires --executor tcp)",
-    )
-    parser.add_argument(
-        "--token",
-        default=None,
-        metavar="SECRET",
-        help="shared secret for the tcp handshake; workers must pass the "
-        "same --token (guards against accidental connections, not "
-        "adversaries; requires --executor tcp)",
-    )
 
 
-def _open_store(args: argparse.Namespace):
-    """The ResultStore named by ``--store`` (``None`` when not given)."""
+@contextlib.contextmanager
+def _store_session(args: argparse.Namespace):
+    """The ResultStore named by ``--store`` (``None`` when not given).
+
+    On exit -- normal or not -- the store's session events go to stderr and
+    the store is closed.
+    """
     if getattr(args, "store", None) is None:
-        return None
+        yield None
+        return
     from repro.store import ResultStore
 
-    return ResultStore(args.store)
+    store = ResultStore(args.store)
+    try:
+        yield store
+    finally:
+        _print_store_events(store)
+        store.close()
 
 
 def _print_store_events(store) -> None:
@@ -441,8 +457,7 @@ def _cmd_fig5(args: argparse.Namespace) -> int:
     adaptive = _resolve_adaptive(args)
     executor = _resolve_executor(args)
     reports: List[AdaptiveBudgetReport] = []
-    store = _open_store(args)
-    try:
+    with _store_session(args) as store:
         results = figure5_mse_cdf(
             p_cell=args.p_cell,
             samples_per_count=args.samples,
@@ -457,10 +472,6 @@ def _cmd_fig5(args: argparse.Namespace) -> int:
             store=store,
             executor=executor,
         )
-    finally:
-        if store is not None:
-            _print_store_events(store)
-            store.close()
     scenario_note = (
         f", scenario {args.scenario.name}" if args.scenario is not None else ""
     )
@@ -519,8 +530,7 @@ def _cmd_fig7(args: argparse.Namespace) -> int:
     adaptive = _resolve_adaptive(args)
     executor = _resolve_executor(args)
     reports: List[AdaptiveBudgetReport] = []
-    store = _open_store(args)
-    try:
+    with _store_session(args) as store:
         results = figure7_quality(
             benchmark,
             p_cell=args.p_cell,
@@ -537,10 +547,6 @@ def _cmd_fig7(args: argparse.Namespace) -> int:
             access_trace=args.access_trace,
             executor=executor,
         )
-    finally:
-        if store is not None:
-            _print_store_events(store)
-            store.close()
     scenario_note = (
         f", scenario {args.scenario.name}" if args.scenario is not None else ""
     )
@@ -693,8 +699,7 @@ def _dse_result(args: argparse.Namespace) -> DseResult:
             "--target-ci/--max-samples require --adaptive (or an adaptive "
             "budget section in the spec file)"
         )
-    store = _open_store(args)
-    try:
+    with _store_session(args) as store:
         explorer = DesignSpaceExplorer(
             spec,
             workers=args.workers,
@@ -703,10 +708,6 @@ def _dse_result(args: argparse.Namespace) -> DseResult:
             executor=_resolve_executor(args),
         )
         return explorer.run()
-    finally:
-        if store is not None:
-            _print_store_events(store)
-            store.close()
 
 
 def _cmd_dse_run(args: argparse.Namespace) -> int:
@@ -782,8 +783,7 @@ def _cmd_dse_optimize(args: argparse.Namespace) -> int:
         optimizer = replace(base, **overrides) if overrides else base
     except ValueError as error:
         raise SystemExit(f"invalid optimizer parameters: {error}") from error
-    store = _open_store(args)
-    try:
+    with _store_session(args) as store:
         result = ParetoOptimizer(
             spec,
             optimizer=optimizer,
@@ -792,10 +792,6 @@ def _cmd_dse_optimize(args: argparse.Namespace) -> int:
             store=store,
             executor=_resolve_executor(args),
         ).run()
-    finally:
-        if store is not None:
-            _print_store_events(store)
-            store.close()
     print(
         f"Budgeted Pareto optimization: {optimizer.rungs} rungs "
         f"(eta {optimizer.eta:g}, target CI {optimizer.target_ci:g}, "
@@ -1042,47 +1038,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="confidence half-width at which a cell's probe stops early "
         "(default 0.02, or the spec's optimizer section)",
     )
-    pd_opt.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help="processes per probe sweep (results are bit-identical for any "
-        "count)",
-    )
-    pd_opt.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="DIR",
-        help="directory of engine round-state checkpoints, one file per "
-        "cell and rung; a killed run resumes mid-rung and a re-run "
+    _add_run_options(
+        pd_opt,
+        workers_help="processes per probe sweep (results are bit-identical "
+        "for any count)",
+        checkpoint_help="directory of engine round-state checkpoints, one "
+        "file per cell and rung; a killed run resumes mid-rung and a re-run "
         "reproduces the cold run (default: a run-private temporary "
         "directory; a --store covers resumption across runs)",
-    )
-    pd_opt.add_argument(
-        "--store",
-        default=None,
-        metavar="DIR",
-        help="persistent result store: finished rungs are recorded as "
+        checkpoint_metavar="DIR",
+        store_help="persistent result store: finished rungs are recorded as "
         "dse-rung records and replayed on re-runs with zero die "
         "evaluations",
-    )
-    pd_opt.add_argument(
-        "--executor",
-        choices=["local", "tcp"],
-        default="local",
-        help="shard executor tier of every probe (see 'dse run --executor')",
-    )
-    pd_opt.add_argument(
-        "--connect",
-        default=None,
-        metavar="HOST:PORT",
-        help="rendezvous address of the tcp executor (requires --executor tcp)",
-    )
-    pd_opt.add_argument(
-        "--token",
-        default=None,
-        metavar="SECRET",
-        help="shared secret for the tcp handshake (requires --executor tcp)",
+        executor_help="shard executor tier of every probe (see 'dse run "
+        "--executor')",
+        connect_help="rendezvous address of the tcp executor (requires "
+        "--executor tcp)",
+        token_help="shared secret for the tcp handshake (requires --executor "
+        "tcp)",
     )
     pd_opt.add_argument(
         "--output",

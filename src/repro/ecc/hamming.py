@@ -22,12 +22,11 @@ parity) and flags double bit errors as detected-but-uncorrectable.
 
 Besides the scalar :meth:`SecdedCode.encode` / :meth:`SecdedCode.decode` used
 by the hardware-faithful word-at-a-time model, the code exposes a batch view
-(:meth:`SecdedCode.encode_array`, :meth:`SecdedCode.syndrome_array`,
-:meth:`SecdedCode.decode_data_array`) that evaluates the parity-check matrix
-over whole ``uint64`` arrays at once: each parity/syndrome bit is the
-XOR-popcount of the codeword AND-ed with a precomputed column mask.  The batch
-view is bit-exact with the scalar one and is what the Monte-Carlo simulation
-datapath uses.
+(:meth:`SecdedCode.encode_array`, :meth:`SecdedCode.decode_data_array`) that
+evaluates the parity-check matrix over whole ``uint64`` arrays at once: each
+parity/syndrome bit is the XOR-popcount of the codeword AND-ed with a
+precomputed column mask.  The batch view is bit-exact with the scalar one and
+is what the Monte-Carlo simulation datapath uses.
 """
 
 from __future__ import annotations
@@ -247,11 +246,6 @@ class SecdedCode:
         if data.size and data.max() > np.uint64(bit_mask(self._k)):
             raise ValueError(f"data does not fit in {self._k} bits")
         return _active_backend().secded_encode(data, self._kernel_spec)
-
-    def syndrome_array(self, codewords: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorised :meth:`syndrome`: ``(hamming_syndromes, overall_parity_errors)``."""
-        codewords = self._check_codeword_array(codewords)
-        return _active_backend().secded_syndrome(codewords, self._kernel_spec)
 
     def decode_data_array(self, codewords: np.ndarray) -> np.ndarray:
         """Vectorised single-error correction: the ``data`` field of :meth:`decode`.

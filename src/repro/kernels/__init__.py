@@ -67,8 +67,10 @@ def _self_test(candidate: KernelBackend) -> None:
     """Compare the candidate against the NumPy reference on fixed inputs.
 
     Raises :class:`KernelUnavailableError` on the first mismatch; the probe
-    then discards the candidate.  Cases cover every kernel, including the
-    boundary patterns (all-zeros, all-ones) and a duplicate-cell redraw.
+    then discards the candidate.  Cases cover the kernels a compiled backend
+    overrides (SECDED encode/decode, FM-LUT encode/decode), including the
+    boundary patterns (all-zeros, all-ones); the rest are inherited from the
+    reference and need no check.
     """
     if candidate is _REFERENCE:
         return
@@ -99,13 +101,11 @@ def _self_test(candidate: KernelBackend) -> None:
         raise KernelUnavailableError(f"{candidate.name}: secded_encode self-test failed")
     flips = np.uint64(1) << rng.integers(0, 14, size=data.size).astype(np.uint64)
     corrupted = want_cw ^ flips
-    for method in ("secded_syndrome", "secded_decode"):
-        want = getattr(_REFERENCE, method)(corrupted, spec)
-        got = getattr(candidate, method)(corrupted, spec)
-        want = want if isinstance(want, tuple) else (want,)
-        got = got if isinstance(got, tuple) else (got,)
-        if not all(np.array_equal(w, g) for w, g in zip(want, got)):
-            raise KernelUnavailableError(f"{candidate.name}: {method} self-test failed")
+    if not np.array_equal(
+        _REFERENCE.secded_decode(corrupted, spec),
+        candidate.secded_decode(corrupted, spec),
+    ):
+        raise KernelUnavailableError(f"{candidate.name}: secded_decode self-test failed")
 
     # FM-LUT apply over a 7-row, width-8, 2-segment LUT.
     width = 8
@@ -122,47 +122,6 @@ def _self_test(candidate: KernelBackend) -> None:
         candidate.fmlut_decode(stored, rows, rotations, width),
     ):
         raise KernelUnavailableError(f"{candidate.name}: fmlut_decode self-test failed")
-
-    # Corruption masks.
-    and_m = rng.integers(0, 1 << 14, size=7).astype(np.uint64)
-    or_m = rng.integers(0, 1 << 14, size=7).astype(np.uint64)
-    xor_m = rng.integers(0, 1 << 14, size=7).astype(np.uint64)
-    pats = rng.integers(0, 1 << 14, size=40).astype(np.uint64)
-    if not np.array_equal(
-        _REFERENCE.apply_corruption_masks(pats, rows, and_m, or_m, xor_m),
-        candidate.apply_corruption_masks(pats, rows, and_m, or_m, xor_m),
-    ):
-        raise KernelUnavailableError(
-            f"{candidate.name}: apply_corruption_masks self-test failed"
-        )
-
-    # 2's-complement codecs at both range boundaries.
-    values = np.array([-128, 127, 0, -1, 5], dtype=np.int64)
-    want_p = _REFERENCE.to_twos_complement(values, 8)
-    if not np.array_equal(want_p, candidate.to_twos_complement(values, 8)):
-        raise KernelUnavailableError(f"{candidate.name}: to_twos_complement self-test failed")
-    if not np.array_equal(
-        _REFERENCE.from_twos_complement(want_p, 8),
-        candidate.from_twos_complement(want_p, 8),
-    ):
-        raise KernelUnavailableError(
-            f"{candidate.name}: from_twos_complement self-test failed"
-        )
-
-    # Rejection-sampler validity check, with and without a per-word cap;
-    # row 0 repeats a cell, row 1 packs three faults into one word.
-    draws = rng.integers(0, 64, size=(16, 4)).astype(np.int64)
-    draws[0] = (3, 3, 10, 20)
-    draws[1] = (8, 9, 10, 40)
-    for max_fpw in (None, 1, 2):
-        if not np.array_equal(
-            _REFERENCE.invalid_map_mask(draws, 8, max_fpw),
-            candidate.invalid_map_mask(draws, 8, max_fpw),
-        ):
-            raise KernelUnavailableError(
-                f"{candidate.name}: invalid_map_mask self-test failed "
-                f"(max_faults_per_word={max_fpw})"
-            )
 
 
 def _build(name: str) -> KernelBackend:

@@ -1,4 +1,4 @@
-/* Compiled kernels of the hot Monte-Carlo datapath.
+/* Compiled SECDED and FM-LUT kernels of the hot Monte-Carlo datapath.
  *
  * Built at runtime by repro/kernels/c_backend.py with the system C compiler
  * (no network, no setuptools) and loaded through ctypes.  Every function is
@@ -10,14 +10,15 @@
  *   - all arrays are 1-D contiguous, lengths passed as int64_t;
  *   - structural validation (dtype, bounds, widths) happens in the Python
  *     wrappers, exactly where it always happened;
- *   - non-zero return codes signal the data-dependent error cases that the
- *     NumPy path reports via ValueError (out-of-range codes, 3+-error
- *     SECDED codewords); the wrapper re-raises the matching exception.
+ *   - a non-zero return code signals the data-dependent error case that the
+ *     NumPy path reports via ValueError (a 3+-error SECDED codeword); the
+ *     wrapper re-raises the matching exception.
+ *
+ * Only the kernels that beat NumPy at the datapath's call sizes live here;
+ * the rest of the kernel interface is the NumPy reference in every backend.
  */
 
 #include <stdint.h>
-#include <stdlib.h>
-#include <string.h>
 
 #if defined(__GNUC__) || defined(__clang__)
 #define POPCOUNT64(x) __builtin_popcountll(x)
@@ -90,21 +91,6 @@ int rk_secded_encode(const uint64_t *data, uint64_t *out, int64_t n,
     return 0;
 }
 
-int rk_secded_syndrome(const uint64_t *codewords, uint64_t *syndromes,
-                       uint64_t *overall, int64_t n, int64_t r,
-                       const uint64_t *check_masks)
-{
-    for (int64_t i = 0; i < n; ++i) {
-        uint64_t c = codewords[i];
-        uint64_t syn = 0;
-        for (int64_t j = 0; j < r; ++j)
-            syn |= (uint64_t)(POPCOUNT64(c & check_masks[j]) & 1) << j;
-        syndromes[i] = syn;
-        overall[i] = (uint64_t)(POPCOUNT64(c) & 1);
-    }
-    return 0;
-}
-
 /* Returns 1 when a corrected codeword leaves the n_bits range (only possible
  * with three or more errors); the wrapper raises the scalar decoder's
  * ValueError.  n_bits <= 64 is guaranteed by SecdedKernelSpec, so the
@@ -161,102 +147,6 @@ int rk_fmlut_decode(const uint64_t *stored, const int64_t *rows, uint64_t *out,
         uint64_t p = stored[i] & mask;
         uint64_t amount = (uint64_t)rotations[rows[i]] % (uint64_t)width;
         out[i] = amount ? (((p << amount) | (p >> (width - amount))) & mask) : p;
-    }
-    return 0;
-}
-
-/* ------------------------------------------------------------------ */
-/* Stuck-at corruption masks                                           */
-/* ------------------------------------------------------------------ */
-
-int rk_apply_masks(const uint64_t *patterns, const int64_t *rows, uint64_t *out,
-                   int64_t n, const uint64_t *and_masks, const uint64_t *or_masks,
-                   const uint64_t *xor_masks)
-{
-    for (int64_t i = 0; i < n; ++i) {
-        int64_t row = rows[i];
-        out[i] = ((patterns[i] & and_masks[row]) | or_masks[row]) ^ xor_masks[row];
-    }
-    return 0;
-}
-
-/* ------------------------------------------------------------------ */
-/* 2's-complement array codecs (width <= 63, enforced by the wrapper)  */
-/* ------------------------------------------------------------------ */
-
-int rk_to_twos(const int64_t *values, uint64_t *out, int64_t n, int64_t width)
-{
-    int64_t lo = -((int64_t)1 << (width - 1));
-    int64_t hi = ((int64_t)1 << (width - 1)) - 1;
-    uint64_t mask = width_mask(width);
-    for (int64_t i = 0; i < n; ++i) {
-        int64_t v = values[i];
-        if (v < lo || v > hi)
-            return 1;
-        out[i] = (uint64_t)v & mask;
-    }
-    return 0;
-}
-
-int rk_from_twos(const uint64_t *patterns, int64_t *out, int64_t n, int64_t width)
-{
-    uint64_t mask = width_mask(width);
-    uint64_t sign = (uint64_t)1 << (width - 1);
-    for (int64_t i = 0; i < n; ++i) {
-        uint64_t p = patterns[i];
-        if (p > mask)
-            return 1;
-        /* (x ^ sign) - sign sign-extends; x ^ sign stays below 2**63. */
-        out[i] = (int64_t)(p ^ sign) - (int64_t)sign;
-    }
-    return 0;
-}
-
-/* ------------------------------------------------------------------ */
-/* Rejection-sampler validity check                                    */
-/* ------------------------------------------------------------------ */
-
-static int compare_int64(const void *a, const void *b)
-{
-    int64_t lhs = *(const int64_t *)a;
-    int64_t rhs = *(const int64_t *)b;
-    return (lhs > rhs) - (lhs < rhs);
-}
-
-/* draws is (n_maps x fault_count) row-major; scratch holds fault_count
- * entries; max_fpw == 0 means "no per-word limit".  bad[m] mirrors the
- * NumPy reference: a duplicate cell, or a run of more than max_fpw faults
- * in one word row, invalidates the map. */
-int rk_invalid_map_mask(const int64_t *draws, int64_t n_maps, int64_t fault_count,
-                        int64_t width, int64_t max_fpw, uint8_t *bad,
-                        int64_t *scratch)
-{
-    for (int64_t m = 0; m < n_maps; ++m) {
-        const int64_t *row = draws + m * fault_count;
-        memcpy(scratch, row, (size_t)fault_count * sizeof(int64_t));
-        qsort(scratch, (size_t)fault_count, sizeof(int64_t), compare_int64);
-        int invalid = 0;
-        for (int64_t j = 1; j < fault_count; ++j) {
-            if (scratch[j] == scratch[j - 1]) {
-                invalid = 1;
-                break;
-            }
-        }
-        if (!invalid && max_fpw > 0) {
-            /* Sorted cells sharing a word form runs of equal cell/width. */
-            int64_t run = 1;
-            for (int64_t j = 1; j < fault_count; ++j) {
-                if (scratch[j] / width == scratch[j - 1] / width) {
-                    if (++run > max_fpw) {
-                        invalid = 1;
-                        break;
-                    }
-                } else {
-                    run = 1;
-                }
-            }
-        }
-        bad[m] = (uint8_t)invalid;
     }
     return 0;
 }

@@ -28,11 +28,12 @@ import shutil
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from repro.kernels.api import KernelBackend, KernelUnavailableError, SecdedKernelSpec
+from repro.kernels.api import KernelUnavailableError, SecdedKernelSpec
+from repro.kernels.numpy_backend import NumpyKernelBackend
 from repro.memory.words import bit_mask
 
 __all__ = ["CKernelBackend", "compile_kernels"]
@@ -55,14 +56,9 @@ _I64 = ctypes.c_int64
 #: order of the C prototypes in ``_kernels.c``.
 _SIGNATURES = {
     "rk_secded_encode": (_PTR, _PTR, _I64, _I64, _I64, _PTR, _PTR, _PTR),
-    "rk_secded_syndrome": (_PTR, _PTR, _PTR, _I64, _I64, _PTR),
     "rk_secded_decode": (_PTR, _PTR, _I64, _I64, _I64, _I64, _PTR, _PTR),
     "rk_fmlut_encode": (_PTR, _PTR, _PTR, _I64, _PTR, _PTR, _I64),
     "rk_fmlut_decode": (_PTR, _PTR, _PTR, _I64, _PTR, _I64),
-    "rk_apply_masks": (_PTR, _PTR, _PTR, _I64, _PTR, _PTR, _PTR),
-    "rk_to_twos": (_PTR, _PTR, _I64, _I64),
-    "rk_from_twos": (_PTR, _PTR, _I64, _I64),
-    "rk_invalid_map_mask": (_PTR, _I64, _I64, _I64, _I64, _PTR, _PTR),
 }
 
 
@@ -152,8 +148,16 @@ def _ptr(array: np.ndarray) -> int:
     return array.ctypes.data
 
 
-class CKernelBackend(KernelBackend):
-    """ctypes bindings over the compiled kernel library."""
+class CKernelBackend(NumpyKernelBackend):
+    """ctypes bindings over the compiled SECDED and FM-LUT kernels.
+
+    Only the kernels that beat NumPy at the datapath's call sizes (tens to a
+    few hundred words per call) are compiled.  The corruption masks, the
+    2's-complement codecs, the sampler's validity check and the bare SECDED
+    syndrome are inherited from the NumPy reference: at those sizes the
+    ctypes call costs as much as the NumPy expression, so a compiled copy
+    buys nothing.
+    """
 
     name = "c"
 
@@ -189,22 +193,6 @@ class CKernelBackend(KernelBackend):
             _ptr(spec.check_masks),
         )
         return out
-
-    def secded_syndrome(
-        self, codewords: np.ndarray, spec: SecdedKernelSpec
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        codewords = _as_u64(codewords)
-        syndromes = np.empty_like(codewords)
-        overall = np.empty_like(codewords)
-        self._lib.rk_secded_syndrome(
-            _ptr(codewords),
-            _ptr(syndromes),
-            _ptr(overall),
-            ctypes.c_int64(codewords.size),
-            ctypes.c_int64(spec.parity_bits),
-            _ptr(spec.check_masks),
-        )
-        return syndromes, overall
 
     def secded_decode(self, codewords: np.ndarray, spec: SecdedKernelSpec) -> np.ndarray:
         codewords = _as_u64(codewords)
@@ -287,85 +275,3 @@ class CKernelBackend(KernelBackend):
     def _check_patterns(patterns: np.ndarray, width: int) -> None:
         if patterns.size and patterns.max() > np.uint64(bit_mask(width)):
             raise ValueError(f"pattern exceeds {width}-bit range")
-
-    # ------------------------------------------------------------------ #
-    # Stuck-at corruption masks
-    # ------------------------------------------------------------------ #
-    def apply_corruption_masks(
-        self,
-        patterns: np.ndarray,
-        rows: np.ndarray,
-        and_masks: np.ndarray,
-        or_masks: np.ndarray,
-        xor_masks: np.ndarray,
-    ) -> np.ndarray:
-        patterns = _as_u64(patterns)
-        rows = _as_i64(rows)
-        # Bound to locals so each buffer outlives the native call.
-        and_masks = _as_u64(and_masks)
-        or_masks = _as_u64(or_masks)
-        xor_masks = _as_u64(xor_masks)
-        out = np.empty_like(patterns)
-        self._lib.rk_apply_masks(
-            _ptr(patterns),
-            _ptr(rows),
-            _ptr(out),
-            ctypes.c_int64(patterns.size),
-            _ptr(and_masks),
-            _ptr(or_masks),
-            _ptr(xor_masks),
-        )
-        return out
-
-    # ------------------------------------------------------------------ #
-    # 2's-complement array codecs
-    # ------------------------------------------------------------------ #
-    def to_twos_complement(self, values: np.ndarray, width: int) -> np.ndarray:
-        values = _as_i64(values)
-        out = np.empty(values.shape, dtype=np.uint64)
-        status = self._lib.rk_to_twos(
-            _ptr(values),
-            _ptr(out),
-            ctypes.c_int64(values.size),
-            ctypes.c_int64(width),
-        )
-        if status != 0:
-            raise ValueError(f"values out of range for {width}-bit 2's complement")
-        return out
-
-    def from_twos_complement(self, patterns: np.ndarray, width: int) -> np.ndarray:
-        patterns = _as_u64(patterns)
-        out = np.empty(patterns.shape, dtype=np.int64)
-        status = self._lib.rk_from_twos(
-            _ptr(patterns),
-            _ptr(out),
-            ctypes.c_int64(patterns.size),
-            ctypes.c_int64(width),
-        )
-        if status != 0:
-            raise ValueError(f"pattern exceeds {width}-bit range")
-        return out
-
-    # ------------------------------------------------------------------ #
-    # Rejection-sampler validity check
-    # ------------------------------------------------------------------ #
-    def invalid_map_mask(
-        self,
-        draws: np.ndarray,
-        width: int,
-        max_faults_per_word: Optional[int],
-    ) -> np.ndarray:
-        draws = np.ascontiguousarray(draws, dtype=np.int64)
-        n_maps, fault_count = draws.shape
-        bad = np.empty(n_maps, dtype=np.uint8)
-        scratch = np.empty(fault_count, dtype=np.int64)
-        self._lib.rk_invalid_map_mask(
-            _ptr(draws),
-            ctypes.c_int64(n_maps),
-            ctypes.c_int64(fault_count),
-            ctypes.c_int64(width),
-            ctypes.c_int64(max_faults_per_word or 0),
-            _ptr(bad),
-            _ptr(scratch),
-        )
-        return bad.astype(bool)

@@ -35,8 +35,8 @@ plus store payload encode/decode); the core owns validation, the result
 store, checkpoint keying, fixed or adaptive execution, the per-scheme ECDF
 merge and :class:`~repro.sim.results.SweepRunStats`.  The two entry points
 are the grid-point evaluators behind the :mod:`repro.dse` design-space
-exploration layer.  The configuration and result names stay importable from
-this module.
+exploration layer.  The sweep's configuration lives in :mod:`repro.sim.config`
+and its result types in :mod:`repro.sim.results`.
 
 Deterministic seeding scheme
 ----------------------------
@@ -117,10 +117,7 @@ from repro.quality.cdf import WeightedEcdf
 from repro.quantize.fixedpoint import FixedPointFormat
 from repro.scenarios.base import FaultScenario
 from repro.sim import shardeval as _shardeval
-from repro.sim.config import (
-    DEFAULT_SCHEME_SPECS, AdaptiveBudget, ExperimentConfig, build_scheme,
-    evaluated_failure_counts, reassign_count_probabilities,
-)
+from repro.sim.config import ExperimentConfig
 from repro.sim.executor import ExecutorSpec, ShardExecutor, make_executor
 from repro.sim.experiment import BenchmarkDefinition
 from repro.sim.faulty_storage import QuantizedTensor
@@ -142,18 +139,7 @@ from repro.store.schema import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store imports sim)
     from repro.store.store import ResultStore
 
-__all__ = [
-    "DEFAULT_SCHEME_SPECS",
-    "AdaptiveBudget",
-    "AdaptiveBudgetReport",
-    "ExperimentConfig",
-    "QualityDistribution",
-    "SweepEngine",
-    "SweepRunStats",
-    "build_scheme",
-    "evaluated_failure_counts",
-    "reassign_count_probabilities",
-]
+__all__ = ["SweepEngine"]
 
 _ENGINE_VERSION = 1
 _CHECKPOINT_VERSION = 1

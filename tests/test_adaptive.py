@@ -26,11 +26,8 @@ from repro.dse.spec import (
 )
 from repro.memory.organization import MemoryOrganization
 from repro.sim import engine as engine_module
-from repro.sim.engine import (
-    AdaptiveBudget,
-    ExperimentConfig,
-    SweepEngine,
-)
+from repro.sim.config import AdaptiveBudget, ExperimentConfig
+from repro.sim.engine import SweepEngine
 from repro.sim.experiment import knn_benchmark
 
 SCHEMES = ("no-protection", "bit-shuffle-nfm2")

@@ -25,7 +25,8 @@ import pytest
 
 from repro.sim import shardeval
 from repro.sim import wire
-from repro.sim.engine import ExperimentConfig, SweepEngine
+from repro.sim.config import ExperimentConfig
+from repro.sim.engine import SweepEngine
 from repro.sim.executor import (
     ExecutorSpec,
     InlineExecutor,
@@ -337,7 +338,7 @@ class TestExecutorBitIdentity:
         assert_results_identical(inline, distributed)
 
     def test_adaptive_tcp_matches_inline(self):
-        from repro.sim.engine import AdaptiveBudget
+        from repro.sim.config import AdaptiveBudget
 
         config = _mse_config(
             samples_per_count=12,

@@ -34,7 +34,8 @@ from repro.faultmodel.pcell import PcellModel
 from repro.memory.organization import MemoryOrganization
 from repro.scenarios import ScenarioSpec
 from repro.sim import engine as engine_module
-from repro.sim.engine import ExperimentConfig, SweepEngine, build_scheme
+from repro.sim.config import ExperimentConfig, build_scheme
+from repro.sim.engine import SweepEngine
 from repro.sim.experiment import (
     benchmark_by_name,
     knn_benchmark,
@@ -406,7 +407,8 @@ class TestSeededMseSweep:
     def test_checkpoint_distinguishes_mse_from_quality_mode(self, tmp_path):
         """An MSE checkpoint must not be replayable by a quality sweep of the
         same configuration (the evaluation mode keys the hash)."""
-        from repro.sim.engine import ExperimentConfig, SweepEngine
+        from repro.sim.config import ExperimentConfig
+        from repro.sim.engine import SweepEngine
 
         config = ExperimentConfig(
             rows=64,

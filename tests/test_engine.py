@@ -26,15 +26,15 @@ from repro.dse import optimize
 from repro.faultmodel.montecarlo import failure_count_pmf
 from repro.memory.organization import MemoryOrganization
 from repro.sim import engine as engine_module
-from repro.sim.engine import (
+from repro.sim.config import (
     DEFAULT_SCHEME_SPECS,
     AdaptiveBudget,
     ExperimentConfig,
-    SweepEngine,
     build_scheme,
     evaluated_failure_counts,
     reassign_count_probabilities,
 )
+from repro.sim.engine import SweepEngine
 from repro.sim.experiment import BenchmarkDefinition, knn_benchmark
 from repro.sim.runner import legacy_fault_maps
 from repro.store import ResultStore

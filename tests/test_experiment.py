@@ -21,7 +21,8 @@ from repro.dse import (
     SchemeGridSpec,
 )
 from repro.sim import experiment
-from repro.sim.engine import ExperimentConfig, SweepEngine
+from repro.sim.config import ExperimentConfig
+from repro.sim.engine import SweepEngine
 from repro.sim.experiment import (
     BenchmarkDefinition,
     elasticnet_benchmark,

@@ -23,6 +23,7 @@ from repro.core.scheme import BitShuffleScheme
 from repro.core.secded_scheme import SecdedScheme
 from repro.ecc.hamming import secded_code_for_data_bits
 from repro.kernels import (
+    KernelBackend,
     KernelUnavailableError,
     active_backend,
     available_backends,
@@ -30,6 +31,7 @@ from repro.kernels import (
     set_backend,
     use_backend,
 )
+from repro.kernels.c_backend import CKernelBackend
 from repro.kernels.numpy_backend import NumpyKernelBackend
 from repro.memory.faults import FaultKind, FaultMap
 from repro.memory.organization import MemoryOrganization
@@ -37,6 +39,8 @@ from repro.memory.organization import MemoryOrganization
 REFERENCE = NumpyKernelBackend()
 BACKENDS = available_backends()
 NON_REFERENCE = [name for name in BACKENDS if name != "numpy"]
+#: Kernels the C backend compiles rather than inheriting from the reference.
+C_KERNELS = sorted(set(vars(CKernelBackend)) & KernelBackend.__abstractmethods__)
 
 
 @pytest.fixture(autouse=True)
@@ -344,3 +348,21 @@ class TestCompiledCache:
         mtime = first.stat().st_mtime_ns
         assert compile_kernels() == first
         assert first.stat().st_mtime_ns == mtime  # reused, not rebuilt
+
+
+@pytest.mark.skipif("c" not in BACKENDS, reason="no C compiler available")
+class TestSelfTestCoverage:
+    """The probe's self-test exercises every kernel the C backend compiles."""
+
+    @pytest.mark.parametrize("kernel", C_KERNELS)
+    def test_one_flipped_output_bit_fails_the_self_test(self, kernel):
+        compiled = getattr(CKernelBackend, kernel)
+
+        def flipped(self, *args):
+            out = compiled(self, *args)
+            out[0] ^= np.uint64(1)
+            return out
+
+        broken = type("BrokenCKernelBackend", (CKernelBackend,), {kernel: flipped})()
+        with pytest.raises(KernelUnavailableError, match=f"{kernel} self-test failed"):
+            kernels._self_test(broken)

@@ -33,7 +33,7 @@ from repro.hardware.energy import VoltageScalingModel
 from repro.memory.organization import MemoryOrganization
 from repro.memory.redundancy import spares_for_yield_target
 from repro.sim.experiment import standard_benchmarks
-from repro.sim.engine import QualityDistribution
+from repro.sim.results import QualityDistribution
 
 PAPER_ORG = MemoryOrganization.paper_16kb()
 

@@ -17,11 +17,8 @@ from repro.core.secded_scheme import SecdedScheme
 from repro.faultmodel.montecarlo import FaultMapSampler, failure_count_pmf
 from repro.memory.faults import FaultMap
 from repro.memory.organization import MemoryOrganization
-from repro.sim.engine import (
-    ExperimentConfig,
-    SweepEngine,
-    reassign_count_probabilities,
-)
+from repro.sim.config import ExperimentConfig, reassign_count_probabilities
+from repro.sim.engine import SweepEngine
 from repro.sim.experiment import knn_benchmark, pca_benchmark
 from repro.sim.runner import legacy_fault_maps
 

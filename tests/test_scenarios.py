@@ -41,7 +41,8 @@ from repro.scenarios import (
     register_scenario,
 )
 from repro.scenarios import catalog
-from repro.sim.engine import ExperimentConfig, SweepEngine
+from repro.sim.config import ExperimentConfig
+from repro.sim.engine import SweepEngine
 
 
 @pytest.fixture

@@ -27,7 +27,8 @@ from repro.dse import (
 )
 from repro.quality.cdf import WeightedEcdf
 from repro.sim import engine as engine_module
-from repro.sim.engine import AdaptiveBudget, ExperimentConfig, SweepEngine
+from repro.sim.config import AdaptiveBudget, ExperimentConfig
+from repro.sim.engine import SweepEngine
 from repro.sim.experiment import benchmark_by_name
 from repro.store import (
     SCHEMA_VERSION,

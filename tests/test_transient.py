@@ -33,7 +33,8 @@ from repro.scenarios import (
     TransientTier,
     build_scenario,
 )
-from repro.sim.engine import ExperimentConfig, SweepEngine
+from repro.sim.config import ExperimentConfig
+from repro.sim.engine import SweepEngine
 from repro.sim.experiment import knn_benchmark
 from repro.sim.faulty_storage import FaultyTensorStore
 

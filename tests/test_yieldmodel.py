@@ -11,7 +11,8 @@ from repro.core.priority_ecc import PriorityEccScheme
 from repro.core.scheme import BitShuffleScheme
 from repro.core.secded_scheme import SecdedScheme
 from repro.memory.organization import MemoryOrganization
-from repro.sim.engine import ExperimentConfig, SweepEngine
+from repro.sim.config import ExperimentConfig
+from repro.sim.engine import SweepEngine
 from repro.sim.runner import legacy_fault_maps
 
 # A smaller memory keeps the Monte-Carlo sweeps fast while preserving the
