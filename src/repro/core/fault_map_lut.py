@@ -80,11 +80,6 @@ class FaultMapLut:
         """Number of segments ``2**nFM``."""
         return 1 << self._n_fm
 
-    @property
-    def storage_bits(self) -> int:
-        """Total LUT storage, ``rows * nFM`` bits (the extra columns of Fig. 3)."""
-        return self._rows * self._n_fm
-
     # ------------------------------------------------------------------ #
     # Entry access
     # ------------------------------------------------------------------ #
@@ -93,23 +88,12 @@ class FaultMapLut:
         self._check_row(row)
         return int(self._entries[row])
 
-    def set_entry(self, row: int, x_fm: int) -> None:
-        """Directly program ``xFM(row)``.
-
-        Dies are normally programmed whole, through
-        :meth:`repro.core.scheme.BitShuffleScheme.program` and
-        :meth:`program_entries`.
-        """
-        self._check_row(row)
-        self._check_entry(x_fm)
-        self._entries[row] = x_fm
-        self._invalidate()
-
     def program_entries(self, rows: Sequence[int], entries: Sequence[int]) -> None:
         """Set ``xFM(rows[i]) = entries[i]`` and every other row to 0, in one write.
 
-        Raises like :meth:`set_entry` on the first out-of-range row or entry,
-        and then leaves the LUT unchanged.  The range checks run once over
+        Raises :class:`IndexError` on the first out-of-range row and
+        :class:`ValueError` on the first out-of-range entry, and then leaves
+        the LUT unchanged.  The range checks run once over
         each whole sequence: a die has a few dozen faulty rows, too few for
         NumPy's per-call overhead to pay off.
         """
@@ -166,14 +150,6 @@ class FaultMapLut:
         state["_rotations_cache"] = None
         state["_entries_view"] = None
         return state
-
-    # ------------------------------------------------------------------ #
-    # Reset
-    # ------------------------------------------------------------------ #
-    def reset(self) -> None:
-        """Clear every entry to ``xFM = 0`` (the no-rotation state)."""
-        self._entries[:] = 0
-        self._invalidate()
 
     # ------------------------------------------------------------------ #
     # Helpers

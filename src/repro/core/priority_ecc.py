@@ -82,11 +82,6 @@ class PriorityEccScheme(ProtectionScheme):
         """Parity columns added to the array (6 for H(22,16))."""
         return self._code.parity_bits
 
-    @property
-    def unprotected_bits(self) -> int:
-        """Number of least-significant data bits stored without protection."""
-        return self._unprotected_bits
-
     def encode_word(self, row: int, data: int) -> int:
         """Store the unprotected LSBs raw and the protected MSBs as a SECDED codeword."""
         self._check_data(data)

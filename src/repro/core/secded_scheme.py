@@ -14,7 +14,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.core.base import EnergyTables, ProtectionScheme
-from repro.ecc.hamming import DecodeStatus, SecdedCode, secded_code_for_data_bits
+from repro.ecc.hamming import SecdedCode, secded_code_for_data_bits
 
 __all__ = ["SecdedScheme"]
 
@@ -67,10 +67,6 @@ class SecdedScheme(ProtectionScheme):
             rows, stored, self.storage_width, "stored pattern"
         )
         return self._code.decode_data_array(stored)
-
-    def decode_status(self, stored: int) -> DecodeStatus:
-        """Expose the decoder's error classification (used in tests and analysis)."""
-        return self._code.decode(stored).status
 
     def residual_error_positions(
         self, row: int, fault_columns: Sequence[int]

@@ -4,21 +4,15 @@ The shuffler is the datapath block added next to the memory column periphery:
 a barrel rotator that right-rotates the data word by ``T(r)`` bits before it is
 written and left-rotates the read-out value by the same amount to restore the
 original bit order.  :class:`BitShuffler` is a thin, stateless wrapper around
-the rotation primitives so the hardware block has an explicit software
-counterpart that can be unit tested and reused (for example by the bulk
-simulator, which applies it to whole arrays of words at once).
+the scalar rotation primitives so the hardware block has an explicit software
+counterpart that can be unit tested.  The batch datapath rotates whole arrays
+of words with :func:`repro.memory.words.rotate_right_array` and
+:func:`~repro.memory.words.rotate_left_array` inside the FM-LUT kernels.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.memory.words import (
-    rotate_left,
-    rotate_left_array,
-    rotate_right,
-    rotate_right_array,
-)
+from repro.memory.words import rotate_left, rotate_right
 
 __all__ = ["BitShuffler"]
 
@@ -37,7 +31,7 @@ class BitShuffler:
         return self._word_width
 
     # ------------------------------------------------------------------ #
-    # Scalar path (one word at a time, as the hardware does)
+    # One word at a time, as the hardware does
     # ------------------------------------------------------------------ #
     def shuffle(self, data: int, rotation: int) -> int:
         """Write path: right-rotate ``data`` by ``rotation`` bits."""
@@ -46,17 +40,6 @@ class BitShuffler:
     def unshuffle(self, stored: int, rotation: int) -> int:
         """Read path: left-rotate the read-out pattern by ``rotation`` bits."""
         return rotate_left(stored, rotation, self._word_width)
-
-    # ------------------------------------------------------------------ #
-    # Vector path (whole memory images for simulation speed)
-    # ------------------------------------------------------------------ #
-    def shuffle_array(self, data: np.ndarray, rotations: np.ndarray) -> np.ndarray:
-        """Vectorised write path over arrays of words and per-word rotations."""
-        return rotate_right_array(data, rotations, self._word_width)
-
-    def unshuffle_array(self, stored: np.ndarray, rotations: np.ndarray) -> np.ndarray:
-        """Vectorised read path over arrays of words and per-word rotations."""
-        return rotate_left_array(stored, rotations, self._word_width)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BitShuffler(word_width={self._word_width})"

@@ -53,7 +53,6 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 from repro import jsonio
 from repro.dse.explore import (
     DesignSpaceExplorer,
-    DseResult,
     _reports_from_payload,
     _reports_to_payload,
     build_dse_row,
@@ -95,13 +94,19 @@ OPTIMIZE_AUDIT_COLUMNS = (
 
 def _copy_rung_checkpoint(previous: str, checkpoint: str) -> None:
     """Seed a rung's checkpoint with the previous rung's, durably: copy,
-    fsync, rename, fsync the directory (as :func:`jsonio.write_atomic`)."""
+    fsync, rename, fsync the directory (as :func:`jsonio.write_atomic`).
+    A failed copy leaves neither the temp file nor the checkpoint behind."""
     temp_path = checkpoint + ".tmp"
-    with open(previous, "rb") as source, open(temp_path, "wb") as target:
-        shutil.copyfileobj(source, target)
-        target.flush()
-        os.fsync(target.fileno())
-    os.replace(temp_path, checkpoint)
+    try:
+        with open(previous, "rb") as source, open(temp_path, "wb") as target:
+            shutil.copyfileobj(source, target)
+            target.flush()
+            os.fsync(target.fileno())
+        os.replace(temp_path, checkpoint)
+    except BaseException:
+        if os.path.exists(temp_path):
+            os.unlink(temp_path)
+        raise
     jsonio.fsync_directory(os.path.dirname(os.path.abspath(checkpoint)))
 
 
@@ -349,16 +354,6 @@ class OptimizeResult:
             exhaustive_dies=data.get("exhaustive_dies", 0),
             store_hits=data.get("store_hits", 0),
         )
-
-    def as_dse_result(self) -> DseResult:
-        """The surviving rows as a :class:`DseResult` (audit columns kept),
-        so the optimizer's output feeds every existing table consumer."""
-        return DseResult(
-            self.spec,
-            [dict(row) for row in self.rows if not row["pruned"]],
-            adaptive_reports=self.adaptive_reports,
-        )
-
 
 class ParetoOptimizer:
     """Successive-halving frontier recovery over an :class:`ExperimentSpec`.

@@ -154,11 +154,6 @@ class SecdedCode:
         """Conventional name, e.g. ``"H(39,32)"``."""
         return f"H({self.codeword_bits},{self.data_bits})"
 
-    @property
-    def overhead_bits(self) -> int:
-        """Extra storage bits per word required by the code."""
-        return self.parity_bits
-
     # ------------------------------------------------------------------ #
     # Encoding / decoding
     # ------------------------------------------------------------------ #
@@ -271,18 +266,6 @@ class SecdedCode:
             raise ValueError(
                 f"codeword {codeword:#x} does not fit in {self._n} bits"
             )
-
-    def data_position_of(self, data_bit: int) -> int:
-        """Codeword bit index where data bit ``data_bit`` is stored."""
-        if not 0 <= data_bit < self._k:
-            raise ValueError(f"data bit {data_bit} out of range")
-        return self._data_positions[data_bit]
-
-    def is_parity_position(self, codeword_bit: int) -> bool:
-        """Whether ``codeword_bit`` holds a check bit (Hamming or overall parity)."""
-        if not 0 <= codeword_bit < self._n:
-            raise ValueError(f"codeword bit {codeword_bit} out of range")
-        return codeword_bit == 0 or codeword_bit in self._parity_positions
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SecdedCode({self.name})"

@@ -206,7 +206,3 @@ class AgingDie:
         failing = np.flatnonzero(critical > vdd)
         cells = [(int(i) // width, int(i) % width) for i in failing]
         return FaultMap.from_cells(self._organization, cells, kind=self._fault_kind)
-
-    def fault_count_at(self, vdd: float, years: float = 0.0) -> int:
-        """Number of faulty cells at ``vdd`` after ``years`` of operation."""
-        return self.fault_map_at(vdd, years).fault_count

@@ -71,13 +71,6 @@ class VoltageScalableDie:
         """Copy of all per-cell critical voltages (row-major flat order)."""
         return self._critical_voltages.copy()
 
-    def critical_voltage(self, row: int, column: int) -> float:
-        """Critical voltage of a specific cell (fails whenever VDD < this value)."""
-        self._organization.check_row(row)
-        self._organization.check_column(column)
-        index = row * self._organization.word_width + column
-        return float(self._critical_voltages[index])
-
     def fault_count_at(self, vdd: float) -> int:
         """Number of faulty cells when operating the die at ``vdd``."""
         if vdd <= 0:
@@ -95,7 +88,3 @@ class VoltageScalableDie:
         failing = np.flatnonzero(self._critical_voltages > vdd)
         cells = [(int(i) // width, int(i) % width) for i in failing]
         return FaultMap.from_cells(self._organization, cells, kind=self._fault_kind)
-
-    def minimum_reliable_vdd(self) -> float:
-        """Lowest supply voltage at which the die is completely fault-free."""
-        return float(self._critical_voltages.max())

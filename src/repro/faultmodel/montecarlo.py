@@ -232,23 +232,6 @@ class FaultMapSampler:
         """The fault-scenario pipeline draws run through (``None`` = plain i.i.d.)."""
         return self._scenario
 
-    def sample_with_count(self, fault_count: int) -> FaultMap:
-        """One random fault map with exactly ``fault_count`` manufactured faults.
-
-        Without a scenario this draws cells without replacement directly from
-        the generator, keeping the exact random stream of the original scalar
-        implementation (the legacy-sampling Fig. 5 and Fig. 7 golden
-        regressions depend on it).  With a scenario the map runs through the full pipeline (a
-        repair stage may leave fewer than ``fault_count`` post-repair faults).
-        """
-        if self._scenario is not None:
-            return self._scenario.sample_die(
-                self._organization, fault_count, self._rng
-            )
-        return FaultMap.random_with_count(
-            self._organization, fault_count, self._rng, kind=self._fault_kind
-        )
-
     def sample_batch(
         self,
         fault_count: int,
@@ -268,7 +251,7 @@ class FaultMapSampler:
         in NumPy, so the rng stream and every seeded batch are identical
         regardless of backend.  Distributionally identical to drawing the
         maps one by one, but the random stream differs from repeated
-        :meth:`sample_with_count` calls; pass ``vectorized=False`` to
+        :meth:`FaultMap.random_with_count` calls; pass ``vectorized=False`` to
         reproduce the exact legacy per-map stream (used by callers whose
         seeded results are pinned by regression tests).  Either way an
         infeasible ``max_faults_per_word`` raises :class:`ValueError` and a

@@ -14,13 +14,12 @@ schemes in :mod:`repro.core`.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from repro.memory.faults import FaultMap
 from repro.memory.organization import MemoryOrganization
-from repro.memory.words import bit_mask
 
 __all__ = ["SramArray"]
 
@@ -48,11 +47,8 @@ class SramArray:
         self._organization = organization
         self._fault_map = fault_map if fault_map is not None else FaultMap.empty(organization)
         self._storage = np.zeros(organization.rows, dtype=np.uint64)
-        self._mask = np.uint64(bit_mask(organization.word_width))
         if organization.word_width > 63:
             raise ValueError("SramArray supports word widths up to 63 bits")
-        self._read_count = 0
-        self._write_count = 0
 
     # ------------------------------------------------------------------ #
     # Properties
@@ -77,18 +73,8 @@ class SramArray:
         """Bits per word."""
         return self._organization.word_width
 
-    @property
-    def read_count(self) -> int:
-        """Number of word reads serviced since construction (activity statistics)."""
-        return self._read_count
-
-    @property
-    def write_count(self) -> int:
-        """Number of word writes serviced since construction."""
-        return self._write_count
-
     # ------------------------------------------------------------------ #
-    # Scalar access
+    # Access
     # ------------------------------------------------------------------ #
     def write_word(self, row: int, pattern: int) -> None:
         """Store an unsigned word pattern at ``row`` (fault effects apply on read)."""
@@ -98,39 +84,12 @@ class SramArray:
                 f"pattern {pattern:#x} does not fit in {self.word_width} bits"
             )
         self._storage[row] = np.uint64(pattern)
-        self._write_count += 1
 
     def read_word(self, row: int) -> int:
         """Read the word at ``row``; faulty cells corrupt the returned pattern."""
         self._organization.check_row(row)
-        self._read_count += 1
         stored = int(self._storage[row])
         return self._fault_map.corrupt_word(row, stored)
-
-    def read_word_raw(self, row: int) -> int:
-        """Read the *intended* (fault-free) stored pattern; for testing/debug only."""
-        self._organization.check_row(row)
-        return int(self._storage[row])
-
-    # ------------------------------------------------------------------ #
-    # Bulk access
-    # ------------------------------------------------------------------ #
-    def write_block(self, start_row: int, patterns: Sequence[int] | np.ndarray) -> None:
-        """Write consecutive rows starting at ``start_row``."""
-        patterns = np.asarray(patterns, dtype=np.uint64)
-        if patterns.ndim != 1:
-            raise ValueError("patterns must be one-dimensional")
-        end = start_row + len(patterns)
-        self._organization.check_row(start_row)
-        if end > self.rows:
-            raise IndexError(
-                f"block of {len(patterns)} words starting at row {start_row} "
-                f"exceeds the array ({self.rows} rows)"
-            )
-        if np.any(patterns > self._mask):
-            raise ValueError(f"pattern exceeds {self.word_width}-bit range")
-        self._storage[start_row:end] = patterns
-        self._write_count += len(patterns)
 
     def read_block(self, start_row: int, length: int) -> np.ndarray:
         """Read ``length`` consecutive rows; faults are applied per row."""
@@ -142,7 +101,6 @@ class SramArray:
         end = start_row + length
         if end > self.rows:
             raise IndexError("block read exceeds the array")
-        self._read_count += length
         block = self._storage[start_row:end].copy()
         for row in self._fault_map.faulty_rows():
             if start_row <= row < end:
@@ -160,22 +118,10 @@ class SramArray:
         if pattern < 0 or pattern >> self.word_width:
             raise ValueError(f"pattern does not fit in {self.word_width} bits")
         self._storage[:] = np.uint64(pattern)
-        self._write_count += self.rows
 
     def clear(self) -> None:
         """Zero the entire array."""
         self.fill(0)
-
-    # ------------------------------------------------------------------ #
-    # Introspection helpers
-    # ------------------------------------------------------------------ #
-    def observed_error_mask(self, row: int) -> int:
-        """XOR between the intended and the observed pattern of ``row``."""
-        return self.read_word(row) ^ self.read_word_raw(row)
-
-    def has_faults(self) -> bool:
-        """Whether this die contains at least one faulty cell."""
-        return self._fault_map.fault_count > 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -109,11 +109,6 @@ class FaultMap:
     def __contains__(self, cell: Tuple[int, int]) -> bool:
         return tuple(cell) in self._faults
 
-    def fault_at(self, row: int, column: int) -> Optional[FaultSite]:
-        """Return the fault at ``(row, column)`` or ``None`` if the cell is healthy."""
-        kind = self._faults.get((row, column))
-        return None if kind is None else FaultSite(row, column, kind)
-
     def faults_in_row(self, row: int) -> List[FaultSite]:
         """All faults located in ``row``, sorted by bit position."""
         self._organization.check_row(row)
@@ -188,6 +183,9 @@ class FaultMap:
         """Return the pattern that a read of ``row`` would observe for stored ``pattern``.
 
         Applies each fault in the row according to its :class:`FaultKind`.
+        This is the word-at-a-time reference for the batched corruption that
+        :class:`~repro.sim.faulty_storage.DieDatapath` builds from
+        :meth:`row_masks`.
         """
         self._organization.check_row(row)
         width = self._organization.word_width
@@ -203,57 +201,6 @@ class FaultMap:
             else:  # BIT_FLIP
                 corrupted ^= bit
         return corrupted
-
-    def corruption_masks(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-row ``(and, or, xor)`` masks expressing every fault kind at once.
-
-        A read of row ``r`` observes ``((pattern & and[r]) | or[r]) ^ xor[r]``:
-        stuck-at-zero cells are cleared by the AND mask, stuck-at-one cells set
-        by the OR mask, and bit-flip cells inverted by the XOR mask.  Each cell
-        carries at most one fault, so the three masks never overlap and the
-        composition is exact for any mix of fault kinds.
-        """
-        word_mask = (1 << self._organization.word_width) - 1
-        rows = self._organization.rows
-        and_masks = np.full(rows, word_mask, dtype=np.uint64)
-        or_masks = np.zeros(rows, dtype=np.uint64)
-        xor_masks = np.zeros(rows, dtype=np.uint64)
-        masks = self.row_masks()
-        if masks:
-            faulty = list(masks)
-            zero, one, flip = zip(*masks.values())
-            and_masks[faulty] = [word_mask ^ bits for bits in zero]
-            or_masks[faulty] = one
-            xor_masks[faulty] = flip
-        return and_masks, or_masks, xor_masks
-
-    def corrupt_words(self, rows: np.ndarray, patterns: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`corrupt_word` over parallel row/pattern arrays.
-
-        ``rows`` selects the per-row fault masks for each pattern; the masks
-        are built on each call, so a map holds only its cell table.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        patterns = np.asarray(patterns, dtype=np.uint64)
-        if rows.shape != patterns.shape:
-            raise ValueError("rows and patterns must have equal shapes")
-        word_mask = np.uint64((1 << self._organization.word_width) - 1)
-        if patterns.size and np.any(patterns > word_mask):
-            raise ValueError(
-                f"pattern does not fit in {self._organization.word_width} bits"
-            )
-        if rows.size and (
-            rows.min() < 0 or rows.max() >= self._organization.rows
-        ):
-            raise IndexError(
-                f"row index out of range [0, {self._organization.rows})"
-            )
-        and_masks, or_masks, xor_masks = self.corruption_masks()
-        from repro.kernels import active_backend
-
-        return active_backend().apply_corruption_masks(
-            patterns, rows, and_masks, or_masks, xor_masks
-        )
 
     # ------------------------------------------------------------------ #
     # Construction helpers

@@ -51,16 +51,6 @@ class RepairResult:
     column_replacements: Dict[int, int] = field(default_factory=dict)
     uncovered_faults: List[Tuple[int, int]] = field(default_factory=list)
 
-    @property
-    def spare_rows_used(self) -> int:
-        """Number of spare rows consumed by the repair."""
-        return len(self.row_replacements)
-
-    @property
-    def spare_columns_used(self) -> int:
-        """Number of spare columns consumed by the repair."""
-        return len(self.column_replacements)
-
 
 class RedundancyRepair:
     """Greedy spare-row / spare-column allocator for a single die.

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.memory.words import from_twos_complement, to_twos_complement
-
 __all__ = ["FixedPointFormat"]
 
 
@@ -45,16 +43,6 @@ class FixedPointFormat:
         return 2.0 ** (-self.frac_bits)
 
     @property
-    def max_value(self) -> float:
-        """Largest representable value."""
-        return (2 ** (self.total_bits - 1) - 1) * self.scale
-
-    @property
-    def min_value(self) -> float:
-        """Smallest (most negative) representable value."""
-        return -(2 ** (self.total_bits - 1)) * self.scale
-
-    @property
     def max_raw(self) -> int:
         """Largest signed integer code."""
         return 2 ** (self.total_bits - 1) - 1
@@ -65,7 +53,7 @@ class FixedPointFormat:
         return -(2 ** (self.total_bits - 1))
 
     # ------------------------------------------------------------------ #
-    # Scalar conversion
+    # Scalar conversion (the reference the array conversion is tested against)
     # ------------------------------------------------------------------ #
     def to_raw(self, value: float) -> int:
         """Quantise a real value to its signed integer code (with saturation)."""
@@ -79,14 +67,6 @@ class FixedPointFormat:
         if not self.min_raw <= raw <= self.max_raw:
             raise ValueError(f"raw code {raw} outside the {self.total_bits}-bit range")
         return raw * self.scale
-
-    def to_pattern(self, value: float) -> int:
-        """Quantise to the unsigned 2's-complement bit pattern stored in memory."""
-        return to_twos_complement(self.to_raw(value), self.total_bits)
-
-    def from_pattern(self, pattern: int) -> float:
-        """Recover a real value from a stored 2's-complement bit pattern."""
-        return self.from_raw(from_twos_complement(pattern, self.total_bits))
 
     # ------------------------------------------------------------------ #
     # Array conversion
@@ -105,10 +85,6 @@ class FixedPointFormat:
         if raw.size and (raw.max() > self.max_raw or raw.min() < self.min_raw):
             raise ValueError("raw codes outside the representable range")
         return raw.astype(np.float64) * self.scale
-
-    def quantization_error_bound(self) -> float:
-        """Worst-case absolute rounding error for in-range values (half an LSB)."""
-        return self.scale / 2.0
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"Q{self.total_bits - self.frac_bits - 1}.{self.frac_bits}"

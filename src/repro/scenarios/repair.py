@@ -45,11 +45,6 @@ class RepairStage(RepairStageLike):
         """Spare columns available per die."""
         return self._repair.spare_columns
 
-    @property
-    def allocator(self) -> RedundancyRepair:
-        """The underlying greedy allocator."""
-        return self._repair
-
     def apply(self, fault_map: FaultMap) -> FaultMap:
         """Post-repair fault map of one die (uncovered faults only)."""
         return self._repair.remaining_faults(fault_map)

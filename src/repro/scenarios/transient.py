@@ -289,13 +289,6 @@ class TransientReadEffects:
         """
         return self.disturb_masks[value_rows] ^ self.read_masks
 
-    @property
-    def accumulated_fault_mass(self) -> int:
-        """Total disturbed data cells surviving to the final read."""
-        return int(
-            np.sum(np.bitwise_count(self.disturb_masks), dtype=np.int64)
-        )
-
 
 @dataclass(frozen=True)
 class TransientTier:

@@ -84,11 +84,13 @@ Two Monte-Carlo budgets are supported over the same sharded machinery:
   :class:`~repro.stats.StratumVarianceTracker` state.  After each round the
   controller computes the confidence half-width of the yield-at-threshold
   estimate and either stops (target met, or the die cap reached) or assigns
-  the next round's dies across strata by Neyman allocation (proportional to
-  ``Pr(N = n) * observed stratum std``).  Adaptive dies are seeded by
-  ``SeedSequence(master_seed, spawn_key=(count_index, sample_index))``, so a
-  die's stream is independent of the allocation path that scheduled it; with
-  a fixed shard width the whole run is bit-identical for any worker count.
+  the next round's dies across strata by Neyman allocation
+  (:func:`repro.stats.neyman_allocation`: proportional to ``Pr(N = n)``
+  times the observed stratum std, summed over schemes).  Adaptive dies are
+  seeded by ``SeedSequence(master_seed, spawn_key=(count_index,
+  sample_index))``, so a die's stream is independent of the allocation path
+  that scheduled it; with a fixed shard width the whole run is bit-identical
+  for any worker count.
   Adaptive state (round summaries and per-stratum sample counts) checkpoints
   under a hash that includes the adaptive parameters, so fixed and adaptive
   caches can never alias.
@@ -126,7 +128,7 @@ from repro.stats import (
     FixedGridEcdfSketch,
     StratumVarianceTracker,
     WeightedSampleBuffer,
-    largest_remainder_allocation,
+    neyman_allocation,
 )
 from repro.store.schema import (
     adaptive_report_from_payload,
@@ -982,16 +984,7 @@ class SweepEngine:
                 if total_done >= max_total:
                     break
                 budget = min(adaptive.round_dies, max_total - total_done)
-                allocation = largest_remainder_allocation(
-                    {
-                        ci: sum(
-                            weights[ci] * tracker.strata[ci].std()
-                            for tracker in trackers
-                        )
-                        for ci in weights
-                    },
-                    budget,
-                )
+                allocation = neyman_allocation(trackers, budget)
             else:
                 allocation = {ci: initial for ci in weights}
             entries: List[_shardeval.AdaptiveEntry] = [

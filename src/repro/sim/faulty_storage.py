@@ -397,13 +397,6 @@ class FaultyTensorStore:
     # ------------------------------------------------------------------ #
     # Round trip
     # ------------------------------------------------------------------ #
-    def quantization_roundtrip(self, values: np.ndarray) -> np.ndarray:
-        """Quantise and de-quantise without fault effects (the fault-free reference)."""
-        values = np.asarray(values, dtype=np.float64)
-        fixed_point = self.fixed_point
-        raw = fixed_point.quantize_array(values)
-        return fixed_point.dequantize_array(raw).reshape(values.shape)
-
     def store_and_load(self, values: np.ndarray) -> np.ndarray:
         """Round-trip an array through the faulty memory and return what comes back.
 
@@ -483,13 +476,3 @@ class FaultyTensorStore:
                 int(self._scheme.decode_word(row, observed)), width
             )
         return codes
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    def affected_value_indices(self, n_values: int) -> np.ndarray:
-        """Flat indices of values that land on faulty rows when storing ``n_values``."""
-        if n_values < 0:
-            raise ValueError("n_values must be non-negative")
-        _rows, indices, _slots = self._die.affected(n_values)
-        return np.sort(indices)

@@ -34,6 +34,7 @@ from repro.stats.sketch import FixedGridEcdfSketch
 from repro.stats.strata import (
     StratumVarianceTracker,
     largest_remainder_allocation,
+    neyman_allocation,
     normal_critical_value,
 )
 
@@ -45,5 +46,6 @@ __all__ = [
     "StreamingSummary",
     "WeightedSampleBuffer",
     "largest_remainder_allocation",
+    "neyman_allocation",
     "normal_critical_value",
 ]

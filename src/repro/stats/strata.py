@@ -8,20 +8,21 @@ where ``w_n = Pr(N = n)`` is the (fixed, known) probability of the stratum
 and the conditional expectations are estimated by per-stratum sample means.
 :class:`StratumVarianceTracker` keeps one :class:`StreamingMoments` per
 stratum plus the stratum weights, merges stratum-wise (exactly the shape a
-shard returns), and answers the two questions the adaptive budget controller
-asks each round:
+shard returns), and answers the current confidence half-width of the
+stratified estimate, ``z * sqrt(sum_n w_n^2 * s_n^2 / m_n)``, which the
+adaptive budget controller checks each round.
 
-* the current confidence half-width of the stratified estimate,
-  ``z * sqrt(sum_n w_n^2 * s_n^2 / m_n)``;
-* the Neyman allocation of the next batch, which samples stratum ``n``
-  proportionally to ``w_n * s_n`` (the variance-optimal split).
+The controller's other question, how to split the next round's dies, is
+:func:`neyman_allocation`: stratum ``n`` gets dies proportionally to
+``w_n * s_n`` summed over the trackers of every scheme in the sweep (the
+variance-optimal split for one tracker).
 """
 
 from __future__ import annotations
 
 import math
 from statistics import NormalDist
-from typing import Any, Dict, Mapping
+from typing import Any, Dict, Mapping, Sequence
 
 from repro.stats.base import as_float_array
 from repro.stats.moments import StreamingMoments
@@ -29,6 +30,7 @@ from repro.stats.moments import StreamingMoments
 __all__ = [
     "StratumVarianceTracker",
     "largest_remainder_allocation",
+    "neyman_allocation",
     "normal_critical_value",
 ]
 
@@ -153,23 +155,6 @@ class StratumVarianceTracker:
             self.estimate_variance()
         )
 
-    def neyman_allocation(self, batch: int) -> Dict[int, int]:
-        """Split ``batch`` new samples across strata proportionally to
-        ``w_n * s_n`` (largest-remainder rounding, deterministic).
-
-        Zero-variance strata receive nothing; if every stratum has zero
-        observed variance the batch is spread uniformly (the caller only
-        asks for an allocation when the CI target is unmet, which with an
-        all-zero variance estimate means it simply wants more evidence).
-        """
-        return largest_remainder_allocation(
-            {
-                key: self.weights[key] * self.strata[key].std()
-                for key in self.strata
-            },
-            batch,
-        )
-
     # ------------------------------------------------------------------ #
     # Serialisation
     # ------------------------------------------------------------------ #
@@ -184,8 +169,48 @@ class StratumVarianceTracker:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "StratumVarianceTracker":
-        """Rebuild a tracker saved by :meth:`to_dict`."""
+        """Rebuild a tracker saved by :meth:`to_dict`.
+
+        The saved strata must be exactly the weighted ones: a stratum without
+        a weight cannot enter :meth:`estimate`, and a weighted stratum
+        without saved moments would silently restart empty.
+        """
         tracker = cls({int(k): float(v) for k, v in data["weights"].items()})
-        for key, moments in data["strata"].items():
-            tracker.strata[int(key)] = StreamingMoments.from_dict(moments)
+        strata = {int(key): moments for key, moments in data["strata"].items()}
+        extra = sorted(set(strata) - set(tracker.weights))
+        if extra:
+            raise ValueError(f"saved stratum {extra[0]} has no weight")
+        missing = sorted(set(tracker.weights) - set(strata))
+        if missing:
+            raise ValueError(f"stratum {missing[0]} has a weight but no saved moments")
+        for key, moments in strata.items():
+            tracker.strata[key] = StreamingMoments.from_dict(moments)
         return tracker
+
+
+def neyman_allocation(
+    trackers: Sequence[StratumVarianceTracker], batch: int
+) -> Dict[int, int]:
+    """Split ``batch`` new samples across the strata the ``trackers`` share.
+
+    Stratum ``n`` is scored ``sum_t w_n * s_n,t`` over the trackers (one per
+    scheme of a sweep), in tracker order, and the batch is split by
+    :func:`largest_remainder_allocation`.  A stratum whose every tracker has
+    zero observed variance receives nothing; if all of them do, the batch is
+    spread uniformly (the caller only asks when the CI target is unmet, so
+    it simply wants more evidence).
+    """
+    if not trackers:
+        raise ValueError("at least one tracker is required")
+    weights = trackers[0].weights
+    if any(tracker.weights != weights for tracker in trackers):
+        raise ValueError("cannot allocate across trackers with different strata")
+    return largest_remainder_allocation(
+        {
+            key: sum(
+                weights[key] * tracker.strata[key].std() for tracker in trackers
+            )
+            for key in weights
+        },
+        batch,
+    )

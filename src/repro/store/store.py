@@ -37,7 +37,7 @@ from repro.store.schema import (
     StoreSchemaError,
     make_record,
 )
-from repro.store.segments import SegmentWriter, read_record_at, scan_segment
+from repro.store.segments import SegmentWriter, read_record_at
 
 __all__ = ["ResultStore"]
 
@@ -319,25 +319,11 @@ class ResultStore:
         return len(rows)
 
     # ------------------------------------------------------------------ #
-    # Introspection helpers (tests, CLI)
+    # Introspection
     # ------------------------------------------------------------------ #
-    def record_count(self) -> int:
-        """Number of live (latest-per-key) records."""
-        return len(self._index.entries)
-
     def total_records(self) -> int:
         """Number of records across all segments, superseded included."""
         return self._index.total_records
-
-    def iter_all_records(self):
-        """Every record in every segment, superseded included (gc's view)."""
-        for name in sorted(self._list_segments()):
-            yield from (
-                record
-                for _offset, _length, record in scan_segment(
-                    self._segments_dir, name
-                )
-            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

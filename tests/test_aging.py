@@ -131,7 +131,9 @@ class TestAgingDie:
 
     def test_fault_population_grows_with_age(self, die):
         vdd = 0.75
-        counts = [die.fault_count_at(vdd, years) for years in (0.0, 2.0, 5.0, 10.0)]
+        counts = [
+            die.fault_map_at(vdd, years).fault_count for years in (0.0, 2.0, 5.0, 10.0)
+        ]
         assert counts == sorted(counts)
 
     def test_aged_faults_are_superset_of_fresh_faults(self, die):

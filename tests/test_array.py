@@ -37,17 +37,6 @@ class TestHealthyArray:
         with pytest.raises(IndexError):
             array.read_word(small_org.rows)
 
-    def test_access_counters(self, small_org):
-        array = SramArray(small_org)
-        array.write_word(0, 1)
-        array.write_word(1, 2)
-        array.read_word(0)
-        assert array.write_count == 2
-        assert array.read_count == 1
-
-    def test_has_faults_false(self, small_org):
-        assert not SramArray(small_org).has_faults()
-
     def test_rejects_wide_words(self):
         with pytest.raises(ValueError):
             SramArray(MemoryOrganization(rows=4, word_width=64))
@@ -59,7 +48,6 @@ class TestFaultyArray:
         array = SramArray(small_org, fault_map)
         array.write_word(3, 0)
         assert array.read_word(3) == 1 << 31
-        assert array.read_word_raw(3) == 0
 
     def test_stuck_at_zero_only_affects_ones(self, small_org):
         fault_map = FaultMap.from_cells(
@@ -82,7 +70,8 @@ class TestFaultyArray:
         fault_map = FaultMap.from_cells(small_org, [(7, 15)])
         array = SramArray(small_org, fault_map)
         values = rng.integers(0, 2 ** 32, size=small_org.rows, dtype=np.uint64)
-        array.write_block(0, values)
+        for row, value in enumerate(values.tolist()):
+            array.write_word(row, value)
         readback = array.read_block(0, small_org.rows)
         mismatches = np.nonzero(readback != values)[0]
         assert mismatches.tolist() == [7]
@@ -90,8 +79,9 @@ class TestFaultyArray:
     def test_observed_error_mask(self, small_org):
         fault_map = FaultMap.from_cells(small_org, [(2, 5)])
         array = SramArray(small_org, fault_map)
-        array.write_word(2, 0)
-        assert array.observed_error_mask(2) == 1 << 5
+        intended = 0x0F0F0F0F
+        array.write_word(2, intended)
+        assert array.read_word(2) ^ intended == 1 << 5
 
     def test_mismatched_fault_map_rejected(self, small_org, tiny_org):
         fault_map = FaultMap.empty(tiny_org)
@@ -103,20 +93,14 @@ class TestBlockAccess:
     def test_write_read_block(self, small_org, rng):
         array = SramArray(small_org)
         values = rng.integers(0, 2 ** 32, size=10, dtype=np.uint64)
-        array.write_block(5, values)
+        for offset, value in enumerate(values.tolist()):
+            array.write_word(5 + offset, value)
         assert np.array_equal(array.read_block(5, 10), values)
 
     def test_block_bounds_checked(self, small_org):
         array = SramArray(small_org)
         with pytest.raises(IndexError):
-            array.write_block(small_org.rows - 2, np.zeros(5, dtype=np.uint64))
-        with pytest.raises(IndexError):
             array.read_block(small_org.rows - 2, 5)
-
-    def test_block_rejects_oversized_patterns(self, small_org):
-        array = SramArray(small_org)
-        with pytest.raises(ValueError):
-            array.write_block(0, np.array([1 << 33], dtype=np.uint64))
 
     def test_empty_block_read(self, small_org):
         array = SramArray(small_org)
@@ -125,9 +109,9 @@ class TestBlockAccess:
     def test_fill_and_clear(self, small_org):
         array = SramArray(small_org)
         array.fill(0xFFFFFFFF)
-        assert array.read_word_raw(10) == 0xFFFFFFFF
+        assert array.read_word(10) == 0xFFFFFFFF
         array.clear()
-        assert array.read_word_raw(10) == 0
+        assert array.read_word(10) == 0
 
     def test_dump_shape(self, small_org):
         array = SramArray(small_org)

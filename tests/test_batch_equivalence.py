@@ -27,6 +27,7 @@ from repro.memory.words import (
     to_twos_complement_array,
 )
 from repro.quantize.fixedpoint import FixedPointFormat
+from repro.sim.faulty_storage import DieDatapath
 
 ROWS = 48
 WIDTH = 32
@@ -78,6 +79,22 @@ def _test_words(rng: np.random.Generator, n: int) -> np.ndarray:
     return rows, words
 
 
+def _datapath_corrupt(
+    fault_map: FaultMap, rows: np.ndarray, stored: np.ndarray
+) -> np.ndarray:
+    """What the sweep's datapath reads back for ``stored`` held in ``rows``.
+
+    Maps each row to its slot in the die's masks (faulty rows first, then
+    the identity slot) and corrupts through :meth:`DieDatapath.corrupt`.
+    """
+    die = DieDatapath(fault_map.organization, fault_map)
+    slot_of = {row: slot for slot, row in enumerate(die.faulty_rows.tolist())}
+    slots = np.array(
+        [slot_of.get(row, len(slot_of)) for row in rows.tolist()], dtype=np.int64
+    )
+    return die.corrupt(slots, stored)
+
+
 def _scalar_decode(scheme, row: int, stored: int):
     """Scalar decode result, or ValueError as a sentinel (>=3-fault codewords)."""
     try:
@@ -114,9 +131,7 @@ def test_encode_corrupt_decode_matches_scalar(scheme_factory, fault_count, rng):
     rows, words = _test_words(rng, 200)
 
     stored = scheme.encode_words(rows, words)
-    observed = fault_map.corrupt_words(
-        rows, stored & np.uint64((1 << WIDTH) - 1)
-    ) | (stored & ~np.uint64((1 << WIDTH) - 1))
+    observed = _datapath_corrupt(fault_map, rows, stored)
     scalar_decode_failed = False
     for i in range(rows.size):
         row, word = int(rows[i]), int(words[i])
@@ -194,7 +209,7 @@ class TestCorruptWordsEquivalence:
         fault_map = _random_fault_map(rng, fault_count)
         rows = rng.integers(0, ROWS, size=300).astype(np.int64)
         patterns = rng.integers(0, 1 << WIDTH, size=300, dtype=np.uint64)
-        batch = fault_map.corrupt_words(rows, patterns)
+        batch = _datapath_corrupt(fault_map, rows, patterns)
         for i in range(rows.size):
             assert int(batch[i]) == fault_map.corrupt_word(
                 int(rows[i]), int(patterns[i])
@@ -212,7 +227,7 @@ class TestCorruptWordsEquivalence:
         )
         rows = np.array([3, 3], dtype=np.int64)
         patterns = np.array([0b111, 0b000], dtype=np.uint64)
-        observed = fault_map.corrupt_words(rows, patterns)
+        observed = _datapath_corrupt(fault_map, rows, patterns)
         assert observed.tolist() == [0b010, 0b110]
 
 
@@ -257,7 +272,9 @@ class TestStoreEquivalence:
         store = FaultyTensorStore(ORG, scheme_factory(), fault_map, FMT)
 
         values = rng.normal(scale=500.0, size=3 * ROWS + 11)
-        values[:4] = [FMT.max_value, FMT.min_value, 0.0, -FMT.scale]
+        values[:4] = [
+            FMT.from_raw(FMT.max_raw), FMT.from_raw(FMT.min_raw), 0.0, -FMT.scale
+        ]
         loaded = store.store_and_load(values)
 
         # Scalar reference pipeline, word by word.

@@ -56,7 +56,7 @@ class TestFaultDetection:
         array = SramArray(small_org, fault_map)
         array.write_word(5, 0x1234)
         run_march_test(array)
-        assert array.read_word_raw(5) == 0
+        assert array.read_word(5) == 0
 
 
 class TestAlgorithms:

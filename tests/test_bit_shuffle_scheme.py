@@ -49,7 +49,7 @@ class TestParameters:
 class TestProgramming:
     def test_program_sets_lut_entries(self):
         scheme = BitShuffleScheme(32, 5, rows=8)
-        scheme.lut.set_entry(1, 7)  # stale entry of a row that is now healthy
+        scheme.lut.program_entries([1], [7])  # stale entry of a now-healthy row
         scheme.program({1: [], 2: [3], 5: [31]})
         assert scheme.lut.entry(2) == 3
         assert scheme.lut.entry(5) == 31
@@ -59,7 +59,7 @@ class TestProgramming:
     def test_reprogramming_clears_previous_die(self):
         scheme = BitShuffleScheme(32, 5, rows=8)
         scheme.program({2: [3]})
-        scheme.lut.set_entry(7, 9)
+        scheme.lut.program_entries([2, 7], [scheme.lut.entry(2), 9])
         scheme.program({0: [31], 4: [1], 3: [0]})
         assert scheme.lut.entries().tolist() == [31, 0, 0, 0, 1, 0, 0, 0]
 

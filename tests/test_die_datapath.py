@@ -124,9 +124,8 @@ def _scalar_loads(fault_map, raw):
 def _raw_tensor(seed, n_values, shape=None):
     rng = np.random.default_rng(seed)
     values = rng.normal(scale=300.0, size=n_values)
-    values[: min(4, n_values)] = [FMT.max_value, FMT.min_value, 0.0, -FMT.scale][
-        : min(4, n_values)
-    ]
+    boundary = [FMT.from_raw(FMT.max_raw), FMT.from_raw(FMT.min_raw), 0.0, -FMT.scale]
+    values[: min(4, n_values)] = boundary[: min(4, n_values)]
     raw = FMT.quantize_array(values)
     return raw if shape is None else raw.reshape(shape)
 

@@ -123,8 +123,8 @@ def _wine_saturated():
     fmt = FixedPointFormat(total_bits=32, frac_bits=16)
     features = np.array(bench.train_features)
     cells = np.random.default_rng(2008).choice(features.size, size=24, replace=False)
-    features.flat[cells[:12]] = fmt.max_value
-    features.flat[cells[12:]] = fmt.min_value
+    features.flat[cells[:12]] = fmt.from_raw(fmt.max_raw)
+    features.flat[cells[12:]] = fmt.from_raw(fmt.min_raw)
     return StandardScaler().fit_transform(features), np.array(bench.train_targets)
 
 

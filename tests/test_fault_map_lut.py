@@ -16,7 +16,6 @@ class TestConstruction:
         assert lut.n_fm == 2
         assert lut.segment_size == 8
         assert lut.segment_count == 4
-        assert lut.storage_bits == 32
 
     def test_rejects_invalid_nfm(self):
         with pytest.raises(ValueError):
@@ -37,24 +36,24 @@ class TestConstruction:
 class TestEntryAccess:
     def test_set_and_get(self):
         lut = FaultMapLut(rows=4, word_width=32, n_fm=3)
-        lut.set_entry(2, 5)
+        lut.program_entries([2], [5])
         assert lut.entry(2) == 5
 
     def test_set_rejects_out_of_range_entry(self):
         lut = FaultMapLut(rows=4, word_width=32, n_fm=2)
         with pytest.raises(ValueError):
-            lut.set_entry(0, 4)
+            lut.program_entries([0], [4])
 
     def test_row_bounds_checked(self):
         lut = FaultMapLut(rows=4, word_width=32, n_fm=1)
         with pytest.raises(IndexError):
             lut.entry(4)
         with pytest.raises(IndexError):
-            lut.set_entry(-1, 0)
+            lut.program_entries([-1], [0])
 
     def test_program_entries_writes_rows_and_clears_the_rest(self):
         lut = FaultMapLut(rows=6, word_width=32, n_fm=2)
-        lut.set_entry(5, 3)  # stale entry from a previous die
+        lut.program_entries([5], [3])  # stale entry from a previous die
         lut.program_entries([1, 4], [2, 3])
         assert lut.entries().tolist() == [0, 2, 0, 0, 3, 0]
         assert lut.rotations().tolist() == lut.rotations_view().tolist()
@@ -69,20 +68,19 @@ class TestEntryAccess:
     )
     def test_program_entries_rejects_out_of_range(self, rows, entries, error):
         lut = FaultMapLut(rows=6, word_width=32, n_fm=2)
-        lut.set_entry(3, 2)
+        lut.program_entries([3], [2])
         with pytest.raises(error):
             lut.program_entries(rows, entries)
         assert lut.entries().tolist() == [0, 0, 0, 2, 0, 0]
 
     def test_rotation_matches_equation_two(self):
         lut = FaultMapLut(rows=4, word_width=32, n_fm=5)
-        lut.set_entry(0, 3)
+        lut.program_entries([0], [3])
         assert lut.rotation(0) == 29
 
     def test_rotations_vector_matches_scalar(self):
         lut = FaultMapLut(rows=8, word_width=32, n_fm=2)
-        for row in range(8):
-            lut.set_entry(row, row % 4)
+        lut.program_entries(range(8), [row % 4 for row in range(8)])
         rotations = lut.rotations()
         for row in range(8):
             assert rotations[row] == lut.rotation(row)
@@ -104,7 +102,7 @@ class TestProgramming:
 
     def test_program_row_empty_resets(self):
         scheme = BitShuffleScheme(32, 5, rows=4)
-        scheme.lut.set_entry(1, 7)
+        scheme.lut.program_entries([1], [7])
         scheme.program({1: []})
         assert scheme.lut.entry(1) == 0
 
@@ -121,7 +119,7 @@ class TestProgramming:
 
     def test_program_bulk(self):
         scheme = BitShuffleScheme(32, 5, rows=8)
-        scheme.lut.set_entry(7, 9)  # stale entry from a previous die
+        scheme.lut.program_entries([7], [9])  # stale entry from a previous die
         scheme.program({0: [31], 3: [0]})
         assert scheme.lut.entry(0) == 31
         assert scheme.lut.entry(3) == 0

@@ -81,7 +81,7 @@ class TestFromCellArrays:
         for (row, column), kind in fault_map._faults.items():
             assert type(row) is int and type(column) is int
             assert kind is FaultKind.BIT_FLIP
-            site = fault_map.fault_at(row, column)
+        for site in fault_map:
             assert type(site.row) is int and type(site.column) is int
 
     @pytest.mark.parametrize(
@@ -152,8 +152,8 @@ class TestFaultMapQueries:
 
     def test_fault_at(self, small_org):
         fault_map = FaultMap.from_cells(small_org, [(1, 1)])
-        assert fault_map.fault_at(1, 1) is not None
-        assert fault_map.fault_at(1, 2) is None
+        assert (1, 1) in fault_map
+        assert (1, 2) not in fault_map
 
     def test_iteration_is_sorted(self, small_org):
         fault_map = FaultMap.from_cells(small_org, [(5, 0), (1, 3), (1, 1)])
@@ -191,17 +191,17 @@ class TestCorruption:
             fault_map.corrupt_word(0, 1 << 32)
 
     def test_flip_masks(self, small_org):
-        """Bit-flip cells land in the XOR masks; the other masks stay identity."""
+        """Bit-flip cells land in the flip masks; the stuck-at masks stay empty."""
         fault_map = FaultMap.from_cells(small_org, [(0, 0), (3, 5)])
-        and_masks, or_masks, xor_masks = fault_map.corruption_masks()
-        assert xor_masks[0] == 1
-        assert xor_masks[3] == 1 << 5
-        assert xor_masks[1] == 0
-        assert (and_masks == (1 << 32) - 1).all() and not or_masks.any()
-        assert fault_map.row_masks() == {0: [0, 0, 1], 3: [0, 0, 1 << 5]}
+        masks = fault_map.row_masks()
+        assert masks[0][2] == 1
+        assert masks[3][2] == 1 << 5
+        assert 1 not in masks
+        assert all(zero == 0 and one == 0 for zero, one, _flip in masks.values())
+        assert masks == {0: [0, 0, 1], 3: [0, 0, 1 << 5]}
 
     def test_flip_masks_rejects_stuck_faults(self, small_org):
-        """Stuck-at cells never enter the flip masks: they go to AND and OR."""
+        """Stuck-at cells never enter the flip masks: they go to zero and one."""
         fault_map = FaultMap(
             small_org,
             [
@@ -210,11 +210,11 @@ class TestCorruption:
                 FaultSite(2, 1, FaultKind.BIT_FLIP),
             ],
         )
-        and_masks, or_masks, xor_masks = fault_map.corruption_masks()
-        assert int(xor_masks[0]) == 0 and int(xor_masks[2]) == 0b10
-        assert int(or_masks[0]) == 1
-        assert int(and_masks[0]) == ((1 << 32) - 1) & ~(1 << 4)
-        assert fault_map.row_masks() == {0: [1 << 4, 1, 0], 2: [0, 0, 0b10]}
+        masks = fault_map.row_masks()
+        assert masks[0][2] == 0 and masks[2][2] == 0b10
+        assert masks[0][1] == 1
+        assert masks[0][0] == 1 << 4
+        assert masks == {0: [1 << 4, 1, 0], 2: [0, 0, 0b10]}
 
 
 class TestStringKinds:
@@ -222,9 +222,9 @@ class TestStringKinds:
 
     def test_string_stuck_at_zero_clears_the_bit(self, small_org):
         fault_map = FaultMap.from_cells(small_org, [(0, 1)], kind="stuck_at_zero")
-        and_masks, or_masks, xor_masks = fault_map.corruption_masks()
-        assert int(and_masks[0]) == ((1 << 32) - 1) & ~0b10
-        assert int(or_masks[0]) == 0 and int(xor_masks[0]) == 0
+        zero, one, flip = fault_map.row_masks()[0]
+        assert zero == 0b10
+        assert one == 0 and flip == 0
         assert fault_map.corrupt_word(0, 0b10) == 0
         assert fault_map.to_dict()["faults"] == [
             {"row": 0, "column": 1, "kind": "stuck_at_zero"}
@@ -238,11 +238,11 @@ class TestStringKinds:
             (2, 5): FaultKind.STUCK_AT_ONE,
             (0, 1): FaultKind.STUCK_AT_ONE,
         }
-        assert fault_map.fault_at(2, 5).kind is FaultKind.STUCK_AT_ONE
+        assert fault_map.faults_in_row(2)[0].kind is FaultKind.STUCK_AT_ONE
 
     def test_string_bit_flip_has_flip_masks(self, small_org):
         fault_map = FaultMap.from_cells(small_org, [(3, 5)], kind="bit_flip")
-        assert fault_map.corruption_masks()[2][3] == 1 << 5
+        assert fault_map.row_masks()[3][2] == 1 << 5
 
     def test_unknown_kind_rejected(self, small_org):
         with pytest.raises(ValueError):
@@ -322,7 +322,7 @@ class TestSerialization:
             small_org, [(0, 0)], kind=FaultKind.STUCK_AT_ONE
         )
         restored = FaultMap.from_json(fault_map.to_json())
-        assert restored.fault_at(0, 0).kind is FaultKind.STUCK_AT_ONE
+        assert restored.faults_in_row(0)[0].kind is FaultKind.STUCK_AT_ONE
 
     @given(st.integers(min_value=0, max_value=30))
     def test_roundtrip_preserves_count(self, count):

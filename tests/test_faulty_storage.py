@@ -12,12 +12,19 @@ from repro.core.secded_scheme import SecdedScheme
 from repro.memory.faults import FaultMap
 from repro.memory.organization import MemoryOrganization
 from repro.quantize.fixedpoint import FixedPointFormat
-from repro.sim.faulty_storage import FaultyTensorStore
+from repro.sim.faulty_storage import FaultyTensorStore, QuantizedTensor
 
 
 @pytest.fixture
 def org() -> MemoryOrganization:
     return MemoryOrganization(rows=128, word_width=32)
+
+
+def _clean(store: FaultyTensorStore, values: np.ndarray) -> np.ndarray:
+    """The fault-free de-quantisation a load patches (no fault effects)."""
+    fixed_point = store.fixed_point
+    tensor = QuantizedTensor(fixed_point, fixed_point.quantize_array(values))
+    return tensor.clean.reshape(tensor.shape)
 
 
 class TestFaultFreeBehaviour:
@@ -31,9 +38,7 @@ class TestFaultFreeBehaviour:
     def test_matches_quantisation_roundtrip(self, org, rng):
         store = FaultyTensorStore(org, SecdedScheme(32), FaultMap.empty(org))
         values = rng.normal(size=(30, 3))
-        assert np.array_equal(
-            store.store_and_load(values), store.quantization_roundtrip(values)
-        )
+        assert np.array_equal(store.store_and_load(values), _clean(store, values))
 
 
 class TestFaultEffects:
@@ -80,7 +85,7 @@ class TestFaultEffects:
         values = rng.normal(size=org.rows)
         loaded = store.store_and_load(values)
         diff_rows = np.nonzero(
-            np.abs(loaded - store.quantization_roundtrip(values)) > 0
+            np.abs(loaded - _clean(store, values)) > 0
         )[0]
         assert set(diff_rows.tolist()) <= {7, 19}
 
@@ -97,8 +102,9 @@ class TestPaging:
     def test_affected_value_indices(self, org):
         fault_map = FaultMap.from_cells(org, [(3, 31)])
         store = FaultyTensorStore(org, NoProtection(32), fault_map)
-        assert store.affected_value_indices(2 * org.rows).tolist() == [3, 3 + org.rows]
-        assert store.affected_value_indices(2).tolist() == []
+        _rows, indices, _slots = store.die.affected(2 * org.rows)
+        assert np.sort(indices).tolist() == [3, 3 + org.rows]
+        assert store.die.affected(2)[1].tolist() == []
 
     def test_partial_last_page(self, org):
         fault_map = FaultMap.from_cells(org, [(100, 31)])
@@ -191,8 +197,3 @@ class TestValidation:
                 FaultMap.empty(org),
                 FixedPointFormat(total_bits=16, frac_bits=8),
             )
-
-    def test_affected_indices_rejects_negative(self, org):
-        store = FaultyTensorStore(org, NoProtection(32), FaultMap.empty(org))
-        with pytest.raises(ValueError):
-            store.affected_value_indices(-1)

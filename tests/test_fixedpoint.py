@@ -7,6 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.memory.words import (
+    from_twos_complement_array,
+    to_twos_complement,
+    to_twos_complement_array,
+)
 from repro.quantize.fixedpoint import FixedPointFormat
 
 
@@ -20,8 +25,8 @@ class TestFormatParameters:
 
     def test_range(self):
         fmt = FixedPointFormat(total_bits=16, frac_bits=8)
-        assert fmt.max_value == pytest.approx((2 ** 15 - 1) / 256)
-        assert fmt.min_value == pytest.approx(-(2 ** 15) / 256)
+        assert fmt.from_raw(fmt.max_raw) == pytest.approx((2 ** 15 - 1) / 256)
+        assert fmt.from_raw(fmt.min_raw) == pytest.approx(-(2 ** 15) / 256)
 
     def test_rejects_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -64,16 +69,20 @@ class TestScalarConversion:
             fmt.from_raw(128)
 
     def test_pattern_roundtrip_negative(self):
+        # The stored pattern of a value, as the datapath builds it: codes
+        # from quantize_array, then their 2's-complement patterns.
         fmt = FixedPointFormat()
-        pattern = fmt.to_pattern(-3.25)
-        assert 0 <= pattern < 2 ** 32
-        assert fmt.from_pattern(pattern) == pytest.approx(-3.25)
+        pattern = to_twos_complement_array(fmt.quantize_array([-3.25]), 32)
+        assert 0 <= int(pattern[0]) < 2 ** 32
+        assert int(pattern[0]) == to_twos_complement(fmt.to_raw(-3.25), 32)
+        codes = from_twos_complement_array(pattern, 32)
+        assert fmt.dequantize_array(codes)[0] == pytest.approx(-3.25)
 
     @given(st.floats(min_value=-30000.0, max_value=30000.0, allow_nan=False))
     def test_roundtrip_error_bounded(self, value):
         fmt = FixedPointFormat()
         recovered = fmt.from_raw(fmt.to_raw(value))
-        assert abs(recovered - value) <= fmt.quantization_error_bound() + 1e-12
+        assert abs(recovered - value) <= fmt.scale / 2 + 1e-12
 
 
 class TestArrayConversion:
@@ -82,7 +91,22 @@ class TestArrayConversion:
         values = rng.normal(scale=100.0, size=(50, 4))
         raw = fmt.quantize_array(values)
         back = fmt.dequantize_array(raw).reshape(values.shape)
-        assert np.max(np.abs(back - values)) <= fmt.quantization_error_bound()
+        assert np.max(np.abs(back - values)) <= fmt.scale / 2
+
+    @given(
+        st.lists(
+            st.floats(min_value=-40000.0, max_value=40000.0, allow_nan=False),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_matches_scalar_reference(self, values):
+        fmt = FixedPointFormat()
+        raw = fmt.quantize_array(values)
+        assert raw.tolist() == [fmt.to_raw(value) for value in values]
+        assert fmt.dequantize_array(raw).tolist() == [
+            fmt.from_raw(code) for code in raw.tolist()
+        ]
 
     def test_saturation_vectorised(self):
         fmt = FixedPointFormat(total_bits=8, frac_bits=0)

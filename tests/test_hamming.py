@@ -40,20 +40,22 @@ class TestCodeParameters:
         assert secded_code_for_data_bits(32) is secded_code_for_data_bits(32)
 
     def test_overhead_bits(self):
-        assert SecdedCode(32).overhead_bits == 7
+        assert SecdedCode(32).parity_bits == 7
 
     def test_data_positions_are_not_parity_positions(self):
-        code = SecdedCode(16)
-        for bit in range(code.data_bits):
-            assert not code.is_parity_position(code.data_position_of(bit))
+        spec = SecdedCode(16).kernel_spec
+        assert spec.data_positions.size == 16
+        assert not set(spec.data_positions.tolist()) & set(
+            spec.parity_positions.tolist()
+        )
 
     def test_parity_position_queries(self):
-        code = SecdedCode(8)
-        assert code.is_parity_position(0)  # overall parity
-        assert code.is_parity_position(1)
-        assert code.is_parity_position(2)
-        assert code.is_parity_position(4)
-        assert not code.is_parity_position(3)
+        # The kernels' codeword layout: bit 0 is the overall parity, the
+        # power-of-two positions hold the Hamming parity bits.
+        spec = SecdedCode(8).kernel_spec
+        assert 0 not in spec.data_positions.tolist()  # overall parity
+        assert spec.parity_positions.tolist() == [1, 2, 4, 8]
+        assert 3 in spec.data_positions.tolist()
 
 
 class TestEncodeDecode:

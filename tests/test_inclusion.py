@@ -31,7 +31,7 @@ class TestFaultInclusion:
             assert die.fault_count_at(vdd) == die.fault_map_at(vdd).fault_count
 
     def test_fault_free_above_minimum_reliable_vdd(self, die):
-        vdd = die.minimum_reliable_vdd()
+        vdd = float(die.critical_voltages().max())
         assert die.fault_count_at(vdd) == 0
         assert die.fault_count_at(vdd + 0.01) == 0
 
@@ -55,8 +55,10 @@ class TestStatistics:
 
     def test_critical_voltage_lookup_consistent_with_fault_map(self, die):
         fault_map = die.fault_map_at(0.7)
+        critical = die.critical_voltages()
+        width = die.organization.word_width
         for fault in list(fault_map)[:10]:
-            assert die.critical_voltage(fault.row, fault.column) > 0.7
+            assert critical[fault.row * width + fault.column] > 0.7
 
     def test_reproducible_with_seed(self):
         org = MemoryOrganization(rows=64, word_width=32)

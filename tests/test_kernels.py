@@ -35,6 +35,7 @@ from repro.kernels.c_backend import CKernelBackend
 from repro.kernels.numpy_backend import NumpyKernelBackend
 from repro.memory.faults import FaultKind, FaultMap
 from repro.memory.organization import MemoryOrganization
+from repro.sim.faulty_storage import DieDatapath
 
 REFERENCE = NumpyKernelBackend()
 BACKENDS = available_backends()
@@ -267,13 +268,14 @@ class TestEndToEndIdentity:
         )]
         cells = list(dict.fromkeys(cells))
         for kind in FaultKind:
-            fault_map = FaultMap.from_cells(org, cells, kind)
-            rows = rng.integers(0, 32, size=100).astype(np.int64)
+            die = DieDatapath(org, FaultMap.from_cells(org, cells, kind))
+            # Slot ``faulty_rows.size`` is the die's identity (healthy) slot.
+            slots = rng.integers(0, die.faulty_rows.size + 1, size=100)
             pats = rng.integers(0, 1 << 32, size=100).astype(np.uint64)
             with use_backend("numpy"):
-                want = fault_map.corrupt_words(rows, pats)
+                want = die.corrupt(slots, pats)
             with use_backend(backend_name):
-                got = fault_map.corrupt_words(rows, pats)
+                got = die.corrupt(slots, pats)
             assert np.array_equal(want, got), kind
 
 

@@ -121,7 +121,7 @@ class TestSampleAllocation:
 class TestFaultMapSampler:
     def test_sample_with_count(self, small_org, rng):
         sampler = FaultMapSampler(small_org, rng)
-        assert sampler.sample_with_count(7).fault_count == 7
+        assert sampler.sample_batch(7, 1)[0].fault_count == 7
 
     def test_sample_batch_length(self, small_org, rng):
         sampler = FaultMapSampler(small_org, rng)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from repro.dse import (
     PruneEvent,
     SchemeGridSpec,
 )
+from repro.dse import optimize
 from repro.faultmodel.montecarlo import (
     failure_count_pmf,
     failure_count_pmf_array,
@@ -364,11 +366,6 @@ def test_optimize_result_save_load_round_trip(tmp_path):
     assert set(loaded.adaptive_reports) == set(result.adaptive_reports)
     for key, report in result.adaptive_reports.items():
         assert loaded.adaptive_reports[key] == report
-    # The surviving rows feed existing DseResult consumers unchanged.
-    as_dse = loaded.as_dse_result()
-    assert sorted(
-        (row["benchmark"], row["scheme"], row["vdd"]) for row in as_dse.rows
-    ) == loaded.frontier_keys()
 
 
 _LEGACY_RESULT = os.path.join(
@@ -425,9 +422,30 @@ def test_prune_event_round_trip():
     assert PruneEvent.from_dict(event.to_dict()) == event
 
 
+def test_failed_rung_checkpoint_copy_leaves_no_files(tmp_path, monkeypatch):
+    previous = tmp_path / "state.json.rung0"
+    previous.write_text('{"version": 1}')
+    checkpoint = str(tmp_path / "state.json")
+
+    def fail(source, target):
+        target.write(source.read(4))
+        raise OSError("disk full")
+
+    monkeypatch.setattr(shutil, "copyfileobj", fail)
+    with pytest.raises(OSError, match="disk full"):
+        optimize._copy_rung_checkpoint(str(previous), checkpoint)
+    assert not os.path.exists(checkpoint + ".tmp")
+    assert not os.path.exists(checkpoint)
+
+
 def test_dse_result_adaptive_reports_round_trip(tmp_path):
     spec = _smoke_spec()
-    result = ParetoOptimizer(spec, optimizer=_FAST_OPT).run().as_dse_result()
+    optimized = ParetoOptimizer(spec, optimizer=_FAST_OPT).run()
+    result = DseResult(
+        spec,
+        [dict(row) for row in optimized.rows if not row["pruned"]],
+        adaptive_reports=optimized.adaptive_reports,
+    )
     assert result.adaptive_reports
     path = str(tmp_path / "dse.json")
     result.save(path)

@@ -96,7 +96,6 @@ class TestConfigurableCoverage:
         scheme = PriorityEccScheme(32, protected_bits=8)
         assert scheme.name == "p-ecc-H(13,8)"
         assert scheme.protected_bits == 8
-        assert scheme.unprotected_bits == 24
         assert scheme.extra_columns == 5
 
     def test_byte_protection_roundtrip(self):

@@ -16,7 +16,7 @@ class TestRepairAllocation:
     def test_fault_free_die_needs_no_spares(self, small_org):
         result = RedundancyRepair(spare_rows=0).repair(FaultMap.empty(small_org))
         assert result.repaired
-        assert result.spare_rows_used == 0
+        assert len(result.row_replacements) == 0
 
     def test_single_fault_repaired_by_one_row(self, small_org):
         fault_map = FaultMap.from_cells(small_org, [(3, 31)])
@@ -35,7 +35,7 @@ class TestRepairAllocation:
         fault_map = FaultMap.from_cells(small_org, [(1, 5), (2, 5), (3, 5)])
         result = RedundancyRepair(spare_rows=0, spare_columns=1).repair(fault_map)
         assert result.repaired
-        assert result.spare_columns_used == 1
+        assert len(result.column_replacements) == 1
 
     def test_rows_with_most_faults_replaced_first(self, small_org):
         fault_map = FaultMap.from_cells(

@@ -39,7 +39,9 @@ class TestOperationalPath:
         scheme = SecdedScheme(32)
         stored = scheme.encode_word(0, 0x0BADF00D)
         corrupted = stored ^ 0b11
-        assert scheme.decode_status(corrupted) is DecodeStatus.DETECTED_DOUBLE
+        code = scheme.code
+        assert code.decode(corrupted).status is DecodeStatus.DETECTED_DOUBLE
+        assert scheme.decode_word(0, corrupted) == code.extract_data(corrupted)
 
     def test_rejects_oversized_data(self):
         scheme = SecdedScheme(8)

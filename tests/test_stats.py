@@ -28,6 +28,7 @@ from repro.stats import (
     StreamingSummary,
     WeightedSampleBuffer,
     largest_remainder_allocation,
+    neyman_allocation,
     normal_critical_value,
 )
 
@@ -392,8 +393,29 @@ class TestStratumVarianceTracker:
         tracker = StratumVarianceTracker({1: 0.5, 2: 0.5})
         tracker.update_batch(1, [0.0, 1.0, 0.0, 1.0])  # noisy stratum
         tracker.update_batch(2, [1.0, 1.0, 1.0, 1.0])  # settled stratum
-        allocation = tracker.neyman_allocation(10)
+        allocation = neyman_allocation([tracker], 10)
         assert allocation == {1: 10, 2: 0}
+
+    def test_allocation_sums_scores_over_trackers(self):
+        # The first scheme is settled in stratum 1, the second is noisy in
+        # both: the split follows w_n * s_n summed over the two trackers.
+        first = StratumVarianceTracker({1: 0.5, 2: 0.5})
+        first.update_batch(1, [1.0, 1.0, 1.0, 1.0])
+        first.update_batch(2, [0.0, 1.0, 0.0, 1.0])
+        second = StratumVarianceTracker({1: 0.5, 2: 0.5})
+        second.update_batch(1, [0.0, 1.0, 0.0, 1.0])
+        second.update_batch(2, [0.0, 1.0, 0.0, 1.0])
+        assert neyman_allocation([first, second], 12) == {1: 4, 2: 8}
+        assert neyman_allocation([first], 12) == {1: 0, 2: 12}
+
+    def test_allocation_rejects_trackers_with_different_strata(self):
+        with pytest.raises(ValueError, match="different strata"):
+            neyman_allocation(
+                [StratumVarianceTracker({1: 1.0}), StratumVarianceTracker({2: 1.0})],
+                4,
+            )
+        with pytest.raises(ValueError, match="at least one tracker"):
+            neyman_allocation([], 4)
 
     def test_allocation_conserves_batch_and_is_deterministic(self):
         scores = {1: 0.31, 2: 0.17, 3: 0.52}
@@ -417,6 +439,20 @@ class TestStratumVarianceTracker:
         restored = StratumVarianceTracker.from_dict(payload)
         assert restored.to_dict() == tracker.to_dict()
         assert restored.estimate() == tracker.estimate()
+
+    def test_from_dict_rejects_a_stratum_without_weight(self):
+        payload = self._tracker_from([(1, [0.5, 0.25]), (3, [2.0])]).to_dict()
+        payload["strata"]["7"] = StreamingMoments().to_dict()
+        with pytest.raises(ValueError, match="^saved stratum 7 has no weight$"):
+            StratumVarianceTracker.from_dict(payload)
+
+    def test_from_dict_rejects_a_weighted_stratum_without_moments(self):
+        payload = self._tracker_from([(1, [0.5, 0.25]), (3, [2.0])]).to_dict()
+        del payload["strata"]["3"]
+        with pytest.raises(
+            ValueError, match="^stratum 3 has a weight but no saved moments$"
+        ):
+            StratumVarianceTracker.from_dict(payload)
 
 
 class TestWeightedSampleBuffer:
@@ -518,7 +554,7 @@ class TestNeymanZeroVariance:
         tracker = StratumVarianceTracker({1: 0.5, 2: 0.3, 3: 0.2})
         for key in (1, 2, 3):
             tracker.update_batch(key, [constant] * per_stratum)
-        allocation = tracker.neyman_allocation(batch)
+        allocation = neyman_allocation([tracker], batch)
         assert sum(allocation.values()) == batch
         assert all(count >= 0 for count in allocation.values())
         if all(tracker.strata[k].variance() == 0.0 for k in (1, 2, 3)):
@@ -534,13 +570,13 @@ class TestNeymanZeroVariance:
         tracker = StratumVarianceTracker({1: 0.5, 2: 0.5})
         tracker.update_batch(1, [0.0, 1.0, 0.0, 1.0])  # real spread
         tracker.update_batch(2, [7.0, 7.0, 7.0, 7.0])  # degenerate
-        allocation = tracker.neyman_allocation(batch)
+        allocation = neyman_allocation([tracker], batch)
         assert allocation[2] == 0
         assert allocation[1] == batch
 
     def test_unsampled_strata_do_not_crash_allocation(self):
         # std() of an empty stratum must behave like zero variance, not NaN.
         tracker = StratumVarianceTracker({1: 0.7, 2: 0.3})
-        allocation = tracker.neyman_allocation(9)
+        allocation = neyman_allocation([tracker], 9)
         assert sum(allocation.values()) == 9
         assert all(count >= 0 for count in allocation.values())

@@ -137,7 +137,7 @@ class TestStoreBasics:
             store.put_record(key, "mse", {"generation": 1})
             store.put_record(key, "mse", {"generation": 2})
             assert store.get_record(key)["payload"] == {"generation": 2}
-            assert store.record_count() == 1
+            assert len(store) == 1
             assert store.total_records() == 2
 
     def test_index_cache_is_rebuildable(self, tmp_path):
@@ -223,7 +223,7 @@ class TestEngineStoreRoundTrip:
         with ResultStore(str(tmp_path / "s")) as store:
             SweepEngine(config).run_mse(store=store)
             SweepEngine(config).run(_quick_benchmark(), store=store)
-            assert store.record_count() == 2
+            assert len(store) == 2
             kinds = {r["kind"] for r in store.query()}
             assert kinds == {"mse", "quality"}
 
@@ -250,7 +250,7 @@ class TestEngineStoreRoundTrip:
             perturbed = SweepEngine(_quick_config(p_cell=2e-4))
             perturbed.run_mse(store=store)
             assert perturbed.last_run_stats.store_hit is False
-            assert store.record_count() == 2
+            assert len(store) == 2
 
 
 # --------------------------------------------------------------------------- #
@@ -286,7 +286,7 @@ class TestConcurrentWriters:
             )
         assert sorted(done) == list(range(writers))
         with ResultStore(root, create=False) as store:
-            assert store.record_count() == writers * per_writer
+            assert len(store) == writers * per_writer
             for writer_id in range(writers):
                 for i in range(per_writer):
                     key = f"{writer_id:02d}{i:02d}" + "00" * 30
@@ -326,9 +326,14 @@ class TestConcurrentWriters:
             }
             # No lost records: every key readable with its own payload.
             assert set(store.keys()) == expected_keys
-            assert store.record_count() == 2 * per_writer
+            assert len(store) == 2 * per_writer
             # No duplicated records: the segment scan holds each key once.
-            all_keys = [r["key"] for r in store.iter_all_records()]
+            segments_dir = os.path.join(root, "segments")
+            all_keys = [
+                record["key"]
+                for name in sorted(list_segments(segments_dir))
+                for _offset, _length, record in scan_segment(segments_dir, name)
+            ]
             assert len(all_keys) == 2 * per_writer
             assert len(set(all_keys)) == 2 * per_writer
             assert store.total_records() == 2 * per_writer
