@@ -10,6 +10,7 @@ plus the golden equivalence of legacy shared-generator sampling.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import stat
@@ -448,6 +449,14 @@ _ADAPTIVE_QUALITY_STORE_KEY = (
 _FIG5_FRONT_END_HASH = (
     "373563405139c8f5a3cade578c3923807f74e32fe680506a3d3e991de8e1cf19"
 )
+# sha256 of the whole adaptive checkpoint file after a multi-round sweep (see
+# test_adaptive_checkpoint_bytes).  Optimizer store records embed this body
+# verbatim and the writer keeps key insertion order, so the round state must
+# serialise to the same bytes, key order included.
+_ADAPTIVE_CHECKPOINT_SHA256 = {
+    "mse": "00867cb96dab93b4fa9c0d1c60cd96fe169ea64b49f6b7fd9c502cac97a457be",
+    "quality": "550917d62148eb2cf1b67fa30a1f456292a81d86058b6194a9dfb9fb44be1997",
+}
 
 
 def _checkpoint_hash(path):
@@ -503,6 +512,33 @@ class TestPinnedHashes:
         assert _checkpoint_hash(checkpoint) == _CAP_RESUMABLE_HASH
         assert engine.last_run_stats.store_key == _ADAPTIVE_QUALITY_STORE_KEY
 
+    @pytest.mark.parametrize("evaluation", ["mse", "quality"])
+    def test_adaptive_checkpoint_bytes(
+        self, smoke_config, smoke_benchmark, tmp_path, evaluation
+    ):
+        # A CI target no sweep this small meets, at a threshold some dies
+        # pass and some fail: the run seeds every stratum, adds
+        # Neyman-allocated rounds and stops at the die cap.
+        config = dataclasses.replace(
+            smoke_config,
+            adaptive=AdaptiveBudget(
+                target_ci=1e-6,
+                threshold={"mse": 1e6, "quality": 1.01}[evaluation],
+                initial_samples_per_count=3,
+                round_dies=5,
+                max_total_samples=20,
+                sketch_bins=16,
+            ),
+        )
+        engine = SweepEngine(config)
+        checkpoint = tmp_path / "adaptive.json"
+        if evaluation == "quality":
+            engine.run(smoke_benchmark, checkpoint=str(checkpoint))
+        else:
+            engine.run_mse(checkpoint=str(checkpoint))
+        assert engine.last_adaptive_report.rounds >= 2
+        digest = hashlib.sha256(checkpoint.read_bytes()).hexdigest()
+        assert digest == _ADAPTIVE_CHECKPOINT_SHA256[evaluation]
 
     def test_fig5_front_end_store_key_and_checkpoint_hash(self, tmp_path):
         # The Fig. 5 front end builds its default scheme set by spec string;
