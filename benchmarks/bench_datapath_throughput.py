@@ -28,6 +28,7 @@ from repro.memory.faults import FaultMap
 from repro.memory.organization import MemoryOrganization
 from repro.quality.mse import mse_from_error_positions, mse_of_fault_map
 from repro.quantize.fixedpoint import FixedPointFormat
+from repro.scenarios import default_scenario
 from repro.sim.config import build_scheme
 from repro.sim.experiment import benchmark_by_name
 from repro.sim.faulty_storage import FaultyTensorStore, QuantizedTensor
@@ -105,7 +106,9 @@ def test_mse_evaluation_throughput(json_summary):
     speed.
     """
     org = MemoryOrganization.paper_16kb()
-    sampler = FaultMapSampler(org, np.random.default_rng(5))
+    sampler = FaultMapSampler(
+        org, np.random.default_rng(5), default_scenario()
+    )
     fault_maps = sampler.sample_batch(100, 20)
     schemes = [NoProtection(32), PriorityEccScheme(32)] + [
         BitShuffleScheme(32, n_fm) for n_fm in range(1, 6)

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
-from repro.memory.faults import FaultKind, FaultMap
+from repro.memory.faults import FaultMap
 from repro.memory.organization import MemoryOrganization
 
 if TYPE_CHECKING:  # pragma: no cover - import for type annotations only
@@ -195,42 +195,23 @@ def samples_per_failure_count(
 class FaultMapSampler:
     """Stratified random fault-map generator for Monte-Carlo evaluation.
 
-    ``scenario`` optionally routes every draw through a composable
+    Every draw runs through ``scenario``, a composable
     :class:`~repro.scenarios.base.FaultScenario` pipeline (source ->
-    transforms -> repair), which is how non-i.i.d. fault populations (aged,
-    clustered, repaired dies) reach the sweeps.  Without a scenario the
-    sampler draws directly from :class:`FaultMap` -- bit-identical to the
-    default ``iid-pcell`` scenario and to every historical stream.
+    transforms -> repair), whose source owns the fault kind.  The default
+    ``iid-pcell`` scenario (``repro.scenarios.default_scenario()``) draws
+    the plain i.i.d. population of every historical stream; aged, clustered
+    and repaired dies reach the sweeps through other scenarios.
     """
 
     def __init__(
         self,
         organization: MemoryOrganization,
-        rng: Optional[np.random.Generator] = None,
-        fault_kind: FaultKind = FaultKind.BIT_FLIP,
-        scenario: Optional["FaultScenario"] = None,
+        rng: np.random.Generator,
+        scenario: "FaultScenario",
     ) -> None:
         self._organization = organization
-        self._rng = rng if rng is not None else np.random.default_rng()
-        self._fault_kind = fault_kind
-        if scenario is not None and fault_kind is not FaultKind.BIT_FLIP:
-            # The scenario's source owns the fault behaviour; a conflicting
-            # sampler-level kind would be silently ignored otherwise.
-            raise ValueError(
-                "fault_kind cannot be combined with a scenario; configure "
-                "the kind on the scenario's fault source instead"
-            )
+        self._rng = rng
         self._scenario = scenario
-
-    @property
-    def organization(self) -> MemoryOrganization:
-        """Geometry the sampled fault maps target."""
-        return self._organization
-
-    @property
-    def scenario(self) -> Optional["FaultScenario"]:
-        """The fault-scenario pipeline draws run through (``None`` = plain i.i.d.)."""
-        return self._scenario
 
     def sample_batch(
         self,
@@ -243,12 +224,13 @@ class FaultMapSampler:
     ) -> List[FaultMap]:
         """A batch of independent fault maps with the same failure count.
 
-        By default the whole batch is drawn by the vectorised rejection
-        sampler (:meth:`FaultMap.random_batch_with_count`), including the
-        optional rejection of maps with more than ``max_faults_per_word``
-        faults in a single word.  The sampler's validity check runs on the
-        active :mod:`repro.kernels` backend; the random draws themselves stay
-        in NumPy, so the rng stream and every seeded batch are identical
+        By default the whole batch is drawn by the scenario source's
+        vectorised rejection sampler (for the default scenario,
+        :meth:`FaultMap.random_batch_with_count`), including the optional
+        rejection of maps with more than ``max_faults_per_word`` faults in a
+        single word.  The sampler's validity check runs on the active
+        :mod:`repro.kernels` backend; the random draws themselves stay in
+        NumPy, so the rng stream and every seeded batch are identical
         regardless of backend.  Distributionally identical to drawing the
         maps one by one, but the random stream differs from repeated
         :meth:`FaultMap.random_with_count` calls; pass ``vectorized=False`` to
@@ -257,28 +239,13 @@ class FaultMapSampler:
         infeasible ``max_faults_per_word`` raises :class:`ValueError` and a
         feasible-but-unlucky rejection run gives up with a
         :class:`RuntimeError` after ``max_attempts`` redraws per map.
-
-        With a scenario configured, the whole batch flows through the
-        scenario pipeline instead (the scenario's source honours the same
-        ``vectorized`` switch, so legacy-stream callers stay reproducible).
         """
-        if self._scenario is not None:
-            return self._scenario.sample_batch(
-                self._organization,
-                fault_count,
-                batch_size,
-                self._rng,
-                max_faults_per_word=max_faults_per_word,
-                vectorized=vectorized,
-                max_rounds=max_attempts,
-            )
-        return FaultMap.random_batch_with_count(
+        return self._scenario.sample_batch(
             self._organization,
             fault_count,
             batch_size,
             self._rng,
-            kind=self._fault_kind,
             max_faults_per_word=max_faults_per_word,
-            max_rounds=max_attempts,
             vectorized=vectorized,
+            max_rounds=max_attempts,
         )

@@ -95,25 +95,6 @@ class PcellModel:
         """The default calibration targeting the paper's 28 nm anchor points."""
         return cls()
 
-    @classmethod
-    def from_anchor_points(
-        cls, vdd_a: float, p_a: float, vdd_b: float, p_b: float
-    ) -> "PcellModel":
-        """Fit the two model parameters to two ``(VDD, Pcell)`` anchor points."""
-        if vdd_a == vdd_b:
-            raise ValueError("anchor voltages must differ")
-        z_a = _phi_inv(p_a)
-        z_b = _phi_inv(p_b)
-        if z_a == z_b:
-            raise ValueError("anchor probabilities must differ")
-        # p = Phi((v0 - vdd)/sigma)  =>  v0 - vdd = sigma * z
-        sigma = (vdd_a - vdd_b) / (z_b - z_a)
-        if sigma <= 0:
-            raise ValueError(
-                "anchor points must have failure probability decreasing with VDD"
-            )
-        v0 = vdd_a + sigma * z_a
-        return cls(v_crit_mean=v0, v_crit_sigma=sigma)
 
 
 def classical_yield(p_cell: float, total_cells: int) -> float:

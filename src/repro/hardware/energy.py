@@ -148,9 +148,3 @@ class VoltageScalingModel:
     def sweep(self, vdd_values: Sequence[float] | np.ndarray) -> Dict[float, OperatingPoint]:
         """Operating points for a supply-voltage sweep (ordered as given)."""
         return {float(v): self.operating_point(float(v)) for v in vdd_values}
-
-    def vdd_for_energy_saving(self, saving: float) -> float:
-        """Supply voltage that achieves a fractional read-energy saving ``saving``."""
-        if not 0.0 <= saving < 1.0:
-            raise ValueError("saving must be in [0, 1)")
-        return self._nominal_vdd * float(np.sqrt(1.0 - saving))

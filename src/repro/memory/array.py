@@ -91,28 +91,6 @@ class SramArray:
         stored = int(self._storage[row])
         return self._fault_map.corrupt_word(row, stored)
 
-    def read_block(self, start_row: int, length: int) -> np.ndarray:
-        """Read ``length`` consecutive rows; faults are applied per row."""
-        if length < 0:
-            raise ValueError("length must be non-negative")
-        if length == 0:
-            return np.zeros(0, dtype=np.uint64)
-        self._organization.check_row(start_row)
-        end = start_row + length
-        if end > self.rows:
-            raise IndexError("block read exceeds the array")
-        block = self._storage[start_row:end].copy()
-        for row in self._fault_map.faulty_rows():
-            if start_row <= row < end:
-                block[row - start_row] = np.uint64(
-                    self._fault_map.corrupt_word(row, int(self._storage[row]))
-                )
-        return block
-
-    def dump(self) -> np.ndarray:
-        """Fault-affected view of the whole array (one read of every row)."""
-        return self.read_block(0, self.rows)
-
     def fill(self, pattern: int) -> None:
         """Write the same pattern to every row (used by BIST march elements)."""
         if pattern < 0 or pattern >> self.word_width:

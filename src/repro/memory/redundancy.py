@@ -79,13 +79,6 @@ class RedundancyRepair:
         """Available spare columns."""
         return self._spare_columns
 
-    def overhead_cells(self, organization: MemoryOrganization) -> int:
-        """Total extra bit-cells the spares add to ``organization``."""
-        return (
-            self._spare_rows * organization.word_width
-            + self._spare_columns * (organization.rows + self._spare_rows)
-        )
-
     def repair(self, fault_map: FaultMap) -> RepairResult:
         """Allocate spares to cover every faulty cell of ``fault_map``.
 

@@ -80,20 +80,19 @@ Two Monte-Carlo budgets are supported over the same sharded machinery:
   rounds.  Workers return O(bins) *streaming summaries* per shard -- one
   :class:`~repro.stats.StreamingMoments` of the yield indicator and one
   :class:`~repro.stats.FixedGridEcdfSketch` of the raw scores per (scheme,
-  stratum) -- which the parent folds in canonical shard order into
-  :class:`~repro.stats.StratumVarianceTracker` state.  After each round the
-  controller computes the confidence half-width of the yield-at-threshold
-  estimate and either stops (target met, or the die cap reached) or assigns
-  the next round's dies across strata by Neyman allocation
-  (:func:`repro.stats.neyman_allocation`: proportional to ``Pr(N = n)``
-  times the observed stratum std, summed over schemes).  Adaptive dies are
-  seeded by ``SeedSequence(master_seed, spawn_key=(count_index,
-  sample_index))``, so a die's stream is independent of the allocation path
-  that scheduled it; with a fixed shard width the whole run is bit-identical
-  for any worker count.
-  Adaptive state (round summaries and per-stratum sample counts) checkpoints
-  under a hash that includes the adaptive parameters, so fixed and adaptive
-  caches can never alias.
+  stratum) -- which the parent folds in canonical shard order into one
+  :class:`~repro.stats.StratifiedYield`, the round state.  After each round
+  the controller asks it for every scheme's confidence half-width of the
+  yield-at-threshold estimate and either stops (target met, or the die cap
+  reached) or has it split the next round's dies across strata by Neyman
+  allocation (proportional to ``Pr(N = n)`` times the observed stratum std,
+  summed over schemes).  Adaptive dies are seeded by
+  ``SeedSequence(master_seed, spawn_key=(count_index, sample_index))``, so a
+  die's stream is independent of the allocation path that scheduled it; with
+  a fixed shard width the whole run is bit-identical for any worker count.
+  The round state (``StratifiedYield.to_dict()``) checkpoints under a hash
+  that includes the adaptive parameters, so fixed and adaptive caches can
+  never alias.
 
 When several workers are used, each worker receives the evaluation context
 -- the benchmark's feature matrices and the pre-quantized training codes --
@@ -124,12 +123,7 @@ from repro.sim.executor import ExecutorSpec, ShardExecutor, make_executor
 from repro.sim.experiment import BenchmarkDefinition
 from repro.sim.faulty_storage import QuantizedTensor
 from repro.sim.results import AdaptiveBudgetReport, QualityDistribution, SweepRunStats
-from repro.stats import (
-    FixedGridEcdfSketch,
-    StratumVarianceTracker,
-    WeightedSampleBuffer,
-    neyman_allocation,
-)
+from repro.stats import FixedGridEcdfSketch, StratifiedYield, WeightedSampleBuffer
 from repro.store.schema import (
     adaptive_report_from_payload,
     mse_results_from_payload,
@@ -929,39 +923,16 @@ class SweepEngine:
         else:
             baseline = 0.0
 
-        n_schemes = len(self._schemes)
-        trackers = [StratumVarianceTracker(weights) for _ in range(n_schemes)]
-        sketches = {
-            (si, ci): FixedGridEcdfSketch(edges)
-            for si in range(n_schemes)
-            for ci in range(len(counts))
-        }
-        samples_done = {ci: 0 for ci in range(len(counts))}
-        rounds_done = 0
-        max_payload = 0
+        state = StratifiedYield(weights, len(self._schemes), edges)
         evaluated = 0
-
         if saved is not None:
-            rounds_done = int(saved["rounds"])
-            samples_done = {
-                int(k): int(v) for k, v in saved["samples_per_count_index"].items()
-            }
-            trackers = [
-                StratumVarianceTracker.from_dict(data) for data in saved["trackers"]
-            ]
-            for key, data in saved["sketches"].items():
-                scheme_index, count_index = (int(part) for part in key.split(":"))
-                sketches[(scheme_index, count_index)] = (
-                    FixedGridEcdfSketch.from_dict(data)
-                )
-            max_payload = int(saved.get("max_shard_payload_scalars", 0))
-            saved_dies = sum(samples_done.values())
-            if saved_dies > max_total:
+            state.restore(saved)
+            if state.total_dies > max_total:
                 raise ValueError(
-                    f"checkpoint {checkpoint!r} holds {saved_dies} dies, more "
-                    f"than this sweep's adaptive die cap ({max_total}); resume "
-                    f"it under a cap of at least {saved_dies} or point the "
-                    f"checkpoint elsewhere"
+                    f"checkpoint {checkpoint!r} holds {state.total_dies} dies, "
+                    f"more than this sweep's adaptive die cap ({max_total}); "
+                    f"resume it under a cap of at least {state.total_dies} or "
+                    f"point the checkpoint elsewhere"
                 )
 
         # Workers read the yield criterion and the sketch grid from here.
@@ -971,24 +942,26 @@ class SweepEngine:
             "edges": edges,
         }
 
+        schemes = range(len(self._schemes))
         reached = False
         while True:
-            total_done = sum(samples_done.values())
+            total_done = state.total_dies
             if total_done:
                 half_width = max(
-                    tracker.half_width(adaptive.confidence) for tracker in trackers
+                    state.half_width(si, adaptive.confidence) for si in schemes
                 )
                 if half_width <= adaptive.target_ci:
                     reached = True
                     break
                 if total_done >= max_total:
                     break
-                budget = min(adaptive.round_dies, max_total - total_done)
-                allocation = neyman_allocation(trackers, budget)
+                allocation = state.allocate(
+                    min(adaptive.round_dies, max_total - total_done)
+                )
             else:
                 allocation = {ci: initial for ci in weights}
             entries: List[_shardeval.AdaptiveEntry] = [
-                (ci, samples_done[ci] + j, counts[ci])
+                (ci, state.samples[ci] + j, counts[ci])
                 for ci in sorted(allocation)
                 for j in range(allocation[ci])
             ]
@@ -1001,35 +974,12 @@ class SweepEngine:
             evaluated += len(entries)
             summaries: Dict[int, _shardeval.ShardSummary] = {}
             dispatch("summarize", shards, summaries.__setitem__, workers)
-            # Canonical fold: shard-index order, then sorted cell keys
-            # inside each shard -- never completion order.
+            # Canonical fold: shard-index order, never completion order.
             for index in range(len(shards)):
-                summary = summaries[index]
-                # The O(bins) witness: five moment scalars plus the sketch,
-                # per cell of the shard's summary payload.
-                scalars = sum(5 + sketch.payload_scalars() for _, _, sketch in summary)
-                max_payload = max(max_payload, scalars)
-                for (si, ci), moments, sketch in summary:
-                    trackers[si].strata[ci].merge(moments)
-                    sketches[(si, ci)].merge(sketch)
-            for ci, batch in allocation.items():
-                samples_done[ci] += batch
-            rounds_done += 1
+                state.fold(summaries[index])
+            state.end_round(allocation)
             if save is not None:
-                save(
-                    mode="adaptive",
-                    rounds=rounds_done,
-                    samples_per_count_index={
-                        str(ci): samples_done[ci] for ci in sorted(samples_done)
-                    },
-                    trackers=[tracker.to_dict() for tracker in trackers],
-                    sketches={
-                        f"{si}:{ci}": sketches[(si, ci)].to_dict()
-                        for si, ci in sorted(sketches)
-                        if sketches[(si, ci)].count
-                    },
-                    max_shard_payload_scalars=max_payload,
-                )
+                save(mode="adaptive", **state.to_dict())
 
         report = AdaptiveBudgetReport(
             evaluation=evaluation,
@@ -1037,33 +987,31 @@ class SweepEngine:
             target_ci=adaptive.target_ci,
             confidence=adaptive.confidence,
             reached=reached,
-            rounds=rounds_done,
-            total_dies=sum(samples_done.values()),
+            rounds=state.rounds,
+            total_dies=state.total_dies,
             max_total_dies=max_total,
             half_widths={
-                scheme.name: trackers[si].half_width(adaptive.confidence)
+                scheme.name: state.half_width(si, adaptive.confidence)
                 for si, scheme in enumerate(self._schemes)
             },
             estimates={
-                scheme.name: trackers[si].estimate(baseline)
+                scheme.name: state.estimate(si, baseline)
                 for si, scheme in enumerate(self._schemes)
             },
             samples_per_count={
-                counts[ci]: samples_done[ci] for ci in sorted(samples_done)
+                counts[ci]: state.samples[ci] for ci in sorted(state.samples)
             },
             stratum_weights={counts[ci]: weights[ci] for ci in sorted(weights)},
             stratum_stds={
                 scheme.name: {
-                    counts[ci]: trackers[si].strata[ci].std()
-                    for ci in sorted(weights)
+                    counts[ci]: state.std(si, ci) for ci in sorted(weights)
                 }
                 for si, scheme in enumerate(self._schemes)
             },
-            max_shard_payload_scalars=max_payload,
+            max_shard_payload_scalars=state.max_payload,
         )
         self._last_adaptive_report = report
-        cells = {key: sketch.finalize() for key, sketch in sketches.items()}
-        return cells, report, evaluated
+        return state.cells(), report, evaluated
 
     # ------------------------------------------------------------------ #
     # Internals

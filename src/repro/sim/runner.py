@@ -48,19 +48,15 @@ def legacy_fault_maps(
     generator then feeds the pipeline serially); the default i.i.d. scenario
     keeps the exact historical stream.
     """
-    sampler = FaultMapSampler(
-        config.organization,
-        rng,
-        scenario=None if config.scenario is None else config.build_scenario(),
-    )
+    sampler = FaultMapSampler(config.organization, rng, config.build_scenario())
     max_per_word = 1 if config.discard_multi_fault_words else None
     fault_maps: Dict[Tuple[int, int], FaultMap] = {}
     for count_index, count in enumerate(config.evaluated_counts()):
-        # One call per stratum.  Without a scenario, vectorized=False draws
-        # the dies one after another, each with its own rejection loop: the
-        # exact per-map stream the pinned golden curves depend on.  Scenario
-        # pipelines have no legacy stream to preserve, so their stratum is
-        # drawn as one vectorized batch.
+        # One call per stratum.  Under the default scenario, vectorized=False
+        # draws the dies one after another, each with its own rejection
+        # loop: the exact per-map stream the pinned golden curves depend on.
+        # Other scenario pipelines have no legacy stream to preserve, so
+        # their stratum is drawn as one vectorized batch.
         batch = sampler.sample_batch(
             count,
             config.samples_per_count,

@@ -15,10 +15,11 @@ Two summary families coexist:
   is the reduction behind :meth:`repro.quality.cdf.WeightedEcdf.from_groups`
   and the fixed-budget sweeps, whose pinned golden curves require bit-exact
   per-die values.  O(samples) memory, but mergeable and order-canonical.
-* **Sketched** (:class:`StreamingMoments`, :class:`FixedGridEcdfSketch`,
-  :class:`StratumVarianceTracker`): bounded-memory summaries used by the
-  adaptive-budget sweeps, where shards return O(bins) payloads and the
-  controller needs running variances per stratum.
+* **Sketched** (:class:`StreamingMoments`, :class:`FixedGridEcdfSketch`):
+  bounded-memory summaries used by the adaptive-budget sweeps, where shards
+  return O(bins) payloads.  :class:`StratifiedYield` folds them per (scheme,
+  stratum) into the adaptive round state and answers the stratified yield,
+  its confidence half-width and the next round's Neyman allocation.
 
 Merging floats is associative only up to rounding, so reproducibility is a
 *protocol*, not a property of the objects: callers must fold summaries in a
@@ -32,20 +33,18 @@ from repro.stats.buffer import WeightedSampleBuffer
 from repro.stats.moments import MomentsResult, StreamingMoments
 from repro.stats.sketch import FixedGridEcdfSketch
 from repro.stats.strata import (
-    StratumVarianceTracker,
+    StratifiedYield,
     largest_remainder_allocation,
-    neyman_allocation,
     normal_critical_value,
 )
 
 __all__ = [
     "FixedGridEcdfSketch",
     "MomentsResult",
+    "StratifiedYield",
     "StreamingMoments",
-    "StratumVarianceTracker",
     "StreamingSummary",
     "WeightedSampleBuffer",
     "largest_remainder_allocation",
-    "neyman_allocation",
     "normal_critical_value",
 ]

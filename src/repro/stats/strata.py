@@ -1,36 +1,34 @@
-"""Per-stratum variance tracking for stratified Monte-Carlo estimators.
+"""The stratified yield estimator of the adaptive Monte-Carlo budget.
 
-The sweeps estimate population statistics of the form
+The sweeps estimate, per protection scheme, a population yield of the form
 
-``theta = w_0 * v_0 + sum_n w_n * E[f(die) | N = n]``
+``theta = baseline + sum_n w_n * E[1{die passes} | N = n]``
 
-where ``w_n = Pr(N = n)`` is the (fixed, known) probability of the stratum
-and the conditional expectations are estimated by per-stratum sample means.
-:class:`StratumVarianceTracker` keeps one :class:`StreamingMoments` per
-stratum plus the stratum weights, merges stratum-wise (exactly the shape a
-shard returns), and answers the current confidence half-width of the
-stratified estimate, ``z * sqrt(sum_n w_n^2 * s_n^2 / m_n)``, which the
-adaptive budget controller checks each round.
-
-The controller's other question, how to split the next round's dies, is
-:func:`neyman_allocation`: stratum ``n`` gets dies proportionally to
-``w_n * s_n`` summed over the trackers of every scheme in the sweep (the
-variance-optimal split for one tracker).
+where ``w_n = Pr(N = n)`` is the (fixed, known) weight of failure-count
+stratum ``n`` (Eq. 4), ``baseline`` carries the analytically known
+fault-free point mass, and each conditional yield is estimated by its
+stratum's sample mean.  :class:`StratifiedYield` holds all of an adaptive
+sweep's round state: per (scheme, stratum) the pass/fail
+:class:`StreamingMoments` and the score :class:`FixedGridEcdfSketch`, per
+stratum the dies drawn so far, the round count and the largest shard
+payload.  It folds shard summaries, answers the estimate and its confidence
+half-width ``z * sqrt(sum_n w_n^2 * s_n^2 / m_n)``, splits the next round by
+Neyman allocation -- stratum ``n`` gets dies proportionally to ``w_n * s_n``
+summed over the schemes -- and serialises itself as the checkpoint body.
 """
 
 from __future__ import annotations
 
 import math
 from statistics import NormalDist
-from typing import Any, Dict, Mapping, Sequence
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
-from repro.stats.base import as_float_array
 from repro.stats.moments import StreamingMoments
+from repro.stats.sketch import FixedGridEcdfSketch
 
 __all__ = [
-    "StratumVarianceTracker",
+    "StratifiedYield",
     "largest_remainder_allocation",
-    "neyman_allocation",
     "normal_critical_value",
 ]
 
@@ -74,143 +72,179 @@ def largest_remainder_allocation(
     return allocation
 
 
-class StratumVarianceTracker:
-    """Weighted per-stratum moments behind the stratified CI and allocation."""
+class StratifiedYield:
+    """The round state and answers of one adaptive sweep's stratified yield.
 
-    __slots__ = ("weights", "strata")
+    ``weights`` maps each stratum to its ``Pr(N = n)``; every one of the
+    ``n_schemes`` schemes is tracked over the same strata, with its score
+    sketches on the grid ``edges``.
+    """
 
-    def __init__(self, weights: Mapping[int, float]) -> None:
+    def __init__(
+        self, weights: Mapping[int, float], n_schemes: int, edges: Any
+    ) -> None:
         if not weights:
             raise ValueError("at least one stratum weight is required")
         if any(w < 0 for w in weights.values()):
             raise ValueError("stratum weights must be non-negative")
+        if n_schemes < 1:
+            raise ValueError("at least one scheme is required")
         self.weights: Dict[int, float] = {
             int(k): float(v) for k, v in weights.items()
         }
-        self.strata: Dict[int, StreamingMoments] = {
-            key: StreamingMoments() for key in self.weights
+        self.moments: List[Dict[int, StreamingMoments]] = [
+            {key: StreamingMoments() for key in self.weights}
+            for _ in range(n_schemes)
+        ]
+        self.sketches: Dict[Tuple[int, int], FixedGridEcdfSketch] = {
+            (si, key): FixedGridEcdfSketch(edges)
+            for si in range(n_schemes)
+            for key in self.weights
         }
+        #: Dies drawn so far per stratum.
+        self.samples: Dict[int, int] = {key: 0 for key in self.weights}
+        self.rounds = 0
+        #: Largest shard summary folded so far, in scalars (the O(bins) witness).
+        self.max_payload = 0
 
-    # ------------------------------------------------------------------ #
-    # StreamingSummary protocol (stratified flavour)
-    # ------------------------------------------------------------------ #
-    def update_batch(self, stratum: int, values: Any) -> None:
-        """Absorb a batch of observations belonging to one stratum."""
-        stratum = int(stratum)
-        if stratum not in self.strata:
-            raise KeyError(f"unknown stratum {stratum}")
-        self.strata[stratum].update_batch(as_float_array(values))
+    @property
+    def total_dies(self) -> int:
+        """Dies drawn so far over every stratum."""
+        return sum(self.samples.values())
 
-    def merge(self, other: "StratumVarianceTracker") -> None:
-        """Stratum-wise merge; the two trackers must share weights exactly."""
-        if self.weights != other.weights:
-            raise ValueError("cannot merge trackers with different strata")
-        # Sorted fold order keeps the merge canonical no matter how the
-        # other tracker's dict happens to be ordered.
-        for key in sorted(self.strata):
-            self.strata[key].merge(other.strata[key])
+    def fold(
+        self,
+        summary: Sequence[Tuple[Tuple[int, int], StreamingMoments, FixedGridEcdfSketch]],
+    ) -> None:
+        """Merge one shard's ``((scheme, stratum), moments, sketch)`` cells.
 
-    def finalize(self) -> Dict[int, Any]:
-        """Per-stratum :class:`MomentsResult` views, keyed by stratum."""
-        return {key: self.strata[key].finalize() for key in sorted(self.strata)}
+        Callers fold shards in a canonical order (shard index, never
+        completion order) so the floating-point merges are reproducible.
+        """
+        # Five moment scalars plus the sketch, per cell of the payload.
+        scalars = sum(5 + sketch.payload_scalars() for _, _, sketch in summary)
+        self.max_payload = max(self.max_payload, scalars)
+        for (si, key), moments, sketch in summary:
+            self.moments[si][key].merge(moments)
+            self.sketches[(si, key)].merge(sketch)
 
-    # ------------------------------------------------------------------ #
-    # Stratified estimator
-    # ------------------------------------------------------------------ #
-    def counts(self) -> Dict[int, int]:
-        """Observations absorbed per stratum."""
-        return {key: self.strata[key].count for key in sorted(self.strata)}
+    def end_round(self, allocation: Mapping[int, int]) -> None:
+        """Record a finished round that drew ``allocation[n]`` dies of stratum ``n``."""
+        for key, batch in allocation.items():
+            self.samples[key] += batch
+        self.rounds += 1
 
-    def estimate(self, baseline: float = 0.0) -> float:
-        """The stratified estimate ``baseline + sum_n w_n * mean_n``.
+    def std(self, scheme: int, stratum: int) -> float:
+        """Observed pass/fail standard deviation of one (scheme, stratum)."""
+        return self.moments[scheme][stratum].std()
 
-        ``baseline`` carries analytically known terms (the fault-free point
-        mass of the sweeps).  Strata with no observations contribute zero.
+    def estimate(self, scheme: int, baseline: float = 0.0) -> float:
+        """The stratified yield ``baseline + sum_n w_n * mean_n`` of a scheme.
+
+        Strata with no observations contribute zero.
         """
         total = baseline
-        for key in sorted(self.strata):
-            moments = self.strata[key]
+        strata = self.moments[scheme]
+        for key in sorted(strata):
+            moments = strata[key]
             if moments.count:
                 total += self.weights[key] * moments.mean
         return total
 
-    def estimate_variance(self) -> float:
-        """``Var(theta_hat) = sum_n w_n^2 * s_n^2 / m_n`` (sampled strata only).
+    def half_width(self, scheme: int, confidence: float = 0.95) -> float:
+        """Confidence half-width ``z * sqrt(sum_n w_n^2 * s_n^2 / m_n)``.
 
         Strata with fewer than two observations have an undefined sample
-        variance and contribute zero -- callers must seed every stratum with
-        an initial batch of at least two before trusting the result.
+        variance and contribute zero, which is why every stratum is seeded
+        with at least two dies.
         """
-        total = 0.0
-        for key in sorted(self.strata):
-            moments = self.strata[key]
+        variance = 0.0
+        strata = self.moments[scheme]
+        for key in sorted(strata):
+            moments = strata[key]
             if moments.count >= 2:
                 weight = self.weights[key]
-                total += weight * weight * moments.variance() / moments.count
-        return total
+                variance += weight * weight * moments.variance() / moments.count
+        return normal_critical_value(confidence) * math.sqrt(variance)
 
-    def half_width(self, confidence: float = 0.95) -> float:
-        """Confidence half-width of the stratified estimate."""
-        return normal_critical_value(confidence) * math.sqrt(
-            self.estimate_variance()
+    def allocate(self, batch: int) -> Dict[int, int]:
+        """Neyman-split ``batch`` new dies across the strata.
+
+        Stratum ``n`` is scored ``sum_s w_n * s_n,s`` over the schemes, in
+        scheme order, and the batch is split by
+        :func:`largest_remainder_allocation`.  A stratum whose every scheme
+        has zero observed variance receives nothing; if all of them do, the
+        batch is spread uniformly (the caller only asks when the CI target
+        is unmet, so it simply wants more evidence).
+        """
+        return largest_remainder_allocation(
+            {
+                key: sum(weight * strata[key].std() for strata in self.moments)
+                for key, weight in self.weights.items()
+            },
+            batch,
         )
 
-    # ------------------------------------------------------------------ #
-    # Serialisation
-    # ------------------------------------------------------------------ #
+    def cells(self) -> Dict[Tuple[int, int], Tuple[Any, Any]]:
+        """Per-(scheme, stratum) ``(support, mass)`` of the score sketches."""
+        return {key: sketch.finalize() for key, sketch in self.sketches.items()}
+
     def to_dict(self) -> Dict[str, Any]:
-        """Exact JSON-safe state (weights plus per-stratum moments)."""
+        """Exact JSON-safe round state; empty sketches are left out."""
+        weights = {str(k): self.weights[k] for k in sorted(self.weights)}
         return {
-            "weights": {str(k): self.weights[k] for k in sorted(self.weights)},
-            "strata": {
-                str(k): self.strata[k].to_dict() for k in sorted(self.strata)
+            "rounds": self.rounds,
+            "samples_per_count_index": {
+                str(k): self.samples[k] for k in sorted(self.samples)
             },
+            "trackers": [
+                {
+                    "weights": weights,
+                    "strata": {str(k): strata[k].to_dict() for k in sorted(strata)},
+                }
+                for strata in self.moments
+            ],
+            "sketches": {
+                f"{si}:{key}": self.sketches[(si, key)].to_dict()
+                for si, key in sorted(self.sketches)
+                if self.sketches[(si, key)].count
+            },
+            "max_shard_payload_scalars": self.max_payload,
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "StratumVarianceTracker":
-        """Rebuild a tracker saved by :meth:`to_dict`.
+    def restore(self, data: Mapping[str, Any]) -> None:
+        """Load the round state :meth:`to_dict` saved.
 
-        The saved strata must be exactly the weighted ones: a stratum without
-        a weight cannot enter :meth:`estimate`, and a weighted stratum
-        without saved moments would silently restart empty.
+        Each scheme's saved strata must be exactly the weighted ones: a
+        stratum without a weight cannot enter the estimate, and a weighted
+        stratum without saved moments would silently restart empty.
         """
-        tracker = cls({int(k): float(v) for k, v in data["weights"].items()})
-        strata = {int(key): moments for key, moments in data["strata"].items()}
-        extra = sorted(set(strata) - set(tracker.weights))
-        if extra:
-            raise ValueError(f"saved stratum {extra[0]} has no weight")
-        missing = sorted(set(tracker.weights) - set(strata))
-        if missing:
-            raise ValueError(f"stratum {missing[0]} has a weight but no saved moments")
-        for key, moments in strata.items():
-            tracker.strata[key] = StreamingMoments.from_dict(moments)
-        return tracker
-
-
-def neyman_allocation(
-    trackers: Sequence[StratumVarianceTracker], batch: int
-) -> Dict[int, int]:
-    """Split ``batch`` new samples across the strata the ``trackers`` share.
-
-    Stratum ``n`` is scored ``sum_t w_n * s_n,t`` over the trackers (one per
-    scheme of a sweep), in tracker order, and the batch is split by
-    :func:`largest_remainder_allocation`.  A stratum whose every tracker has
-    zero observed variance receives nothing; if all of them do, the batch is
-    spread uniformly (the caller only asks when the CI target is unmet, so
-    it simply wants more evidence).
-    """
-    if not trackers:
-        raise ValueError("at least one tracker is required")
-    weights = trackers[0].weights
-    if any(tracker.weights != weights for tracker in trackers):
-        raise ValueError("cannot allocate across trackers with different strata")
-    return largest_remainder_allocation(
-        {
-            key: sum(
-                weights[key] * tracker.strata[key].std() for tracker in trackers
+        trackers = data["trackers"]
+        if len(trackers) != len(self.moments):
+            raise ValueError(
+                f"saved state tracks {len(trackers)} schemes, expected "
+                f"{len(self.moments)}"
             )
-            for key in weights
-        },
-        batch,
-    )
+        moments = []
+        for tracker in trackers:
+            strata = {int(k): saved for k, saved in tracker["strata"].items()}
+            extra = sorted(set(strata) - set(self.weights))
+            if extra:
+                raise ValueError(f"saved stratum {extra[0]} has no weight")
+            missing = sorted(set(self.weights) - set(strata))
+            if missing:
+                raise ValueError(
+                    f"stratum {missing[0]} has a weight but no saved moments"
+                )
+            moments.append(
+                {key: StreamingMoments.from_dict(strata[key]) for key in self.weights}
+            )
+        self.moments = moments
+        for key, saved in data["sketches"].items():
+            si, stratum = (int(part) for part in key.split(":"))
+            self.sketches[(si, stratum)] = FixedGridEcdfSketch.from_dict(saved)
+        self.samples = {
+            int(k): int(v) for k, v in data["samples_per_count_index"].items()
+        }
+        self.rounds = int(data["rounds"])
+        self.max_payload = int(data.get("max_shard_payload_scalars", 0))

@@ -72,12 +72,6 @@ KEPT = {
     "repro.apps.preprocessing.StandardScaler.fit_transform":
         "estimator protocol (fit / transform / fit_transform) of an exported "
         "estimator",
-    "repro.faultmodel.pcell.PcellModel.from_anchor_points":
-        "deferred: test-only, deleting it deletes its three calibration tests",
-    "repro.hardware.energy.VoltageScalingModel.vdd_for_energy_saving":
-        "deferred: test-only, deleting it deletes its inversion test",
-    "repro.memory.redundancy.RedundancyRepair.overhead_cells":
-        "deferred: test-only, deleting it deletes its test",
 }
 
 

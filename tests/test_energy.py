@@ -33,18 +33,11 @@ class TestEnergyScaling:
         assert savings == sorted(savings)
         assert all(0.0 < s < 1.0 for s in savings)
 
-    def test_vdd_for_energy_saving_inverts(self, model):
-        for saving in (0.1, 0.3, 0.5):
-            vdd = model.vdd_for_energy_saving(saving)
-            assert model.energy_saving(vdd) == pytest.approx(saving, abs=1e-9)
-
     def test_rejects_invalid_arguments(self, model):
         with pytest.raises(ValueError):
             model.read_energy_fj(0.0)
         with pytest.raises(ValueError):
             model.leakage_power_nw(-1.0)
-        with pytest.raises(ValueError):
-            model.vdd_for_energy_saving(1.0)
 
     def test_rejects_bad_construction(self, paper_org):
         with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from repro.faultmodel.montecarlo import (
 )
 from repro.memory.faults import FaultMap
 from repro.memory.organization import MemoryOrganization
+from repro.scenarios import default_scenario
 
 
 class TestFailureCountPmf:
@@ -120,16 +121,18 @@ class TestSampleAllocation:
 
 class TestFaultMapSampler:
     def test_sample_with_count(self, small_org, rng):
-        sampler = FaultMapSampler(small_org, rng)
+        sampler = FaultMapSampler(small_org, rng, default_scenario())
         assert sampler.sample_batch(7, 1)[0].fault_count == 7
 
     def test_sample_batch_length(self, small_org, rng):
-        sampler = FaultMapSampler(small_org, rng)
+        sampler = FaultMapSampler(small_org, rng, default_scenario())
         assert len(sampler.sample_batch(2, 13)) == 13
 
     def test_sample_batch_negative_rejected(self, small_org, rng):
         with pytest.raises(ValueError):
-            FaultMapSampler(small_org, rng).sample_batch(1, -1)
+            FaultMapSampler(small_org, rng, default_scenario()).sample_batch(
+                1, -1
+            )
 
 
 class TestPmfArray:
@@ -244,22 +247,24 @@ class TestBatchedSamplerStatistics:
 
     def test_batched_draws_are_deterministic(self, stats_org):
         first = FaultMapSampler(
-            stats_org, np.random.default_rng(77)
+            stats_org, np.random.default_rng(77), default_scenario()
         ).sample_batch(5, 20)
         second = FaultMapSampler(
-            stats_org, np.random.default_rng(77)
+            stats_org, np.random.default_rng(77), default_scenario()
         ).sample_batch(5, 20)
         assert [m.to_json() for m in first] == [m.to_json() for m in second]
 
     def test_batched_counts_and_rejection(self, stats_org, rng):
-        sampler = FaultMapSampler(stats_org, rng)
+        sampler = FaultMapSampler(stats_org, rng, default_scenario())
         maps = sampler.sample_batch(6, 40, max_faults_per_word=1)
         assert len(maps) == 40
         assert all(m.fault_count == 6 for m in maps)
         assert all(m.max_faults_per_row() <= 1 for m in maps)
 
     def test_batched_cells_are_uniform(self, stats_org):
-        sampler = FaultMapSampler(stats_org, np.random.default_rng(101))
+        sampler = FaultMapSampler(
+            stats_org, np.random.default_rng(101), default_scenario()
+        )
         maps = sampler.sample_batch(4, 600)
         observed = self._cell_histogram(maps, stats_org)
         expected = observed.sum() / observed.size
@@ -268,10 +273,10 @@ class TestBatchedSamplerStatistics:
 
     def test_batched_matches_scalar_distribution(self, stats_org):
         batched = FaultMapSampler(
-            stats_org, np.random.default_rng(202)
+            stats_org, np.random.default_rng(202), default_scenario()
         ).sample_batch(4, 600)
         scalar = FaultMapSampler(
-            stats_org, np.random.default_rng(303)
+            stats_org, np.random.default_rng(303), default_scenario()
         ).sample_batch(4, 600, vectorized=False)
         h_batched = self._cell_histogram(batched, stats_org)
         h_scalar = self._cell_histogram(scalar, stats_org)
@@ -288,7 +293,7 @@ class TestBatchedSamplerStatistics:
             for _ in range(1)
         ]
         via_sampler = FaultMapSampler(
-            stats_org, np.random.default_rng(55)
+            stats_org, np.random.default_rng(55), default_scenario()
         ).sample_batch(3, 1, vectorized=False)
         assert [m.to_json() for m in loop] == [m.to_json() for m in via_sampler]
 
@@ -311,13 +316,17 @@ class TestBatchedSamplerStatistics:
         # infeasible max_faults_per_word; it must fail fast like the
         # vectorised path.
         org = MemoryOrganization(rows=8, word_width=8)
-        sampler = FaultMapSampler(org, np.random.default_rng(1))
+        sampler = FaultMapSampler(
+            org, np.random.default_rng(1), default_scenario()
+        )
         with pytest.raises(ValueError):
             sampler.sample_batch(9, 1, max_faults_per_word=1, vectorized=False)
 
     def test_scalar_rejection_exhaustion_raises(self):
         org = MemoryOrganization(rows=16, word_width=8)
-        sampler = FaultMapSampler(org, np.random.default_rng(1))
+        sampler = FaultMapSampler(
+            org, np.random.default_rng(1), default_scenario()
+        )
         with pytest.raises(RuntimeError):
             sampler.sample_batch(
                 14, 4, max_faults_per_word=1, vectorized=False, max_attempts=1

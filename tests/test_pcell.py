@@ -63,21 +63,6 @@ class TestPcellModel:
             model.vdd_for_p_cell(1.0)
 
 
-class TestAnchorCalibration:
-    def test_fit_passes_through_anchors(self):
-        model = PcellModel.from_anchor_points(1.0, 1e-9, 0.73, 2e-4)
-        assert model.p_cell(1.0) == pytest.approx(1e-9, rel=0.05)
-        assert model.p_cell(0.73) == pytest.approx(2e-4, rel=0.05)
-
-    def test_fit_rejects_equal_voltages(self):
-        with pytest.raises(ValueError):
-            PcellModel.from_anchor_points(0.8, 1e-5, 0.8, 1e-3)
-
-    def test_fit_rejects_increasing_failure_with_vdd(self):
-        with pytest.raises(ValueError):
-            PcellModel.from_anchor_points(0.7, 1e-9, 1.0, 1e-3)
-
-
 class TestClassicalYield:
     def test_zero_pcell_gives_full_yield(self):
         assert classical_yield(0.0, 131072) == 1.0

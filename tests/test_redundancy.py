@@ -55,11 +55,6 @@ class TestRepairAllocation:
         with pytest.raises(ValueError):
             RedundancyRepair(spare_rows=-1)
 
-    def test_overhead_cells(self, small_org):
-        repair = RedundancyRepair(spare_rows=2, spare_columns=1)
-        expected = 2 * small_org.word_width + 1 * (small_org.rows + 2)
-        assert repair.overhead_cells(small_org) == expected
-
 
 class TestRemainingFaults:
     """Property tests of the post-repair fault map the scenario pipeline uses."""

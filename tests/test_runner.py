@@ -17,6 +17,7 @@ from repro.core.secded_scheme import SecdedScheme
 from repro.faultmodel.montecarlo import FaultMapSampler, failure_count_pmf
 from repro.memory.faults import FaultMap
 from repro.memory.organization import MemoryOrganization
+from repro.scenarios import default_scenario
 from repro.sim.config import ExperimentConfig, reassign_count_probabilities
 from repro.sim.engine import SweepEngine
 from repro.sim.experiment import knn_benchmark, pca_benchmark
@@ -87,7 +88,9 @@ class TestLegacyFaultMaps:
         assert len(draws) > dies
 
         # The per-die loop the stream was first pinned with.
-        sampler = FaultMapSampler(config.organization, np.random.default_rng(7))
+        sampler = FaultMapSampler(
+            config.organization, np.random.default_rng(7), default_scenario()
+        )
         expected = {}
         for count_index, count in enumerate(config.evaluated_counts()):
             for sample_index in range(config.samples_per_count):

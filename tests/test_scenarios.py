@@ -149,23 +149,14 @@ class TestDefaultScenarioIdentity:
                 m.to_json() for m in direct
             ]
 
-    def test_sampler_rejects_conflicting_fault_kind_and_scenario(self, org):
-        with pytest.raises(ValueError, match="fault_kind"):
-            FaultMapSampler(
-                org,
-                np.random.default_rng(0),
-                fault_kind=FaultKind.STUCK_AT_ZERO,
-                scenario=build_scenario("clustered"),
-            )
-
     def test_sampler_with_default_scenario_matches_plain_sampler(self, org):
-        plain = FaultMapSampler(org, np.random.default_rng(5))
-        routed = FaultMapSampler(
-            org, np.random.default_rng(5), scenario=default_scenario()
-        )
-        a = plain.sample_batch(7, 4, vectorized=False)
-        b = routed.sample_batch(7, 4, vectorized=False)
-        assert [m.to_json() for m in a] == [m.to_json() for m in b]
+        # The legacy per-map stream: the default scenario draws each map
+        # with the plain FaultMap rejection loop, one after another.
+        sampler = FaultMapSampler(org, np.random.default_rng(5), default_scenario())
+        plain_rng = np.random.default_rng(5)
+        plain = [FaultMap.random_with_count(org, 7, plain_rng) for _ in range(4)]
+        routed = sampler.sample_batch(7, 4, vectorized=False)
+        assert [m.to_json() for m in plain] == [m.to_json() for m in routed]
 
     def test_config_normalises_default_scenario_to_none(self):
         explicit = ExperimentConfig(rows=64, scenario=ScenarioSpec("iid-pcell"))

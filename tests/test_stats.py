@@ -1,7 +1,7 @@
 """Property tests for the streaming-summary algebra (`repro.stats`).
 
 The adaptive sweeps stand on three algebraic claims, checked here across
-moments, sketches, stratum trackers, and the exact buffer:
+moments, sketches, the stratified yield state, and the exact buffer:
 
 * ``merge`` is associative and commutative (exactly for the integer state --
   counts, bin tallies, extrema -- and up to floating-point rounding for the
@@ -23,12 +23,11 @@ from hypothesis import strategies as st
 from repro.quality.cdf import WeightedEcdf
 from repro.stats import (
     FixedGridEcdfSketch,
-    StratumVarianceTracker,
+    StratifiedYield,
     StreamingMoments,
     StreamingSummary,
     WeightedSampleBuffer,
     largest_remainder_allocation,
-    neyman_allocation,
     normal_critical_value,
 )
 
@@ -328,14 +327,30 @@ class TestFixedGridEcdfSketch:
                 one_shot.quantile(0.5)
 
 
-class TestStratumVarianceTracker:
-    WEIGHTS = {1: 0.5, 2: 0.3, 3: 0.2}
+_EDGES = np.linspace(-1e6, 1e6, 65)
 
-    def _tracker_from(self, batches) -> StratumVarianceTracker:
-        tracker = StratumVarianceTracker(self.WEIGHTS)
-        for stratum, values in batches:
-            tracker.update_batch(stratum, values)
-        return tracker
+
+def _summary(cells, scheme=0):
+    """A shard summary of one scheme's ``(stratum, values)`` cells."""
+    return [
+        ((scheme, stratum), _moments_from(values), _sketch_from(values, _EDGES))
+        for stratum, values in cells
+    ]
+
+
+def _state_from(weights, *schemes) -> StratifiedYield:
+    """A state over ``len(schemes)`` schemes that folded each scheme's
+    ``(stratum, values)`` cells as one shard summary."""
+    state = StratifiedYield(weights, len(schemes), _EDGES)
+    for si, cells in enumerate(schemes):
+        state.fold(_summary(cells, si))
+    return state
+
+
+class TestStratumVarianceTracker:
+    """:class:`StratifiedYield`: the adaptive round state and its answers."""
+
+    WEIGHTS = {1: 0.5, 2: 0.3, 3: 0.2}
 
     @given(
         st.lists(
@@ -351,71 +366,80 @@ class TestStratumVarianceTracker:
     )
     @settings(max_examples=40, deadline=None)
     def test_merge_commutes(self, left, right):
-        ab = self._tracker_from(left)
-        ab.merge(self._tracker_from(right))
-        ba = self._tracker_from(right)
-        ba.merge(self._tracker_from(left))
+        # Folding two shard summaries in either order gives the same state.
+        ab = _state_from(self.WEIGHTS, left)
+        ab.fold(_summary(right))
+        ba = _state_from(self.WEIGHTS, right)
+        ba.fold(_summary(left))
         for key in self.WEIGHTS:
-            _assert_moments_close(ab.strata[key], ba.strata[key])
+            _assert_moments_close(ab.moments[0][key], ba.moments[0][key])
+            assert ab.sketches[(0, key)].to_dict() == ba.sketches[(0, key)].to_dict()
 
     def test_batched_update_equals_one_shot(self):
+        # One summary per stratum, or each stratum folded in four shards.
         rng = np.random.default_rng(3)
         values = {k: rng.normal(size=30) for k in self.WEIGHTS}
-        one_shot = StratumVarianceTracker(self.WEIGHTS)
-        chunked = StratumVarianceTracker(self.WEIGHTS)
+        one_shot = _state_from(self.WEIGHTS, list(values.items()))
+        chunked = StratifiedYield(self.WEIGHTS, 1, _EDGES)
         for k, v in values.items():
-            one_shot.update_batch(k, v)
             for chunk in np.array_split(v, 4):
-                chunked.update_batch(k, chunk)
+                chunked.fold(_summary([(k, chunk)]))
         for key in self.WEIGHTS:
-            _assert_moments_close(one_shot.strata[key], chunked.strata[key])
-        assert one_shot.estimate() == pytest.approx(chunked.estimate())
-        assert one_shot.half_width() == pytest.approx(
-            chunked.half_width(), rel=1e-6
+            _assert_moments_close(one_shot.moments[0][key], chunked.moments[0][key])
+        assert one_shot.estimate(0) == pytest.approx(chunked.estimate(0))
+        assert one_shot.half_width(0) == pytest.approx(
+            chunked.half_width(0), rel=1e-6
         )
 
     def test_stratified_estimate_and_half_width(self):
-        tracker = StratumVarianceTracker({1: 0.6, 2: 0.4})
-        tracker.update_batch(1, [1.0, 1.0, 0.0, 0.0])  # mean .5, var 1/3
-        tracker.update_batch(2, [1.0, 1.0, 1.0, 1.0])  # mean 1, var 0
-        assert tracker.estimate() == pytest.approx(0.6 * 0.5 + 0.4 * 1.0)
-        assert tracker.estimate(baseline=0.1) == pytest.approx(
+        state = _state_from(
+            {1: 0.6, 2: 0.4},
+            [
+                (1, [1.0, 1.0, 0.0, 0.0]),  # mean .5, var 1/3
+                (2, [1.0, 1.0, 1.0, 1.0]),  # mean 1, var 0
+            ],
+        )
+        assert state.estimate(0) == pytest.approx(0.6 * 0.5 + 0.4 * 1.0)
+        assert state.estimate(0, baseline=0.1) == pytest.approx(
             0.1 + 0.6 * 0.5 + 0.4 * 1.0
         )
         expected_var = 0.6**2 * (1.0 / 3.0) / 4
-        assert tracker.estimate_variance() == pytest.approx(expected_var)
         z = normal_critical_value(0.95)
-        assert tracker.half_width(0.95) == pytest.approx(
+        assert state.half_width(0, 0.95) == pytest.approx(
             z * math.sqrt(expected_var)
         )
 
     def test_neyman_allocation_targets_high_variance_strata(self):
-        tracker = StratumVarianceTracker({1: 0.5, 2: 0.5})
-        tracker.update_batch(1, [0.0, 1.0, 0.0, 1.0])  # noisy stratum
-        tracker.update_batch(2, [1.0, 1.0, 1.0, 1.0])  # settled stratum
-        allocation = neyman_allocation([tracker], 10)
-        assert allocation == {1: 10, 2: 0}
+        state = _state_from(
+            {1: 0.5, 2: 0.5},
+            [
+                (1, [0.0, 1.0, 0.0, 1.0]),  # noisy stratum
+                (2, [1.0, 1.0, 1.0, 1.0]),  # settled stratum
+            ],
+        )
+        assert state.allocate(10) == {1: 10, 2: 0}
 
     def test_allocation_sums_scores_over_trackers(self):
         # The first scheme is settled in stratum 1, the second is noisy in
-        # both: the split follows w_n * s_n summed over the two trackers.
-        first = StratumVarianceTracker({1: 0.5, 2: 0.5})
-        first.update_batch(1, [1.0, 1.0, 1.0, 1.0])
-        first.update_batch(2, [0.0, 1.0, 0.0, 1.0])
-        second = StratumVarianceTracker({1: 0.5, 2: 0.5})
-        second.update_batch(1, [0.0, 1.0, 0.0, 1.0])
-        second.update_batch(2, [0.0, 1.0, 0.0, 1.0])
-        assert neyman_allocation([first, second], 12) == {1: 4, 2: 8}
-        assert neyman_allocation([first], 12) == {1: 0, 2: 12}
+        # both: the split follows w_n * s_n summed over the two schemes.
+        first = [(1, [1.0, 1.0, 1.0, 1.0]), (2, [0.0, 1.0, 0.0, 1.0])]
+        second = [(1, [0.0, 1.0, 0.0, 1.0]), (2, [0.0, 1.0, 0.0, 1.0])]
+        weights = {1: 0.5, 2: 0.5}
+        assert _state_from(weights, first, second).allocate(12) == {1: 4, 2: 8}
+        assert _state_from(weights, first).allocate(12) == {1: 0, 2: 12}
 
     def test_allocation_rejects_trackers_with_different_strata(self):
-        with pytest.raises(ValueError, match="different strata"):
-            neyman_allocation(
-                [StratumVarianceTracker({1: 1.0}), StratumVarianceTracker({2: 1.0})],
-                4,
-            )
-        with pytest.raises(ValueError, match="at least one tracker"):
-            neyman_allocation([], 4)
+        with pytest.raises(ValueError, match="at least one stratum"):
+            StratifiedYield({}, 1, _EDGES)
+        with pytest.raises(ValueError, match="at least one scheme"):
+            StratifiedYield({1: 1.0}, 0, _EDGES)
+        # A checkpoint saved over other strata, or for another scheme
+        # count, does not load.
+        saved = json.loads(json.dumps(_state_from({2: 1.0}, []).to_dict()))
+        with pytest.raises(ValueError, match="no weight"):
+            StratifiedYield({1: 1.0}, 1, _EDGES).restore(saved)
+        with pytest.raises(ValueError, match="tracks 1 schemes, expected 2"):
+            StratifiedYield({2: 1.0}, 2, _EDGES).restore(saved)
 
     def test_allocation_conserves_batch_and_is_deterministic(self):
         scores = {1: 0.31, 2: 0.17, 3: 0.52}
@@ -428,31 +452,39 @@ class TestStratumVarianceTracker:
         assert largest_remainder_allocation({1: 0.0, 2: 0.0}, 4) == {1: 2, 2: 2}
 
     def test_mismatched_strata_refuse_to_merge(self):
-        with pytest.raises(ValueError, match="strata"):
-            StratumVarianceTracker({1: 1.0}).merge(
-                StratumVarianceTracker({2: 1.0})
+        state = StratifiedYield({1: 1.0}, 1, _EDGES)
+        with pytest.raises(KeyError):
+            state.fold(_summary([(2, [1.0])]))
+        with pytest.raises(ValueError, match="different grids"):
+            state.fold(
+                [((0, 1), _moments_from([1.0]), _sketch_from([1.0], _EDGES[::2]))]
             )
 
     def test_json_round_trip_is_exact(self):
-        tracker = self._tracker_from([(1, [0.5, 0.25]), (3, [2.0])])
-        payload = json.loads(json.dumps(tracker.to_dict()))
-        restored = StratumVarianceTracker.from_dict(payload)
-        assert restored.to_dict() == tracker.to_dict()
-        assert restored.estimate() == tracker.estimate()
+        state = _state_from(self.WEIGHTS, [(1, [0.5, 0.25]), (3, [2.0])])
+        state.end_round({1: 2, 2: 0, 3: 1})
+        payload = json.loads(json.dumps(state.to_dict()))
+        restored = StratifiedYield(self.WEIGHTS, 1, _EDGES)
+        restored.restore(payload)
+        assert json.dumps(restored.to_dict()) == json.dumps(state.to_dict())
+        assert restored.estimate(0) == state.estimate(0)
+        assert (restored.rounds, restored.total_dies) == (1, 3)
 
     def test_from_dict_rejects_a_stratum_without_weight(self):
-        payload = self._tracker_from([(1, [0.5, 0.25]), (3, [2.0])]).to_dict()
-        payload["strata"]["7"] = StreamingMoments().to_dict()
+        state = _state_from(self.WEIGHTS, [(1, [0.5, 0.25]), (3, [2.0])])
+        payload = state.to_dict()
+        payload["trackers"][0]["strata"]["7"] = StreamingMoments().to_dict()
         with pytest.raises(ValueError, match="^saved stratum 7 has no weight$"):
-            StratumVarianceTracker.from_dict(payload)
+            StratifiedYield(self.WEIGHTS, 1, _EDGES).restore(payload)
 
     def test_from_dict_rejects_a_weighted_stratum_without_moments(self):
-        payload = self._tracker_from([(1, [0.5, 0.25]), (3, [2.0])]).to_dict()
-        del payload["strata"]["3"]
+        state = _state_from(self.WEIGHTS, [(1, [0.5, 0.25]), (3, [2.0])])
+        payload = state.to_dict()
+        del payload["trackers"][0]["strata"]["3"]
         with pytest.raises(
             ValueError, match="^stratum 3 has a weight but no saved moments$"
         ):
-            StratumVarianceTracker.from_dict(payload)
+            StratifiedYield(self.WEIGHTS, 1, _EDGES).restore(payload)
 
 
 class TestWeightedSampleBuffer:
@@ -551,13 +583,14 @@ class TestNeymanZeroVariance:
         # so the w_n * s_n scores all vanish.  The allocation must fall back
         # to a uniform spread (never a division by zero) and conserve the
         # batch exactly.
-        tracker = StratumVarianceTracker({1: 0.5, 2: 0.3, 3: 0.2})
-        for key in (1, 2, 3):
-            tracker.update_batch(key, [constant] * per_stratum)
-        allocation = neyman_allocation([tracker], batch)
+        state = _state_from(
+            {1: 0.5, 2: 0.3, 3: 0.2},
+            [(key, [constant] * per_stratum) for key in (1, 2, 3)],
+        )
+        allocation = state.allocate(batch)
         assert sum(allocation.values()) == batch
         assert all(count >= 0 for count in allocation.values())
-        if all(tracker.strata[k].variance() == 0.0 for k in (1, 2, 3)):
+        if all(state.std(0, k) == 0.0 for k in (1, 2, 3)):
             # Exactly-zero scores fall back to the uniform spread.  (Welford
             # on a non-representable constant can leave a tiny rounding
             # variance, in which case the allocation legitimately follows
@@ -567,16 +600,19 @@ class TestNeymanZeroVariance:
     @given(st.integers(min_value=1, max_value=500))
     @settings(max_examples=30, deadline=None)
     def test_zero_variance_stratum_gets_nothing(self, batch):
-        tracker = StratumVarianceTracker({1: 0.5, 2: 0.5})
-        tracker.update_batch(1, [0.0, 1.0, 0.0, 1.0])  # real spread
-        tracker.update_batch(2, [7.0, 7.0, 7.0, 7.0])  # degenerate
-        allocation = neyman_allocation([tracker], batch)
+        state = _state_from(
+            {1: 0.5, 2: 0.5},
+            [
+                (1, [0.0, 1.0, 0.0, 1.0]),  # real spread
+                (2, [7.0, 7.0, 7.0, 7.0]),  # degenerate
+            ],
+        )
+        allocation = state.allocate(batch)
         assert allocation[2] == 0
         assert allocation[1] == batch
 
     def test_unsampled_strata_do_not_crash_allocation(self):
         # std() of an empty stratum must behave like zero variance, not NaN.
-        tracker = StratumVarianceTracker({1: 0.7, 2: 0.3})
-        allocation = neyman_allocation([tracker], 9)
+        allocation = StratifiedYield({1: 0.7, 2: 0.3}, 1, _EDGES).allocate(9)
         assert sum(allocation.values()) == 9
         assert all(count >= 0 for count in allocation.values())
