@@ -12,6 +12,7 @@ lean on.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -251,6 +252,31 @@ def test_rerun_on_same_checkpoint_dir_reproduces_cold_run(tmp_path):
     assert runs[1].evaluated_dies == 0
     for result in runs:
         assert _result_fingerprint(result) == _result_fingerprint(cold)
+
+
+# sha256 over the sorted (file name, sha256 of its bytes) pairs of the rung
+# files test_rung_checkpoint_bytes writes.
+_RUNG_FILES_SHA256 = (
+    "3570f8a85edeaf829c8e3b45edf96428f35e2a6b680bcedc79a16f2604a2e5ef"
+)
+
+
+def test_rung_checkpoint_bytes(tmp_path):
+    # The 0.60 V cell stops at rung 0 and the 0.65 V cell climbs all three
+    # rungs, so the pin covers each rung's copy of the previous rung's file,
+    # its resume and its rewrite -- byte for byte.
+    spec = _smoke_spec(operating_grid=OperatingGridSpec(vdd_values=(0.60, 0.65)))
+    checkpoint_dir = tmp_path / "ckpt"
+    ParetoOptimizer(
+        spec, optimizer=_MULTIRUNG_OPT, checkpoint_dir=str(checkpoint_dir)
+    ).run()
+    names = sorted(os.listdir(checkpoint_dir))
+    assert len(names) == 1 + _MULTIRUNG_OPT.rungs
+    digest = hashlib.sha256()
+    for name in names:
+        data = (checkpoint_dir / name).read_bytes()
+        digest.update(f"{name}\0{hashlib.sha256(data).hexdigest()}\n".encode())
+    assert digest.hexdigest() == _RUNG_FILES_SHA256
 
 
 def test_killed_mid_rung_resumes_from_checkpoint_dir(tmp_path, monkeypatch):
