@@ -218,29 +218,36 @@ def summarize_shard(
     The returned payload is O(bins): one indicator-moments accumulator and
     one fixed-grid ECDF sketch per (scheme, stratum) touched by the shard,
     regardless of how many dies the shard evaluated.  Dies are evaluated in
-    entry order and folded value-by-value, so the summary is a deterministic
-    function of the entry list alone.
+    entry order and each pass/fail indicator is folded as it comes
+    (:meth:`StreamingMoments.update`).  Each cell's scores enter its sketch
+    in one batch: unit-weight bin counts are exact integer sums, so the
+    sketch equals a value-by-value fold's (its extremes too, unless the
+    cell's scores hold a nan or both signed zeros).  The summary is a
+    deterministic function of the entry list alone.
     """
     adaptive: Mapping[str, object] = context["adaptive"]
     threshold = float(adaptive["threshold"])
     larger_is_better = adaptive["direction"] == "ge"
-    edges = adaptive["edges"]
-    cells: Dict[Tuple[int, int], Tuple[StreamingMoments, FixedGridEcdfSketch]] = {}
+    grid = FixedGridEcdfSketch(adaptive["edges"])
+    cells: Dict[Tuple[int, int], Tuple[StreamingMoments, List[float]]] = {}
     dies = (((count, sample), failures, None) for count, sample, failures in entries)
     for (count_index, _, _), scores in zip(entries, _scored_dies(context, dies)):
         for scheme_index, score in enumerate(scores):
             key = (scheme_index, count_index)
             cell = cells.get(key)
             if cell is None:
-                cell = (StreamingMoments(), FixedGridEcdfSketch(edges))
-                cells[key] = cell
-            moments, sketch = cell
+                cell = cells[key] = (StreamingMoments(), [])
+            moments, cell_scores = cell
             passed = score >= threshold if larger_is_better else score <= threshold
-            moments.update_batch([1.0 if passed else 0.0])
-            sketch.update_batch([score])
-    return [
-        (key, cells[key][0], cells[key][1]) for key in sorted(cells)
-    ]
+            moments.update(1.0 if passed else 0.0)
+            cell_scores.append(score)
+    summary: ShardSummary = []
+    for key in sorted(cells):
+        moments, cell_scores = cells[key]
+        sketch = grid.blank()
+        sketch.update_batch(cell_scores)
+        summary.append((key, moments, sketch))
+    return summary
 
 
 def shard_cost(kind: str, entries: List[object]) -> int:

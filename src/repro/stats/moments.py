@@ -60,6 +60,24 @@ class StreamingMoments:
         batch.maximum = float(values.max())
         self.merge(batch)
 
+    def update(self, value: float) -> None:
+        """Absorb one observation, bit for bit as ``update_batch([value])``.
+
+        It builds the same count-1 summary without NumPy and merges it.
+        NumPy's mean of one value is ``0.0 + value`` (so ``-0.0`` comes back
+        as ``0.0``), and its squared deviation is ``0.0``, or ``nan`` for an
+        infinite or ``nan`` value.
+        """
+        value = float(value)
+        single = StreamingMoments()
+        single.count = 1
+        single.mean = 0.0 + value
+        deviation = value - single.mean
+        single.m2 = deviation * deviation
+        single.minimum = value
+        single.maximum = value
+        self.merge(single)
+
     def merge(self, other: "StreamingMoments") -> None:
         """Chan's parallel combination; exact for counts and extrema."""
         if other.count == 0:

@@ -17,7 +17,7 @@ is honest at both tails.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Mapping, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -180,11 +180,16 @@ class FixedGridEcdfSketch:
     # ------------------------------------------------------------------ #
     # Serialisation
     # ------------------------------------------------------------------ #
-    def to_dict(self) -> Dict[str, Any]:
-        """Exact JSON-safe state; bins stored sparsely (index, mass)."""
+    def to_dict(self, edges: Optional[List[float]] = None) -> Dict[str, Any]:
+        """Exact JSON-safe state; bins stored sparsely (index, mass).
+
+        ``edges`` is this grid's ``edges.tolist()`` when the caller has it
+        already: sketches on one grid then share one list, which
+        :func:`repro.jsonio.dump` encodes once.
+        """
         occupied = np.flatnonzero(self.counts)
         return {
-            "edges": self.edges.tolist(),
+            "edges": self.edges.tolist() if edges is None else edges,
             "bins": {int(i): float(self.counts[i]) for i in occupied},
             "count": self.count,
             "min": None if math.isinf(self.minimum) else self.minimum,
@@ -202,9 +207,20 @@ class FixedGridEcdfSketch:
         sketch.maximum = -math.inf if data["max"] is None else float(data["max"])
         return sketch
 
+    def blank(self) -> "FixedGridEcdfSketch":
+        """An empty sketch sharing this sketch's grid, without checking the
+        grid again (it was checked when this sketch was built)."""
+        other = FixedGridEcdfSketch.__new__(FixedGridEcdfSketch)
+        other.edges = self.edges
+        other.counts = np.zeros_like(self.counts)
+        other.count = 0
+        other.minimum = math.inf
+        other.maximum = -math.inf
+        return other
+
     def copy(self) -> "FixedGridEcdfSketch":
         """Independent deep copy (fresh count arrays)."""
-        other = FixedGridEcdfSketch(self.edges)
+        other = self.blank()
         other.counts = self.counts.copy()
         other.count = self.count
         other.minimum = self.minimum

@@ -23,6 +23,8 @@ import math
 from statistics import NormalDist
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
+import numpy as np
+
 from repro.stats.moments import StreamingMoments
 from repro.stats.sketch import FixedGridEcdfSketch
 
@@ -92,12 +94,15 @@ class StratifiedYield:
         self.weights: Dict[int, float] = {
             int(k): float(v) for k, v in weights.items()
         }
+        grid = FixedGridEcdfSketch(edges)
+        #: The score grid every sketch of the sweep shares.
+        self.edges = grid.edges
         self.moments: List[Dict[int, StreamingMoments]] = [
             {key: StreamingMoments() for key in self.weights}
             for _ in range(n_schemes)
         ]
         self.sketches: Dict[Tuple[int, int], FixedGridEcdfSketch] = {
-            (si, key): FixedGridEcdfSketch(edges)
+            (si, key): grid.blank()
             for si in range(n_schemes)
             for key in self.weights
         }
@@ -190,8 +195,13 @@ class StratifiedYield:
         return {key: sketch.finalize() for key, sketch in self.sketches.items()}
 
     def to_dict(self) -> Dict[str, Any]:
-        """Exact JSON-safe round state; empty sketches are left out."""
+        """Exact JSON-safe round state; empty sketches are left out.
+
+        Every sketch shares one ``edges`` list, so :func:`repro.jsonio.dump`
+        encodes the grid once per write.
+        """
         weights = {str(k): self.weights[k] for k in sorted(self.weights)}
+        edges = self.edges.tolist()
         return {
             "rounds": self.rounds,
             "samples_per_count_index": {
@@ -205,7 +215,7 @@ class StratifiedYield:
                 for strata in self.moments
             ],
             "sketches": {
-                f"{si}:{key}": self.sketches[(si, key)].to_dict()
+                f"{si}:{key}": self.sketches[(si, key)].to_dict(edges)
                 for si, key in sorted(self.sketches)
                 if self.sketches[(si, key)].count
             },
@@ -215,9 +225,11 @@ class StratifiedYield:
     def restore(self, data: Mapping[str, Any]) -> None:
         """Load the round state :meth:`to_dict` saved.
 
-        Each scheme's saved strata must be exactly the weighted ones: a
-        stratum without a weight cannot enter the estimate, and a weighted
-        stratum without saved moments would silently restart empty.
+        Each scheme's saved strata, and the strata with saved die counts,
+        must be exactly the weighted ones: a stratum without a weight cannot
+        enter the estimate, and a weighted stratum without saved moments
+        would silently restart empty.  Every saved sketch must belong to a
+        (scheme, stratum) of the sweep and lie on its grid.
         """
         trackers = data["trackers"]
         if len(trackers) != len(self.moments):
@@ -239,12 +251,30 @@ class StratifiedYield:
             moments.append(
                 {key: StreamingMoments.from_dict(strata[key]) for key in self.weights}
             )
-        self.moments = moments
+        cells = {f"{si}:{key}": (si, key) for si, key in self.sketches}
+        sketches = {}
         for key, saved in data["sketches"].items():
-            si, stratum = (int(part) for part in key.split(":"))
-            self.sketches[(si, stratum)] = FixedGridEcdfSketch.from_dict(saved)
-        self.samples = {
+            if key not in cells:
+                raise ValueError(
+                    f"saved sketch {key!r} is not a (scheme, stratum) of this sweep"
+                )
+            sketch = FixedGridEcdfSketch.from_dict(saved)
+            if not np.array_equal(sketch.edges, self.edges):
+                raise ValueError(f"saved sketch {key!r} is on another grid")
+            sketches[cells[key]] = sketch
+        samples = {
             int(k): int(v) for k, v in data["samples_per_count_index"].items()
         }
+        extra = sorted(set(samples) - set(self.weights))
+        if extra:
+            raise ValueError(f"saved die count of stratum {extra[0]} has no weight")
+        missing = sorted(set(self.weights) - set(samples))
+        if missing:
+            raise ValueError(
+                f"stratum {missing[0]} has a weight but no saved die count"
+            )
+        self.moments = moments
+        self.sketches.update(sketches)
+        self.samples = samples
         self.rounds = int(data["rounds"])
         self.max_payload = int(data.get("max_shard_payload_scalars", 0))

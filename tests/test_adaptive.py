@@ -26,9 +26,11 @@ from repro.dse.spec import (
 )
 from repro.memory.organization import MemoryOrganization
 from repro.sim import engine as engine_module
+from repro.sim import shardeval
 from repro.sim.config import AdaptiveBudget, ExperimentConfig
 from repro.sim.engine import SweepEngine
 from repro.sim.experiment import knn_benchmark
+from repro.stats import FixedGridEcdfSketch, StreamingMoments
 
 SCHEMES = ("no-protection", "bit-shuffle-nfm2")
 
@@ -291,6 +293,89 @@ class TestAdaptiveStopping:
         bound = len(SCHEMES) * n_counts * (2 * (bins + 1) + 16)
         assert small_payload.max_shard_payload_scalars <= bound
         assert big_payload.max_shard_payload_scalars <= bound
+
+
+def _float_bits(value: float) -> str:
+    return "nan" if np.isnan(value) else float.hex(float(value))
+
+
+def _value_by_value_summary(entries, context):
+    """A shard summary folded one die and one scheme at a time, each value
+    through its own ``update_batch`` call."""
+    adaptive = context["adaptive"]
+    threshold = adaptive["threshold"]
+    cells = {}
+    dies = (((count, sample), failures, None) for count, sample, failures in entries)
+    for (count_index, _, _), scores in zip(
+        entries, shardeval._scored_dies(context, dies)
+    ):
+        for scheme_index, score in enumerate(scores):
+            moments, sketch = cells.setdefault(
+                (scheme_index, count_index),
+                (StreamingMoments(), FixedGridEcdfSketch(adaptive["edges"])),
+            )
+            if adaptive["direction"] == "ge":
+                passed = score >= threshold
+            else:
+                passed = score <= threshold
+            moments.update_batch([1.0 if passed else 0.0])
+            sketch.update_batch([score])
+    return [(key, *cells[key]) for key in sorted(cells)]
+
+
+class TestShardSummary:
+    @pytest.mark.parametrize("evaluation", ["quality", "mse"])
+    def test_matches_a_value_by_value_fold(
+        self, smoke_benchmark, monkeypatch, evaluation
+    ):
+        # Every shard of a sweep at a threshold some dies pass and some fail
+        # is summarised again and compared with the per-value fold.
+        shards = []
+        real_summarize = engine_module._summarize_shard
+
+        def recording(entries, context):
+            shards.append((entries, context))
+            return real_summarize(entries, context)
+
+        monkeypatch.setattr(engine_module, "_summarize_shard", recording)
+        config = _config(
+            samples_per_count=8,
+            adaptive=AdaptiveBudget(
+                target_ci=1e-6,
+                threshold={"mse": 1e6, "quality": 1.01}[evaluation],
+                initial_samples_per_count=4,
+                round_dies=12,
+            ),
+        )
+        engine = SweepEngine(config)
+        if evaluation == "quality":
+            engine.run(smoke_benchmark)
+        else:
+            engine.run_mse()
+        assert engine.last_adaptive_report.rounds >= 2
+        indicators = set()
+        for entries, context in shards:
+            actual = shardeval.summarize_shard(entries, context)
+            expected = _value_by_value_summary(entries, context)
+            assert [cell[0] for cell in actual] == [cell[0] for cell in expected]
+            for (_, moments, sketch), (_, ref_moments, ref_sketch) in zip(
+                actual, expected
+            ):
+                assert [
+                    moments.count,
+                    *map(_float_bits, (moments.mean, moments.m2)),
+                    *map(_float_bits, (moments.minimum, moments.maximum)),
+                ] == [
+                    ref_moments.count,
+                    *map(_float_bits, (ref_moments.mean, ref_moments.m2)),
+                    *map(_float_bits, (ref_moments.minimum, ref_moments.maximum)),
+                ]
+                assert np.array_equal(sketch.counts, ref_sketch.counts)
+                assert sketch.count == ref_sketch.count
+                assert _float_bits(sketch.minimum) == _float_bits(ref_sketch.minimum)
+                assert _float_bits(sketch.maximum) == _float_bits(ref_sketch.maximum)
+                indicators.update((moments.minimum, moments.maximum))
+        assert indicators == {0.0, 1.0}
 
 
 class TestAdaptiveCheckpoint:

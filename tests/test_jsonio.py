@@ -97,3 +97,75 @@ def test_file_writers_match_json_dump(tmp_path):
         "total_records": index.total_records,
     }
     assert path.read_text(encoding="utf-8") == json.dumps(expected)
+
+
+# Floats whose text is easy to get wrong, next to the ints they equal.
+_SPECIAL = st.sampled_from(
+    [0.0, -0.0, 0, 1, 1.0, float("nan"), float("inf"), float("-inf"), 5e-324]
+)
+_SCALARS = st.one_of(_LEAVES, _SPECIAL)
+
+
+@st.composite
+def _documents_with_shared_lists(draw):
+    """A dict of dicts whose leaves -- dict leaves, and dicts and lists
+    nested deeper -- hold the same few list objects in several places."""
+    pool = draw(st.lists(st.lists(_SCALARS, max_size=5), min_size=1, max_size=3))
+    shared = st.sampled_from(pool)
+    nested = st.recursive(
+        st.one_of(_SCALARS, shared),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=3),
+            st.dictionaries(_KEYS, inner, max_size=3),
+        ),
+        max_leaves=6,
+    )
+    dict_leaves = st.dictionaries(
+        _KEYS, st.one_of(shared, _SCALARS, nested), min_size=1, max_size=5
+    )
+    return draw(
+        st.dictionaries(
+            _KEYS,
+            st.dictionaries(_KEYS, st.one_of(dict_leaves, nested), max_size=4),
+            min_size=1,
+            max_size=4,
+        )
+    )
+
+
+@settings(max_examples=100)
+@given(_documents_with_shared_lists())
+def test_shared_lists_match_json_dumps(value):
+    streamed = io.StringIO()
+    jsonio.dump(value, streamed)
+    assert streamed.getvalue() == json.dumps(value)
+
+
+def test_a_shared_list_is_encoded_once_per_dump(monkeypatch):
+    grid = [0.0, -0.0, 0.5, float("inf"), float("nan"), 1]
+    value = {
+        "sketches": {
+            f"0:{n}": {"edges": grid, "bins": {n: 1.0}, "count": 1, "max": -0.0}
+            for n in range(4)
+        },
+        "other": {"a": {"first": 1, "edges": grid, "last": [grid, grid]}},
+    }
+    encoded = []
+    real = jsonio._leaf_encoder
+
+    def counting():
+        encode = real()
+
+        def wrapped(item):
+            encoded.append(item)
+            return encode(item)
+
+        return wrapped
+
+    monkeypatch.setattr(jsonio, "_leaf_encoder", counting)
+    for _ in range(2):
+        streamed = io.StringIO()
+        jsonio.dump(value, streamed)
+        assert streamed.getvalue() == json.dumps(value)
+    # Once per dump call: the memo does not outlive the call.
+    assert sum(item is grid for item in encoded) == 2

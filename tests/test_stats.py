@@ -37,6 +37,26 @@ finite_floats = st.floats(
 value_lists = st.lists(finite_floats, min_size=1, max_size=40)
 
 
+# Every float64 class: signed zeros, subnormals, infinities and nan.
+any_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, math.inf, -math.inf, math.nan]
+    ),
+)
+
+
+def _bits(value: float) -> str:
+    """A float's exact bits as text; every nan reads ``"nan"``."""
+    return "nan" if math.isnan(value) else float.hex(value)
+
+
+def _moments_bits(moments: StreamingMoments):
+    return (moments.count,) + tuple(
+        _bits(x) for x in (moments.mean, moments.m2, moments.minimum, moments.maximum)
+    )
+
+
 def _moments_from(values) -> StreamingMoments:
     moments = StreamingMoments()
     moments.update_batch(values)
@@ -135,6 +155,24 @@ class TestStreamingMoments:
         assert restored.to_dict() == moments.to_dict()
         assert restored.mean == moments.mean
         assert restored.m2 == moments.m2
+
+    @given(
+        st.lists(st.lists(any_floats, max_size=6), max_size=3),
+        st.lists(any_floats, min_size=1, max_size=8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_update_equals_a_batch_of_one_bit_for_bit(self, start, values):
+        # Both accumulators absorb the same random batches first, then the
+        # same values one at a time by either method.
+        single, batched = StreamingMoments(), StreamingMoments()
+        with np.errstate(all="ignore"):
+            for batch in start:
+                single.update_batch(batch)
+                batched.update_batch(batch)
+            for value in values:
+                single.update(value)
+                batched.update_batch([value])
+                assert _moments_bits(single) == _moments_bits(batched)
 
     def test_finalize_fields(self):
         result = _moments_from([2.0, 4.0, 6.0]).finalize()
@@ -485,6 +523,41 @@ class TestStratumVarianceTracker:
             ValueError, match="^stratum 3 has a weight but no saved moments$"
         ):
             StratifiedYield(self.WEIGHTS, 1, _EDGES).restore(payload)
+
+
+    @pytest.mark.parametrize("key", ["5:1", "0:7", "1", "0:1:0"])
+    def test_restore_rejects_a_sketch_outside_the_sweep(self, key):
+        payload = self._saved()
+        payload["sketches"][key] = payload["sketches"]["0:1"]
+        with pytest.raises(
+            ValueError, match=f"^saved sketch '{key}' is not a \\(scheme, stratum\\)"
+        ):
+            StratifiedYield(self.WEIGHTS, 1, _EDGES).restore(payload)
+
+    def test_restore_rejects_a_sketch_on_another_grid(self):
+        payload = self._saved()
+        payload["sketches"]["0:3"]["edges"] = _EDGES[::2].tolist()
+        with pytest.raises(ValueError, match="^saved sketch '0:3' is on another grid$"):
+            StratifiedYield(self.WEIGHTS, 1, _EDGES).restore(payload)
+
+    def test_restore_rejects_die_counts_of_other_strata(self):
+        payload = self._saved()
+        payload["samples_per_count_index"]["9"] = 3
+        with pytest.raises(
+            ValueError, match="^saved die count of stratum 9 has no weight$"
+        ):
+            StratifiedYield(self.WEIGHTS, 1, _EDGES).restore(payload)
+        payload = self._saved()
+        del payload["samples_per_count_index"]["2"]
+        with pytest.raises(
+            ValueError, match="^stratum 2 has a weight but no saved die count$"
+        ):
+            StratifiedYield(self.WEIGHTS, 1, _EDGES).restore(payload)
+
+    def _saved(self):
+        state = _state_from(self.WEIGHTS, [(1, [0.5, 0.25]), (3, [2.0])])
+        state.end_round({1: 2, 2: 0, 3: 1})
+        return json.loads(json.dumps(state.to_dict()))
 
 
 class TestWeightedSampleBuffer:
