@@ -24,9 +24,10 @@ Two fault behaviours are modelled:
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, KeysView, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -108,6 +109,10 @@ class FaultMap:
 
     def __contains__(self, cell: Tuple[int, int]) -> bool:
         return tuple(cell) in self._faults
+
+    def cells(self) -> KeysView[Tuple[int, int]]:
+        """The faulty ``(row, column)`` cells in insertion order (a read-only view)."""
+        return self._faults.keys()
 
     def faults_in_row(self, row: int) -> List[FaultSite]:
         """All faults located in ``row``, sorted by bit position."""
@@ -240,19 +245,7 @@ class FaultMap:
         columns = np.asarray(columns, dtype=np.int64).ravel()
         if rows.shape != columns.shape:
             raise ValueError("rows and columns must have equal shapes")
-        return cls._from_cell_lists(
-            organization, rows.tolist(), columns.tolist(), kind
-        )
-
-    @classmethod
-    def _from_cell_lists(
-        cls,
-        organization: MemoryOrganization,
-        rows: List[int],
-        columns: List[int],
-        kind: FaultKind,
-    ) -> "FaultMap":
-        """:meth:`from_cell_arrays` over equal-length lists of Python ints."""
+        rows, columns = rows.tolist(), columns.tolist()
         if rows:
             if min(rows) < 0 or max(rows) >= organization.rows:
                 raise IndexError(
@@ -270,6 +263,38 @@ class FaultMap:
         fault_map = cls(organization, ())
         fault_map._faults = faults
         return fault_map
+
+    @classmethod
+    def _from_drawn_cells(
+        cls,
+        organization: MemoryOrganization,
+        drawn: np.ndarray,
+        kind: FaultKind,
+    ) -> List["FaultMap"]:
+        """One map per row of ``drawn``, a ``(maps, count)`` array of flat cells.
+
+        The one way drawn cells become maps.  Flat cell ``i`` is row
+        ``i // word_width``, column ``i % word_width``, and each map keeps
+        its cells in draw order.  The whole array is range-checked and split
+        into rows and columns at once; each map then costs one dict, whose
+        length still catches a repeated cell, and skips :meth:`__init__`:
+        both instance attributes are set here.
+        """
+        total = organization.total_cells
+        if drawn.size and (drawn.min() < 0 or drawn.max() >= total):
+            raise IndexError(f"drawn cell out of range [0, {total})")
+        width = organization.word_width
+        kind = FaultKind(kind)
+        maps: List["FaultMap"] = []
+        for rows, columns in zip((drawn // width).tolist(), (drawn % width).tolist()):
+            faults = dict.fromkeys(zip(rows, columns), kind)
+            if len(faults) != len(rows):
+                raise ValueError("duplicate fault cell in a drawn map")
+            fault_map = cls.__new__(cls)
+            fault_map._organization = organization
+            fault_map._faults = faults
+            maps.append(fault_map)
+        return maps
 
     @classmethod
     def random_with_count(
@@ -291,14 +316,8 @@ class FaultMap:
             raise ValueError(
                 f"cannot place {fault_count} faults in a memory of {total} cells"
             )
-        flat = rng.choice(total, size=fault_count, replace=False).tolist()
-        width = organization.word_width
-        return cls._from_cell_lists(
-            organization,
-            [cell // width for cell in flat],
-            [cell % width for cell in flat],
-            kind,
-        )
+        flat = rng.choice(total, size=fault_count, replace=False)
+        return cls._from_drawn_cells(organization, flat[np.newaxis], kind)[0]
 
     @classmethod
     def random_batch_with_count(
@@ -394,15 +413,7 @@ class FaultMap:
                 f"{max_rounds} rounds; relax max_faults_per_word or lower "
                 f"fault_count"
             )
-        return [
-            cls._from_cell_lists(
-                organization,
-                [cell // width for cell in flat],
-                [cell % width for cell in flat],
-                kind,
-            )
-            for flat in accepted.tolist()
-        ]
+        return cls._from_drawn_cells(organization, accepted, kind)
 
     @classmethod
     def _random_batch_dense(
@@ -415,18 +426,25 @@ class FaultMap:
         max_faults_per_word: Optional[int],
         max_rounds: int,
     ) -> List["FaultMap"]:
-        """Per-map without-replacement fallback for densely faulty batches."""
-        maps: List["FaultMap"] = []
-        for _ in range(batch_size):
+        """Per-map without-replacement draws: the legacy stream of a stratum.
+
+        Each map is one ``rng.choice(total_cells, fault_count,
+        replace=False)`` -- the draw of :meth:`random_with_count` -- written
+        into its row of one ``(batch_size, fault_count)`` array.  With
+        ``max_faults_per_word``, a candidate with more faults in one word row
+        is redrawn, up to ``max_rounds`` times.  The whole stratum then
+        becomes maps in one :meth:`_from_drawn_cells` call.
+        """
+        total, width = organization.total_cells, organization.word_width
+        drawn = np.empty((batch_size, fault_count), dtype=np.int64)
+        for index in range(batch_size):
             for _attempt in range(max_rounds):
-                candidate = cls.random_with_count(
-                    organization, fault_count, rng, kind=kind
-                )
-                if (
-                    max_faults_per_word is None
-                    or candidate.max_faults_per_row() <= max_faults_per_word
-                ):
-                    maps.append(candidate)
+                candidate = rng.choice(total, size=fault_count, replace=False)
+                if max_faults_per_word is None or max(
+                    Counter(cell // width for cell in candidate.tolist()).values(),
+                    default=0,
+                ) <= max_faults_per_word:
+                    drawn[index] = candidate
                     break
             else:
                 raise RuntimeError(
@@ -434,7 +452,7 @@ class FaultMap:
                     f"{max_faults_per_word} faults per word after "
                     f"{max_rounds} attempts"
                 )
-        return maps
+        return cls._from_drawn_cells(organization, drawn, kind)
 
     @classmethod
     def random_with_pcell(

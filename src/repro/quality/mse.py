@@ -17,18 +17,28 @@ a time, left to right, in the fault map's row order
 (:meth:`FaultMap.faulty_columns_by_row`); the total is divided by ``R`` last.
 :func:`mse_from_error_positions` applies it to explicit per-row positions
 (the test oracle).  :func:`mse_of_fault_map` applies it to a whole batch of
-dies under every scheme at once: it groups each die's rows once, puts each
-row's energy -- from the scheme's
-:meth:`~repro.core.base.ProtectionScheme.error_energy_tables` -- at the row's
-position in a zero-padded ``(dies x max rows)`` grid, and takes the last
-column of ``np.cumsum(grid, axis=1)``.  ``cumsum`` adds strictly left to
-right and the trailing padding adds exact zeros, so each die's total is the
-contract's sum bit for bit.  A lone die skips the grid's fixed NumPy cost:
-its rows are added one at a time in a Python loop, the same sum.
+dies under every scheme at once: it puts each row's energy -- from the
+scheme's :meth:`~repro.core.base.ProtectionScheme.error_energy_tables` -- at
+the row's position in a zero-padded ``(dies x max faults)`` grid, and takes
+the last column of ``np.cumsum(grid, axis=1)``.  ``cumsum`` adds strictly
+left to right and the trailing padding adds exact zeros, so each die's total
+is the contract's sum bit for bit.
+
+A batch's rows are grouped once for every scheme, in NumPy.  Every die's
+cells are read in insertion order in one pass, and one stable sort on
+(die, row) finds the dies in which two faults share a row.  In every other
+die each row holds one fault, and the draw order of the cells is the row
+order: each cell's ``single`` energy goes straight to its draw position.
+A die with a shared row is grouped by
+:meth:`~repro.memory.faults.FaultMap.faulty_columns_by_row`, whose rows keep
+their first-appearance order, and its shared rows are priced by ``multi``.
+A lone die skips the grid's fixed NumPy cost: its rows are added one at a
+time in a Python loop, the same sum.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -96,54 +106,73 @@ def mse_of_fault_map(
     if one_map and one_scheme:
         return _die_energy(maps[0].faulty_columns_by_row(), schemes) / maps[0].organization.rows
     rows = np.array([fault_map.organization.rows for fault_map in maps], dtype=float)
-    energies = error_energies(
-        [fault_map.faulty_columns_by_row() for fault_map in maps], scheme_list
-    )
-    return energies / rows[:, None]
+    return error_energies(maps, scheme_list) / rows[:, None]
 
 
 def error_energies(
-    row_columns: Sequence[Mapping[int, Sequence[int]]],
-    schemes: Sequence[ProtectionScheme],
+    fault_maps: Sequence[FaultMap], schemes: Sequence[ProtectionScheme]
 ) -> np.ndarray:
     """Eq. 6 error energies (MSE numerators) of many dies: ``(dies x schemes)``.
 
-    ``row_columns`` holds one mapping per die from each faulty row to its
-    sorted, distinct fault columns, in the die's row order -- exactly
-    :meth:`~repro.memory.faults.FaultMap.faulty_columns_by_row`.  The rows
-    are grouped once for every scheme; each scheme then fills the grid of the
-    module docstring from its tables.  A scheme without tables scores each
-    die with its scalar ``residual_error_positions``, row by row with the
-    real row index.  A column outside a scheme's word raises ``ValueError``.
+    The dies' rows are grouped once for every scheme, as the module
+    docstring describes; each scheme then fills the grid from its tables.
+    A scheme without tables scores each die with its scalar
+    ``residual_error_positions``, row by row with the real row index.  A
+    column outside a scheme's word raises ``ValueError``.
     """
-    if len(row_columns) == 1:
-        return np.array([[_die_energy(row_columns[0], scheme) for scheme in schemes]])
-    span = max(map(len, row_columns), default=0) or 1
-    single_slots, single_columns, multi = [], [], []
-    for start, by_row in zip(range(0, span * len(row_columns), span), row_columns):
-        for slot, columns in enumerate(by_row.values(), start):
-            if len(columns) == 1:
-                single_slots.append(slot)
-                single_columns.append(columns[0])
-            elif columns:
-                multi.append((slot, columns))
-    every_column = single_columns + [c for _, columns in multi for c in columns]
-    lowest, highest = min(every_column, default=0), max(every_column, default=0)
-    single_at = np.array(single_slots, dtype=np.intp)
-    columns_at = np.array(single_columns, dtype=np.intp)
-    energies = np.empty((len(row_columns), len(schemes)))
+    if len(fault_maps) == 1:
+        by_row = fault_maps[0].faulty_columns_by_row()
+        return np.array([[_die_energy(by_row, scheme) for scheme in schemes]])
+    dies = len(fault_maps)
+    cells = [fault_map.cells() for fault_map in fault_maps]
+    counts = np.fromiter(map(len, cells), dtype=np.intp, count=dies)
+    flat = np.fromiter(
+        chain.from_iterable(chain.from_iterable(cells)),
+        dtype=np.intp,
+        count=2 * int(counts.sum()),
+    )
+    rows, columns = flat[0::2], flat[1::2]
+    die = np.repeat(np.arange(dies), counts)
+    # A die whose faulty rows are distinct puts each cell at its draw
+    # position; a die in which two cells share a row (a repeated (die, row)
+    # key after the sort) is grouped by its map instead.
+    stride = int(rows.max(initial=0)) + 1
+    keys = np.sort(die * stride + rows, kind="stable")
+    shared = np.zeros(dies, dtype=bool)
+    shared[keys[1:][keys[1:] == keys[:-1]] // stride] = True
+    span = int(counts.max(initial=0)) or 1
+    distinct = ~shared[die]
+    first_cell = np.cumsum(counts) - counts
+    slots = die * span + np.arange(die.size) - first_cell[die]
+    single_slots, single_columns = [slots[distinct]], [columns[distinct]]
+    multi = []
+    for index in np.flatnonzero(shared).tolist():
+        by_row = fault_maps[index].faulty_columns_by_row()
+        for slot, row_columns in enumerate(by_row.values(), index * span):
+            if len(row_columns) == 1:
+                single_slots.append([slot])
+                single_columns.append(row_columns)
+            else:
+                multi.append((slot, row_columns))
+    single_at = np.concatenate(single_slots)
+    columns_at = np.concatenate(single_columns)
+    highest = int(columns.max(initial=0))
+    energies = np.empty((dies, len(schemes)))
     for index, scheme in enumerate(schemes):
         tables = scheme.error_energy_tables()
         if tables is None:
-            energies[:, index] = [_die_energy(by_row, scheme) for by_row in row_columns]
+            energies[:, index] = [
+                _die_energy(fault_map.faulty_columns_by_row(), scheme)
+                for fault_map in fault_maps
+            ]
             continue
-        if lowest < 0 or highest >= scheme.word_width:
+        if highest >= scheme.word_width:
             raise ValueError(f"fault column out of range [0, {scheme.word_width})")
-        row_energies = np.zeros(len(row_columns) * span)
+        row_energies = np.zeros(dies * span)
         row_energies[single_at] = np.asarray(tables[0])[columns_at]
-        for slot, columns in multi:
-            row_energies[slot] = float(tables[1](columns))
-        grid = row_energies.reshape(len(row_columns), span)
+        for slot, row_columns in multi:
+            row_energies[slot] = float(tables[1](row_columns))
+        grid = row_energies.reshape(dies, span)
         energies[:, index] = np.cumsum(grid, axis=1)[:, -1]
     return energies
 

@@ -222,8 +222,9 @@ def summarize_shard(
     (:meth:`StreamingMoments.update`).  Each cell's scores enter its sketch
     in one batch: unit-weight bin counts are exact integer sums, so the
     sketch equals a value-by-value fold's (its extremes too, unless the
-    cell's scores hold a nan or both signed zeros).  The summary is a
-    deterministic function of the entry list alone.
+    cell's scores hold both signed zeros).  A nan score is rejected by the
+    sketch with ``ValueError``.  The summary is a deterministic function of
+    the entry list alone.
     """
     adaptive: Mapping[str, object] = context["adaptive"]
     threshold = float(adaptive["threshold"])

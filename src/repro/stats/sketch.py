@@ -71,13 +71,17 @@ class FixedGridEcdfSketch:
 
         Weights must be non-negative: negative mass would make bin totals --
         and every quantile built from them -- meaningless, so it is rejected
-        here rather than surfacing later as a garbled CDF.  Zero weights are
-        legal (the observation still advances :attr:`count` and the min/max
-        tracking, but contributes no mass).
+        here rather than surfacing later as a garbled CDF.  A nan value is
+        rejected too: it has no bin and would poison the tracked minimum and
+        maximum.  Zero weights are legal (the observation still advances
+        :attr:`count` and the min/max tracking, but contributes no mass).  A
+        rejected batch absorbs nothing.
         """
         values = as_float_array(values)
         if values.size == 0:
             return
+        if np.isnan(values).any():
+            raise ValueError("sketch values must not be nan")
         indices = np.searchsorted(self.edges, values, side="left")
         if weights is None:
             np.add.at(self.counts, indices, 1.0)

@@ -310,6 +310,47 @@ class TestRandomGeneration:
         assert [(f.row, f.column) for f in a] == [(f.row, f.column) for f in b]
 
 
+class TestLegacyBatchStream:
+    """``vectorized=False`` is the stream of one ``random_with_count`` per map."""
+
+    #: 1024 one-fault-per-word slots: 40 faults collide in a row about half
+    #: the time, so the rejection branch redraws often.
+    ORG = MemoryOrganization(rows=1024, word_width=16)
+
+    @pytest.mark.parametrize("max_faults_per_word", [None, 1])
+    @pytest.mark.parametrize("batch_size", [0, 1, 7])
+    @pytest.mark.parametrize("count", [0, 1, 2, 9, 40])
+    def test_matches_per_map_loop(self, count, batch_size, max_faults_per_word):
+        batch_rng, loop_rng = np.random.default_rng(21), np.random.default_rng(21)
+        batch = FaultMap.random_batch_with_count(
+            self.ORG, count, batch_size, batch_rng,
+            max_faults_per_word=max_faults_per_word, vectorized=False,
+        )
+        expected = []
+        for _ in range(batch_size):
+            candidate = FaultMap.random_with_count(self.ORG, count, loop_rng)
+            while (
+                max_faults_per_word is not None
+                and candidate.max_faults_per_row() > max_faults_per_word
+            ):
+                candidate = FaultMap.random_with_count(self.ORG, count, loop_rng)
+            expected.append(candidate)
+        assert [list(m._faults.items()) for m in batch] == [
+            list(m._faults.items()) for m in expected
+        ]
+        assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
+
+    def test_drawn_cells_stay_checked(self, small_org):
+        # Drawn maps skip __init__, but a repeated or out-of-range cell
+        # still raises.
+        kind = FaultKind.BIT_FLIP
+        with pytest.raises(ValueError, match="duplicate"):
+            FaultMap._from_drawn_cells(small_org, np.array([[3, 5], [7, 7]]), kind)
+        for cell in (-1, small_org.total_cells):
+            with pytest.raises(IndexError):
+                FaultMap._from_drawn_cells(small_org, np.array([[0, cell]]), kind)
+
+
 class TestSerialization:
     def test_roundtrip_dict(self, small_org):
         fault_map = FaultMap.from_cells(small_org, [(1, 2), (3, 4)])

@@ -22,6 +22,7 @@ from repro.quality.mse import (
     mse_of_fault_map,
     word_error_energy,
 )
+from repro.sim.config import build_scheme
 
 
 class TestWordErrorEnergy:
@@ -223,11 +224,19 @@ class TestResidualErrorEnergy:
             assert value.hex() == _positions_oracle(cells, scheme, 4).hex()
 
     def test_rejects_out_of_range_columns(self):
-        for scheme in SCHEMES_BY_WIDTH[32]:
-            with pytest.raises(ValueError):
-                error_energies([{0: [32]}], [scheme])
-            with pytest.raises(ValueError):
-                error_energies([{}, {1: [3], 0: [-1, 4]}], [scheme])
+        # error_energies leaves the word-width check to its caller, so maps
+        # of a wider word reach it with columns outside the scheme's word:
+        # a lone die, a batch with a lone-fault row, a batch with a shared row.
+        wide = MemoryOrganization(rows=DIFFERENTIAL_ROWS, word_width=64)
+        empty = FaultMap.empty(wide)
+        for fault_maps in (
+            [FaultMap.from_cells(wide, [(0, 32)])],
+            [empty, FaultMap.from_cells(wide, [(1, 3), (2, 33)])],
+            [empty, FaultMap.from_cells(wide, [(1, 3), (0, 40), (0, 4)])],
+        ):
+            for scheme in SCHEMES_BY_WIDTH[32]:
+                with pytest.raises(ValueError):
+                    error_energies(fault_maps, [scheme])
 
 
 @st.composite
@@ -318,3 +327,63 @@ class TestBatchedMse:
             mse_of_fault_map([wide, wide], [NoProtection(32), NoProtection(16)])
         with pytest.raises(ValueError):
             mse_of_fault_map([wide, narrow], [NoProtection(32)])
+
+
+SHARED_ORG = MemoryOrganization(rows=8, word_width=8)
+#: Fig. 5's schemes for an 8-bit word, plus one without energy tables.
+SHARED_SCHEMES = [
+    build_scheme(spec, SHARED_ORG.word_width)
+    for spec in ("no-protection", "p-ecc")
+    + tuple(
+        f"bit-shuffle-nfm{n_fm}"
+        for n_fm in range(1, max_lut_bits(SHARED_ORG.word_width) + 1)
+    )
+] + [PositionsOnlyScheme(SHARED_ORG.word_width)]
+SHARED_ROW = st.integers(min_value=0, max_value=SHARED_ORG.rows - 1)
+SHARED_COLUMN = st.integers(min_value=0, max_value=SHARED_ORG.word_width - 1)
+
+
+@st.composite
+def shared_row_dies(draw):
+    """Cell lists of an 8 x 8 memory's dies, in insertion order.
+
+    Each die is fault-free, has its faults in distinct rows, or puts two or
+    three faults in one row among others.
+    """
+    dies = []
+    for _ in range(draw(st.integers(min_value=2, max_value=8))):
+        layout = draw(st.sampled_from(("fault-free", "distinct", "shared")))
+        if layout == "fault-free":
+            cells = []
+        elif layout == "distinct":
+            rows = draw(
+                st.lists(SHARED_ROW, unique=True, min_size=1, max_size=SHARED_ORG.rows)
+            )
+            cells = [(row, draw(SHARED_COLUMN)) for row in rows]
+        else:
+            row = draw(SHARED_ROW)
+            columns = draw(st.lists(SHARED_COLUMN, unique=True, min_size=2, max_size=3))
+            shared = [(row, column) for column in columns]
+            others = draw(
+                st.lists(st.tuples(SHARED_ROW, SHARED_COLUMN), unique=True, max_size=6)
+            )
+            cells = draw(
+                st.permutations(shared + [c for c in others if c not in shared])
+            )
+        dies.append(cells)
+    return dies
+
+
+class TestRowGrouping:
+    @settings(max_examples=200, deadline=None)
+    @given(shared_row_dies())
+    def test_batch_matches_positions_oracle_bit_for_bit(self, dies):
+        fault_maps = [FaultMap.from_cells(SHARED_ORG, cells) for cells in dies]
+        batch = mse_of_fault_map(fault_maps, SHARED_SCHEMES)
+        assert batch.shape == (len(dies), len(SHARED_SCHEMES))
+        for die, cells in enumerate(dies):
+            for index, scheme in enumerate(SHARED_SCHEMES):
+                expected = _positions_oracle(cells, scheme, SHARED_ORG.rows)
+                assert float(batch[die, index]).hex() == expected.hex(), (
+                    scheme.name
+                )

@@ -15,7 +15,6 @@ from repro.core.priority_ecc import PriorityEccScheme
 from repro.core.scheme import BitShuffleScheme
 from repro.core.secded_scheme import SecdedScheme
 from repro.faultmodel.montecarlo import FaultMapSampler, failure_count_pmf
-from repro.memory.faults import FaultMap
 from repro.memory.organization import MemoryOrganization
 from repro.scenarios import default_scenario
 from repro.sim.config import ExperimentConfig, reassign_count_probabilities
@@ -66,26 +65,35 @@ def _fig7(benchmark, schemes, samples_per_count, n_count_points=None):
     )
 
 
+class _ChoiceCounter:
+    """A generator stand-in that counts its ``choice`` calls."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.choices = 0
+
+    def choice(self, *args, **kwargs):
+        self.choices += 1
+        return self._rng.choice(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
 class TestLegacyFaultMaps:
-    def test_matches_per_die_loop_with_rejection(self, monkeypatch):
+    def test_matches_per_die_loop_with_rejection(self):
         # 128 cells at Pcell = 5 % put up to 13 faults in 16 words, so most
         # candidate maps hold a word with two faults and are redrawn.
         config = ExperimentConfig(
             rows=16, word_width=8, p_cell=0.05, samples_per_count=4
         )
         assert config.discard_multi_fault_words
-        draws = []
-        random_with_count = FaultMap.random_with_count.__func__
-
-        def counted(cls, *args, **kwargs):
-            draws.append(1)
-            return random_with_count(cls, *args, **kwargs)
-
-        monkeypatch.setattr(FaultMap, "random_with_count", classmethod(counted))
-        fault_maps = legacy_fault_maps(config, np.random.default_rng(7))
+        rng = _ChoiceCounter(np.random.default_rng(7))
+        fault_maps = legacy_fault_maps(config, rng)
         dies = len(config.evaluated_counts()) * config.samples_per_count
         assert len(fault_maps) == dies
-        assert len(draws) > dies
+        # Each candidate map is one choice() draw.
+        assert rng.choices > dies
 
         # The per-die loop the stream was first pinned with.
         sampler = FaultMapSampler(

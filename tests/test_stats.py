@@ -290,6 +290,20 @@ class TestFixedGridEcdfSketch:
             sketch.update_batch([0.25], weights=-1.0)
         assert sketch.count == 0  # a rejected batch absorbs nothing
 
+    def test_nan_values_rejected(self):
+        # A nan has no bin; absorbed, it would leave the minimum at inf and
+        # the maximum at -inf, and finalize() would put the overflow at -inf.
+        sketch = FixedGridEcdfSketch.linear(0.0, 1.0, 8)
+        with pytest.raises(ValueError, match="nan"):
+            sketch.update_batch([np.nan, 0.5, 3.0])
+        with pytest.raises(ValueError, match="nan"):
+            sketch.update_batch([0.5], weights=0.0)
+            sketch.update_batch([np.nan])
+        assert sketch.count == 1  # only the finite batch was absorbed
+        assert (sketch.minimum, sketch.maximum) == (0.5, 0.5)
+        support, weights = sketch.finalize()
+        assert np.isfinite(support).all()
+
     def test_empty_sketch_quantile_error(self):
         sketch = FixedGridEcdfSketch.linear(0.0, 1.0, 8)
         with pytest.raises(ValueError, match="empty sketch"):
