@@ -1,12 +1,9 @@
 """Per-kernel microbenchmarks of the pluggable kernel backends.
 
-Times every kernel of :mod:`repro.kernels` (SECDED encode / syndrome /
-decode, FM-LUT apply, corruption masks, 2's-complement codecs, the rejection
-sampler's validity check) on each backend that builds on this machine, in
-words per second, at the datapath's per-die call sizes (41 and 600 words)
-and on a bulk 131 072-word array.  The ``c`` backend compiles only SECDED
-encode/decode and FM-LUT, the kernels it wins at datapath sizes; its other
-rows time the NumPy code it inherits.  Two invariants are gated:
+Times the four kernels of :mod:`repro.kernels` (SECDED encode/decode and
+FM-LUT encode/decode) on each backend that builds on this machine, in words
+per second, at the datapath's per-die call sizes (41 and 600 words) and on a
+bulk 131 072-word array.  Two invariants are gated:
 
 * **bit identity** -- every backend returns exactly the reference result on
   the timed inputs (the deep property suite is ``tests/test_kernels.py``;
@@ -50,12 +47,7 @@ N_ROWS = 256
 ROWS = _rng.integers(0, N_ROWS, size=N_WORDS).astype(np.int64)
 ENTRIES = _rng.integers(0, 4, size=N_ROWS).astype(np.int64)
 ROTATIONS = ((4 - ENTRIES) * 8) % 32
-AND_MASKS = _rng.integers(0, 1 << 32, size=N_ROWS).astype(np.uint64)
-OR_MASKS = _rng.integers(0, 1 << 32, size=N_ROWS).astype(np.uint64) & ~AND_MASKS
-XOR_MASKS = np.zeros(N_ROWS, dtype=np.uint64)
 STORED = REFERENCE.fmlut_encode(DATA32, ROWS, ENTRIES, ROTATIONS, 32)
-SIGNED = _rng.integers(-(1 << 31), 1 << 31, size=N_WORDS).astype(np.int64)
-DRAWS = _rng.integers(0, N_ROWS * 32, size=(N_WORDS // 8, 4)).astype(np.int64)
 
 #: Words per call: the datapath's median and largest per-die calls (the
 #: Fig. 7 and DSE workloads make 28-652-word calls), then a bulk array.
@@ -63,25 +55,13 @@ CALL_SIZES = (41, 600, N_WORDS)
 
 
 def _kernel_cases(n: int):
-    """``{kernel: (call, words)}`` on the first ``n`` words of the fixed inputs."""
-    data, corrupted, rows = DATA32[:n], CORRUPTED[:n], ROWS[:n]
-    stored, signed, draws = STORED[:n], SIGNED[:n], DRAWS[: max(1, n // 8)]
-    calls = {
+    """``{kernel: call}`` on the first ``n`` words of the fixed inputs."""
+    data, corrupted, rows, stored = DATA32[:n], CORRUPTED[:n], ROWS[:n], STORED[:n]
+    return {
         "secded_encode": lambda b: b.secded_encode(data, SPEC),
-        "secded_syndrome": lambda b: b.secded_syndrome(corrupted, SPEC),
         "secded_decode": lambda b: b.secded_decode(corrupted, SPEC),
         "fmlut_encode": lambda b: b.fmlut_encode(data, rows, ENTRIES, ROTATIONS, 32),
         "fmlut_decode": lambda b: b.fmlut_decode(stored, rows, ROTATIONS, 32),
-        "apply_corruption_masks": lambda b: b.apply_corruption_masks(
-            data, rows, AND_MASKS, OR_MASKS, XOR_MASKS
-        ),
-        "to_twos_complement": lambda b: b.to_twos_complement(signed, 32),
-        "from_twos_complement": lambda b: b.from_twos_complement(data, 32),
-        "invalid_map_mask": lambda b: b.invalid_map_mask(draws, 32, 2),
-    }
-    return {
-        kernel: (call, draws.size if kernel == "invalid_map_mask" else n)
-        for kernel, call in calls.items()
     }
 
 
@@ -96,19 +76,14 @@ def _best_seconds(callable_, repeats: int = 5, loops: int = 1) -> float:
     return best
 
 
-def _as_tuple(result):
-    return result if isinstance(result, tuple) else (result,)
-
-
 @pytest.mark.parametrize("words", CALL_SIZES)
 @pytest.mark.parametrize("kernel", sorted(_kernel_cases(1)))
 @pytest.mark.parametrize("backend_name", BACKENDS)
 def test_kernel_throughput(kernel, backend_name, words, json_summary):
     """words/s per kernel per backend per call size, with bit identity on the timed inputs."""
     backend = build_backend(backend_name)
-    run, counted = _kernel_cases(words)[kernel]
-    for want, got in zip(_as_tuple(run(REFERENCE)), _as_tuple(run(backend))):
-        assert np.array_equal(want, got), f"{backend_name} diverges on {kernel}"
+    run = _kernel_cases(words)[kernel]
+    assert np.array_equal(run(REFERENCE), run(backend)), f"{backend_name} diverges on {kernel}"
     # Small calls are timed in batches so the clock resolves them.
     seconds = _best_seconds(lambda: run(backend), loops=max(1, min(1000, N_WORDS // words)))
     json_summary(
@@ -116,9 +91,9 @@ def test_kernel_throughput(kernel, backend_name, words, json_summary):
         {
             "kernel": kernel,
             "backend": backend_name,
-            "words": counted,
+            "words": words,
             "seconds": seconds,
-            "words_per_second": counted / seconds,
+            "words_per_second": words / seconds,
         },
     )
 

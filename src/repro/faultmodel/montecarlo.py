@@ -228,11 +228,8 @@ class FaultMapSampler:
         vectorised rejection sampler (for the default scenario,
         :meth:`FaultMap.random_batch_with_count`), including the optional
         rejection of maps with more than ``max_faults_per_word`` faults in a
-        single word.  The sampler's validity check runs on the active
-        :mod:`repro.kernels` backend; the random draws themselves stay in
-        NumPy, so the rng stream and every seeded batch are identical
-        regardless of backend.  Distributionally identical to drawing the
-        maps one by one, but the random stream differs from repeated
+        single word.  Distributionally identical to drawing the maps one by
+        one, but the random stream differs from repeated
         :meth:`FaultMap.random_with_count` calls; pass ``vectorized=False`` to
         reproduce the exact legacy per-map stream (used by callers whose
         seeded results are pinned by regression tests).  Either way an

@@ -1,9 +1,8 @@
 """Kernel-backend registry and capability probe.
 
-The hot Monte-Carlo datapath (SECDED syndrome machinery, FM-LUT rotation
-apply, corruption masks, 2's-complement codecs, the rejection sampler's
-validity check) runs through whichever :class:`~repro.kernels.api.KernelBackend`
-this module selects at first use:
+The four kernels of the hot Monte-Carlo datapath (SECDED encode/decode and
+FM-LUT encode/decode) run through whichever
+:class:`~repro.kernels.api.KernelBackend` this module selects at first use:
 
 * ``REPRO_KERNEL_BACKEND={numpy,c}`` forces a backend.  If the forced
   backend cannot be built (no compiler, failed self-test) or the name is
@@ -67,10 +66,9 @@ def _self_test(candidate: KernelBackend) -> None:
     """Compare the candidate against the NumPy reference on fixed inputs.
 
     Raises :class:`KernelUnavailableError` on the first mismatch; the probe
-    then discards the candidate.  Cases cover the kernels a compiled backend
-    overrides (SECDED encode/decode, FM-LUT encode/decode), including the
-    boundary patterns (all-zeros, all-ones); the rest are inherited from the
-    reference and need no check.
+    then discards the candidate.  Cases cover all four interface kernels
+    (SECDED encode/decode, FM-LUT encode/decode), including the boundary
+    patterns (all-zeros, all-ones).
     """
     if candidate is _REFERENCE:
         return

@@ -1,34 +1,35 @@
 """Kernel-backend interface of the hot Monte-Carlo datapath.
 
-Every die evaluation funnels through a handful of tight array loops: the
-XOR-popcount SECDED syndrome machinery, the FM-LUT gather/rotate apply of the
-bit-shuffling scheme, the stuck-at AND/OR/XOR corruption-mask application,
-the 2's-complement array codecs, and the validity check of the batched
-fault-placement rejection sampler.  :class:`KernelBackend` names exactly
-those loops so they can be swapped between a NumPy reference implementation
-and compiled implementations (C via ctypes, optionally Numba) without any
-caller noticing anything but speed.
+:class:`KernelBackend` names the four loops of a die's datapath that a
+compiled implementation runs faster than NumPy at the datapath's call sizes:
+SECDED encode and decode (XOR-popcount over a parity-check matrix) and the
+FM-LUT encode and decode of the bit-shuffling scheme.  Each has a NumPy
+reference implementation and a C one (via ctypes); swapping them changes
+nothing but speed.  The datapath's other array loops have one NumPy body
+each and live next to their only caller: the stuck-at corruption masks in
+:meth:`repro.sim.faulty_storage.DieDatapath.corrupt`, the 2's-complement
+array codecs in :mod:`repro.memory.words`, and the rejection sampler's
+validity check in :mod:`repro.memory.faults`.
 
 The contract every backend must honour:
 
 * **Bit identity.**  For identical inputs, every method returns arrays that
   are bit-for-bit equal to the ``numpy`` reference backend — including the
-  data-dependent :class:`ValueError` cases (out-of-range codes, 3+-error
-  SECDED codewords).  Backend choice may change throughput, never results.
+  data-dependent :class:`ValueError` cases (3+-error SECDED codewords,
+  FM-LUT data wider than the word).  Backend choice may change throughput, never results.
 * **Validated inputs.**  Callers (the scheme/fault-map wrappers) perform the
   structural validation they always performed — dtypes, shapes, row bounds,
   width limits.  Kernels only re-check what is data-dependent and therefore
   only discoverable mid-loop.
 * **No hidden state.**  Kernels are pure functions of their arguments; all
-  per-die state (LUT tables, parity-check masks, corruption masks) is hoisted
-  into construction-time arrays by the callers and passed in explicitly.
+  per-die state (LUT tables, parity-check masks) is hoisted into
+  construction-time arrays by the callers and passed in explicitly.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
 
 import numpy as np
 
@@ -94,12 +95,6 @@ class KernelBackend(ABC):
         """Encode ``uint64`` data words (< 2**k, validated by caller) into codewords."""
 
     @abstractmethod
-    def secded_syndrome(
-        self, codewords: np.ndarray, spec: SecdedKernelSpec
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(hamming_syndromes, overall_parity_errors)`` for uint64 codewords."""
-
-    @abstractmethod
     def secded_decode(self, codewords: np.ndarray, spec: SecdedKernelSpec) -> np.ndarray:
         """Single-error-corrected data words.
 
@@ -135,51 +130,6 @@ class KernelBackend(ABC):
         width: int,
     ) -> np.ndarray:
         """Read path: strip the LUT columns and left-rotate each data part back."""
-
-    # ------------------------------------------------------------------ #
-    # Stuck-at corruption masks
-    # ------------------------------------------------------------------ #
-    @abstractmethod
-    def apply_corruption_masks(
-        self,
-        patterns: np.ndarray,
-        rows: np.ndarray,
-        and_masks: np.ndarray,
-        or_masks: np.ndarray,
-        xor_masks: np.ndarray,
-    ) -> np.ndarray:
-        """``((patterns & and[rows]) | or[rows]) ^ xor[rows]`` over uint64 arrays."""
-
-    # ------------------------------------------------------------------ #
-    # 2's-complement array codecs
-    # ------------------------------------------------------------------ #
-    @abstractmethod
-    def to_twos_complement(self, values: np.ndarray, width: int) -> np.ndarray:
-        """Signed int64 codes -> uint64 patterns; ValueError on out-of-range values."""
-
-    @abstractmethod
-    def from_twos_complement(self, patterns: np.ndarray, width: int) -> np.ndarray:
-        """uint64 patterns -> signed int64 codes; ValueError on oversized patterns."""
-
-    # ------------------------------------------------------------------ #
-    # Batched fault-placement rejection sampler (inner redraw loop)
-    # ------------------------------------------------------------------ #
-    @abstractmethod
-    def invalid_map_mask(
-        self,
-        draws: np.ndarray,
-        width: int,
-        max_faults_per_word: Optional[int],
-    ) -> np.ndarray:
-        """Validity check of one redraw round: which candidate maps must be redrawn.
-
-        ``draws`` is the ``(maps, fault_count)`` int64 matrix of flat cell
-        indices drawn with replacement; a map is invalid when it repeats a
-        cell or (with ``max_faults_per_word``) packs more faults into one
-        ``width``-bit word than allowed.  Returns a bool array per map.  The
-        random draws themselves stay in NumPy so the rng stream — and with it
-        every seeded result — is identical across backends.
-        """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<KernelBackend {self.name!r}>"

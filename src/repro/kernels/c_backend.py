@@ -32,8 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.kernels.api import KernelUnavailableError, SecdedKernelSpec
-from repro.kernels.numpy_backend import NumpyKernelBackend
+from repro.kernels.api import KernelBackend, KernelUnavailableError, SecdedKernelSpec
 from repro.memory.words import bit_mask
 
 __all__ = ["CKernelBackend", "compile_kernels"]
@@ -148,15 +147,13 @@ def _ptr(array: np.ndarray) -> int:
     return array.ctypes.data
 
 
-class CKernelBackend(NumpyKernelBackend):
+class CKernelBackend(KernelBackend):
     """ctypes bindings over the compiled SECDED and FM-LUT kernels.
 
-    Only the kernels that beat NumPy at the datapath's call sizes (tens to a
-    few hundred words per call) are compiled.  The corruption masks, the
-    2's-complement codecs, the sampler's validity check and the bare SECDED
-    syndrome are inherited from the NumPy reference: at those sizes the
-    ctypes call costs as much as the NumPy expression, so a compiled copy
-    buys nothing.
+    Every :class:`KernelBackend` method is compiled; the interface holds only
+    the loops that beat NumPy at the datapath's call sizes (tens to a few
+    hundred words per call), so a kernel left uncompiled fails at
+    construction instead of silently running the reference.
     """
 
     name = "c"

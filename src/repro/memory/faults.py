@@ -60,6 +60,40 @@ class FaultSite:
         object.__setattr__(self, "kind", FaultKind(self.kind))
 
 
+def _invalid_map_mask(
+    draws: np.ndarray, width: int, max_faults_per_word: Optional[int]
+) -> np.ndarray:
+    """Validity check of one redraw round: which candidate maps must be redrawn.
+
+    ``draws`` is the ``(maps, fault_count)`` int64 matrix of flat cell indices
+    drawn with replacement; a map is invalid when it repeats a cell or (with
+    ``max_faults_per_word``) packs more faults into one ``width``-bit word
+    than allowed.  Returns a bool array per map.  Maps hold at least one
+    fault: the sampler returns fault-free maps without drawing.
+    """
+    n_maps, fault_count = draws.shape
+    draws_sorted = np.sort(draws, axis=1)
+    bad = np.zeros(n_maps, dtype=bool)
+    # Repeated cell within a map -> invalid (uniformity requires
+    # exactly fault_count distinct cells).
+    bad |= np.any(draws_sorted[:, 1:] == draws_sorted[:, :-1], axis=1)
+    if max_faults_per_word is not None:
+        rows_sorted = np.sort(draws // width, axis=1)
+        # After sorting, faults sharing a word form runs of equal row
+        # indices; the longest run is the per-word maximum.
+        equal_neighbours = rows_sorted[:, 1:] == rows_sorted[:, :-1]
+        if max_faults_per_word == 1:
+            bad |= np.any(equal_neighbours, axis=1)
+        else:
+            run_len = np.ones((n_maps, fault_count), dtype=np.int64)
+            for j in range(1, fault_count):
+                run_len[:, j] = np.where(
+                    equal_neighbours[:, j - 1], run_len[:, j - 1] + 1, 1
+                )
+            bad |= run_len.max(axis=1) > max_faults_per_word
+    return bad
+
+
 class FaultMap:
     """The set of faulty cells of one manufactured memory die.
 
@@ -388,22 +422,13 @@ class FaultMap:
             )
         if fault_count == 0:
             return [cls.empty(organization) for _ in range(batch_size)]
-        from repro.kernels import active_backend
-
         accepted = np.empty((batch_size, fault_count), dtype=np.int64)
         pending = np.arange(batch_size)
         for _ in range(max_rounds):
             if pending.size == 0:
                 break
-            # Only the validity check is kernelised; the draws themselves
-            # stay in NumPy so the rng stream -- and with it every seeded
-            # result -- is identical across backends.
             draws = rng.integers(0, total, size=(pending.size, fault_count))
-            bad = active_backend().invalid_map_mask(
-                np.ascontiguousarray(draws, dtype=np.int64),
-                width,
-                max_faults_per_word,
-            )
+            bad = _invalid_map_mask(draws, width, max_faults_per_word)
             good = ~bad
             accepted[pending[good]] = draws[good]
             pending = pending[bad]

@@ -197,9 +197,11 @@ def to_twos_complement_array(values: np.ndarray, width: int) -> np.ndarray:
     if width > 63:
         raise ValueError("vectorised 2's complement supports widths up to 63 bits")
     values = np.asarray(values, dtype=np.int64)
-    from repro.kernels import active_backend
-
-    return active_backend().to_twos_complement(values, width)
+    lo = -(1 << (width - 1))
+    hi = (1 << (width - 1)) - 1
+    if values.size and (values.min() < lo or values.max() > hi):
+        raise ValueError(f"values out of range for {width}-bit 2's complement")
+    return values.astype(np.uint64) & np.uint64(bit_mask(width))
 
 
 def from_twos_complement_array(patterns: np.ndarray, width: int) -> np.ndarray:
@@ -208,9 +210,11 @@ def from_twos_complement_array(patterns: np.ndarray, width: int) -> np.ndarray:
     if width > 63:
         raise ValueError("vectorised 2's complement supports widths up to 63 bits")
     patterns = np.asarray(patterns, dtype=np.uint64)
-    from repro.kernels import active_backend
-
-    return active_backend().from_twos_complement(patterns, width)
+    if patterns.size and patterns.max() > np.uint64(bit_mask(width)):
+        raise ValueError(f"pattern exceeds {width}-bit range")
+    sign = np.uint64(1 << (width - 1))
+    # (x ^ m) - m sign-extends an m-bit pattern; x ^ sign stays below 2**63.
+    return (patterns ^ sign).astype(np.int64) - np.int64(sign)
 
 
 def parity_array(patterns: np.ndarray) -> np.ndarray:

@@ -221,11 +221,7 @@ class DieDatapath:
 
     def corrupt(self, slots: np.ndarray, stored: np.ndarray) -> np.ndarray:
         """Apply each slot's faults to a batch of stored patterns."""
-        from repro.kernels import active_backend
-
-        return active_backend().apply_corruption_masks(
-            stored, slots, self._and_masks, self._or_masks, self._xor_masks
-        )
+        return ((stored & self._and_masks[slots]) | self._or_masks[slots]) ^ self._xor_masks[slots]
 
     def affected(self, n_values: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(rows, flat indices, slots)`` of the values landing on faulty rows.

@@ -71,7 +71,12 @@ class FrameError(ConnectionError):
 
 
 def parse_address(text: str) -> Tuple[str, int]:
-    """Parse a ``HOST:PORT`` rendezvous address (the ``--connect`` grammar)."""
+    """Parse a ``HOST:PORT`` rendezvous address (the ``--connect`` grammar).
+
+    Port 0 is rejected: a coordinator would bind an ephemeral port no worker
+    can learn, and a worker cannot dial it.  In-process callers that read the
+    bound address back still pass ``ExecutorSpec(port=0)`` directly.
+    """
     host, separator, port_text = text.rpartition(":")
     if not separator or not host:
         raise ValueError(
@@ -86,6 +91,11 @@ def parse_address(text: str) -> Tuple[str, int]:
         ) from None
     if not 0 <= port <= 65535:
         raise ValueError(f"executor port {port} is outside 0..65535")
+    if port == 0:
+        raise ValueError(
+            f"executor address {text!r} has port 0, which no worker can dial; "
+            f"pass a fixed port (e.g. 127.0.0.1:7077)"
+        )
     return host, port
 
 

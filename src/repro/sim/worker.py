@@ -95,6 +95,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         host, port = wire.parse_address(args.connect)
     except ValueError as error:
         parser.error(str(error))
+    if not args.retry >= 0:  # also false for NaN, which would dial forever
+        parser.error(f"--retry must be a non-negative number of seconds, got {args.retry:g}")
     sessions = 0
     while True:
         sock = _connect_with_retry(host, port, args.retry)

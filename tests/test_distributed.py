@@ -23,6 +23,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.cli import main as cli_main
 from repro.sim import shardeval
 from repro.sim import wire
 from repro.sim.config import ExperimentConfig
@@ -35,6 +36,7 @@ from repro.sim.executor import (
     WorkStealingScheduler,
     make_executor,
 )
+from repro.sim.worker import main as worker_main
 from repro.sim.worker import spawn_local_workers
 
 
@@ -124,6 +126,39 @@ class TestParseAddress:
     def test_rejects_out_of_range_port(self):
         with pytest.raises(ValueError, match="outside"):
             wire.parse_address("host:70000")
+
+    def test_rejects_port_zero(self):
+        with pytest.raises(ValueError, match="port 0, which no worker can dial"):
+            wire.parse_address("127.0.0.1:0")
+
+
+class TestCommandLineAddresses:
+    """Both CLIs refuse a rendezvous that cannot work, before any dialing."""
+
+    PORT_ZERO = (
+        "executor address '127.0.0.1:0' has port 0, which no worker can dial; "
+        "pass a fixed port (e.g. 127.0.0.1:7077)"
+    )
+
+    def test_worker_rejects_port_zero(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            worker_main(["--connect", "127.0.0.1:0", "--retry", "30"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(": " + self.PORT_ZERO)
+
+    @pytest.mark.parametrize("retry", ["nan", "-1"])
+    def test_worker_rejects_unusable_retry_window(self, capsys, retry):
+        with pytest.raises(SystemExit) as excinfo:
+            worker_main(["--connect", "127.0.0.1:1", "--retry", retry])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            f": --retry must be a non-negative number of seconds, got {float(retry):g}"
+        )
+
+    def test_sweep_cli_rejects_port_zero(self):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["fig5", "--executor", "tcp", "--connect", "127.0.0.1:0"])
+        assert str(excinfo.value) == "--connect: " + self.PORT_ZERO
 
 
 class TestConnectionPeer:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memory.faults import FaultKind, FaultMap, FaultSite
+from repro.memory.faults import FaultKind, FaultMap, FaultSite, _invalid_map_mask
 from repro.memory.organization import MemoryOrganization
 
 
@@ -349,6 +351,59 @@ class TestLegacyBatchStream:
         for cell in (-1, small_org.total_cells):
             with pytest.raises(IndexError):
                 FaultMap._from_drawn_cells(small_org, np.array([[0, cell]]), kind)
+
+
+def _reference_invalid(draws, width, max_faults_per_word):
+    """Per-map loop: a map is invalid if it repeats a cell or packs more than
+    ``max_faults_per_word`` faults into one ``width``-bit word."""
+    invalid = []
+    for cells in draws.tolist():
+        per_word = Counter(cell // width for cell in cells)
+        invalid.append(
+            len(set(cells)) < len(cells)
+            or (
+                max_faults_per_word is not None
+                and max(per_word.values(), default=0) > max_faults_per_word
+            )
+        )
+    return invalid
+
+
+class TestBatchValidityCheck:
+    """The vectorised sampler's validity check against a per-map loop."""
+
+    @given(
+        fault_count=st.integers(min_value=1, max_value=12),
+        max_faults_per_word=st.sampled_from([None, 1, 2, 3]),
+        width=st.sampled_from([1, 4, 8, 32]),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_map_reference(self, fault_count, max_faults_per_word, width, seed):
+        rng = np.random.default_rng(seed)
+        draws = rng.integers(0, 6 * width, size=(40, fault_count))
+        # Forced collisions: a repeated cell, consecutive cells filling the
+        # first words, and distinct cells of one word.
+        draws[0, -1] = draws[0, 0]
+        draws[1] = np.arange(fault_count)
+        draws[2] = 3 * width + np.arange(fault_count) % width
+        got = _invalid_map_mask(draws, width, max_faults_per_word)
+        assert got.dtype == bool
+        assert got.tolist() == _reference_invalid(draws, width, max_faults_per_word)
+
+    @pytest.mark.parametrize("max_faults_per_word", [None, 1, 2, 3])
+    @pytest.mark.parametrize("fault_count", [0, 1, 9])
+    def test_sampled_maps_pass_the_reference(self, fault_count, max_faults_per_word):
+        org = MemoryOrganization(rows=64, word_width=8)
+        batch = FaultMap.random_batch_with_count(
+            org, fault_count, 20, np.random.default_rng(3),
+            max_faults_per_word=max_faults_per_word,
+        )
+        cells = np.array(
+            [[row * 8 + column for row, column in m.cells()] for m in batch],
+            dtype=np.int64,
+        ).reshape(20, fault_count)
+        assert not any(_reference_invalid(cells, 8, max_faults_per_word))
 
 
 class TestSerialization:

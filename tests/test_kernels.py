@@ -1,10 +1,13 @@
 """Property suite for the kernel-backend registry.
 
 Every backend that builds on this machine is driven through randomized
-width/nFM/fault-kind/boundary-pattern cases and must be bit-identical to the
-``numpy`` reference — including the data-dependent ``ValueError`` cases.  The
-capability probe itself is exercised too: a forced compile failure must fall
-back to ``numpy`` with exactly one warning when the backend was requested
+width/nFM/boundary-pattern cases of the four interface kernels and must be
+bit-identical to the ``numpy`` reference — including the data-dependent
+``ValueError`` cases.  The datapath's plain-NumPy loops (corruption masks,
+2's-complement codecs, the sampler's validity check) are checked with each
+backend active against independent scalar references.  The capability probe
+itself is exercised too: a forced compile failure must fall back to
+``numpy`` with exactly one warning when the backend was requested
 explicitly, and silently when it was only an auto-probe candidate.
 """
 
@@ -33,15 +36,20 @@ from repro.kernels import (
 )
 from repro.kernels.c_backend import CKernelBackend
 from repro.kernels.numpy_backend import NumpyKernelBackend
-from repro.memory.faults import FaultKind, FaultMap
+from repro.memory.faults import FaultKind, FaultMap, FaultSite, _invalid_map_mask
 from repro.memory.organization import MemoryOrganization
+from repro.memory.words import (
+    from_twos_complement_array,
+    to_twos_complement,
+    to_twos_complement_array,
+)
 from repro.sim.faulty_storage import DieDatapath
 
 REFERENCE = NumpyKernelBackend()
 BACKENDS = available_backends()
 NON_REFERENCE = [name for name in BACKENDS if name != "numpy"]
-#: Kernels the C backend compiles rather than inheriting from the reference.
-C_KERNELS = sorted(set(vars(CKernelBackend)) & KernelBackend.__abstractmethods__)
+#: Kernels the C backend compiles: the whole interface.
+C_KERNELS = sorted(KernelBackend.__abstractmethods__)
 
 
 @pytest.fixture(autouse=True)
@@ -74,16 +82,12 @@ class TestSecdedKernels:
         ) & np.uint64((1 << data_bits) - 1)
         want = REFERENCE.secded_encode(data, spec)
         assert np.array_equal(backend.secded_encode(data, spec), want)
-        # Corrupt with 0/1/2 random flips per word and compare syndromes
-        # and corrected data bit-for-bit.
+        # Corrupt with 0/1 random flips per word and compare the corrected
+        # data bit-for-bit.
         n = spec.codeword_bits
         flips = np.uint64(1) << rng.integers(0, n, size=want.size).astype(np.uint64)
         single = want ^ flips
         for codewords in (want, single):
-            ref_syn = REFERENCE.secded_syndrome(codewords, spec)
-            got_syn = backend.secded_syndrome(codewords, spec)
-            assert np.array_equal(ref_syn[0], got_syn[0])
-            assert np.array_equal(ref_syn[1], got_syn[1])
             assert np.array_equal(
                 REFERENCE.secded_decode(codewords, spec),
                 backend.secded_decode(codewords, spec),
@@ -154,25 +158,38 @@ class TestDatapathKernels:
             backend.fmlut_decode(want, rows, rotations, width), data
         )
 
+    # The tests below run a plain-NumPy datapath loop with the backend
+    # active and compare it with an independent scalar reference: backend
+    # choice must not reach them.
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_corruption_masks_match_reference(self, backend_name, seed):
-        backend = _backend(backend_name)
         rng = np.random.default_rng(seed)
-        n_rows = 16
-        and_m = rng.integers(0, 1 << 32, size=n_rows).astype(np.uint64)
-        or_m = rng.integers(0, 1 << 32, size=n_rows).astype(np.uint64)
-        xor_m = rng.integers(0, 1 << 32, size=n_rows).astype(np.uint64)
-        rows = rng.integers(0, n_rows, size=128).astype(np.int64)
+        org = MemoryOrganization(rows=16, word_width=32)
+        kinds = list(FaultKind)
+        sites = {
+            (int(row), int(column)): kinds[int(kind)]
+            for row, column, kind in zip(
+                rng.integers(0, 16, size=12),
+                rng.integers(0, 32, size=12),
+                rng.integers(0, len(kinds), size=12),
+            )
+        }
+        fault_map = FaultMap(org, [FaultSite(r, c, k) for (r, c), k in sites.items()])
+        die = DieDatapath(org, fault_map)
+        # Slot ``faulty_rows.size`` is the die's identity (healthy) slot.
+        slots = rng.integers(0, die.faulty_rows.size + 1, size=128)
         pats = rng.integers(0, 1 << 32, size=128).astype(np.uint64)
-        assert np.array_equal(
-            backend.apply_corruption_masks(pats, rows, and_m, or_m, xor_m),
-            REFERENCE.apply_corruption_masks(pats, rows, and_m, or_m, xor_m),
-        )
+        with use_backend(backend_name):
+            got = die.corrupt(slots, pats)
+        rows = np.append(die.faulty_rows, -1)[slots]
+        assert got.tolist() == [
+            pat if row < 0 else fault_map.corrupt_word(row, pat)
+            for row, pat in zip(rows.tolist(), pats.tolist())
+        ]
 
     @pytest.mark.parametrize("width", [2, 8, 16, 32, 63])
     def test_twos_complement_roundtrip(self, backend_name, width):
-        backend = _backend(backend_name)
         rng = np.random.default_rng(width)
         lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
         values = np.concatenate(
@@ -181,26 +198,23 @@ class TestDatapathKernels:
                 rng.integers(lo, hi + 1, size=100).astype(np.int64),
             ]
         )
-        want = REFERENCE.to_twos_complement(values, width)
-        got = backend.to_twos_complement(values, width)
-        assert np.array_equal(want, got)
-        assert np.array_equal(
-            backend.from_twos_complement(got, width),
-            REFERENCE.from_twos_complement(want, width),
-        )
-        assert np.array_equal(backend.from_twos_complement(got, width), values)
+        with use_backend(backend_name):
+            patterns = to_twos_complement_array(values, width)
+            back = from_twos_complement_array(patterns, width)
+        assert patterns.tolist() == [to_twos_complement(v, width) for v in values.tolist()]
+        assert np.array_equal(back, values)
 
     @pytest.mark.parametrize("width", [8, 32])
     def test_twos_complement_errors_match(self, backend_name, width):
-        backend = _backend(backend_name)
         out_of_range = np.array([1 << (width - 1)], dtype=np.int64)
-        with pytest.raises(
-            ValueError, match=f"values out of range for {width}-bit 2's complement"
-        ):
-            backend.to_twos_complement(out_of_range, width)
         oversized = np.array([1 << width], dtype=np.uint64)
-        with pytest.raises(ValueError, match=f"pattern exceeds {width}-bit range"):
-            backend.from_twos_complement(oversized, width)
+        with use_backend(backend_name):
+            with pytest.raises(
+                ValueError, match=f"values out of range for {width}-bit 2's complement"
+            ):
+                to_twos_complement_array(out_of_range, width)
+            with pytest.raises(ValueError, match=f"pattern exceeds {width}-bit range"):
+                from_twos_complement_array(oversized, width)
 
     @given(
         fault_count=st.integers(min_value=1, max_value=6),
@@ -211,17 +225,22 @@ class TestDatapathKernels:
     def test_invalid_map_mask_matches_reference(
         self, backend_name, fault_count, max_fpw, seed
     ):
-        backend = _backend(backend_name)
         rng = np.random.default_rng(seed)
         width = 8
         draws = rng.integers(0, 40, size=(50, fault_count)).astype(np.int64)
-        if fault_count >= 2:
-            draws[0, 1] = draws[0, 0]  # guaranteed duplicate cell
-            draws[1] = np.arange(fault_count)  # packed into the first word(s)
-        assert np.array_equal(
-            backend.invalid_map_mask(draws, width, max_fpw),
-            REFERENCE.invalid_map_mask(draws, width, max_fpw),
-        )
+        draws[0, -1] = draws[0, 0]  # duplicate cell (for fault_count >= 2)
+        draws[1] = np.arange(fault_count)  # packed into the first word(s)
+        with use_backend(backend_name):
+            got = _invalid_map_mask(draws, width, max_fpw)
+        want = [
+            len(set(cells)) < len(cells)
+            or (
+                max_fpw is not None
+                and max(np.bincount(np.array(cells) // width)) > max_fpw
+            )
+            for cells in draws.tolist()
+        ]
+        assert got.tolist() == want
 
 
 # --------------------------------------------------------------------- #
@@ -350,6 +369,15 @@ class TestCompiledCache:
         mtime = first.stat().st_mtime_ns
         assert compile_kernels() == first
         assert first.stat().st_mtime_ns == mtime  # reused, not rebuilt
+
+
+def test_interface_is_the_four_compiled_kernels():
+    assert KernelBackend.__abstractmethods__ == {
+        "secded_encode", "secded_decode", "fmlut_encode", "fmlut_decode",
+    }
+    # Built on the interface itself, so an uncompiled kernel cannot hide
+    # behind an inherited reference method.
+    assert CKernelBackend.__bases__ == (KernelBackend,)
 
 
 @pytest.mark.skipif("c" not in BACKENDS, reason="no C compiler available")

@@ -6,7 +6,9 @@ function) ties a lower layer to everything above it.  Within the lower
 packages, ``repro.faultmodel`` sits below the fault-scenario pipeline and the
 sweep engine that draw dies through it, and the modules that only describe
 or store a sweep (its configuration, its result types, the store schema, the
-DSE spec) sit below the engine and its executor tier.  Imports under
+DSE spec) sit below the engine and its executor tier.  ``repro.memory``
+(words, fault maps) sits below ``repro.kernels``, whose reference backend
+is built from its word helpers.  Imports under
 ``if TYPE_CHECKING:`` are annotations only and are allowed.  The package uses
 absolute imports throughout, so only those are checked.
 """
@@ -89,6 +91,11 @@ def test_faultmodel_does_not_import_sim_or_scenarios():
     offending = _offending_imports(
         ("faultmodel",), ("repro.sim", "repro.scenarios")
     )
+    assert not offending, "\n".join(offending)
+
+
+def test_memory_does_not_import_kernels():
+    offending = _offending_imports(("memory",), ("repro.kernels",))
     assert not offending, "\n".join(offending)
 
 

@@ -13,6 +13,7 @@ from repro.memory.words import (
     flip_bit,
     from_bit_array,
     from_twos_complement,
+    from_twos_complement_array,
     get_bit,
     popcount,
     rotate_left,
@@ -22,6 +23,7 @@ from repro.memory.words import (
     set_bit,
     to_bit_array,
     to_twos_complement,
+    to_twos_complement_array,
 )
 
 
@@ -227,3 +229,40 @@ class TestVectorisedRotation:
     def test_rejects_width_over_63(self):
         with pytest.raises(ValueError):
             rotate_right_array(np.array([1], dtype=np.uint64), np.array([1]), 64)
+
+
+@pytest.mark.parametrize("width", range(1, 64))
+class TestVectorisedTwosComplement:
+    """The array codecs against the scalar ones, at every supported width."""
+
+    def test_matches_scalar(self, width):
+        lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
+        rng = np.random.default_rng(width)
+        values = np.concatenate(
+            [
+                np.array([lo, hi, 0, -1, lo + 1, hi - 1], dtype=np.int64).clip(lo, hi),
+                rng.integers(lo, hi + 1, size=50, dtype=np.int64),
+            ]
+        )
+        patterns = to_twos_complement_array(values, width)
+        assert patterns.dtype == np.uint64
+        assert patterns.tolist() == [to_twos_complement(v, width) for v in values.tolist()]
+        decoded = from_twos_complement_array(patterns, width)
+        assert decoded.dtype == np.int64
+        assert decoded.tolist() == [
+            from_twos_complement(p, width) for p in patterns.tolist()
+        ]
+        assert np.array_equal(decoded, values)
+
+        assert to_twos_complement_array(values[:0], width).size == 0
+        assert from_twos_complement_array(patterns[:0], width).size == 0
+
+    def test_out_of_range_raises(self, width):
+        lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
+        message = f"values out of range for {width}-bit 2's complement"
+        for value in (lo - 1, hi + 1):
+            with pytest.raises(ValueError, match=message):
+                to_twos_complement_array(np.array([0, value], dtype=np.int64), width)
+        oversized = np.array([0, 1 << width], dtype=np.uint64)
+        with pytest.raises(ValueError, match=f"pattern exceeds {width}-bit range"):
+            from_twos_complement_array(oversized, width)
