@@ -2,11 +2,11 @@
 
 * **vectorized clustered sampler >= 10x** -- the batch NumPy burst-placement
   sampler behind the ``clustered`` scenario must beat the per-map/per-cluster
-  scalar reference (``vectorized=False``, the same rejection rule written as
-  plain Python) by at least :data:`CLUSTER_SPEEDUP_GATE` on a Monte-Carlo
-  sized batch;
+  scalar reference (``tests/reference_paths.py``, the same rejection rule
+  written as plain Python) by at least :data:`CLUSTER_SPEEDUP_GATE` on a
+  Monte-Carlo sized batch;
 * a timing record of the batched transient-tier sampler against its scalar
-  reference.
+  reference in the same module.
 
 Scenario and transient sweeps being bit-identical across worker counts, and
 repair never lowering the yield, are tier-1 checks in
@@ -19,6 +19,7 @@ import time
 
 import numpy as np
 
+from reference_paths import cluster_cells, transient_observed_masks
 from repro.memory.organization import MemoryOrganization
 from repro.scenarios import ClusterTransform, build_scenario
 
@@ -49,12 +50,13 @@ def test_clustered_vectorized_sampler_speedup(json_summary):
     transform = ClusterTransform(cluster_size=4, row_fraction=0.5)
 
     def draw(vectorized: bool, seed: int):
-        return transform.sample_cells(
+        sample_cells = ClusterTransform.sample_cells if vectorized else cluster_cells
+        return sample_cells(
+            transform,
             ORG,
             CLUSTER_FAULTS,
             CLUSTER_BATCH,
             np.random.default_rng(seed),
-            vectorized=vectorized,
         )
 
     # Warm-up outside the timed sections; gate on best-of-3 timings.
@@ -101,9 +103,9 @@ def test_transient_tier_vectorized_vs_scalar_summary(json_summary):
 
     def sample(vectorized: bool):
         rng = np.random.default_rng(np.random.SeedSequence(7))
-        effects = tier.sample_read_effects(
-            ORG, n_values, passes, rng, vectorized=vectorized
-        )
+        if not vectorized:
+            return transient_observed_masks(tier, ORG, n_values, passes, rng)
+        effects = tier.sample_read_effects(ORG, n_values, passes, rng)
         value_rows = np.arange(n_values, dtype=np.int64) % ORG.rows
         return effects.observed_masks(value_rows)
 

@@ -232,9 +232,10 @@ class FaultMapSampler:
         one, but the random stream differs from repeated
         :meth:`FaultMap.random_with_count` calls; pass ``vectorized=False`` to
         reproduce the exact legacy per-map stream (used by callers whose
-        seeded results are pinned by regression tests).  Either way an
-        infeasible ``max_faults_per_word`` raises :class:`ValueError` and a
-        feasible-but-unlucky rejection run gives up with a
+        seeded results are pinned by regression tests).  The keyword reaches
+        only the scenario's source: its transforms have a single path.  Either
+        way an infeasible ``max_faults_per_word`` raises :class:`ValueError`
+        and a feasible-but-unlucky rejection run gives up with a
         :class:`RuntimeError` after ``max_attempts`` redraws per map.
         """
         return self._scenario.sample_batch(

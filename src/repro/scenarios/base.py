@@ -111,7 +111,6 @@ class FaultTransform(abc.ABC):
         rng: np.random.Generator,
         *,
         max_faults_per_word: Optional[int] = None,
-        vectorized: bool = True,
         max_rounds: int = DEFAULT_MAX_ROUNDS,
     ) -> List[FaultMap]:
         """Transform a batch of maps (each output keeps its input's fault count)."""
@@ -172,6 +171,8 @@ class FaultScenario:
         ``fault_count`` is the *manufactured* fault count of the stratum; a
         repair stage may return maps with fewer (post-repair) faults, which is
         exactly the population the protection schemes then face.
+        ``vectorized`` reaches only the source, where ``False`` picks the
+        legacy per-map stream; the transforms have a single path.
         """
         if self.transforms and self.transforms[0].replaces_layout:
             # The first transform re-places every cell, so the source's
@@ -193,7 +194,6 @@ class FaultScenario:
                 maps,
                 rng,
                 max_faults_per_word=max_faults_per_word,
-                vectorized=vectorized,
                 max_rounds=max_rounds,
             )
         if self.repair is not None:

@@ -16,16 +16,12 @@ exact number of faults of every input map and only re-places them, so the
 stratified ``Pr(N = n)`` weighting of the Monte-Carlo sweep stays valid
 unchanged.
 
-Two implementations are provided; ``tests/test_scenarios.py`` checks that they
-draw the same distribution, and ``benchmarks/bench_scenarios.py`` gates the
-vectorized one at >= 10x the reference:
-
-* the default *vectorized* sampler draws whole batches of burst layouts as a
-  few NumPy passes with rejection of colliding clusters;
-* ``vectorized=False`` runs the straightforward per-map/per-cluster Python
-  reference.  The two are distributionally identical (same burst geometry,
-  same rejection rule) but consume the generator differently, so their
-  streams are not interchangeable.
+The sampler draws whole batches of burst layouts as a few NumPy passes with
+rejection of colliding clusters.  ``tests/reference_paths.py`` holds the
+straightforward per-map/per-cluster Python version of the same rejection
+rule: ``tests/test_scenarios.py`` checks that the two draw the same
+distribution, and ``benchmarks/bench_scenarios.py`` gates this sampler at
+>= 10x the reference.
 """
 
 from __future__ import annotations
@@ -91,7 +87,6 @@ class ClusterTransform(FaultTransform):
         rng: np.random.Generator,
         *,
         max_faults_per_word: Optional[int] = None,
-        vectorized: bool = True,
         max_rounds: int = DEFAULT_MAX_ROUNDS,
     ) -> List[FaultMap]:
         if not maps:
@@ -112,7 +107,6 @@ class ClusterTransform(FaultTransform):
                 end - start,
                 rng,
                 max_faults_per_word=max_faults_per_word,
-                vectorized=vectorized,
                 max_rounds=max_rounds,
             )
             # Kind is resolved per map: maps sharing a count may still carry
@@ -201,7 +195,6 @@ class ClusterTransform(FaultTransform):
         rng: np.random.Generator,
         *,
         max_faults_per_word: Optional[int] = None,
-        vectorized: bool = True,
         max_rounds: int = DEFAULT_MAX_ROUNDS,
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Draw ``batch_size`` burst layouts of exactly ``fault_count`` cells.
@@ -229,41 +222,6 @@ class ClusterTransform(FaultTransform):
         row_fraction = self._effective_row_fraction(
             organization, lengths, max_faults_per_word
         )
-        if vectorized:
-            return self._sample_cells_vectorized(
-                organization,
-                fault_count,
-                batch_size,
-                rng,
-                lengths,
-                row_fraction,
-                max_faults_per_word,
-                max_rounds,
-            )
-        return [
-            self._sample_cells_scalar(
-                organization,
-                fault_count,
-                rng,
-                lengths,
-                row_fraction,
-                max_faults_per_word,
-                max_rounds,
-            )
-            for _ in range(batch_size)
-        ]
-
-    def _sample_cells_vectorized(
-        self,
-        organization: MemoryOrganization,
-        fault_count: int,
-        batch_size: int,
-        rng: np.random.Generator,
-        lengths: np.ndarray,
-        row_fraction: float,
-        max_faults_per_word: Optional[int],
-        max_rounds: int,
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
         rows_n = organization.rows
         width = organization.word_width
         n_clusters = lengths.size
@@ -327,50 +285,6 @@ class ClusterTransform(FaultTransform):
         return [
             (accepted_rows[i], accepted_cols[i]) for i in range(batch_size)
         ]
-
-    def _sample_cells_scalar(
-        self,
-        organization: MemoryOrganization,
-        fault_count: int,
-        rng: np.random.Generator,
-        lengths: np.ndarray,
-        row_fraction: float,
-        max_faults_per_word: Optional[int],
-        max_rounds: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-cluster Python reference of the same rejection sampler."""
-        rows_n = organization.rows
-        width = organization.word_width
-        for _ in range(max_rounds):
-            cells: List[Tuple[int, int]] = []
-            for length in lengths:
-                length = int(length)
-                along_row = rng.random() < row_fraction
-                u_anchor = rng.random()
-                u_start = rng.random()
-                if along_row:
-                    row = int(u_anchor * rows_n)
-                    col0 = int(u_start * (width - length + 1))
-                    cells.extend((row, col0 + j) for j in range(length))
-                else:
-                    col = int(u_anchor * width)
-                    row0 = int(u_start * (rows_n - length + 1))
-                    cells.extend((row0 + j, col) for j in range(length))
-            if len(set(cells)) != fault_count:
-                continue
-            if max_faults_per_word is not None:
-                per_row: Dict[int, int] = {}
-                for row, _col in cells:
-                    per_row[row] = per_row.get(row, 0) + 1
-                if max(per_row.values()) > max_faults_per_word:
-                    continue
-            rows = np.array([r for r, _c in cells], dtype=np.int64)
-            cols = np.array([c for _r, c in cells], dtype=np.int64)
-            return rows, cols
-        raise RuntimeError(
-            f"could not place a clustered fault map after {max_rounds} "
-            f"rounds; lower cluster_size or fault_count"
-        )
 
     def to_dict(self) -> Dict[str, object]:
         return {

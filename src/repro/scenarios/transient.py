@@ -19,15 +19,14 @@ that includes the tier describes the run exactly.
 Randomness contract
 -------------------
 
-``sample_read_effects`` consumes generator draws in one canonical order,
-identical for the batched NumPy path and the scalar reference path
-(``vectorized=False``): per access pass, each source's ``accumulate`` in
-tuple order; after the final pass, each source's ``read_masks`` in tuple
-order.  Soft errors are drawn only for the final, observed read --
-intermediate-pass SER flips are overwritten before anyone looks at them, so
-modelling them would spend randomness without changing any result.  The two
-paths therefore produce bit-identical effects; only the mask *application*
-differs (NumPy scatter ops versus a per-position Python loop).
+``sample_read_effects`` consumes generator draws in one canonical order: per
+access pass, each source's ``accumulate`` in tuple order; after the final
+pass, each source's ``read_masks`` in tuple order.  Soft errors are drawn
+only for the final, observed read -- intermediate-pass SER flips are
+overwritten before anyone looks at them, so modelling them would spend
+randomness without changing any result.  ``tests/reference_paths.py`` makes
+the same draws in the same order and applies them one position at a time;
+the differential tests hold the NumPy scatter ops bit-identical to it.
 """
 
 from __future__ import annotations
@@ -75,9 +74,10 @@ class TransientFaultSource:
     * :meth:`read_masks` -- ephemeral effects of the final observed read
       (soft errors): return a per-value XOR mask array, or ``None``.
 
-    Every draw must go through ``rng`` in the same call sequence for
-    ``vectorized`` True and False -- bit-identity between the two paths is
-    the contract the differential tests enforce.
+    Every draw must go through ``rng`` in the canonical call sequence (see
+    the module docstring): the scalar reference in
+    ``tests/reference_paths.py`` replays it, and the differential tests hold
+    the two bit-identical.
     """
 
     def accumulate(
@@ -87,8 +87,6 @@ class TransientFaultSource:
         width: int,
         rng: np.random.Generator,
         disturb_masks: np.ndarray,
-        *,
-        vectorized: bool = True,
     ) -> None:
         """Fold one access pass's persistent effects into ``disturb_masks``."""
 
@@ -98,8 +96,6 @@ class TransientFaultSource:
         rows: int,
         width: int,
         rng: np.random.Generator,
-        *,
-        vectorized: bool = True,
     ) -> Optional[np.ndarray]:
         """Per-value XOR masks of the final observed read (``None`` = none)."""
         return None
@@ -159,22 +155,13 @@ class SoftErrorSource(TransientFaultSource):
         rows: int,
         width: int,
         rng: np.random.Generator,
-        *,
-        vectorized: bool = True,
     ) -> Optional[np.ndarray]:
         positions = self._draw_positions(n_values * width, rng)
         masks = np.zeros(n_values, dtype=np.uint64)
         if positions.size == 0:
             return masks
-        if vectorized:
-            bits = np.uint64(1) << (positions % width).astype(np.uint64)
-            np.bitwise_xor.at(masks, positions // width, bits)
-        else:
-            for position in positions.tolist():
-                value_index = position // width
-                masks[value_index] = np.uint64(
-                    int(masks[value_index]) ^ (1 << (position % width))
-                )
+        bits = np.uint64(1) << (positions % width).astype(np.uint64)
+        np.bitwise_xor.at(masks, positions // width, bits)
         return masks
 
     def to_dict(self) -> Dict[str, object]:
@@ -207,8 +194,6 @@ class ReadDisturbSource(TransientFaultSource):
         width: int,
         rng: np.random.Generator,
         disturb_masks: np.ndarray,
-        *,
-        vectorized: bool = True,
     ) -> None:
         total = n_values * width
         disturbed = int(rng.binomial(total, self.disturb_probability))
@@ -217,16 +202,9 @@ class ReadDisturbSource(TransientFaultSource):
         positions = rng.choice(total, size=disturbed, replace=False).astype(
             np.int64
         )
-        if vectorized:
-            row_indices = (positions // width) % rows
-            bits = np.uint64(1) << (positions % width).astype(np.uint64)
-            np.bitwise_or.at(disturb_masks, row_indices, bits)
-        else:
-            for position in positions.tolist():
-                row = (position // width) % rows
-                disturb_masks[row] = np.uint64(
-                    int(disturb_masks[row]) | (1 << (position % width))
-                )
+        row_indices = (positions // width) % rows
+        bits = np.uint64(1) << (positions % width).astype(np.uint64)
+        np.bitwise_or.at(disturb_masks, row_indices, bits)
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -332,8 +310,6 @@ class TransientTier:
         n_values: int,
         passes: int,
         rng: np.random.Generator,
-        *,
-        vectorized: bool = True,
     ) -> TransientReadEffects:
         """Replay ``passes`` access passes and return the final read's effects.
 
@@ -361,19 +337,10 @@ class TransientTier:
             ):
                 self.scrubbing.scrub(disturb_masks)
             for source in self.sources:
-                source.accumulate(
-                    n_values,
-                    rows,
-                    width,
-                    rng,
-                    disturb_masks,
-                    vectorized=vectorized,
-                )
+                source.accumulate(n_values, rows, width, rng, disturb_masks)
         read_masks = np.zeros(n_values, dtype=np.uint64)
         for source in self.sources:
-            masks = source.read_masks(
-                n_values, rows, width, rng, vectorized=vectorized
-            )
+            masks = source.read_masks(n_values, rows, width, rng)
             if masks is not None:
                 read_masks ^= masks
         return TransientReadEffects(

@@ -54,8 +54,9 @@ events -- a die is one sample of the population, and the sweep engine
 derives the seed from the die's own seed-sequence child to keep
 worker-count/shard-order bit-identity.  Being a pure function of the seed,
 the replay is part of the die's shared half.  Transient masks cover only the
-data columns (like the static fault map), and the batched application has a
-scalar reference path (``transient_vectorized=False``) that is bit-identical.
+data columns (like the static fault map).  ``tests/reference_paths.py`` walks
+the same load one word at a time, and the differential tests hold the batched
+application bit-identical to it.
 """
 
 from __future__ import annotations
@@ -67,12 +68,7 @@ import numpy as np
 from repro.core.base import ProtectionScheme
 from repro.memory.faults import FaultMap
 from repro.memory.organization import MemoryOrganization
-from repro.memory.words import (
-    from_twos_complement,
-    from_twos_complement_array,
-    to_twos_complement,
-    to_twos_complement_array,
-)
+from repro.memory.words import from_twos_complement_array, to_twos_complement_array
 from repro.quantize.fixedpoint import FixedPointFormat
 from repro.scenarios.transient import TransientTier
 
@@ -146,11 +142,10 @@ class DieDatapath:
         transient: Optional[TransientTier] = None,
         transient_seed: Optional[int] = None,
         access_trace: int = 1,
-        transient_vectorized: bool = True,
     ) -> None:
         self._arguments = (
             organization, fault_map, fixed_point, transient, transient_seed,
-            access_trace, transient_vectorized,
+            access_trace,
         )
         if fault_map.organization.rows != organization.rows:
             raise ValueError("fault map row count does not match the memory")
@@ -188,7 +183,6 @@ class DieDatapath:
         self.transient = transient
         self.transient_seed = None if transient_seed is None else int(transient_seed)
         self.access_trace = access_trace
-        self.transient_vectorized = bool(transient_vectorized)
         self.columns_by_row = fault_map.faulty_columns_by_row()
         masks = fault_map.row_masks()
         self.faulty_rows = np.array(list(masks), dtype=np.int64)
@@ -269,11 +263,7 @@ class DieDatapath:
             return _Plan(empty, empty, empty, self._patterns(tensor, empty), empty)
         rng = np.random.default_rng(np.random.SeedSequence(self.transient_seed))
         effects = self.transient.sample_read_effects(
-            self.organization,
-            n_values,
-            self.access_trace,
-            rng,
-            vectorized=self.transient_vectorized,
+            self.organization, n_values, self.access_trace, rng
         )
         total_rows = self.organization.rows
         value_rows = np.arange(n_values, dtype=np.int64) % total_rows
@@ -316,9 +306,6 @@ class FaultyTensorStore:
         Seed the tier's events are replayed from; required with ``transient``.
     access_trace:
         Number of read passes the tier replays per load (>= 1).
-    transient_vectorized:
-        Apply transient masks through the batched NumPy path (default) or
-        the scalar reference loop; both are bit-identical by contract.
     die:
         The scheme-independent half to share, from another store of the same
         die (:attr:`die`).  It must have been built from exactly the
@@ -335,7 +322,6 @@ class FaultyTensorStore:
         transient: Optional[TransientTier] = None,
         transient_seed: Optional[int] = None,
         access_trace: int = 1,
-        transient_vectorized: bool = True,
         die: Optional[DieDatapath] = None,
     ) -> None:
         if scheme.word_width != organization.word_width:
@@ -348,11 +334,10 @@ class FaultyTensorStore:
                 transient=transient,
                 transient_seed=transient_seed,
                 access_trace=access_trace,
-                transient_vectorized=transient_vectorized,
             )
         elif die._arguments != (
             organization, fault_map, fixed_point, transient, transient_seed,
-            access_trace, transient_vectorized,
+            access_trace,
         ):
             raise ValueError(
                 "the shared die was built for other store arguments"
@@ -431,44 +416,14 @@ class FaultyTensorStore:
         values = tensor.clean.copy()
         if plan.indices.size == 0:
             return values
-        if self._die.transient is not None and not self._die.transient_vectorized:
-            codes = self._scalar_transient_codes(tensor, plan)
-        else:
-            width = self.organization.word_width
-            stored = self._scheme.encode_words(plan.rows, plan.patterns)
-            observed = self._die.corrupt(plan.slots, stored)
-            if plan.transient_masks is not None:
-                # Static masks first (identity on healthy rows), then the
-                # transient XOR; both touch only the data columns.
-                observed = observed ^ plan.transient_masks
-            recovered = self._scheme.decode_words(plan.rows, observed)
-            codes = from_twos_complement_array(recovered, width)
+        stored = self._scheme.encode_words(plan.rows, plan.patterns)
+        observed = self._die.corrupt(plan.slots, stored)
+        if plan.transient_masks is not None:
+            # Static masks first (identity on healthy rows), then the
+            # transient XOR; both touch only the data columns.
+            observed = observed ^ plan.transient_masks
+        recovered = self._scheme.decode_words(plan.rows, observed)
+        codes = from_twos_complement_array(recovered, self.organization.word_width)
         values[plan.indices] = self.fixed_point.dequantize_array(codes)
         return values
 
-    def _scalar_transient_codes(
-        self, tensor: QuantizedTensor, plan: _Plan
-    ) -> np.ndarray:
-        """The word-at-a-time reference of the access-trace datapath."""
-        width = self.organization.word_width
-        data_mask = (1 << width) - 1
-        fault_map = self.fault_map
-        codes = np.empty(plan.indices.size, dtype=np.int64)
-        for position, (value_index, row, transient_mask) in enumerate(
-            zip(
-                plan.indices.tolist(),
-                plan.rows.tolist(),
-                plan.transient_masks.tolist(),
-            )
-        ):
-            pattern = to_twos_complement(int(tensor.codes[value_index]), width)
-            stored = int(self._scheme.encode_word(row, pattern))
-            observed = (
-                fault_map.corrupt_word(row, stored & data_mask)
-                | (stored & ~data_mask)
-            )
-            observed ^= transient_mask
-            codes[position] = from_twos_complement(
-                int(self._scheme.decode_word(row, observed)), width
-            )
-        return codes

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_paths
 from repro.core.no_protection import NoProtection
 from repro.core.priority_ecc import PriorityEccScheme
 from repro.core.scheme import BitShuffleScheme
@@ -218,9 +219,14 @@ def test_transient_tier_shared_equals_fresh_and_scalar_reference(n_values):
     read_model = dict(transient=tier, transient_seed=41, access_trace=3)
     shared = _shared_loads(fault_map, raw, **read_model)
     fresh = _fresh_loads(fault_map, raw, **read_model)
-    scalar = _shared_loads(
-        fault_map, raw, transient_vectorized=False, **read_model
-    )
+    scalar = [
+        _outcome(
+            lambda scheme=scheme: reference_paths.transient_load(
+                ORG, scheme, fault_map, FMT, raw, **read_model
+            )
+        )
+        for scheme in _schemes()
+    ]
     for got, by_store, by_scalar in zip(shared, fresh, scalar):
         _assert_same(got, by_store)
         _assert_same(got, by_scalar)

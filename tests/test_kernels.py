@@ -244,7 +244,7 @@ class TestDatapathKernels:
 
 
 # --------------------------------------------------------------------- #
-# End-to-end: scheme datapaths and seeded sampler streams per backend
+# End-to-end: scheme datapaths per backend
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("backend_name", NON_REFERENCE)
 class TestEndToEndIdentity:
@@ -266,36 +266,6 @@ class TestEndToEndIdentity:
                 back = scheme.decode_words(rows, stored)
             assert np.array_equal(stored, stored_ref), scheme.name
             assert np.array_equal(back, back_ref), scheme.name
-
-    def test_seeded_sampler_stream_identical(self, backend_name):
-        org = MemoryOrganization(rows=64, word_width=32)
-        with use_backend("numpy"):
-            ref = FaultMap.random_batch_with_count(
-                org, 4, 16, np.random.default_rng(5), max_faults_per_word=2
-            )
-        with use_backend(backend_name):
-            got = FaultMap.random_batch_with_count(
-                org, 4, 16, np.random.default_rng(5), max_faults_per_word=2
-            )
-        assert [m.to_dict() for m in got] == [m.to_dict() for m in ref]
-
-    def test_corrupt_words_identical_across_fault_kinds(self, backend_name):
-        org = MemoryOrganization(rows=32, word_width=32)
-        rng = np.random.default_rng(11)
-        cells = [(int(r), int(c)) for r, c in zip(
-            rng.integers(0, 32, size=12), rng.integers(0, 32, size=12)
-        )]
-        cells = list(dict.fromkeys(cells))
-        for kind in FaultKind:
-            die = DieDatapath(org, FaultMap.from_cells(org, cells, kind))
-            # Slot ``faulty_rows.size`` is the die's identity (healthy) slot.
-            slots = rng.integers(0, die.faulty_rows.size + 1, size=100)
-            pats = rng.integers(0, 1 << 32, size=100).astype(np.uint64)
-            with use_backend("numpy"):
-                want = die.corrupt(slots, pats)
-            with use_backend(backend_name):
-                got = die.corrupt(slots, pats)
-            assert np.array_equal(want, got), kind
 
 
 # --------------------------------------------------------------------- #

@@ -7,8 +7,8 @@ spec round-trip, and the cross-layer integration contracts:
   direct sampling (stream equality, config hashes, engine results);
 * non-default scenarios flow through seeded per-die sampling, process
   fan-out, and checkpoint/resume, with the scenario keying the cache;
-* the clustered transform's vectorized and scalar samplers agree
-  distributionally and respect the per-word fault limit.
+* the clustered transform's sampler agrees distributionally with the scalar
+  reference in ``reference_paths`` and respects the per-word fault limit.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import json
 import numpy as np
 import pytest
 
+import reference_paths
 from repro.dse.spec import (
     BenchmarkGridSpec,
     ExperimentSpec,
@@ -241,31 +242,23 @@ class TestClusterTransform:
     def test_scalar_reference_matches_vectorized_distribution(self, org):
         transform = ClusterTransform(cluster_size=4, row_fraction=0.5)
 
-        def mean_rows(vectorized, seed):
-            cells = transform.sample_cells(
-                org,
-                16,
-                200,
-                np.random.default_rng(seed),
-                vectorized=vectorized,
-            )
+        def mean_rows(sample_cells, seed):
+            cells = sample_cells(transform, org, 16, 200, np.random.default_rng(seed))
             return float(
                 np.mean([np.unique(rows).size for rows, _cols in cells])
             )
 
         # Same burst geometry => the mean number of distinct touched rows
         # agrees between the two implementations (loose statistical gate).
-        assert mean_rows(True, 11) == pytest.approx(mean_rows(False, 12), rel=0.1)
+        assert mean_rows(ClusterTransform.sample_cells, 11) == pytest.approx(
+            mean_rows(reference_paths.cluster_cells, 12), rel=0.1
+        )
 
     def test_scalar_and_vectorized_are_seed_deterministic(self, org):
         transform = ClusterTransform(cluster_size=3)
-        for vectorized in (True, False):
-            a = transform.sample_cells(
-                org, 9, 4, np.random.default_rng(8), vectorized=vectorized
-            )
-            b = transform.sample_cells(
-                org, 9, 4, np.random.default_rng(8), vectorized=vectorized
-            )
+        for sample_cells in (ClusterTransform.sample_cells, reference_paths.cluster_cells):
+            a = sample_cells(transform, org, 9, 4, np.random.default_rng(8))
+            b = sample_cells(transform, org, 9, 4, np.random.default_rng(8))
             for (ra, ca), (rb, cb) in zip(a, b):
                 assert np.array_equal(ra, rb) and np.array_equal(ca, cb)
 

@@ -5,8 +5,8 @@ The tier's three contracts, each enforced differentially via
 
 * **distributional** -- the per-read SER stream really is Bernoulli per
   bit (chi-square goodness-of-fit at the 0.999 level over several seeds);
-* **bit-identity** -- the batched NumPy path, the scalar reference path,
-  and every worker count / shard order of the sweep engine produce exactly
+* **bit-identity** -- the batched NumPy path, the scalar reference in
+  ``reference_paths``, and every worker count / shard order of the sweep engine produce exactly
   the same corrupted values from the same master seed;
 * **physics** -- scrubbing only ever removes accumulated read-disturb
   state (a subset/monotonicity property), and repeated loads replay the
@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_paths
 import statharness
 from repro.core.no_protection import NoProtection
 from repro.memory.faults import FaultMap
@@ -137,16 +138,14 @@ class TestBatchedScalarEquivalence:
     def test_tier_effects_identical(self, org):
         tier = _tier(ser=2e-3, disturb=1e-3, scrub=3)
 
-        def run(rng, vectorized):
-            effects = tier.sample_read_effects(
-                org, 300, 7, rng, vectorized=vectorized
-            )
+        def run(rng):
+            effects = tier.sample_read_effects(org, 300, 7, rng)
             value_rows = np.arange(300, dtype=np.int64) % org.rows
             return effects.observed_masks(value_rows)
 
         statharness.assert_batched_matches_scalar(
-            lambda rng: run(rng, True),
-            lambda rng: run(rng, False),
+            run,
+            lambda rng: reference_paths.transient_observed_masks(tier, org, 300, 7, rng),
             seeds=statharness.gof_seeds(4, start=3000),
             label="transient tier (vectorized vs scalar)",
         )
@@ -156,20 +155,14 @@ class TestBatchedScalarEquivalence:
             "transient", ser=1e-3, disturb=5e-4, scrub_interval=2
         )
         values = np.linspace(-4.0, 4.0, 200)
-
-        def load(vectorized):
-            store = FaultyTensorStore(
-                org,
-                NoProtection(32),
-                FaultMap.empty(org),
-                transient=scenario.transient,
-                transient_seed=77,
-                access_trace=5,
-                transient_vectorized=vectorized,
-            )
-            return store.store_and_load(values)
-
-        assert np.array_equal(load(True), load(False))
+        read_model = dict(transient=scenario.transient, transient_seed=77, access_trace=5)
+        store = FaultyTensorStore(org, NoProtection(32), FaultMap.empty(org), **read_model)
+        fixed_point = store.fixed_point
+        reference = reference_paths.transient_load(
+            org, NoProtection(32), FaultMap.empty(org), fixed_point,
+            fixed_point.quantize_array(values), **read_model,
+        )
+        assert np.array_equal(store.store_and_load(values), reference)
 
     def test_repeated_loads_replay_identically(self, org):
         store = FaultyTensorStore(
