@@ -1,7 +1,7 @@
 """Per-kernel microbenchmarks of the pluggable kernel backends.
 
-Times the four kernels of :mod:`repro.kernels` (SECDED encode/decode and
-FM-LUT encode/decode) on each backend that builds on this machine, in words
+Times the four word kernels of :mod:`repro.kernels` (SECDED encode/decode
+and FM-LUT encode/decode) on each backend that builds on this machine, in words
 per second, at the datapath's per-die call sizes (41 and 600 words) and on a
 bulk 131 072-word array.  Two invariants are gated:
 
@@ -11,6 +11,9 @@ bulk 131 072-word array.  Two invariants are gated:
 * **>= 3x on XOR-popcount decode** -- where a C compiler is available, the
   compiled ``secded_decode`` must beat the NumPy reference by at least 3x
   (the headline win of the compiled tier; in practice the margin is larger).
+
+The fifth kernel, the ElasticNet sweeps, is timed per fit in
+``bench_retrain.py``.
 
 With ``REPRO_BENCH_JSON`` set, one record per (kernel, backend, size) is
 appended for CI artifacts; the ``kernel_backend`` field names the backend so

@@ -13,7 +13,13 @@ It gates two things:
   ``fit``, the median over rounds that alternate which side runs first, in
   one process, so the ratio does not depend on host speed.
 
-With ``REPRO_BENCH_JSON`` set, one ``elasticnet_fit`` record is appended.
+``test_compiled_sweep_speedup`` times ``fit`` with the C kernel backend
+against ``fit`` with the NumPy one on the same tensors: the compiled sweeps
+must match the NumPy sweeps bit for bit and run ``fit`` >= 2.0x faster.
+Where the C backend is unavailable it records why and skips.
+
+With ``REPRO_BENCH_JSON`` set, one ``elasticnet_fit`` and one
+``elasticnet_compiled_sweep`` record are appended.
 """
 
 from __future__ import annotations
@@ -22,7 +28,9 @@ import statistics
 import time
 
 import numpy as np
+import pytest
 
+from repro import kernels
 from repro.apps.elasticnet import ElasticNetRegressor
 from repro.apps.preprocessing import StandardScaler
 from repro.core.no_protection import NoProtection
@@ -37,6 +45,7 @@ FAULT_COUNTS = (1, 4, 16, 64, 256)
 #: The Fig. 7 application's hyperparameters (``_evaluate_elasticnet``).
 FIT_PARAMETERS = dict(alpha=0.02, l1_ratio=0.5, max_iter=400, tol=1e-6)
 MIN_SPEEDUP = 1.3
+MIN_COMPILED_SPEEDUP = 2.0
 
 
 def _reference_fit(features, targets, alpha, l1_ratio, max_iter, tol, fit_intercept=True):
@@ -151,4 +160,54 @@ def test_elasticnet_fit_speedup(json_summary):
     assert speedup >= MIN_SPEEDUP, (
         f"ElasticNet fit is only {speedup:.2f}x the reference loop "
         f"(need >= {MIN_SPEEDUP}x)"
+    )
+
+
+def _fit_seconds(backend, cases):
+    with kernels.use_backend(backend):
+        return _seconds(_fit_all, cases)
+
+
+def test_compiled_sweep_speedup(json_summary):
+    """C-backend ``fit`` must match NumPy-backend ``fit`` bit for bit and be >= 2x faster."""
+    try:
+        compiled = kernels._build("c")
+    except kernels.KernelUnavailableError as exc:
+        json_summary("elasticnet_compiled_sweep", {"tensors": N_TENSORS, "skipped": str(exc)})
+        pytest.skip(f"C backend unavailable: {exc}")
+    reference = kernels._build("numpy")
+    cases = _corrupted_training_sets()
+    with kernels.use_backend(reference):
+        reference_models = _fit_all(cases)
+    with kernels.use_backend(compiled):
+        compiled_models = _fit_all(cases)
+    for model, want in zip(compiled_models, reference_models):
+        assert [c.hex() for c in model.coef_.tolist()] == [c.hex() for c in want.coef_.tolist()]
+        assert model.intercept_.hex() == want.intercept_.hex()
+        assert model.n_iter_ == want.n_iter_
+
+    reference_seconds, compiled_seconds = [], []
+    for round_index in range(ROUNDS):
+        if round_index % 2:
+            compiled_seconds.append(_fit_seconds(compiled, cases))
+            reference_seconds.append(_fit_seconds(reference, cases))
+        else:
+            reference_seconds.append(_fit_seconds(reference, cases))
+            compiled_seconds.append(_fit_seconds(compiled, cases))
+    speedup = statistics.median(
+        numpy_time / c_time for numpy_time, c_time in zip(reference_seconds, compiled_seconds)
+    )
+    json_summary(
+        "elasticnet_compiled_sweep",
+        {
+            "tensors": N_TENSORS,
+            "rounds": ROUNDS,
+            "numpy_seconds": statistics.median(reference_seconds),
+            "c_seconds": statistics.median(compiled_seconds),
+            "speedup": speedup,
+        },
+    )
+    assert speedup >= MIN_COMPILED_SPEEDUP, (
+        f"C-backend fit is only {speedup:.2f}x the NumPy-backend fit "
+        f"(need >= {MIN_COMPILED_SPEEDUP}x)"
     )

@@ -14,26 +14,22 @@ from the faulty memory and reports R^2 on clean test data.
 
 Every fit is bit-identical to the plain NumPy form of the update (one
 ``x[:, j] @ residual`` and one ``residual += x[:, j] * delta`` per
-coordinate), which the quality goldens depend on.  The loop keeps the bits
-while avoiding NumPy scalar round trips, under two rules:
-
-* the dot product stays on the strided column view of the C-ordered centred
-  matrix: BLAS ``ddot`` sums a strided and a contiguous vector in different
-  orders, so a contiguous copy would change ``rho``;
-* only the elementwise residual update reads a Fortran-ordered copy: an
-  elementwise product does not depend on memory layout.
-
-Per-column constants and the weights are Python floats, so the scalar part
-of an update is plain float arithmetic in the same operation order.
+coordinate), which the quality goldens depend on.  ``fit`` prepares the
+centred matrix, its Fortran-ordered copy and the column norms in NumPy and
+runs the sweeps through the active kernel backend
+(:meth:`repro.kernels.KernelBackend.elasticnet_sweeps`): the NumPy reference
+loop, or a compiled loop that calls the same BLAS ``ddot`` NumPy calls.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Optional
 
 import numpy as np
 
+from repro.kernels import active_backend
 from repro.quality.metrics import r2_score
 
 __all__ = ["ElasticNetRegressor"]
@@ -70,13 +66,15 @@ class ElasticNetRegressor:
             raise ValueError(f"alpha must be finite and non-negative, got {alpha!r}")
         if not 0.0 <= l1_ratio <= 1.0:
             raise ValueError("l1_ratio must be in [0, 1]")
+        if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral):
+            raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
         if max_iter <= 0:
             raise ValueError("max_iter must be positive")
         if not math.isfinite(tol) or tol <= 0:
             raise ValueError(f"tol must be finite and positive, got {tol!r}")
         self.alpha = alpha
         self.l1_ratio = l1_ratio
-        self.max_iter = max_iter
+        self.max_iter = int(max_iter)
         self.tol = tol
         self.fit_intercept = fit_intercept
         self.coef_: Optional[np.ndarray] = None
@@ -111,48 +109,16 @@ class ElasticNetRegressor:
         column_norms = (x_centered ** 2).sum(axis=0) / n_samples
         l1_penalty = float(self.alpha * self.l1_ratio)
         l2_penalty = float(self.alpha * (1.0 - self.l1_ratio))
-
-        # Everything a coordinate update reads besides the residual is fixed
-        # for the whole fit, so it is looked up once here as Python floats.
-        # Zero-norm columns never move their weight and are left out.
-        x_update = np.asfortranarray(x_centered)
-        columns = [
-            (j, x_centered[:, j], x_update[:, j], norm, norm + l2_penalty)
-            for j, norm in enumerate(column_norms.tolist())
-            if norm != 0.0
-        ]
-        weights = [0.0] * n_features
-        step = np.empty(n_samples)
-        dot, multiply = np.dot, np.multiply
-
-        self.n_iter_ = 0
-        for iteration in range(self.max_iter):
-            max_update = 0.0
-            for j, column, column_update, norm, denominator in columns:
-                old_weight = weights[j]
-                # Partial residual excluding feature j's current contribution,
-                # soft-thresholded by the L1 penalty.
-                rho = float(dot(column, residual)) / n_samples + norm * old_weight
-                if rho > l1_penalty:
-                    rho -= l1_penalty
-                elif rho < -l1_penalty:
-                    rho += l1_penalty
-                else:
-                    rho = 0.0
-                new_weight = rho / denominator
-                if new_weight != old_weight:
-                    delta = old_weight - new_weight
-                    multiply(column_update, delta, out=step)
-                    residual += step
-                    weights[j] = new_weight
-                    change = abs(delta)
-                    if change > max_update:
-                        max_update = change
-            self.n_iter_ = iteration + 1
-            if max_update < self.tol:
-                break
-
-        self.coef_ = np.array(weights, dtype=np.float64)
+        self.coef_, self.n_iter_ = active_backend().elasticnet_sweeps(
+            x_centered,
+            np.asfortranarray(x_centered),
+            residual,
+            column_norms,
+            l1_penalty,
+            l2_penalty,
+            self.max_iter,
+            float(self.tol),
+        )
         self.intercept_ = y_mean - float(x_mean @ self.coef_) if self.fit_intercept else 0.0
         return self
 

@@ -1,7 +1,8 @@
 """Kernel-backend registry and capability probe.
 
-The four kernels of the hot Monte-Carlo datapath (SECDED encode/decode and
-FM-LUT encode/decode) run through whichever
+The five kernels of the hot Monte-Carlo loops (SECDED encode/decode, FM-LUT
+encode/decode and the ElasticNet coordinate-descent sweeps) run through
+whichever
 :class:`~repro.kernels.api.KernelBackend` this module selects at first use:
 
 * ``REPRO_KERNEL_BACKEND={numpy,c}`` forces a backend.  If the forced
@@ -66,9 +67,11 @@ def _self_test(candidate: KernelBackend) -> None:
     """Compare the candidate against the NumPy reference on fixed inputs.
 
     Raises :class:`KernelUnavailableError` on the first mismatch; the probe
-    then discards the candidate.  Cases cover all four interface kernels
-    (SECDED encode/decode, FM-LUT encode/decode), including the boundary
-    patterns (all-zeros, all-ones).
+    then discards the candidate.  Cases cover all five interface kernels
+    (SECDED encode/decode, FM-LUT encode/decode, ElasticNet sweeps),
+    including the boundary patterns (all-zeros, all-ones) and, for the
+    sweeps, a zero-norm column, a column the L1 penalty holds at zero and
+    both intercept modes, compared bit for bit.
     """
     if candidate is _REFERENCE:
         return
@@ -120,6 +123,37 @@ def _self_test(candidate: KernelBackend) -> None:
         candidate.fmlut_decode(stored, rows, rotations, width),
     ):
         raise KernelUnavailableError(f"{candidate.name}: fmlut_decode self-test failed")
+
+    # ElasticNet sweeps on a 48x5 regression: column 2 is all zeros (zero
+    # norm with or without centring), column 4 is weak noise the L1 penalty
+    # keeps at zero.
+    features = rng.normal(size=(48, 5))
+    features[:, 2] = 0.0
+    features[:, 4] *= 1e-3
+    targets = features @ np.array([1.5, -2.0, 0.0, 0.75, 0.0]) + 0.25
+    for centre in (True, False):
+        x_centered = features - features.mean(axis=0) if centre else features.copy()
+        outputs = []
+        for backend in (_REFERENCE, candidate):
+            residual = targets - targets.mean() if centre else targets.copy()
+            weights, n_iter = backend.elasticnet_sweeps(
+                x_centered,
+                np.asfortranarray(x_centered),
+                residual,
+                (x_centered ** 2).sum(axis=0) / x_centered.shape[0],
+                0.05,
+                0.05,
+                50,
+                1e-9,
+            )
+            outputs.append((weights.view(np.uint64), residual.view(np.uint64), n_iter))
+        (want_w, want_r, want_n), (got_w, got_r, got_n) = outputs
+        if not (
+            np.array_equal(want_w, got_w) and np.array_equal(want_r, got_r) and want_n == got_n
+        ):
+            raise KernelUnavailableError(
+                f"{candidate.name}: elasticnet_sweeps self-test failed"
+            )
 
 
 def _build(name: str) -> KernelBackend:

@@ -1,4 +1,4 @@
-/* Compiled SECDED and FM-LUT kernels of the hot Monte-Carlo datapath.
+/* Compiled SECDED, FM-LUT and ElasticNet kernels of the hot Monte-Carlo loops.
  *
  * Built at runtime by repro/kernels/c_backend.py with the system C compiler
  * (no network, no setuptools) and loaded through ctypes.  Every function is
@@ -7,17 +7,23 @@
  * each kernel against the reference before the backend is ever selected.
  *
  * Conventions:
- *   - all arrays are 1-D contiguous, lengths passed as int64_t;
+ *   - arrays are contiguous, lengths passed as int64_t; only the
+ *     ElasticNet design matrix comes with its element strides;
  *   - structural validation (dtype, bounds, widths) happens in the Python
  *     wrappers, exactly where it always happened;
  *   - a non-zero return code signals the data-dependent error case that the
  *     NumPy path reports via ValueError (a 3+-error SECDED codeword); the
  *     wrapper re-raises the matching exception.
  *
- * Only the kernels that beat NumPy at the datapath's call sizes live here;
- * the rest of the kernel interface is the NumPy reference in every backend.
+ * Floating-point kernels keep NumPy's operation order and rounding: no
+ * multiply-add may be contracted into an FMA (the pragma below, and
+ * -ffp-contract=off for compilers that ignore it), and a sum whose order
+ * BLAS decides is a call into the BLAS function NumPy itself calls.
  */
 
+#pragma STDC FP_CONTRACT OFF
+
+#include <math.h>
 #include <stdint.h>
 
 #if defined(__GNUC__) || defined(__clang__)
@@ -149,4 +155,80 @@ int rk_fmlut_decode(const uint64_t *stored, const int64_t *rows, uint64_t *out,
         out[i] = amount ? (((p << amount) | (p >> (width - amount))) & mask) : p;
     }
     return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* ElasticNet coordinate descent                                       */
+/* ------------------------------------------------------------------ */
+
+/* cblas_ddot of the library NumPy links, in its 64- or 32-bit integer ABI;
+ * the wrapper passes the function's address and which ABI it has. */
+typedef double (*rk_ddot64)(int64_t, const double *, int64_t, const double *,
+                            int64_t);
+typedef double (*rk_ddot32)(int32_t, const double *, int32_t, const double *,
+                            int32_t);
+
+/* column @ residual exactly as np.dot computes it for two 1-D float64 arrays:
+ * a length-1 product is a plain multiply; otherwise DOUBLE_dot adds the BLAS
+ * result to 0.0.  The wrapper guarantees positive strides that fit the ABI. */
+static double rk_column_dot(const void *ddot, int64_t ddot_int64, int64_t n,
+                            const double *column, int64_t stride,
+                            const double *residual)
+{
+    if (n == 1)
+        return column[0] * residual[0];
+    double sum = 0.0;
+    if (ddot_int64)
+        sum += ((rk_ddot64)ddot)(n, column, stride, residual, 1);
+    else
+        sum += ((rk_ddot32)ddot)((int32_t)n, column, (int32_t)stride, residual, 1);
+    return sum;
+}
+
+/* The sweeps of NumpyKernelBackend.elasticnet_sweeps, operation for
+ * operation.  x is the (n, p) centred matrix with element strides
+ * (row_stride, column_stride); x_update its Fortran-ordered copy; residual
+ * (length n) is updated in place; weights (length p) start at zero.
+ * Returns the number of sweeps run. */
+int64_t rk_cd_sweeps(const double *x, int64_t row_stride, int64_t column_stride,
+                     const double *x_update, double *residual,
+                     const double *norms, double *weights, int64_t n,
+                     int64_t p, double l1, double l2, int64_t max_iter,
+                     double tol, const void *ddot, int64_t ddot_int64)
+{
+    const double n_samples = (double)n;
+    int64_t n_iter = 0;
+    for (int64_t iteration = 0; iteration < max_iter; ++iteration) {
+        double max_update = 0.0;
+        for (int64_t j = 0; j < p; ++j) {
+            const double norm = norms[j];
+            if (norm == 0.0)
+                continue;
+            const double old = weights[j];
+            double rho = rk_column_dot(ddot, ddot_int64, n, x + j * column_stride,
+                                       row_stride, residual) / n_samples
+                         + norm * old;
+            if (rho > l1)
+                rho -= l1;
+            else if (rho < -l1)
+                rho += l1;
+            else
+                rho = 0.0;
+            const double updated = rho / (norm + l2);
+            if (updated != old) {
+                const double delta = old - updated;
+                const double *column = x_update + j * n;
+                for (int64_t i = 0; i < n; ++i)
+                    residual[i] = residual[i] + column[i] * delta;
+                weights[j] = updated;
+                const double change = fabs(delta);
+                if (change > max_update)
+                    max_update = change;
+            }
+        }
+        n_iter = iteration + 1;
+        if (max_update < tol)
+            break;
+    }
+    return n_iter;
 }

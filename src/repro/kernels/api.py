@@ -1,12 +1,14 @@
-"""Kernel-backend interface of the hot Monte-Carlo datapath.
+"""Kernel-backend interface of the hot Monte-Carlo loops.
 
-:class:`KernelBackend` names the four loops of a die's datapath that a
-compiled implementation runs faster than NumPy at the datapath's call sizes:
-SECDED encode and decode (XOR-popcount over a parity-check matrix) and the
-FM-LUT encode and decode of the bit-shuffling scheme.  Each has a NumPy
-reference implementation and a C one (via ctypes); swapping them changes
-nothing but speed.  The datapath's other array loops have one NumPy body
-each and live next to their only caller: the stuck-at corruption masks in
+:class:`KernelBackend` names the five loops that a compiled implementation
+runs faster than NumPy at the call sizes of a sweep: SECDED encode and
+decode (XOR-popcount over a parity-check matrix), the FM-LUT encode and
+decode of the bit-shuffling scheme, and the coordinate-descent sweeps of an
+ElasticNet fit (Fig. 7 refits the application on every die's corrupted
+training set).  Each has a NumPy reference implementation and a C one (via
+ctypes); swapping them changes nothing but speed.  The datapath's other
+array loops have one NumPy body each and live next to their only caller:
+the stuck-at corruption masks in
 :meth:`repro.sim.faulty_storage.DieDatapath.corrupt`, the 2's-complement
 array codecs in :mod:`repro.memory.words`, and the rejection sampler's
 validity check in :mod:`repro.memory.faults`.
@@ -17,6 +19,11 @@ The contract every backend must honour:
   are bit-for-bit equal to the ``numpy`` reference backend — including the
   data-dependent :class:`ValueError` cases (3+-error SECDED codewords,
   FM-LUT data wider than the word).  Backend choice may change throughput, never results.
+* **Same BLAS.**  A floating-point sum whose order BLAS decides stays a call
+  into the very BLAS function NumPy calls, with NumPy's arguments: the
+  compiled ElasticNet sweep calls the ``cblas_ddot`` of the library NumPy
+  itself loaded, on the same column pointer and stride, because a strided
+  and a contiguous ``ddot`` (or two BLAS builds) sum in different orders.
 * **Validated inputs.**  Callers (the scheme/fault-map wrappers) perform the
   structural validation they always performed — dtypes, shapes, row bounds,
   width limits.  Kernels only re-check what is data-dependent and therefore
@@ -30,6 +37,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from typing import Tuple
 
 import numpy as np
 
@@ -82,7 +90,7 @@ class SecdedKernelSpec:
 
 
 class KernelBackend(ABC):
-    """One implementation of the hot datapath loops (see module docstring)."""
+    """One implementation of the hot loops (see module docstring)."""
 
     #: Registry name; also what ``REPRO_KERNEL_BACKEND`` selects.
     name: str = "abstract"
@@ -130,6 +138,32 @@ class KernelBackend(ABC):
         width: int,
     ) -> np.ndarray:
         """Read path: strip the LUT columns and left-rotate each data part back."""
+
+    # ------------------------------------------------------------------ #
+    # ElasticNet coordinate descent
+    # ------------------------------------------------------------------ #
+    @abstractmethod
+    def elasticnet_sweeps(
+        self,
+        x_centered: np.ndarray,
+        x_update: np.ndarray,
+        residual: np.ndarray,
+        column_norms: np.ndarray,
+        l1_penalty: float,
+        l2_penalty: float,
+        max_iter: int,
+        tol: float,
+    ) -> Tuple[np.ndarray, int]:
+        """Cyclic coordinate-descent sweeps of one ElasticNet fit.
+
+        ``x_centered`` is the ``(n, p)`` float64 design matrix the dot
+        products read, ``x_update`` its Fortran-ordered copy for the residual
+        updates, ``residual`` the centred targets (updated in place) and
+        ``column_norms`` the ``p`` mean squared column values; zero-norm
+        columns keep a zero weight.  Sweeps stop once the largest weight
+        change of a sweep falls below ``tol`` or after ``max_iter`` sweeps.
+        Returns the float64 weights and the number of sweeps run.
+        """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<KernelBackend {self.name!r}>"

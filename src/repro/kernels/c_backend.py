@@ -9,6 +9,21 @@ flags — so later processes (pytest workers, sweep-engine shards) load the
 cached binary without recompiling.  ``os.replace`` installs the finished
 object atomically, so concurrent first builds cannot observe a torn file.
 
+The flags include ``-ffp-contract=off``: a multiply-add fused into one FMA
+(GCC's default outside ISO C modes, and what ``-march=native`` makes
+available) rounds once instead of twice and would change a bit of the
+ElasticNet sweep.
+
+The compiled ElasticNet sweep sums each ``x[:, j] @ residual`` with the
+``cblas_ddot`` that NumPy's own ``np.dot`` calls, so the BLAS summation order
+is NumPy's.  :func:`locate_numpy_ddot` accepts only that function: NumPy must
+report a ``scipy-openblas`` build (``USE64BITINT`` selects
+``scipy_cblas_ddot64_`` with int64 arguments, otherwise ``scipy_cblas_ddot``
+with int32 ones), and the library must be the single ``libscipy_openblas*``
+in NumPy's own ``numpy.libs`` that the process has already loaded.  Another
+OpenBLAS copy in the process (SciPy ships its own) is never used.  Anything
+else makes the backend unavailable, and the probe falls back to NumPy.
+
 Environment knobs:
 
 ``REPRO_KERNEL_CC``
@@ -28,17 +43,18 @@ import shutil
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.kernels.api import KernelBackend, KernelUnavailableError, SecdedKernelSpec
+from repro.kernels.numpy_backend import NumpyKernelBackend
 from repro.memory.words import bit_mask
 
-__all__ = ["CKernelBackend", "compile_kernels"]
+__all__ = ["CKernelBackend", "compile_kernels", "locate_numpy_ddot"]
 
 _SOURCE_PATH = Path(__file__).with_name("_kernels.c")
-_CFLAGS = ("-O3", "-fPIC", "-shared", "-std=c11")
+_CFLAGS = ("-O3", "-fPIC", "-shared", "-std=c11", "-ffp-contract=off")
 # The library is compiled on - and cached per - this machine, so tuning for
 # the local CPU is safe and matters: -march=native turns the popcount
 # fallback sequence into the single POPCNT instruction on x86-64.  Compilers
@@ -50,15 +66,27 @@ _ARCH_FLAGS = ("-march=native",)
 # few hundred words a die stores.  The C prototypes keep the element types.
 _PTR = ctypes.c_void_p
 _I64 = ctypes.c_int64
+_F64 = ctypes.c_double
+_INT = ctypes.c_int
 
-#: Argument types of every exported kernel (all return ``int``), in the
-#: order of the C prototypes in ``_kernels.c``.
+#: Return and argument types of every exported kernel, in the order of the
+#: C prototypes in ``_kernels.c``.
 _SIGNATURES = {
-    "rk_secded_encode": (_PTR, _PTR, _I64, _I64, _I64, _PTR, _PTR, _PTR),
-    "rk_secded_decode": (_PTR, _PTR, _I64, _I64, _I64, _I64, _PTR, _PTR),
-    "rk_fmlut_encode": (_PTR, _PTR, _PTR, _I64, _PTR, _PTR, _I64),
-    "rk_fmlut_decode": (_PTR, _PTR, _PTR, _I64, _PTR, _I64),
+    "rk_secded_encode": (_INT, (_PTR, _PTR, _I64, _I64, _I64, _PTR, _PTR, _PTR)),
+    "rk_secded_decode": (_INT, (_PTR, _PTR, _I64, _I64, _I64, _I64, _PTR, _PTR)),
+    "rk_fmlut_encode": (_INT, (_PTR, _PTR, _PTR, _I64, _PTR, _PTR, _I64)),
+    "rk_fmlut_decode": (_INT, (_PTR, _PTR, _PTR, _I64, _PTR, _I64)),
+    "rk_cd_sweeps": (
+        _I64,
+        (_PTR, _I64, _I64, _PTR, _PTR, _PTR, _PTR, _I64, _I64,
+         _F64, _F64, _I64, _F64, _PTR, _I64),
+    ),
 }
+
+#: Largest element count or stride NumPy hands to a 32-bit-integer
+#: ``cblas_ddot`` in one call (``NPY_CBLAS_CHUNK``); beyond it NumPy splits
+#: the sum, which the compiled sweep does not mirror.
+_CBLAS_CHUNK_32 = 2 ** 30
 
 
 def _find_compiler() -> str:
@@ -78,6 +106,55 @@ def _cache_dir() -> Path:
     if override:
         return Path(override)
     return Path.home() / ".cache" / "repro-kernels"
+
+
+def _numpy_blas_config() -> dict:
+    """NumPy's build record of the BLAS it links."""
+    return np.__config__.CONFIG["Build Dependencies"]["blas"]
+
+
+def _numpy_libs_dir() -> Path:
+    """Where a NumPy wheel keeps the shared libraries it links."""
+    return Path(np.__file__).resolve().parent.parent / "numpy.libs"
+
+
+def locate_numpy_ddot() -> Tuple[int, bool]:
+    """Address of the ``cblas_ddot`` that ``np.dot`` calls, and whether it
+    takes int64 arguments.
+
+    Raises :class:`KernelUnavailableError` unless NumPy links
+    ``scipy-openblas`` from a single, already loaded library in its own
+    ``numpy.libs`` that exports the expected symbol.
+    """
+    try:
+        blas = _numpy_blas_config()
+        name = blas["name"]
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise KernelUnavailableError(f"numpy does not record its BLAS build: {exc!r}")
+    if name != "scipy-openblas":
+        raise KernelUnavailableError(
+            f"numpy links BLAS {name!r}, not scipy-openblas; cannot call its ddot"
+        )
+    use_int64 = "USE64BITINT" in str(blas.get("openblas configuration", ""))
+    symbol = "scipy_cblas_ddot64_" if use_int64 else "scipy_cblas_ddot"
+    libs_dir = _numpy_libs_dir()
+    candidates = sorted(libs_dir.glob("libscipy_openblas*"))
+    if len(candidates) != 1:
+        raise KernelUnavailableError(
+            f"expected one libscipy_openblas* in {libs_dir}, found {len(candidates)}"
+        )
+    no_load = getattr(os, "RTLD_NOLOAD", None)
+    if no_load is None:
+        raise KernelUnavailableError("cannot check which BLAS numpy loaded on this platform")
+    try:
+        library = ctypes.CDLL(str(candidates[0]), mode=no_load)
+    except OSError as exc:
+        raise KernelUnavailableError(f"numpy has not loaded {candidates[0]}: {exc}")
+    try:
+        function = getattr(library, symbol)
+    except AttributeError:
+        raise KernelUnavailableError(f"{candidates[0]} lacks symbol {symbol}")
+    return ctypes.cast(function, ctypes.c_void_p).value, use_int64
 
 
 def compile_kernels() -> Path:
@@ -134,6 +211,9 @@ def compile_kernels() -> Path:
     raise last_error
 
 
+_REFERENCE = NumpyKernelBackend()
+
+
 def _as_u64(array: np.ndarray):
     return np.ascontiguousarray(array, dtype=np.uint64)
 
@@ -148,28 +228,30 @@ def _ptr(array: np.ndarray) -> int:
 
 
 class CKernelBackend(KernelBackend):
-    """ctypes bindings over the compiled SECDED and FM-LUT kernels.
+    """ctypes bindings over the compiled SECDED, FM-LUT and ElasticNet kernels.
 
     Every :class:`KernelBackend` method is compiled; the interface holds only
-    the loops that beat NumPy at the datapath's call sizes (tens to a few
-    hundred words per call), so a kernel left uncompiled fails at
-    construction instead of silently running the reference.
+    the loops that beat NumPy at their call sizes (tens to a few hundred words
+    per datapath call, one whole fit per sweep call), so a kernel left
+    uncompiled fails at construction instead of silently running the
+    reference.
     """
 
     name = "c"
 
     def __init__(self) -> None:
+        self._ddot, self._ddot_int64 = locate_numpy_ddot()
         library_path = compile_kernels()
         try:
             lib = ctypes.CDLL(str(library_path))
         except OSError as exc:
             raise KernelUnavailableError(f"cannot load {library_path}: {exc}")
-        for symbol, argtypes in _SIGNATURES.items():
+        for symbol, (restype, argtypes) in _SIGNATURES.items():
             if not hasattr(lib, symbol):
                 raise KernelUnavailableError(f"{library_path} lacks symbol {symbol}")
             function = getattr(lib, symbol)
             function.argtypes = argtypes
-            function.restype = ctypes.c_int
+            function.restype = restype
         self._lib = lib
         self.library_path = library_path
 
@@ -258,6 +340,81 @@ class CKernelBackend(KernelBackend):
             ctypes.c_int64(width),
         )
         return out
+
+    # ------------------------------------------------------------------ #
+    # ElasticNet coordinate descent
+    # ------------------------------------------------------------------ #
+    def elasticnet_sweeps(
+        self,
+        x_centered: np.ndarray,
+        x_update: np.ndarray,
+        residual: np.ndarray,
+        column_norms: np.ndarray,
+        l1_penalty: float,
+        l2_penalty: float,
+        max_iter: int,
+        tol: float,
+    ) -> Tuple[np.ndarray, int]:
+        n_samples, n_features = x_centered.shape
+        if (
+            x_update.shape != x_centered.shape
+            or residual.shape != (n_samples,)
+            or column_norms.shape != (n_features,)
+        ):
+            raise ValueError("x_update, residual and column_norms must match x_centered")
+        if not self._sweeps_in_place(x_centered, residual):
+            return _REFERENCE.elasticnet_sweeps(
+                x_centered, x_update, residual, column_norms,
+                l1_penalty, l2_penalty, max_iter, tol,
+            )
+        row_stride, column_stride = (
+            stride // x_centered.itemsize for stride in x_centered.strides
+        )
+        x_update = np.asfortranarray(x_update, dtype=np.float64)
+        column_norms = np.ascontiguousarray(column_norms, dtype=np.float64)
+        weights = np.zeros(n_features)
+        n_iter = self._lib.rk_cd_sweeps(
+            _ptr(x_centered),
+            row_stride,
+            column_stride,
+            _ptr(x_update),
+            _ptr(residual),
+            _ptr(column_norms),
+            _ptr(weights),
+            n_samples,
+            n_features,
+            l1_penalty,
+            l2_penalty,
+            max_iter,
+            tol,
+            self._ddot,
+            self._ddot_int64,
+        )
+        return weights, n_iter
+
+    def _sweeps_in_place(self, x_centered: np.ndarray, residual: np.ndarray) -> bool:
+        """Whether the C loop can read ``x_centered`` with ``np.dot``'s own
+        pointers and strides and update ``residual`` in place.
+
+        ``np.dot`` copies a column with zero, negative or unaligned strides
+        before calling BLAS, and splits a sum too long for a 32-bit-integer
+        ``cblas_ddot``; the C loop mirrors neither, so those inputs run the
+        reference loop.
+        """
+        itemsize = x_centered.itemsize
+        return (
+            x_centered.dtype == np.float64
+            and x_centered.flags.aligned
+            and min(x_centered.strides) > 0
+            and not any(stride % itemsize for stride in x_centered.strides)
+            and (
+                self._ddot_int64
+                or max(x_centered.shape[0], *x_centered.strides) // itemsize
+                <= _CBLAS_CHUNK_32
+            )
+            and residual.dtype == np.float64
+            and residual.flags.c_contiguous
+        )
 
     @staticmethod
     def _check_rotation_width(width: int) -> None:

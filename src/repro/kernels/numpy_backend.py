@@ -1,13 +1,16 @@
-"""Reference kernel backend: the vectorised NumPy SECDED and FM-LUT loops.
+"""Reference kernel backend: the NumPy SECDED, FM-LUT and ElasticNet loops.
 
-These are the batch paths behind :class:`repro.ecc.hamming.SecdedCode` and the
-bit-shuffling scheme of :mod:`repro.core.scheme`; every seeded result, golden
-figure, and equivalence-harness case is pinned to them bit for bit.
+These are the batch paths behind :class:`repro.ecc.hamming.SecdedCode`, the
+bit-shuffling scheme of :mod:`repro.core.scheme` and
+:meth:`repro.apps.elasticnet.ElasticNetRegressor.fit`; every seeded result,
+golden figure, and equivalence-harness case is pinned to them bit for bit.
 Compiled backends are validated against this one by the capability probe's
 self-test and by ``tests/test_kernels.py``.
 """
 
 from __future__ import annotations
+
+from typing import Tuple
 
 import numpy as np
 
@@ -18,7 +21,7 @@ __all__ = ["NumpyKernelBackend"]
 
 
 class NumpyKernelBackend(KernelBackend):
-    """Pure-NumPy reference implementation of the four kernels."""
+    """Pure-NumPy reference implementation of the five kernels."""
 
     name = "numpy"
 
@@ -76,3 +79,63 @@ class NumpyKernelBackend(KernelBackend):
     ) -> np.ndarray:
         data_part = stored & np.uint64(bit_mask(width))
         return rotate_left_array(data_part, rotations[rows], width)
+
+    # ------------------------------------------------------------------ #
+    # ElasticNet coordinate descent
+    # ------------------------------------------------------------------ #
+    def elasticnet_sweeps(
+        self,
+        x_centered: np.ndarray,
+        x_update: np.ndarray,
+        residual: np.ndarray,
+        column_norms: np.ndarray,
+        l1_penalty: float,
+        l2_penalty: float,
+        max_iter: int,
+        tol: float,
+    ) -> Tuple[np.ndarray, int]:
+        # Each update is the plain NumPy form (one ``x[:, j] @ residual`` and
+        # one ``residual += x[:, j] * delta``) without NumPy scalar round
+        # trips: the dot product stays on the strided column view, whose BLAS
+        # summation order differs from a contiguous column's, and only the
+        # elementwise residual update reads the Fortran-ordered copy.
+        # Everything an update reads besides the residual is fixed for the
+        # whole fit, so it is looked up once here as Python floats.  Zero-norm
+        # columns never move their weight and are left out.
+        n_samples, n_features = x_centered.shape
+        columns = [
+            (j, x_centered[:, j], x_update[:, j], norm, norm + l2_penalty)
+            for j, norm in enumerate(column_norms.tolist())
+            if norm != 0.0
+        ]
+        weights = [0.0] * n_features
+        step = np.empty(n_samples)
+        dot, multiply = np.dot, np.multiply
+
+        n_iter = 0
+        for iteration in range(max_iter):
+            max_update = 0.0
+            for j, column, column_update, norm, denominator in columns:
+                old_weight = weights[j]
+                # Partial residual excluding feature j's current contribution,
+                # soft-thresholded by the L1 penalty.
+                rho = float(dot(column, residual)) / n_samples + norm * old_weight
+                if rho > l1_penalty:
+                    rho -= l1_penalty
+                elif rho < -l1_penalty:
+                    rho += l1_penalty
+                else:
+                    rho = 0.0
+                new_weight = rho / denominator
+                if new_weight != old_weight:
+                    delta = old_weight - new_weight
+                    multiply(column_update, delta, out=step)
+                    residual += step
+                    weights[j] = new_weight
+                    change = abs(delta)
+                    if change > max_update:
+                        max_update = change
+            n_iter = iteration + 1
+            if max_update < tol:
+                break
+        return np.array(weights, dtype=np.float64), n_iter

@@ -7,6 +7,7 @@ import pytest
 
 from repro.apps.elasticnet import ElasticNetRegressor
 from repro.apps.preprocessing import StandardScaler
+from repro.kernels import available_backends, use_backend
 from repro.quantize.fixedpoint import FixedPointFormat
 from repro.sim.experiment import elasticnet_benchmark
 
@@ -88,6 +89,17 @@ class TestValidation:
     def test_rejects_non_finite_tol(self, value):
         with pytest.raises(ValueError, match="tol"):
             ElasticNetRegressor(tol=value)
+
+    @pytest.mark.parametrize("value", [2.5, 10.0, True, False, "10", None])
+    def test_rejects_non_integer_max_iter(self, value):
+        with pytest.raises(ValueError, match="max_iter"):
+            ElasticNetRegressor(max_iter=value)
+
+    def test_accepts_numpy_integer_max_iter(self, rng):
+        x, y, _ = _linear_data(rng)
+        model = ElasticNetRegressor(max_iter=np.int64(3), tol=1e-15).fit(x, y)
+        assert model.max_iter == 3 and type(model.max_iter) is int
+        assert model.n_iter_ == 3
 
     def test_rejects_mismatched_shapes(self, rng):
         with pytest.raises(ValueError):
@@ -257,6 +269,17 @@ class TestBitIdentityGolden:
         assert [value.hex() for value in model.coef_.tolist()] == coef
         assert float(model.intercept_).hex() == intercept
         assert model.n_iter_ == n_iter
+
+    @pytest.mark.parametrize("backend_name", available_backends())
+    def test_every_golden_holds_on_each_backend(self, backend_name):
+        for name, (data, parameters) in GOLDEN_CASES.items():
+            features, targets = data()
+            with use_backend(backend_name):
+                model = ElasticNetRegressor(**parameters).fit(features, targets)
+            coef, intercept, n_iter = GOLDEN_FITS[name]
+            assert [value.hex() for value in model.coef_.tolist()] == coef, name
+            assert float(model.intercept_).hex() == intercept, name
+            assert model.n_iter_ == n_iter, name
 
     def test_max_iter_case_stops_at_the_cap(self):
         _, parameters = GOLDEN_CASES["max-iter-cap"]

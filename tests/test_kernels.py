@@ -1,14 +1,16 @@
 """Property suite for the kernel-backend registry.
 
 Every backend that builds on this machine is driven through randomized
-width/nFM/boundary-pattern cases of the four interface kernels and must be
-bit-identical to the ``numpy`` reference — including the data-dependent
-``ValueError`` cases.  The datapath's plain-NumPy loops (corruption masks,
+width/nFM/boundary-pattern cases of the SECDED and FM-LUT kernels and
+randomized regressions of the ElasticNet sweeps, and must be bit-identical
+to the ``numpy`` reference — including the data-dependent ``ValueError``
+cases.  The datapath's plain-NumPy loops (corruption masks,
 2's-complement codecs, the sampler's validity check) are checked with each
 backend active against independent scalar references.  The capability probe
-itself is exercised too: a forced compile failure must fall back to
-``numpy`` with exactly one warning when the backend was requested
-explicitly, and silently when it was only an auto-probe candidate.
+itself is exercised too: a forced compile failure, or a BLAS other than
+NumPy's own, must fall back to ``numpy`` with exactly one warning when the
+backend was requested explicitly, and silently when it was only an
+auto-probe candidate.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from repro.kernels import (
     set_backend,
     use_backend,
 )
+from repro.kernels import c_backend
 from repro.kernels.c_backend import CKernelBackend
 from repro.kernels.numpy_backend import NumpyKernelBackend
 from repro.memory.faults import FaultKind, FaultMap, FaultSite, _invalid_map_mask
@@ -244,6 +247,109 @@ class TestDatapathKernels:
 
 
 # --------------------------------------------------------------------- #
+# ElasticNet coordinate-descent sweeps
+# --------------------------------------------------------------------- #
+def _sweep_inputs(features, targets, fit_intercept):
+    """The kernel arguments ``ElasticNetRegressor.fit`` prepares."""
+    if fit_intercept:
+        x_centered = features - features.mean(axis=0)
+        residual = targets - float(targets.mean())
+    else:
+        x_centered = features - np.zeros(features.shape[1])
+        residual = targets.copy()
+    norms = (x_centered ** 2).sum(axis=0) / features.shape[0]
+    return x_centered, np.asfortranarray(x_centered), residual, norms
+
+
+def _hex(values):
+    return [value.hex() for value in np.asarray(values, dtype=np.float64).tolist()]
+
+
+@pytest.mark.parametrize("backend_name", NON_REFERENCE)
+class TestElasticNetSweeps:
+    @given(
+        n=st.integers(min_value=1, max_value=900),
+        p=st.integers(min_value=1, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        zero_column=st.booleans(),
+        weak_column=st.booleans(),
+        msb_flips=st.integers(min_value=0, max_value=8),
+        fortran=st.booleans(),
+        fit_intercept=st.booleans(),
+        alpha=st.sampled_from([0.0, 0.02, 0.5]),
+        l1_ratio=st.sampled_from([0.0, 0.5, 1.0]),
+        max_iter=st.integers(min_value=1, max_value=40),
+        tol=st.sampled_from([1e-12, 1e-6, 1e-3]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sweeps_match_reference(
+        self, backend_name, n, p, seed, zero_column, weak_column, msb_flips,
+        fortran, fit_intercept, alpha, l1_ratio, max_iter, tol,
+    ):
+        backend = _backend(backend_name)
+        rng = np.random.default_rng(seed)
+        features = rng.normal(size=(n, p))
+        targets = features @ rng.normal(size=p) + 0.5 + rng.normal(scale=0.2, size=n)
+        if zero_column:
+            features[:, rng.integers(p)] = 1.25 if fit_intercept else 0.0
+        if weak_column:
+            features[:, rng.integers(p)] *= 1e-4
+        # A flipped MSB of the Q16.16 word reads back as +-2**15 away.
+        cells = rng.integers(0, features.size, size=msb_flips)
+        features.flat[cells] += rng.choice([-(2.0**15), 2.0**15], size=msb_flips)
+        if fortran:
+            features = np.asfortranarray(features)
+        results = []
+        for candidate in (REFERENCE, backend):
+            x_centered, x_update, residual, norms = _sweep_inputs(
+                features, targets, fit_intercept
+            )
+            assert x_centered.flags.f_contiguous == (fortran or p == 1 or n == 1)
+            weights, n_iter = candidate.elasticnet_sweeps(
+                x_centered, x_update, residual, norms,
+                alpha * l1_ratio, alpha * (1.0 - l1_ratio), max_iter, tol,
+            )
+            results.append((_hex(weights), _hex(residual), n_iter))
+        assert results[1] == results[0]
+
+    def test_max_iter_cap_and_zero_norm_column(self, backend_name):
+        backend = _backend(backend_name)
+        rng = np.random.default_rng(37)
+        features = rng.normal(size=(200, 6))
+        features[:, 1:] += 3.0 * features[:, :1]
+        features[:, 3] = 0.0
+        targets = features @ np.linspace(1.0, -1.0, 6)
+        results = []
+        for candidate in (REFERENCE, backend):
+            x_centered, x_update, residual, norms = _sweep_inputs(features, targets, False)
+            weights, n_iter = candidate.elasticnet_sweeps(
+                x_centered, x_update, residual, norms, 0.0, 0.0, 4, 1e-15
+            )
+            results.append((_hex(weights), _hex(residual), n_iter))
+        assert results[1] == results[0]
+        assert results[0][2] == 4
+        assert results[0][0][3] == "0x0.0p+0"
+
+    def test_layouts_np_dot_copies_match_reference(self, backend_name):
+        # Reversed rows (negative strides) and a strided residual: np.dot
+        # copies such operands before calling BLAS.
+        backend = _backend(backend_name)
+        rng = np.random.default_rng(41)
+        features = rng.normal(size=(120, 4))
+        targets = features @ np.array([1.0, -0.5, 0.25, 2.0])
+        results = []
+        for candidate in (REFERENCE, backend):
+            x_centered, x_update, residual, norms = _sweep_inputs(features, targets, True)
+            padded = np.zeros(2 * residual.size)
+            padded[::2] = residual
+            weights, n_iter = candidate.elasticnet_sweeps(
+                x_centered[::-1], x_update[::-1], padded[::2], norms, 0.01, 0.01, 30, 1e-9
+            )
+            results.append((_hex(weights), _hex(padded), n_iter))
+        assert results[1] == results[0]
+
+
+# --------------------------------------------------------------------- #
 # End-to-end: scheme datapaths per backend
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("backend_name", NON_REFERENCE)
@@ -328,6 +434,60 @@ class TestBackendSelection:
         assert "numpy" in available_backends()
 
 
+@pytest.mark.skipif("c" not in BACKENDS, reason="C backend unavailable here")
+class TestBlasLocator:
+    """Only the ``cblas_ddot`` NumPy itself loaded may back the C sweep."""
+
+    @staticmethod
+    def _flip_integer_width(config):
+        flipped = dict(config)
+        build = str(config.get("openblas configuration", ""))
+        flipped["openblas configuration"] = (
+            build.replace("USE64BITINT", "") if "USE64BITINT" in build
+            else build + " USE64BITINT"
+        )
+        return flipped
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("other-blas", "not scipy-openblas"),
+            ("missing-symbol", "lacks symbol scipy_cblas_ddot"),
+            ("only-scipy-copy", "expected one libscipy_openblas"),
+        ],
+    )
+    def test_refusal_warns_and_falls_back(self, monkeypatch, tmp_path, case, message):
+        config = c_backend._numpy_blas_config()
+        if case == "other-blas":
+            monkeypatch.setattr(
+                c_backend, "_numpy_blas_config", lambda: dict(config, name="mkl")
+            )
+        elif case == "missing-symbol":
+            flipped = self._flip_integer_width(config)
+            monkeypatch.setattr(c_backend, "_numpy_blas_config", lambda: flipped)
+        else:
+            # SciPy's own OpenBLAS is loaded, but it is not NumPy's.
+            pytest.importorskip("scipy.linalg")
+            monkeypatch.setattr(c_backend, "_numpy_libs_dir", lambda: tmp_path)
+        with pytest.raises(KernelUnavailableError, match=message):
+            c_backend.locate_numpy_ddot()
+        monkeypatch.setenv(kernels.ENV_BACKEND, "c")
+        reset_active_backend()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            backend = active_backend()
+        assert backend.name == "numpy"
+        relevant = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(relevant) == 1
+        assert message in str(relevant[0].message)
+
+    def test_unloaded_library_is_refused(self, monkeypatch, tmp_path):
+        (tmp_path / "libscipy_openblas64_-copy.so").write_bytes(b"")
+        monkeypatch.setattr(c_backend, "_numpy_libs_dir", lambda: tmp_path)
+        with pytest.raises(KernelUnavailableError, match="numpy has not loaded"):
+            c_backend.locate_numpy_ddot()
+
+
 @pytest.mark.skipif("c" not in BACKENDS, reason="no C compiler available")
 class TestCompiledCache:
     def test_compiled_library_is_cached_on_disk(self, monkeypatch, tmp_path):
@@ -341,9 +501,10 @@ class TestCompiledCache:
         assert first.stat().st_mtime_ns == mtime  # reused, not rebuilt
 
 
-def test_interface_is_the_four_compiled_kernels():
+def test_interface_is_the_five_compiled_kernels():
     assert KernelBackend.__abstractmethods__ == {
         "secded_encode", "secded_decode", "fmlut_encode", "fmlut_decode",
+        "elasticnet_sweeps",
     }
     # Built on the interface itself, so an uncompiled kernel cannot hide
     # behind an inherited reference method.
@@ -360,7 +521,9 @@ class TestSelfTestCoverage:
 
         def flipped(self, *args):
             out = compiled(self, *args)
-            out[0] ^= np.uint64(1)
+            # The sweeps return (weights, n_iter): flip a bit of the weights.
+            array = out[0] if isinstance(out, tuple) else out
+            array.view(np.uint64)[0] ^= np.uint64(1)
             return out
 
         broken = type("BrokenCKernelBackend", (CKernelBackend,), {kernel: flipped})()

@@ -758,6 +758,45 @@ class TestSourceDistributions:
             direction="non-increasing",
         )
 
+    @pytest.mark.parametrize("seed", statharness.gof_seeds(3, start=800))
+    def test_cluster_burst_starts_match_reference(self, seed):
+        """Column bursts start on every row where they fit, row bursts on
+        every column where they fit, as often as in the scalar reference."""
+        org = MemoryOrganization(rows=16, word_width=8)
+        size = 4
+        transform = ClusterTransform(cluster_size=size, row_fraction=0.5)
+
+        def start_histograms(layouts):
+            start_rows, start_cols = [], []
+            for rows, cols in layouts:
+                for burst in range(rows.size // size):
+                    burst_rows = rows[burst * size:(burst + 1) * size]
+                    burst_cols = cols[burst * size:(burst + 1) * size]
+                    if np.all(burst_rows == burst_rows[0]):
+                        start_cols.append(burst_cols[0])
+                    else:
+                        assert np.all(burst_cols == burst_cols[0])
+                        start_rows.append(burst_rows[0])
+            return (
+                np.bincount(start_rows, minlength=org.rows - size + 1),
+                np.bincount(start_cols, minlength=org.word_width - size + 1),
+            )
+
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        observed = start_histograms(
+            transform.sample_cells(org, 2 * size, 3000, rng)
+        )
+        reference = start_histograms(
+            reference_paths.cluster_cells(transform, org, 2 * size, 12000, rng)
+        )
+        for axis, got, want in zip(("row", "column"), observed, reference):
+            assert got.size == want.size, f"{axis} bursts start out of range"
+            statharness.assert_chi_square_gof(
+                got,
+                want * (got.sum() / want.sum()),
+                label=f"cluster burst start {axis}s (seed {seed})",
+            )
+
     def test_iid_batch_identical_to_sequential_draws(self, org):
         """Differential check: one batched draw equals the per-map loop."""
         source = IidPcellSource()
