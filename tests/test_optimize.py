@@ -279,6 +279,32 @@ def test_rung_checkpoint_bytes(tmp_path):
     assert digest.hexdigest() == _RUNG_FILES_SHA256
 
 
+# sha256 of the result files test_result_file_bytes writes for _smoke_spec().
+_DSE_RESULT_SHA256 = (
+    "fb2c7cde6e24b466f16c589cd51e13a345a6273e44c12bc4d5443b01cb292238"
+)
+_OPTIMIZE_RESULT_SHA256 = (
+    "a16194a7f9b0f9278eb7c87426fdc9ca6b00178cf42ae926fa58787e7168110b"
+)
+
+
+def test_result_file_bytes(tmp_path):
+    # The exhaustive table and the optimizer's audit table (with pruned rows
+    # and a cell that climbs every rung), byte for byte as save() writes them.
+    spec = _smoke_spec()
+    dse_path = tmp_path / "dse.json"
+    DesignSpaceExplorer(spec).run().save(str(dse_path))
+    optimize_path = tmp_path / "optimize.json"
+    optimized = ParetoOptimizer(spec, optimizer=_MULTIRUNG_OPT).run()
+    assert optimized.prune_log
+    optimized.save(str(optimize_path))
+    assert hashlib.sha256(dse_path.read_bytes()).hexdigest() == _DSE_RESULT_SHA256
+    assert (
+        hashlib.sha256(optimize_path.read_bytes()).hexdigest()
+        == _OPTIMIZE_RESULT_SHA256
+    )
+
+
 def test_killed_mid_rung_resumes_from_checkpoint_dir(tmp_path, monkeypatch):
     spec = _smoke_spec(operating_grid=OperatingGridSpec(vdd_values=(0.60, 0.65)))
     real_summarize = engine_module._summarize_shard
