@@ -72,6 +72,15 @@ def _from_checked_dict(cls, data: Mapping[str, object], context: str):
     return cls(**data)
 
 
+def _reject_repeats(values: Tuple[object, ...], field: str) -> None:
+    """A grid axis names each value once: two cells with one key collide."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ValueError(f"{field} repeats {value!r}")
+        seen.add(value)
+
+
 @dataclass(frozen=True)
 class GeometrySpec:
     """Memory geometry layer: what the sweep stores its data in."""
@@ -131,6 +140,8 @@ class OperatingGridSpec:
             raise ValueError("vdd_values must be positive")
         if any(not 0.0 < p < 1.0 for p in self.p_cell_values):
             raise ValueError("p_cell_values must be in (0, 1)")
+        _reject_repeats(self.vdd_values, "vdd_values")
+        _reject_repeats(self.p_cell_values, "p_cell_values")
         # Build once so a bad model name or parameter set fails at load time.
         self.model()
 
@@ -341,6 +352,7 @@ class BenchmarkGridSpec:
         object.__setattr__(self, "names", tuple(self.names))
         if not self.names:
             raise ValueError("at least one benchmark is required")
+        _reject_repeats(self.names, "benchmark names")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
 

@@ -212,6 +212,26 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             cls(**kwargs)
 
+    @pytest.mark.parametrize(
+        "section, values, message",
+        [
+            ("operating_grid", {"vdd_values": [0.65, 0.6, 0.60]},
+             "vdd_values repeats 0.6"),
+            ("operating_grid", {"p_cell_values": [1e-4, 1e-4]},
+             "p_cell_values repeats 0.0001"),
+            ("benchmarks", {"names": ["knn", "pca", "knn"]},
+             "benchmark names repeats 'knn'"),
+        ],
+    )
+    def test_repeated_grid_value_rejected(self, section, values, message):
+        # Two cells with one (benchmark, vdd, p_cell) key would share one
+        # run_stats and one distributions entry, so a spec file that names
+        # a value twice must not load.
+        data = _smoke_spec().to_dict()
+        data[section].update(values)
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec.from_dict(data)
+
     def test_rejects_bad_yield_target(self):
         with pytest.raises(ValueError):
             _smoke_spec(quality_yield_target=1.0)
