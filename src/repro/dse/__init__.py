@@ -12,12 +12,18 @@ own.  This package joins them behind one declarative surface:
   :func:`repro.sim.experiment.benchmark_by_name`,
   :func:`repro.scenarios.build_scenario` and
   :meth:`~repro.dse.spec.OperatingGridSpec.model`;
-* :mod:`repro.dse.explore` -- :class:`DesignSpaceExplorer`, which sweeps the
-  grid through the parallel :class:`~repro.sim.engine.SweepEngine`, joins
-  energy and overhead, and extracts the energy/quality Pareto frontier;
+* :mod:`repro.dse.explore` -- the grid layer both runners share:
+  :func:`~repro.dse.explore.grid_cells`, the one walk over a spec's (benchmark, operating
+  point) cells in canonical order, and :class:`~repro.dse.explore.RowJoin`, the one
+  energy / overhead / quality join that turns a cell's distributions into
+  tidy-table rows.  On top of them sit :class:`DesignSpaceExplorer`, which
+  sweeps every cell through the parallel
+  :class:`~repro.sim.engine.SweepEngine` and extracts the energy/quality
+  Pareto frontier, and :func:`grid_point_statuses`, which lists the cells a
+  :class:`~repro.store.ResultStore` already holds without running anything;
 * :mod:`repro.dse.optimize` -- :class:`ParetoOptimizer`, the budgeted
   successive-halving alternative that recovers the same frontier for a
-  fraction of the exhaustive die bill.
+  fraction of the exhaustive die bill, over the same cells and rows.
 
 The explorer and the optimizer build a
 :class:`~repro.sim.engine.SweepEngine` per grid point and call it directly,
@@ -30,7 +36,9 @@ from repro.dse.explore import (
     DSE_COLUMNS,
     DesignSpaceExplorer,
     DseResult,
-    build_dse_row,
+    GridPointStatus,
+    dirty_grid_points,
+    grid_point_statuses,
     pareto_frontier,
 )
 from repro.dse.optimize import OptimizeResult, ParetoOptimizer, PruneEvent
@@ -51,6 +59,7 @@ __all__ = [
     "DseResult",
     "ExperimentSpec",
     "GeometrySpec",
+    "GridPointStatus",
     "McBudgetSpec",
     "OperatingGridSpec",
     "OptimizeResult",
@@ -58,6 +67,7 @@ __all__ = [
     "ParetoOptimizer",
     "PruneEvent",
     "SchemeGridSpec",
-    "build_dse_row",
+    "dirty_grid_points",
+    "grid_point_statuses",
     "pareto_frontier",
 ]

@@ -17,26 +17,32 @@ from __future__ import annotations
 
 import json
 import os
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.base import ProtectionScheme
 from repro.dse.spec import ExperimentSpec
+from repro.hardware.energy import OperatingPoint
 from repro.hardware.overhead import OverheadModel, ReadPathOverhead
-from repro.sim.config import build_scheme
+from repro.sim.config import ExperimentConfig, build_scheme
 from repro.sim.engine import SweepEngine
-from repro.sim.experiment import benchmark_by_name
+from repro.sim.experiment import BenchmarkDefinition, benchmark_by_name
 from repro.sim.results import AdaptiveBudgetReport, QualityDistribution, SweepRunStats
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from repro.store.invalidate import GridPointStatus
     from repro.store.store import ResultStore
 
 __all__ = [
     "DSE_COLUMNS",
     "DesignSpaceExplorer",
     "DseResult",
-    "build_dse_row",
+    "GridCell",
+    "GridPointStatus",
+    "RowJoin",
+    "dirty_grid_points",
+    "grid_cells",
+    "grid_point_statuses",
     "pareto_frontier",
+    "scheme_overheads",
 ]
 
 # Version 2 adds the per-grid-point adaptive reports (the audit trail of
@@ -96,45 +102,168 @@ def pareto_frontier(
     return frontier
 
 
-def build_dse_row(
-    *,
-    benchmark_name: str,
-    scheme_name: str,
-    point,
-    dist: QualityDistribution,
-    overhead: ReadPathOverhead,
-    word_read_energy: float,
-    logic_scale: float,
-    yield_target: float,
-) -> Dict[str, object]:
-    """One tidy-table row: the energy/overhead/quality join of one grid cell.
+@dataclass(frozen=True)
+class GridCell:
+    """One (benchmark, operating point) cell of a spec's grid."""
+
+    benchmark_name: str
+    benchmark: BenchmarkDefinition
+    point: OperatingPoint
+    config: ExperimentConfig
+
+    @property
+    def key(self) -> Tuple[str, float, float]:
+        """``(benchmark, vdd, p_cell)``: how results are keyed per cell."""
+        return (self.benchmark_name, self.point.vdd, self.point.p_cell)
+
+
+def grid_cells(spec: ExperimentSpec) -> Iterator[GridCell]:
+    """Every cell of ``spec`` in canonical order: benchmark-major, then
+    operating point.  Each benchmark is built once, when its first cell is
+    reached."""
+    points = spec.operating_points()
+    for benchmark_name in spec.benchmarks.names:
+        benchmark = benchmark_by_name(
+            benchmark_name,
+            scale=spec.benchmarks.scale,
+            seed=spec.benchmarks.seed,
+        )
+        for point in points:
+            yield GridCell(
+                benchmark_name,
+                benchmark,
+                point,
+                spec.experiment_config(point, benchmark_name),
+            )
+
+
+def scheme_overheads(spec: ExperimentSpec) -> Dict[str, ReadPathOverhead]:
+    """Per-scheme read-path overhead at nominal voltage (the Fig. 6 join).
+
+    ``no-protection`` is the zero-overhead reference; every other scheme
+    must be covered by the :class:`OverheadModel` comparison.
+    """
+    names = [
+        build_scheme(scheme_spec, spec.geometry.word_width).name
+        for scheme_spec in spec.scheme_grid.specs
+    ]
+    report = OverheadModel(spec.organization).compare(
+        lut_realisation=spec.scheme_grid.lut_realisation
+    )
+    overheads: Dict[str, ReadPathOverhead] = {}
+    for name in names:
+        if name in report.overheads:
+            overheads[name] = report.overheads[name]
+        elif name == "no-protection":
+            overheads[name] = ReadPathOverhead(
+                scheme=name, read_power_fj=0.0, read_delay_ps=0.0, area_um2=0.0
+            )
+        else:
+            raise ValueError(f"no overhead model covers scheme {name!r}")
+    return overheads
+
+
+class RowJoin:
+    """The energy / overhead / quality join of one spec's grid cells.
 
     Shared by the exhaustive explorer and the budgeted optimizer so both
     tables carry exactly the same columns (:data:`DSE_COLUMNS`) computed the
     same way.  The scheme logic's dynamic energy scales with the same CV^2
-    law as the array access it accompanies (``logic_scale``).
+    law as the array access it accompanies.
     """
-    scheme_read_energy = overhead.read_power_fj * logic_scale
-    return {
-        "benchmark": benchmark_name,
-        "scheme": scheme_name,
-        "vdd": point.vdd,
-        "p_cell": point.p_cell,
-        "expected_failures": point.expected_failures,
-        "energy_saving": point.energy_saving,
-        "word_read_energy_fj": word_read_energy,
-        "scheme_read_energy_fj": scheme_read_energy,
-        "total_read_energy_fj": word_read_energy + scheme_read_energy,
-        "leakage_power_nw": point.leakage_power_nw,
-        "overhead_area_um2": overhead.area_um2,
-        "overhead_read_delay_ps": overhead.read_delay_ps,
-        "clean_quality": dist.clean_quality,
-        "median_quality": dist.median_quality(),
-        "quality_at_yield": dist.quality_at_yield(yield_target),
-        "yield_q90": dist.yield_at_quality(0.90),
-        "yield_q99": dist.yield_at_quality(0.99),
-        "samples": dist.samples,
-    }
+
+    def __init__(self, spec: ExperimentSpec) -> None:
+        self._scaling = spec.operating_grid.scaling_model(spec.organization)
+        self._nominal_vdd = spec.operating_grid.nominal_vdd
+        self._yield_target = spec.quality_yield_target
+        self._overheads = scheme_overheads(spec)
+
+    def _read_energies(
+        self, point: OperatingPoint, scheme_name: str
+    ) -> Tuple[float, float]:
+        """``(word, scheme logic)`` read energy of one row, in fJ."""
+        logic_scale = (point.vdd / self._nominal_vdd) ** 2
+        return (
+            self._scaling.read_energy_fj(point.vdd),
+            self._overheads[scheme_name].read_power_fj * logic_scale,
+        )
+
+    def total_energy(self, point: OperatingPoint, scheme_name: str) -> float:
+        """The row's ``total_read_energy_fj``."""
+        word, scheme = self._read_energies(point, scheme_name)
+        return word + scheme
+
+    def row(
+        self, cell: GridCell, scheme_name: str, dist: QualityDistribution
+    ) -> Dict[str, object]:
+        """One tidy-table row: scheme ``scheme_name`` in ``cell``."""
+        point = cell.point
+        overhead = self._overheads[scheme_name]
+        word_read_energy, scheme_read_energy = self._read_energies(
+            point, scheme_name
+        )
+        return {
+            "benchmark": cell.benchmark_name,
+            "scheme": scheme_name,
+            "vdd": point.vdd,
+            "p_cell": point.p_cell,
+            "expected_failures": point.expected_failures,
+            "energy_saving": point.energy_saving,
+            "word_read_energy_fj": word_read_energy,
+            "scheme_read_energy_fj": scheme_read_energy,
+            "total_read_energy_fj": word_read_energy + scheme_read_energy,
+            "leakage_power_nw": point.leakage_power_nw,
+            "overhead_area_um2": overhead.area_um2,
+            "overhead_read_delay_ps": overhead.read_delay_ps,
+            "clean_quality": dist.clean_quality,
+            "median_quality": dist.median_quality(),
+            "quality_at_yield": dist.quality_at_yield(self._yield_target),
+            "yield_q90": dist.yield_at_quality(0.90),
+            "yield_q99": dist.yield_at_quality(0.99),
+            "samples": dist.samples,
+        }
+
+
+@dataclass(frozen=True)
+class GridPointStatus:
+    """Store status of one (benchmark, operating point) grid cell."""
+
+    benchmark: str
+    vdd: float
+    p_cell: float
+    key: str
+    dirty: bool
+
+
+def grid_point_statuses(
+    store: "ResultStore", spec: ExperimentSpec
+) -> List[GridPointStatus]:
+    """Clean/dirty status of every grid point of ``spec`` against ``store``.
+
+    The store keys every result by the engine's full configuration hash,
+    which covers the spec-side knobs *and* the code-side contract (engine
+    version, resolved scenario pipeline, benchmark data bytes).  A grid
+    point is therefore **clean** exactly when its freshly computed hash is
+    already in the store, and **dirty** when anything that could change its
+    result -- a spec edit, a benchmark data change, an engine version bump
+    -- moved the hash.  Order is :func:`grid_cells`'s.  Computing a status
+    builds the benchmark (its data bytes enter the hash), but runs no
+    Monte-Carlo work.
+    """
+    statuses: List[GridPointStatus] = []
+    for cell in grid_cells(spec):
+        key = SweepEngine(cell.config).config_hash(cell.benchmark)
+        statuses.append(GridPointStatus(*cell.key, key=key, dirty=key not in store))
+    return statuses
+
+
+def dirty_grid_points(
+    store: "ResultStore", spec: ExperimentSpec
+) -> List[GridPointStatus]:
+    """Only the grid points a re-run would actually recompute."""
+    return [
+        status for status in grid_point_statuses(store, spec) if status.dirty
+    ]
 
 
 def _reports_to_payload(
@@ -165,6 +294,17 @@ def _reports_from_payload(
         )
         reports[key] = AdaptiveBudgetReport.from_dict(entry["report"])
     return reports
+
+
+def _read_result(path: str, versions: Tuple[int, ...], kind: str) -> Dict[str, object]:
+    """The JSON of a saved result file whose version is one of ``versions``."""
+    with open(path, "r", encoding="utf-8") as handle:
+        data = json.load(handle)
+    if data.get("version") not in versions:
+        raise ValueError(
+            f"{kind} file {path!r} has unsupported version {data.get('version')!r}"
+        )
+    return data
 
 
 class DseResult:
@@ -207,11 +347,7 @@ class DseResult:
 
     def benchmarks(self) -> List[str]:
         """Benchmark names present in the table, in row order."""
-        seen: List[str] = []
-        for row in self.rows:
-            if row["benchmark"] not in seen:
-                seen.append(row["benchmark"])
-        return seen
+        return list(dict.fromkeys(row["benchmark"] for row in self.rows))
 
     def select(
         self,
@@ -290,13 +426,7 @@ class DseResult:
         Version-1 files (written before the adaptive-report round-trip)
         still load; they simply carry no reports.
         """
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        if data.get("version") not in (1, _RESULT_VERSION):
-            raise ValueError(
-                f"result file {path!r} has unsupported version "
-                f"{data.get('version')!r}"
-            )
+        data = _read_result(path, (1, _RESULT_VERSION), "result")
         return cls(
             ExperimentSpec.from_dict(data["spec"]),
             data["rows"],
@@ -375,7 +505,7 @@ class DesignSpaceExplorer:
         store, every entry has ``store_hit=True`` and ``evaluated_dies=0``."""
         return dict(self._run_stats)
 
-    def dirty_points(self) -> List["GridPointStatus"]:
+    def dirty_points(self) -> List[GridPointStatus]:
         """Grid points a :meth:`run` would actually recompute against the
         configured store (requires ``store``); everything else is served
         from disk.  A spec edit, benchmark-data change, or engine version
@@ -383,57 +513,17 @@ class DesignSpaceExplorer:
         marks them dirty."""
         if self._store is None:
             raise ValueError("dirty_points requires a store")
-        from repro.store.invalidate import dirty_grid_points
-
         return dirty_grid_points(self._store, self._spec)
 
-    # ------------------------------------------------------------------ #
-    # Joins
-    # ------------------------------------------------------------------ #
-    def scheme_overheads(self) -> Dict[str, ReadPathOverhead]:
-        """Per-scheme read-path overhead at nominal voltage (the Fig. 6 join).
-
-        ``no-protection`` is the zero-overhead reference; every other scheme
-        must be covered by the :class:`OverheadModel` comparison.
-        """
-        spec = self._spec
-        organization = spec.organization
-        schemes = self._build_schemes()
-        report = OverheadModel(organization).compare(
-            lut_realisation=spec.scheme_grid.lut_realisation
-        )
-        overheads: Dict[str, ReadPathOverhead] = {}
-        for scheme in schemes:
-            if scheme.name in report.overheads:
-                overheads[scheme.name] = report.overheads[scheme.name]
-            elif scheme.name == "no-protection":
-                overheads[scheme.name] = ReadPathOverhead(
-                    scheme=scheme.name,
-                    read_power_fj=0.0,
-                    read_delay_ps=0.0,
-                    area_um2=0.0,
-                )
-            else:
-                raise ValueError(
-                    f"no overhead model covers scheme {scheme.name!r}"
-                )
-        return overheads
-
-    def _build_schemes(self) -> List[ProtectionScheme]:
-        return [
-            build_scheme(spec, self._spec.geometry.word_width)
-            for spec in self._spec.scheme_grid.specs
-        ]
-
     def _checkpoint_path(
-        self, engine: SweepEngine, benchmark, benchmark_name: str
+        self, engine: SweepEngine, cell: GridCell
     ) -> Optional[str]:
         if self._checkpoint_dir is None:
             return None
         os.makedirs(self._checkpoint_dir, exist_ok=True)
-        point_hash = engine.config_hash(benchmark)[:16]
+        point_hash = engine.config_hash(cell.benchmark)[:16]
         return os.path.join(
-            self._checkpoint_dir, f"dse-{benchmark_name}-{point_hash}.json"
+            self._checkpoint_dir, f"dse-{cell.benchmark_name}-{point_hash}.json"
         )
 
     # ------------------------------------------------------------------ #
@@ -443,67 +533,33 @@ class DesignSpaceExplorer:
         """Sweep the full grid and return the joined result table."""
         self._adaptive_reports = {}
         self._run_stats = {}
-        spec = self._spec
-        organization = spec.organization
-        scaling = spec.operating_grid.scaling_model(organization)
-        nominal_vdd = spec.operating_grid.nominal_vdd
-        points = spec.operating_points()
-        overheads = self.scheme_overheads()
-        yield_target = spec.quality_yield_target
-
+        join = RowJoin(self._spec)
         rows: List[Dict[str, object]] = []
         distributions: Dict[
             str, Dict[Tuple[float, float], Dict[str, QualityDistribution]]
         ] = {}
-        for benchmark_name in spec.benchmarks.names:
-            benchmark = benchmark_by_name(
-                benchmark_name,
-                scale=spec.benchmarks.scale,
-                seed=spec.benchmarks.seed,
+        for cell in grid_cells(self._spec):
+            engine = SweepEngine(cell.config)
+            results = engine.run(
+                cell.benchmark,
+                workers=self._workers,
+                checkpoint=self._checkpoint_path(engine, cell),
+                store=self._store,
+                executor=self._executor,
             )
-            per_point: Dict[
-                Tuple[float, float], Dict[str, QualityDistribution]
-            ] = {}
-            distributions[benchmark_name] = per_point
-            for point in points:
-                config = spec.experiment_config(point, benchmark_name)
-                engine = SweepEngine(config)
-                checkpoint = self._checkpoint_path(
-                    engine, benchmark, benchmark_name
-                )
-                results = engine.run(
-                    benchmark,
-                    workers=self._workers,
-                    checkpoint=checkpoint,
-                    store=self._store,
-                    executor=self._executor,
-                )
-                if engine.last_adaptive_report is not None:
-                    self._adaptive_reports[
-                        (benchmark_name, point.vdd, point.p_cell)
-                    ] = engine.last_adaptive_report
-                if engine.last_run_stats is not None:
-                    self._run_stats[
-                        (benchmark_name, point.vdd, point.p_cell)
-                    ] = engine.last_run_stats
-                per_point[(point.vdd, point.p_cell)] = results
-                logic_scale = (point.vdd / nominal_vdd) ** 2
-                word_read_energy = scaling.read_energy_fj(point.vdd)
-                for scheme_name in (s.name for s in engine.schemes):
-                    rows.append(
-                        build_dse_row(
-                            benchmark_name=benchmark_name,
-                            scheme_name=scheme_name,
-                            point=point,
-                            dist=results[scheme_name],
-                            overhead=overheads[scheme_name],
-                            word_read_energy=word_read_energy,
-                            logic_scale=logic_scale,
-                            yield_target=yield_target,
-                        )
-                    )
+            if engine.last_adaptive_report is not None:
+                self._adaptive_reports[cell.key] = engine.last_adaptive_report
+            if engine.last_run_stats is not None:
+                self._run_stats[cell.key] = engine.last_run_stats
+            distributions.setdefault(cell.benchmark_name, {})[
+                (cell.point.vdd, cell.point.p_cell)
+            ] = results
+            rows.extend(
+                join.row(cell, scheme.name, results[scheme.name])
+                for scheme in engine.schemes
+            )
         return DseResult(
-            spec,
+            self._spec,
             rows,
             distributions,
             adaptive_reports=self._adaptive_reports,

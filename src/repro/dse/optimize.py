@@ -26,8 +26,9 @@ Pareto frontier for a fraction of that die bill by racing the cells through
 Determinism contract: for a fixed master seed the rung results, the pruning
 decisions, and the final frontier are bit-identical for every worker count
 and executor backend.  Probes fold in canonical shard order inside the
-engine, every rung probes and folds its cells in canonical grid order
-(benchmark-major, then operating point, then scheme), and each pruning pass
+engine, every rung probes and folds its cells in the explorer's canonical
+grid order (:func:`~repro.dse.explore.grid_cells`: benchmark-major, then
+operating point; rows within a cell in scheme order), and each pruning pass
 tests rows against a snapshot of the pass's surviving set -- dominance is
 transitive, so the outcome is independent of the order rows are examined
 in.
@@ -47,20 +48,21 @@ import json
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from repro import jsonio
 from repro.dse.explore import (
-    DesignSpaceExplorer,
+    DseResult,
+    GridCell,
+    RowJoin,
+    _read_result,
     _reports_from_payload,
     _reports_to_payload,
-    build_dse_row,
+    grid_cells,
 )
 from repro.dse.spec import ExperimentSpec, OptimizerSpec
-from repro.sim.config import ExperimentConfig
 from repro.sim.engine import SweepEngine, _write_checkpoint_payload
-from repro.sim.experiment import benchmark_by_name
 from repro.sim.results import AdaptiveBudgetReport, QualityDistribution
 from repro.store.schema import (
     adaptive_report_from_payload,
@@ -69,7 +71,6 @@ from repro.store.schema import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from repro.hardware.energy import OperatingPoint
     from repro.store.store import ResultStore
 
 __all__ = [
@@ -93,21 +94,13 @@ OPTIMIZE_AUDIT_COLUMNS = (
 
 
 def _copy_rung_checkpoint(previous: str, checkpoint: str) -> None:
-    """Seed a rung's checkpoint with the previous rung's, durably: copy,
-    fsync, rename, fsync the directory (as :func:`jsonio.write_atomic`).
-    A failed copy leaves neither the temp file nor the checkpoint behind."""
-    temp_path = checkpoint + ".tmp"
-    try:
-        with open(previous, "rb") as source, open(temp_path, "wb") as target:
-            shutil.copyfileobj(source, target)
-            target.flush()
-            os.fsync(target.fileno())
-        os.replace(temp_path, checkpoint)
-    except BaseException:
-        if os.path.exists(temp_path):
-            os.unlink(temp_path)
-        raise
-    jsonio.fsync_directory(os.path.dirname(os.path.abspath(checkpoint)))
+    """Seed a rung's checkpoint with the previous rung's, durably
+    (:func:`jsonio.replace_durably`).  A failed copy leaves neither the temp
+    file nor the checkpoint behind."""
+    with open(previous, "rb") as source, jsonio.replace_durably(
+        checkpoint, "wb"
+    ) as target:
+        shutil.copyfileobj(source, target)
 
 
 @dataclass(frozen=True)
@@ -134,19 +127,7 @@ class PruneEvent:
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-safe view (round-trips through :meth:`from_dict`)."""
-        return {
-            "rung": self.rung,
-            "benchmark": self.benchmark,
-            "scheme": self.scheme,
-            "vdd": self.vdd,
-            "p_cell": self.p_cell,
-            "energy": self.energy,
-            "quality_hi": self.quality_hi,
-            "by_scheme": self.by_scheme,
-            "by_vdd": self.by_vdd,
-            "by_quality_lo": self.by_quality_lo,
-            "slack": self.slack,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "PruneEvent":
@@ -182,9 +163,7 @@ class _RowState:
 class _CellState:
     """One (benchmark, operating point) cell of the successive-halving race."""
 
-    benchmark_name: str
-    point: "OperatingPoint"
-    config: ExperimentConfig
+    grid: GridCell
     scheme_names: List[str]
     caps: List[int]
     resumable_hash: str
@@ -199,23 +178,19 @@ class _CellState:
     results: Optional[Dict[str, QualityDistribution]] = None
     report: Optional[AdaptiveBudgetReport] = None
 
-    @property
-    def key(self) -> Tuple[str, float, float]:
-        return (self.benchmark_name, self.point.vdd, self.point.p_cell)
-
     def checkpoint(self, rung: int) -> str:
         """Round-state file of ``rung``, named after its ``dse-rung`` key."""
         return f"{self.checkpoint_stem}-rung{rung}-cap{self.caps[rung]}.json"
 
 
-class OptimizeResult:
+class OptimizeResult(DseResult):
     """Outcome of one budgeted optimization run.
 
-    ``rows`` is the tidy DSE table (same columns and canonical order as
-    :class:`~repro.dse.explore.DseResult`) extended with the audit columns of
-    :data:`OPTIMIZE_AUDIT_COLUMNS`: each row carries its quality confidence
-    band, the dies its cell spent, the last rung it was probed at, and -- if
-    it was pruned -- which row eliminated it.  ``prune_log`` is the ordered
+    ``rows`` is the tidy DSE table of :class:`~repro.dse.explore.DseResult`
+    (same columns, canonical order and table methods) extended with the
+    audit columns of :data:`OPTIMIZE_AUDIT_COLUMNS`: each row carries its
+    quality confidence band, the dies its cell spent, the last rung it was
+    probed at, and -- if it was pruned -- which row eliminated it.  ``prune_log`` is the ordered
     list of :class:`PruneEvent` decisions, and ``adaptive_reports`` the
     final per-cell :class:`~repro.sim.results.AdaptiveBudgetReport` audit.
 
@@ -240,26 +215,13 @@ class OptimizeResult:
         exhaustive_dies: int = 0,
         store_hits: int = 0,
     ) -> None:
-        self.spec = spec
-        self.rows = rows
+        super().__init__(spec, rows, adaptive_reports=adaptive_reports)
         self.prune_log = list(prune_log)
-        self.adaptive_reports = dict(adaptive_reports or {})
         self.cell_statuses = list(cell_statuses or [])
         self.total_dies = int(total_dies)
         self.evaluated_dies = int(evaluated_dies)
         self.exhaustive_dies = int(exhaustive_dies)
         self.store_hits = int(store_hits)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def benchmarks(self) -> List[str]:
-        """Benchmark names present in the table, in row order."""
-        seen: List[str] = []
-        for row in self.rows:
-            if row["benchmark"] not in seen:
-                seen.append(row["benchmark"])
-        return seen
 
     def frontier(
         self, benchmark: Optional[str] = None
@@ -324,23 +286,11 @@ class OptimizeResult:
             "store_hits": self.store_hits,
         }
 
-    def save(self, path: str) -> None:
-        """Write the result as JSON to ``path``."""
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=1)
-            handle.write("\n")
-
     @classmethod
     def load(cls, path: str) -> "OptimizeResult":
         """Load a result previously written by :meth:`save` (keys that older
         files carry and this version no longer writes are ignored)."""
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        if data.get("version") != _OPTIMIZE_RESULT_VERSION:
-            raise ValueError(
-                f"optimizer result file {path!r} has unsupported version "
-                f"{data.get('version')!r}"
-            )
+        data = _read_result(path, (_OPTIMIZE_RESULT_VERSION,), "optimizer result")
         return cls(
             ExperimentSpec.from_dict(data["spec"]),
             data["rows"],
@@ -423,77 +373,49 @@ class ParetoOptimizer:
     # Cell construction
     # ------------------------------------------------------------------ #
     def _build_cells(
-        self, checkpoint_dir: str
-    ) -> Tuple[List[_CellState], Dict[str, object]]:
-        """Canonical cell list (benchmark-major, then operating point)."""
-        spec = self._spec
+        self, checkpoint_dir: str, join: RowJoin
+    ) -> List[_CellState]:
+        """Canonical cell list (:func:`~repro.dse.explore.grid_cells`)."""
         opt = self._optimizer
-        scaling = spec.operating_grid.scaling_model(spec.organization)
-        nominal_vdd = spec.operating_grid.nominal_vdd
-        overheads = DesignSpaceExplorer(spec).scheme_overheads()
-        points = spec.operating_points()
-
         cells: List[_CellState] = []
-        benchmark_defs: Dict[str, object] = {}
-        for benchmark_name in spec.benchmarks.names:
-            benchmark_defs[benchmark_name] = benchmark_by_name(
-                benchmark_name,
-                scale=spec.benchmarks.scale,
-                seed=spec.benchmarks.seed,
+        for grid in grid_cells(self._spec):
+            counts = grid.config.evaluated_counts()
+            # Every rung must be able to seed each stratum with the
+            # engine's minimum two dies, whatever rung0_dies asks for.
+            base = max(opt.rung0_dies or 0, 2 * len(counts))
+            caps = opt.rung_caps(base)
+            probe = replace(grid.config, adaptive=opt.adaptive_budget(caps[0]))
+            engine = SweepEngine(probe)
+            resumable_hash = engine.config_hash(
+                grid.benchmark, adaptive_cap_resumable=True
             )
-            for point in points:
-                config = spec.experiment_config(point, benchmark_name)
-                counts = config.evaluated_counts()
-                # Every rung must be able to seed each stratum with the
-                # engine's minimum two dies, whatever rung0_dies asks for.
-                base = max(opt.rung0_dies or 0, 2 * len(counts))
-                caps = opt.rung_caps(base)
-                probe = replace(
-                    config, adaptive=opt.adaptive_budget(caps[0])
+            scheme_names = [scheme.name for scheme in engine.schemes]
+            cells.append(
+                _CellState(
+                    grid=grid,
+                    scheme_names=scheme_names,
+                    caps=caps,
+                    resumable_hash=resumable_hash,
+                    checkpoint_stem=os.path.join(
+                        checkpoint_dir,
+                        f"optimize-{grid.benchmark_name}-{resumable_hash[:16]}",
+                    ),
+                    rows={
+                        name: _RowState(
+                            energy=join.total_energy(grid.point, name)
+                        )
+                        for name in scheme_names
+                    },
+                    exhaustive_dies=len(counts)
+                    * self._spec.budget.samples_per_count,
                 )
-                engine = SweepEngine(probe)
-                resumable_hash = engine.config_hash(
-                    benchmark_defs[benchmark_name],
-                    adaptive_cap_resumable=True,
-                )
-                logic_scale = (point.vdd / nominal_vdd) ** 2
-                word_read_energy = scaling.read_energy_fj(point.vdd)
-                rows = {
-                    scheme.name: _RowState(
-                        energy=word_read_energy
-                        + overheads[scheme.name].read_power_fj * logic_scale
-                    )
-                    for scheme in engine.schemes
-                }
-                cells.append(
-                    _CellState(
-                        benchmark_name=benchmark_name,
-                        point=point,
-                        config=config,
-                        scheme_names=[s.name for s in engine.schemes],
-                        caps=caps,
-                        resumable_hash=resumable_hash,
-                        checkpoint_stem=os.path.join(
-                            checkpoint_dir,
-                            f"optimize-{benchmark_name}-{resumable_hash[:16]}",
-                        ),
-                        rows=rows,
-                        exhaustive_dies=len(counts)
-                        * spec.budget.samples_per_count,
-                    )
-                )
-        join = {
-            "overheads": overheads,
-            "scaling": scaling,
-            "nominal_vdd": nominal_vdd,
-            "benchmark_defs": benchmark_defs,
-        }
-        return cells, join
+            )
+        return cells
 
     # ------------------------------------------------------------------ #
     # Rung execution
     # ------------------------------------------------------------------ #
-    def _run_rung(self, cell: _CellState, rung: int, benchmark_def) -> None:
+    def _run_rung(self, cell: _CellState, rung: int) -> None:
         """Advance one cell to its rung cap of cumulative dies (resume or
         replay).
 
@@ -533,11 +455,11 @@ class ParetoOptimizer:
                 if os.path.exists(previous):
                     _copy_rung_checkpoint(previous, checkpoint)
             probe = replace(
-                cell.config, adaptive=opt.adaptive_budget(cap)
+                cell.grid.config, adaptive=opt.adaptive_budget(cap)
             )
             engine = SweepEngine(probe)
             results = engine.run(
-                benchmark_def,
+                cell.grid.benchmark,
                 workers=self._workers,
                 checkpoint=checkpoint,
                 executor=self._executor,
@@ -546,9 +468,8 @@ class ParetoOptimizer:
             report = engine.last_adaptive_report
             assert report is not None
             stats = engine.last_run_stats
-            cell.evaluated_dies += (
-                stats.evaluated_dies if stats is not None else 0
-            )
+            evaluated = stats.evaluated_dies if stats is not None else 0
+            cell.evaluated_dies += evaluated
             if self._store is not None:
                 with open(checkpoint, "r", encoding="utf-8") as handle:
                     checkpoint_payload = json.load(handle)
@@ -562,15 +483,13 @@ class ParetoOptimizer:
                         "checkpoint": checkpoint_payload,
                     },
                     meta={
-                        "benchmark": cell.benchmark_name,
-                        "vdd": cell.point.vdd,
-                        "p_cell": cell.point.p_cell,
+                        "benchmark": cell.grid.benchmark_name,
+                        "vdd": cell.grid.point.vdd,
+                        "p_cell": cell.grid.point.p_cell,
                         "rung": rung,
                         "cap": cap,
                         "total_dies": report.total_dies,
-                        "evaluated_dies": (
-                            stats.evaluated_dies if stats is not None else 0
-                        ),
+                        "evaluated_dies": evaluated,
                         "evaluation": "dse-rung",
                     },
                 )
@@ -617,7 +536,7 @@ class ParetoOptimizer:
             snapshot = [
                 (cell, name)
                 for cell in cells
-                if cell.benchmark_name == benchmark_name
+                if cell.grid.benchmark_name == benchmark_name
                 and cell.results is not None
                 for name in cell.scheme_names
                 if not cell.rows[name].pruned
@@ -634,19 +553,19 @@ class ParetoOptimizer:
                     ):
                         victim.pruned = True
                         victim.pruned_by = (
-                            f"{other_name}@{other_cell.point.vdd:g}V"
+                            f"{other_name}@{other_cell.grid.point.vdd:g}V"
                         )
                         events.append(
                             PruneEvent(
                                 rung=rung,
                                 benchmark=benchmark_name,
                                 scheme=name,
-                                vdd=cell.point.vdd,
-                                p_cell=cell.point.p_cell,
+                                vdd=cell.grid.point.vdd,
+                                p_cell=cell.grid.point.p_cell,
                                 energy=victim.energy,
                                 quality_hi=victim.quality_hi,
                                 by_scheme=other_name,
-                                by_vdd=other_cell.point.vdd,
+                                by_vdd=other_cell.grid.point.vdd,
                                 by_quality_lo=dominator.quality_lo,
                                 slack=slack,
                             )
@@ -684,15 +603,14 @@ class ParetoOptimizer:
         with tempfile.TemporaryDirectory(prefix="repro-optimize-") as scratch:
             checkpoint_dir = self._checkpoint_dir or scratch
             os.makedirs(checkpoint_dir, exist_ok=True)
-            cells, join = self._build_cells(checkpoint_dir)
+            join = RowJoin(self._spec)
+            cells = self._build_cells(checkpoint_dir, join)
             prune_log: List[PruneEvent] = []
             for rung in range(opt.rungs):
                 for cell in cells:
                     if cell.status != "active":
                         continue
-                    self._run_rung(
-                        cell, rung, join["benchmark_defs"][cell.benchmark_name]
-                    )
+                    self._run_rung(cell, rung)
                 prune_log.extend(self._prune_pass(cells, rung))
                 self._update_status(cells, rung)
                 if all(cell.status != "active" for cell in cells):
@@ -703,25 +621,20 @@ class ParetoOptimizer:
         self,
         cells: List[_CellState],
         prune_log: List[PruneEvent],
-        join: Mapping[str, object],
+        join: RowJoin,
     ) -> OptimizeResult:
         """Fold the cell states into the final audit table (canonical order)."""
-        spec = self._spec
-        yield_target = spec.quality_yield_target
-        overheads = join["overheads"]
-        scaling = join["scaling"]
-        nominal_vdd = join["nominal_vdd"]
         rows: List[Dict[str, object]] = []
         reports: Dict[Tuple[str, float, float], AdaptiveBudgetReport] = {}
         statuses: List[Dict[str, object]] = []
         for cell in cells:
             assert cell.results is not None and cell.report is not None
-            reports[cell.key] = cell.report
+            reports[cell.grid.key] = cell.report
             statuses.append(
                 {
-                    "benchmark": cell.benchmark_name,
-                    "vdd": cell.point.vdd,
-                    "p_cell": cell.point.p_cell,
+                    "benchmark": cell.grid.benchmark_name,
+                    "vdd": cell.grid.point.vdd,
+                    "p_cell": cell.grid.point.p_cell,
                     "status": cell.status,
                     "dies": cell.dies,
                     "evaluated_dies": cell.evaluated_dies,
@@ -729,20 +642,9 @@ class ParetoOptimizer:
                     "last_rung": cell.last_rung,
                 }
             )
-            logic_scale = (cell.point.vdd / nominal_vdd) ** 2
-            word_read_energy = scaling.read_energy_fj(cell.point.vdd)
             for name in cell.scheme_names:
                 state = cell.rows[name]
-                row = build_dse_row(
-                    benchmark_name=cell.benchmark_name,
-                    scheme_name=name,
-                    point=cell.point,
-                    dist=cell.results[name],
-                    overhead=overheads[name],
-                    word_read_energy=word_read_energy,
-                    logic_scale=logic_scale,
-                    yield_target=yield_target,
-                )
+                row = join.row(cell.grid, name, cell.results[name])
                 row["quality_lo"] = state.quality_lo
                 row["quality_hi"] = state.quality_hi
                 row["ci_half_width"] = state.half_width
@@ -752,7 +654,7 @@ class ParetoOptimizer:
                 row["pruned_by"] = state.pruned_by
                 rows.append(row)
         return OptimizeResult(
-            spec,
+            self._spec,
             rows,
             prune_log,
             adaptive_reports=reports,

@@ -18,18 +18,21 @@ encoder's text, so the document is still what ``json.dumps`` writes.  Other
 leaves are encoded whole.
 
 :func:`write_atomic` is the one durable JSON file writer: checkpoints, the
-store index and the store marker all go through it.
+store index and the store marker all go through it.  It and the optimizer's
+rung-checkpoint copy share one durable-replace sequence,
+:func:`replace_durably`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import IO, Callable, Dict
+from typing import IO, Callable, Dict, Iterator
 
-__all__ = ["dump", "fsync_directory", "write_atomic"]
+__all__ = ["dump", "fsync_directory", "replace_durably", "write_atomic"]
 
 #: Container levels written by hand; everything deeper is one leaf.
 _STREAMED_DEPTH = 2
@@ -143,21 +146,25 @@ def fsync_directory(path: str) -> None:
         os.close(fd)
 
 
-def write_atomic(path: str, value: object) -> None:
-    """Durably and atomically replace ``path`` with ``value`` as JSON.
+@contextlib.contextmanager
+def replace_durably(path: str, mode: str = "w") -> Iterator[IO]:
+    """Durably and atomically replace ``path`` with what the ``with`` body
+    writes to the yielded file (opened in ``mode``, UTF-8 when text).
 
     Temp file + ``os.replace`` alone is *atomic* but not *durable*: without
     an fsync of the temp file a crash shortly after the rename can leave the
     final name pointing at truncated (or empty) data, and without an fsync of
     the directory the rename itself may not have reached disk.  Both syncs
-    run here, so once this function returns the file survives a crash.
+    run here, so once the ``with`` block exits the file survives a crash.  A
+    body that raises leaves neither the temp file nor a new ``path`` behind.
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    encoding = None if "b" in mode else "utf-8"
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            dump(value, handle)
+        with os.fdopen(fd, mode, encoding=encoding) as handle:
+            yield handle
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temp_path, path)
@@ -166,3 +173,10 @@ def write_atomic(path: str, value: object) -> None:
             os.unlink(temp_path)
         raise
     fsync_directory(directory)
+
+
+def write_atomic(path: str, value: object) -> None:
+    """Durably and atomically replace ``path`` with ``value`` as JSON
+    (:func:`replace_durably`)."""
+    with replace_durably(path) as handle:
+        dump(value, handle)

@@ -239,7 +239,7 @@ class TestRetrainMemo:
             retrained.append(_digest(features))
             return public(self, features)
 
-        monkeypatch.setattr("repro.dse.optimize.benchmark_by_name", build)
+        monkeypatch.setattr("repro.dse.explore.benchmark_by_name", build)
         monkeypatch.setattr(
             BenchmarkDefinition, "quality_with_corrupted_features", recording_retrain
         )

@@ -5,8 +5,8 @@ packages; a run-time import in the other direction (even a lazy one inside a
 function) ties a lower layer to everything above it.  Within the lower
 packages, ``repro.faultmodel`` sits below the fault-scenario pipeline and the
 sweep engine that draw dies through it, and the modules that only describe
-or store a sweep (its configuration, its result types, the store schema, the
-DSE spec) sit below the engine and its executor tier.  ``repro.memory``
+or store a sweep (its configuration, its result types, the store, the DSE
+spec) sit below the engine and its executor tier.  ``repro.memory``
 (words, fault maps) sits below ``repro.kernels``, whose reference backend
 is built from its word helpers.  Imports under
 ``if TYPE_CHECKING:`` are annotations only and are allowed.  The package uses
@@ -114,5 +114,16 @@ def test_sweep_descriptions_do_not_import_the_engine_or_executor():
     offending = _offending_imports(
         ("dse/spec.py", "sim/runner.py", "store/schema.py"),
         ("repro.sim.engine", "repro.sim.executor"),
+    )
+    assert not offending, "\n".join(offending)
+
+
+def test_store_does_not_import_the_engine_or_dse():
+    offending = _offending_imports(
+        ("store",),
+        (
+            "repro.sim.engine", "repro.sim.executor", "repro.sim.experiment",
+            "repro.dse",
+        ),
     )
     assert not offending, "\n".join(offending)

@@ -24,6 +24,8 @@ from repro.dse import (
     McBudgetSpec,
     OperatingGridSpec,
     SchemeGridSpec,
+    dirty_grid_points,
+    grid_point_statuses,
 )
 from repro.quality.cdf import WeightedEcdf
 from repro.sim import engine as engine_module
@@ -35,8 +37,6 @@ from repro.store import (
     ResultStore,
     StoreError,
     StoreSchemaError,
-    dirty_grid_points,
-    grid_point_statuses,
 )
 from repro.store.segments import SegmentWriter, list_segments, scan_segment
 
