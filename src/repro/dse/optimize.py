@@ -236,9 +236,7 @@ class OptimizeResult(DseResult):
         frontier: List[Dict[str, object]] = []
         for name in names:
             survivors = [
-                dict(row)
-                for row in self.rows
-                if row["benchmark"] == name and not row["pruned"]
+                dict(row) for row in self.select(benchmark=name) if not row["pruned"]
             ]
             survivors.sort(
                 key=lambda r: (
