@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 from dataclasses import replace
 from typing import List, Optional, Sequence
@@ -73,7 +74,7 @@ from repro.dse import (
     ParetoOptimizer,
 )
 from repro.sim.config import AdaptiveBudget
-from repro.sim.experiment import standard_benchmarks
+from repro.sim.experiment import benchmark_by_name
 from repro.sim.results import AdaptiveBudgetReport
 
 __all__ = ["main", "build_parser"]
@@ -83,6 +84,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:  # also false for NaN
+        raise argparse.ArgumentTypeError("must be a positive number")
     return value
 
 
@@ -513,11 +521,7 @@ def _cmd_fig6(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig7(args: argparse.Namespace) -> int:
-    benchmarks = standard_benchmarks(scale=args.scale, seed=args.seed)
-    if args.benchmark not in benchmarks:
-        print(f"unknown benchmark {args.benchmark!r}", file=sys.stderr)
-        return 2
-    benchmark = benchmarks[args.benchmark]
+    benchmark = benchmark_by_name(args.benchmark, scale=args.scale, seed=args.seed)
     _check_access_trace(args)
     sampling = _resolve_sampling(args)
     if _scenario_has_transient(args) and sampling == "legacy":
@@ -906,12 +910,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p4 = sub.add_parser("fig4", help="error magnitude per faulty bit position")
-    p4.add_argument("--word-width", type=int, default=32)
+    p4.add_argument("--word-width", type=_positive_int, default=32)
     p4.set_defaults(func=_cmd_fig4)
 
     p5 = sub.add_parser("fig5", help="MSE CDF / quality-aware yield")
     p5.add_argument("--p-cell", type=float, default=5e-6)
-    p5.add_argument("--samples", type=int, default=200)
+    p5.add_argument("--samples", type=_positive_int, default=200)
     p5.add_argument("--seed", type=int, default=2015)
     _add_sweep_options(p5)
     p5.set_defaults(func=_cmd_fig5)
@@ -923,15 +927,15 @@ def build_parser() -> argparse.ArgumentParser:
     p7 = sub.add_parser("fig7", help="application quality CDF")
     p7.add_argument("--benchmark", choices=["elasticnet", "pca", "knn"], default="knn")
     p7.add_argument("--p-cell", type=float, default=1e-3)
-    p7.add_argument("--samples", type=int, default=5)
-    p7.add_argument("--count-points", type=int, default=8)
-    p7.add_argument("--scale", type=float, default=0.5)
+    p7.add_argument("--samples", type=_positive_int, default=5)
+    p7.add_argument("--count-points", type=_positive_int, default=8)
+    p7.add_argument("--scale", type=_positive_float, default=0.5)
     p7.add_argument("--seed", type=int, default=52)
     _add_sweep_options(p7)
     p7.set_defaults(func=_cmd_fig7)
 
     pt = sub.add_parser("table1", help="benchmark inventory")
-    pt.add_argument("--scale", type=float, default=0.5)
+    pt.add_argument("--scale", type=_positive_float, default=0.5)
     pt.set_defaults(func=_cmd_table1)
 
     pd = sub.add_parser(

@@ -72,13 +72,14 @@ def _from_checked_dict(cls, data: Mapping[str, object], context: str):
     return cls(**data)
 
 
-def _reject_repeats(values: Tuple[object, ...], field: str) -> None:
-    """A grid axis names each value once: two cells with one key collide."""
+def _reject_repeats(values: Tuple[object, ...], field: str, key=lambda value: value) -> None:
+    """A grid axis names each value once (as ``key`` sees it): two cells
+    with one key collide."""
     seen = set()
     for value in values:
-        if value in seen:
+        if key(value) in seen:
             raise ValueError(f"{field} repeats {value!r}")
-        seen.add(value)
+        seen.add(key(value))
 
 
 @dataclass(frozen=True)
@@ -352,7 +353,9 @@ class BenchmarkGridSpec:
         object.__setattr__(self, "names", tuple(self.names))
         if not self.names:
             raise ValueError("at least one benchmark is required")
-        _reject_repeats(self.names, "benchmark names")
+        # benchmark_by_name reads names case-insensitively: "ElasticNet"
+        # would simulate the elasticnet benchmark a second time.
+        _reject_repeats(self.names, "benchmark names", key=lambda name: str(name).strip().lower())
         if self.scale <= 0:
             raise ValueError("scale must be positive")
 

@@ -39,6 +39,30 @@ class TestParser:
         with pytest.raises(SystemExit):
             parser.parse_args(["fig7", "--benchmark", "svm"])
 
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["fig5", "--samples", "0"], "--samples: must be a positive integer"),
+            (["fig7", "--samples", "0"], "--samples: must be a positive integer"),
+            (["fig7", "--count-points", "0"], "--count-points: must be a positive integer"),
+            (["fig7", "--scale", "0"], "--scale: must be a positive number"),
+            (["table1", "--scale", "0"], "--scale: must be a positive number"),
+            (["fig4", "--word-width", "0"], "--word-width: must be a positive integer"),
+        ],
+        ids=["fig5-samples", "fig7-samples", "fig7-count-points", "fig7-scale", "table1-scale",
+             "fig4-word-width"],
+    )
+    def test_out_of_range_count_is_a_usage_error(self, argv, message, capsys):
+        # Rejected while parsing: exit 2 and one error line, not a traceback.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"repro-faulty-mem {argv[0]}: error: argument {message}"
+        ]
+        assert "Traceback" not in err
+
 
 class TestCommands:
     def test_fig2_prints_table(self, capsys):

@@ -221,6 +221,8 @@ class TestExperimentSpec:
              "p_cell_values repeats 0.0001"),
             ("benchmarks", {"names": ["knn", "pca", "knn"]},
              "benchmark names repeats 'knn'"),
+            ("benchmarks", {"names": ["elasticnet", "ElasticNet"]},
+             "benchmark names repeats 'ElasticNet'"),
         ],
     )
     def test_repeated_grid_value_rejected(self, section, values, message):
