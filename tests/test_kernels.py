@@ -5,8 +5,8 @@ width/nFM/boundary-pattern cases of the SECDED and FM-LUT kernels and
 randomized regressions of the ElasticNet sweeps, and must be bit-identical
 to the ``numpy`` reference — including the data-dependent ``ValueError``
 cases.  The datapath's plain-NumPy loops (corruption masks,
-2's-complement codecs, the sampler's validity check) reach no backend and
-are checked once against independent scalar references.  The capability probe
+2's-complement codecs, the sampler's validity check) are checked with each
+backend active against independent scalar references.  The capability probe
 itself is exercised too: a forced compile failure, or a BLAS other than
 NumPy's own, must fall back to ``numpy`` with exactly one warning when the
 backend was requested explicitly, and silently when it was only an
@@ -161,14 +161,12 @@ class TestDatapathKernels:
             backend.fmlut_decode(want, rows, rotations, width), data
         )
 
-
-# The datapath's plain-NumPy loops (corruption masks, 2's-complement codecs,
-# the sampler's validity check) reach no kernel backend, so they run once,
-# against independent scalar references.
-class TestDatapathLoops:
+    # The tests below run a plain-NumPy datapath loop with the backend
+    # active and compare it with an independent scalar reference: backend
+    # choice must not reach them.
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_corruption_masks_match_reference(self, seed):
+    def test_corruption_masks_match_reference(self, backend_name, seed):
         rng = np.random.default_rng(seed)
         org = MemoryOrganization(rows=16, word_width=32)
         kinds = list(FaultKind)
@@ -185,7 +183,8 @@ class TestDatapathLoops:
         # Slot ``faulty_rows.size`` is the die's identity (healthy) slot.
         slots = rng.integers(0, die.faulty_rows.size + 1, size=128)
         pats = rng.integers(0, 1 << 32, size=128).astype(np.uint64)
-        got = die.corrupt(slots, pats)
+        with use_backend(backend_name):
+            got = die.corrupt(slots, pats)
         rows = np.append(die.faulty_rows, -1)[slots]
         assert got.tolist() == [
             pat if row < 0 else fault_map.corrupt_word(row, pat)
@@ -193,7 +192,7 @@ class TestDatapathLoops:
         ]
 
     @pytest.mark.parametrize("width", [2, 8, 16, 32, 63])
-    def test_twos_complement_roundtrip(self, width):
+    def test_twos_complement_roundtrip(self, backend_name, width):
         rng = np.random.default_rng(width)
         lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
         values = np.concatenate(
@@ -202,21 +201,23 @@ class TestDatapathLoops:
                 rng.integers(lo, hi + 1, size=100).astype(np.int64),
             ]
         )
-        patterns = to_twos_complement_array(values, width)
-        back = from_twos_complement_array(patterns, width)
+        with use_backend(backend_name):
+            patterns = to_twos_complement_array(values, width)
+            back = from_twos_complement_array(patterns, width)
         assert patterns.tolist() == [to_twos_complement(v, width) for v in values.tolist()]
         assert np.array_equal(back, values)
 
     @pytest.mark.parametrize("width", [8, 32])
-    def test_twos_complement_errors_match(self, width):
+    def test_twos_complement_errors_match(self, backend_name, width):
         out_of_range = np.array([1 << (width - 1)], dtype=np.int64)
         oversized = np.array([1 << width], dtype=np.uint64)
-        with pytest.raises(
-            ValueError, match=f"values out of range for {width}-bit 2's complement"
-        ):
-            to_twos_complement_array(out_of_range, width)
-        with pytest.raises(ValueError, match=f"pattern exceeds {width}-bit range"):
-            from_twos_complement_array(oversized, width)
+        with use_backend(backend_name):
+            with pytest.raises(
+                ValueError, match=f"values out of range for {width}-bit 2's complement"
+            ):
+                to_twos_complement_array(out_of_range, width)
+            with pytest.raises(ValueError, match=f"pattern exceeds {width}-bit range"):
+                from_twos_complement_array(oversized, width)
 
     @given(
         fault_count=st.integers(min_value=1, max_value=6),
@@ -224,13 +225,16 @@ class TestDatapathLoops:
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )
     @settings(max_examples=40, deadline=None)
-    def test_invalid_map_mask_matches_reference(self, fault_count, max_fpw, seed):
+    def test_invalid_map_mask_matches_reference(
+        self, backend_name, fault_count, max_fpw, seed
+    ):
         rng = np.random.default_rng(seed)
         width = 8
         draws = rng.integers(0, 40, size=(50, fault_count)).astype(np.int64)
         draws[0, -1] = draws[0, 0]  # duplicate cell (for fault_count >= 2)
         draws[1] = np.arange(fault_count)  # packed into the first word(s)
-        got = _invalid_map_mask(draws, width, max_fpw)
+        with use_backend(backend_name):
+            got = _invalid_map_mask(draws, width, max_fpw)
         want = [
             len(set(cells)) < len(cells)
             or (
